@@ -1,9 +1,9 @@
 """Exploration pruning: fewer runs to exhaustion, identical verdicts.
 
-Not a paper table — this guards the systematic explorer's two cost
-optimizations (sleep-set pruning and the cross-run schedule memo,
-:mod:`repro.detect.systematic`) the way ``bench_simulator_perf`` guards
-the scheduler fast path.  The same measurements back ``repro bench
+Not a paper table — this guards the systematic explorer's sleep-set
+pruning (:mod:`repro.detect.systematic`) the way
+``bench_simulator_perf`` guards the scheduler fast path.  The same
+measurements back ``repro bench
 --explore``, whose JSON lands in the committed ``BENCH_simulator.json``
 baseline under the ``explore`` section.
 
@@ -16,19 +16,16 @@ still finds the counterexample the unpruned explorer finds.
 from repro.bench import EXPLORE_KERNELS, run_explore_benchmarks
 from repro.bugs import registry
 from repro.detect.systematic import explore_systematic
-from repro.parallel import memo as memo_mod
 
 
 def test_pruning_savings_and_verdicts(report):
     document = run_explore_benchmarks(max_runs=800)
     rows = document["kernels"]
 
-    lines = [f"{'kernel':<45} {'unpruned':>9} {'pruned':>7} {'saved':>7} "
-             f"{'memoized':>9}"]
+    lines = [f"{'kernel':<45} {'unpruned':>9} {'pruned':>7} {'saved':>7}"]
     for kid, row in rows.items():
         lines.append(f"{kid:<45} {row['runs_unpruned']:>9} "
-                     f"{row['runs_pruned']:>7} {row['saved_pct']:>6.1f}% "
-                     f"{row['memo_runs_saved']:>9}")
+                     f"{row['runs_pruned']:>7} {row['saved_pct']:>6.1f}%")
     lines.append(f"min saved {document['min_saved_pct']:.1f}%  "
                  f"verdicts match: {document['all_verdicts_match']}")
     report("Exploration pruning: runs to exhaustion", "\n".join(lines))
@@ -37,8 +34,6 @@ def test_pruning_savings_and_verdicts(report):
     big_savers = [row for row in rows.values() if row["saved_pct"] >= 30.0]
     assert len(big_savers) >= 3, (
         f"expected >=30% savings on >=3 kernels, got {len(big_savers)}")
-    # The memoized re-exploration replays the whole pruned tree from cache.
-    assert all(row["memo_runs_saved"] > 0 for row in rows.values())
 
 
 def test_pruned_explorer_still_finds_the_bugs(report):
@@ -46,13 +41,12 @@ def test_pruned_explorer_still_finds_the_bugs(report):
     lines = []
     for kid in EXPLORE_KERNELS:
         kernel = registry.get(kid)
-        with memo_mod.disable():
-            base = explore_systematic(
-                kernel.buggy, stop_on=kernel.manifested, max_runs=200,
-                prune=False, memo=False, **kernel.run_kwargs)
-            pruned = explore_systematic(
-                kernel.buggy, stop_on=kernel.manifested, max_runs=200,
-                prune=True, memo=False, **kernel.run_kwargs)
+        base = explore_systematic(
+            kernel.buggy, stop_on=kernel.manifested, max_runs=200,
+            prune=False, **kernel.run_kwargs)
+        pruned = explore_systematic(
+            kernel.buggy, stop_on=kernel.manifested, max_runs=200,
+            prune=True, **kernel.run_kwargs)
         lines.append(f"{kid:<45} unpruned run {base.runs}, "
                      f"pruned run {pruned.runs}")
         assert base.found and pruned.found, kid

@@ -8,12 +8,9 @@ Times the three things the whole system's throughput hangs on:
 * **sweep scaling** — a 64-seed sweep at ``jobs=1`` vs ``jobs=N``
   (:mod:`repro.parallel`), with the byte-identical-results check that the
   equivalence tests also enforce.  The sweep is measured twice: *cold*
-  (fresh pool, empty memo — the first sweep a process ever runs) and
-  *steady-state* (persistent pool already warm, cross-run memo primed —
-  every sweep after the first over the same work, which is what the study
-  pipeline's repeated tables and benchmark rounds actually pay).  The
-  headline ``speedup`` is the steady-state one; the cold wall time is
-  recorded alongside so nothing hides.
+  (fresh pool — the first sweep a process ever runs) and *steady-state*
+  (persistent pool already warm — every later sweep re-runs every seed).
+  The text report leads with ``cold_speedup``.
 * **exploration pruning** — systematic exploration to exhaustion on
   corpus kernels with sleep-set pruning off vs on
   (:mod:`repro.detect.systematic`): same verdicts, fewer runs.
@@ -512,15 +509,13 @@ def bench_sweep(
 
     Three measurements:
 
-    * ``serial_s`` — ``jobs=1``, memo off: the baseline cost of the work.
-    * ``parallel_cold_s`` — ``jobs=N`` after :func:`shutdown_pool`, memo
-      off: pool creation + dispatch + execution, the first sweep a process
-      pays.
+    * ``serial_s`` — ``jobs=1``: the baseline cost of the work.
+    * ``parallel_cold_s`` — ``jobs=N`` after :func:`shutdown_pool`: pool
+      creation + dispatch + execution, the first sweep a process pays;
+      ``cold_speedup`` is ``serial_s / parallel_cold_s``.
     * ``steady_s`` — the last of ``warm_rounds`` repeat sweeps with the
-      persistent pool alive and the cross-run memo primed by the earlier
-      rounds: what every subsequent identical sweep costs.  ``speedup`` is
-      ``serial_s / steady_s``; ``cold_speedup`` keeps the honest
-      first-sweep number next to it.
+      persistent pool alive: every seed runs again, only pool creation is
+      saved.  ``speedup`` is ``serial_s / steady_s``.
 
     ``keep_trace=True`` so every summary carries a schedule digest and
     "identical" means the full interleavings matched — across the serial
@@ -529,23 +524,19 @@ def bench_sweep(
     """
     from .parallel import effective_jobs, sweep_seeds
     from .parallel import engine as engine_mod
-    from .parallel import memo as memo_mod
 
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     seeds = list(range(n_seeds))
-    memo_key = ("bench-sweep", program, n_seeds, keep_trace)
 
-    with memo_mod.disable():
-        t0 = time.perf_counter()
-        serial = sweep_seeds(program, seeds, jobs=1, keep_trace=keep_trace)
-        serial_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    serial = sweep_seeds(program, seeds, jobs=1, keep_trace=keep_trace)
+    serial_s = time.perf_counter() - t0
 
-        engine_mod.shutdown_pool()
-        t0 = time.perf_counter()
-        parallel = sweep_seeds(program, seeds, jobs=jobs,
-                               keep_trace=keep_trace)
-        parallel_cold_s = time.perf_counter() - t0
+    engine_mod.shutdown_pool()
+    t0 = time.perf_counter()
+    parallel = sweep_seeds(program, seeds, jobs=jobs, keep_trace=keep_trace)
+    parallel_cold_s = time.perf_counter() - t0
 
     stats_before = engine_mod.pool_stats()
     warm_s: List[float] = []
@@ -553,8 +544,7 @@ def bench_sweep(
     for _ in range(max(1, warm_rounds)):
         t0 = time.perf_counter()
         warm_results.append(sweep_seeds(program, seeds, jobs=jobs,
-                                        keep_trace=keep_trace,
-                                        memo_key=memo_key))
+                                        keep_trace=keep_trace))
         warm_s.append(time.perf_counter() - t0)
     stats_after = engine_mod.pool_stats()
     steady_s = warm_s[-1]
@@ -576,8 +566,7 @@ def bench_sweep(
             "warm_rounds": len(warm_s),
             "warm_s": [round(s, 4) for s in warm_s],
             # A healthy engine creates zero new pools across the warm
-            # rounds (the cold sweep's pool is reused) and serves the
-            # later rounds from the memo without dispatching at all.
+            # rounds: the cold sweep's pool is reused.
             "pools_created": (stats_after["pools_created"]
                               - stats_before["pools_created"]),
             "dispatches": (stats_after["dispatches"]
@@ -603,34 +592,20 @@ EXPLORE_KERNELS = (
 
 
 def bench_explore(kernel_id: str, max_runs: int = 800) -> Dict[str, Any]:
-    """Exploration to exhaustion on one kernel: raw tree vs pruned tree.
-
-    Both passes run with the memo off so the times measure exploration,
-    not cache hits; a third pass re-explores with the memo primed to show
-    the cross-run short-circuit (``memo_runs_saved``).
-    """
+    """Exploration to exhaustion on one kernel: raw tree vs pruned tree."""
     from .bugs import registry
     from .detect.systematic import explore_systematic
-    from .parallel import memo as memo_mod
 
     kernel = registry.get(kernel_id)
     kwargs = dict(kernel.run_kwargs)
-    with memo_mod.disable():
-        t0 = time.perf_counter()
-        base = explore_systematic(kernel.fixed, stop_on=kernel.manifested,
-                                  max_runs=max_runs, prune=False, memo=False,
-                                  **kwargs)
-        base_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        pruned = explore_systematic(kernel.fixed, stop_on=kernel.manifested,
-                                    max_runs=max_runs, prune=True,
-                                    memo=False, **kwargs)
-        pruned_s = time.perf_counter() - t0
-    # Prime, then repeat: the second memoized exploration replays the trie.
-    explore_systematic(kernel.fixed, stop_on=kernel.manifested,
-                       max_runs=max_runs, **kwargs)
-    memoized = explore_systematic(kernel.fixed, stop_on=kernel.manifested,
-                                  max_runs=max_runs, **kwargs)
+    t0 = time.perf_counter()
+    base = explore_systematic(kernel.fixed, stop_on=kernel.manifested,
+                              max_runs=max_runs, prune=False, **kwargs)
+    base_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    pruned = explore_systematic(kernel.fixed, stop_on=kernel.manifested,
+                                max_runs=max_runs, prune=True, **kwargs)
+    pruned_s = time.perf_counter() - t0
     saved_pct = (100.0 * (base.runs - pruned.runs) / base.runs
                  if base.runs else 0.0)
     return {
@@ -644,7 +619,6 @@ def bench_explore(kernel_id: str, max_runs: int = 800) -> Dict[str, Any]:
         "exhausted_pruned": pruned.exhausted,
         "verdict_match": (base.found == pruned.found
                           and (not base.exhausted or pruned.exhausted)),
-        "memo_runs_saved": memoized.runs_saved,
     }
 
 
@@ -677,7 +651,6 @@ def run_predict_benchmarks(runs_per_kernel: int = 15,
     """
     from .bugs import registry
     from .detect.systematic import explore_systematic
-    from .parallel import memo as memo_mod
     from .predict import (build_predict_scorecard, predict_precision,
                           predict_recall, triage_kernel)
 
@@ -696,10 +669,9 @@ def run_predict_benchmarks(runs_per_kernel: int = 15,
         t0 = time.perf_counter()
         clean = triage_kernel(kernel, fixed=True)
         triage_s = time.perf_counter() - t0
-        with memo_mod.disable():
-            exploration = explore_systematic(
-                kernel.fixed, stop_on=kernel.manifested,
-                max_runs=max_runs, **kwargs)
+        exploration = explore_systematic(
+            kernel.fixed, stop_on=kernel.manifested, max_runs=max_runs,
+            **kwargs)
         dirty = triage_kernel(kernel, fixed=False)
         if not dirty.needs_search:
             false_skips.append(kid)
@@ -751,7 +723,6 @@ def run_static_benchmarks(triage_kernel_ids: Sequence[str] = EXPLORE_KERNELS,
     """
     from .bugs import registry
     from .detect.systematic import explore_systematic
-    from .parallel import memo as memo_mod
     from .static import (build_static_scorecard, checker_timings, scan_apps,
                          static_precision, static_recall, triage_kernel)
 
@@ -768,10 +739,9 @@ def run_static_benchmarks(triage_kernel_ids: Sequence[str] = EXPLORE_KERNELS,
         t0 = time.perf_counter()
         clean = triage_kernel(kernel, fixed=True)
         triage_s = time.perf_counter() - t0
-        with memo_mod.disable():
-            exploration = explore_systematic(
-                kernel.fixed, stop_on=kernel.manifested,
-                max_runs=max_runs, **kwargs)
+        exploration = explore_systematic(
+            kernel.fixed, stop_on=kernel.manifested, max_runs=max_runs,
+            **kwargs)
         dirty = triage_kernel(kernel, fixed=False)
         if not dirty.needs_search:
             false_skips.append(kid)
@@ -1020,8 +990,8 @@ def render(document: Dict[str, Any]) -> str:
                 f"sweep: {sweep['seeds']} seeds, jobs=1 "
                 f"{sweep['serial_s']:.2f}s vs jobs={sweep['jobs']} cold "
                 f"{sweep['parallel_cold_s']:.2f}s / steady "
-                f"{sweep['steady_s']:.4f}s (steady speedup "
-                f"{sweep['speedup']}x, cold {sweep['cold_speedup']}x, "
+                f"{sweep['steady_s']:.4f}s (cold speedup "
+                f"{sweep['cold_speedup']}x, steady {sweep['speedup']}x, "
                 f"identical={sweep['identical']})")
             lines.append(
                 f"  pool reuse: {reuse['warm_rounds']} warm rounds, "
@@ -1193,9 +1163,10 @@ def render_delta(current: Dict[str, Any], baseline: Dict[str, Any]) -> str:
                 f"{_delta(traced['ms_per_run'], btraced['ms_per_run']):>8}")
     if "sweep" in current and "sweep" in baseline:
         sweep, bsweep = current["sweep"], baseline["sweep"]
-        base_speedup = bsweep.get("speedup")
+        base_speedup = bsweep.get("cold_speedup")
         lines.append(
-            f"sweep speedup: {sweep.get('speedup')}x vs {base_speedup}x "
+            f"sweep cold speedup: {sweep.get('cold_speedup')}x vs "
+            f"{base_speedup}x "
             f"baseline (serial {sweep.get('serial_s')}s vs "
             f"{bsweep.get('serial_s')}s, "
             f"{_delta(sweep.get('serial_s'), bsweep.get('serial_s'))})")

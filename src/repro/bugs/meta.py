@@ -115,16 +115,11 @@ class BugKernel:
         ``jobs > 1`` sweeps across worker processes (:mod:`repro.parallel`);
         ``manifested`` is evaluated worker-side, and the returned seed list
         is identical to the serial one.
-
-        Results are memoized per ``(kernel, seed, options)`` through
-        :mod:`repro.parallel.memo` — tables and benchmarks that revisit the
-        same kernels re-run only seeds they have never seen.
         """
         from ..parallel import sweep_seeds
 
         merged = dict(cls.run_kwargs)
         merged.update(kwargs)
-        summaries = sweep_seeds(
-            cls.buggy, seeds, jobs=jobs, predicate=cls.manifested,
-            memo_key=("kernel", cls.meta.kernel_id, "buggy"), **merged)
+        summaries = sweep_seeds(cls.buggy, seeds, jobs=jobs,
+                                predicate=cls.manifested, **merged)
         return [s.seed for s in summaries if s.manifested]

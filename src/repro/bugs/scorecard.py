@@ -13,7 +13,7 @@ programmatically::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..detect import (
     BuiltinDeadlockDetector,
@@ -34,12 +34,18 @@ class ScorecardRow:
     kernel_id: str
     behavior: str
     subcause: str
-    manifestation_rate: float     # fraction of seeds the bug showed
+    runs: int                             # seeds swept: ``range(runs)``
+    manifesting_seeds: Tuple[int, ...]    # seeds the bug showed on
     builtin_deadlock: bool
     leak_detector: bool
     race_detector: bool
     lock_order: bool
     rule_checker: bool
+
+    @property
+    def manifestation_rate(self) -> float:
+        """Fraction of the swept seeds the bug showed on."""
+        return len(self.manifesting_seeds) / self.runs
 
     @property
     def caught_by_any(self) -> bool:
@@ -76,7 +82,8 @@ def evaluate_kernel(kernel: BugKernel, runs: int = 25) -> ScorecardRow:
         kernel_id=meta.kernel_id,
         behavior=str(meta.behavior),
         subcause=str(meta.subcause),
-        manifestation_rate=len(manifest_seeds) / runs,
+        runs=runs,
+        manifesting_seeds=tuple(manifest_seeds),
         builtin_deadlock=BuiltinDeadlockDetector().classify(result),
         leak_detector=GoroutineLeakDetector().classify(result),
         race_detector=race_hit,

@@ -240,8 +240,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     kwargs = dict(kernel.run_kwargs)
     exploration = explore_systematic(
         program, stop_on=kernel.manifested, max_runs=args.max_runs,
-        jobs=args.jobs, prune=not args.no_prune, memo=not args.no_memo,
-        **kwargs
+        jobs=args.jobs, prune=not args.no_prune, **kwargs
     )
     variant = "fixed" if args.fixed else "buggy"
     if args.json:
@@ -267,9 +266,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
               f"{exploration.counterexample})")
     if args.stats:
         stats = exploration.to_stats()
-        print(f"  runs:       {stats['runs']} visited "
-              f"({stats['runs_executed']} executed, "
-              f"{stats['runs_saved']} memoized)")
+        print(f"  runs:       {stats['runs']} executed")
         print(f"  pruned:     {stats['pruned']} sibling branches")
         print(f"  diverged:   {stats['divergences']} replays")
         print(f"  tree depth: {stats['max_depth']} decisions")
@@ -835,12 +832,10 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--fixed", action="store_true")
     explore.add_argument("--stats", action="store_true",
                          help="print work accounting: runs executed vs "
-                              "pruned vs memoized, tree depth, wall time")
+                              "pruned, tree depth, wall time")
     explore.add_argument("--no-prune", action="store_true",
                          help="disable sleep-set schedule-equivalence "
                               "pruning (explore the raw tree)")
-    explore.add_argument("--no-memo", action="store_true",
-                         help="disable the cross-run schedule memo")
     explore.add_argument("--json", action="store_true",
                          help="emit machine-readable JSON instead of text")
     add_jobs_arg(explore)

@@ -17,30 +17,20 @@ tree of schedules depth-first:
   over all schedules within the depth bound.
 
 Most schedules differ only in the order of *commuting* steps, so the raw
-tree is massively redundant.  Two optimizations (both on by default)
-shrink the work without shrinking coverage:
-
-* **Sleep-set pruning** (``prune=True``) — the scheduler reports, per
-  decision, which goroutines were offered and what the chosen one then
-  touched (:mod:`repro.detect.annotate`).  After exploring a branch, its
-  first transition goes to "sleep" for the sibling branches: inside a
-  sibling's subtree that same transition is skipped until some dependent
-  step (overlapping footprint) wakes it, because taking it sooner only
-  reorders independent steps.  This is the classic sleep-set reduction
-  (Godefroid): it prunes redundant *interleavings* while still visiting
-  every reachable program state, so exhaustion verdicts and the set of
-  reachable outcomes (deadlocks, panics, wrong values) are preserved.
-  Anything the footprint cannot fully describe — blocked attempts,
-  selects, timers, injected faults — poisons its segment and disables
-  the pruning it would have justified, keeping the rule conservative.
-* **Cross-run memoization** (``memo=True``) — completed runs are stored
-  in a per-``(program, stop_on, options)`` schedule trie shared through
-  :mod:`repro.parallel.memo`.  A prefix whose replay walks entirely
-  through stored decisions short-circuits without running; repeated
-  explorations (growing budgets, benchmark rounds, CLI re-invocations)
-  pay only for schedules they have never seen.  ``runs`` still counts
-  memoized visits — verdicts and statuses are unchanged — while
-  ``runs_saved`` reports how many executions were avoided.
+tree is massively redundant.  **Sleep-set pruning** (``prune=True``, the
+default) shrinks the work without shrinking coverage.  The scheduler
+reports, per decision, which goroutines were offered and what the chosen
+one then touched (:mod:`repro.detect.annotate`).  After exploring a branch,
+its first transition goes to "sleep" for the sibling branches: inside a
+sibling's subtree that same transition is skipped until some dependent
+step (overlapping footprint) wakes it, because taking it sooner only
+reorders independent steps.  This is the classic sleep-set reduction
+(Godefroid): it prunes redundant *interleavings* while still visiting
+every reachable program state, so exhaustion verdicts and the set of
+reachable outcomes (deadlocks, panics, wrong values) are preserved.
+Anything the footprint cannot fully describe — blocked attempts, selects,
+timers, injected faults — poisons its segment and disables the pruning it
+would have justified, keeping the rule conservative.
 
 For small programs exhaustion is reachable and gives a real guarantee;
 for larger ones the explorer is a directed bug-finder that needs no luck.
@@ -100,9 +90,7 @@ class Exploration:
     counterexample: Optional[List[int]] = None
     counterexample_result: Optional[RunResult] = None
     statuses: dict = field(default_factory=dict)
-    #: Runs actually executed (``runs - runs_saved``).
-    runs_executed: int = 0
-    #: Visits satisfied from the cross-run memo without executing.
+    #: Always 0; kept only because perfbench/workloads.py reads it.
     runs_saved: int = 0
     #: Sibling branches skipped by sleep-set pruning.
     pruned: int = 0
@@ -127,8 +115,6 @@ class Exploration:
         """The ``--stats`` payload: work accounting next to the verdict."""
         return {
             "runs": self.runs,
-            "runs_executed": self.runs_executed,
-            "runs_saved": self.runs_saved,
             "pruned": self.pruned,
             "divergences": self.divergences,
             "divergence_events": [list(event)
@@ -144,8 +130,6 @@ class Exploration:
         parts = []
         if self.pruned:
             parts.append(f"{self.pruned} branches pruned")
-        if self.runs_saved:
-            parts.append(f"{self.runs_saved} runs memoized")
         if self.divergences:
             parts.append(f"{self.divergences} replay divergences")
         return f" [{', '.join(parts)}]" if parts else ""
@@ -215,9 +199,6 @@ def _run_scripted(program: Callable, prefix: Sequence[int],
 # Explorer internals
 # ----------------------------------------------------------------------
 
-#: Upper bound on runs stored per memo trie (backstop, not a tuning knob).
-_TRIE_MAX_RUNS = 50_000
-
 #: Individual clamp records kept on an :class:`Exploration` (the count in
 #: ``divergences`` is never capped; only the per-event detail is).
 _MAX_DIVERGENCE_EVENTS = 100
@@ -261,78 +242,17 @@ class _Work:
 class _Explorer:
     """Shared driver for the serial and parallel exploration loops."""
 
-    def __init__(self, program, stop_on, max_runs, max_branch_depth,
-                 prune, memo, run_kwargs):
-        self.program = program
-        self.stop_on = stop_on
+    def __init__(self, max_runs, max_branch_depth, prune):
         self.max_runs = max_runs
         self.max_branch_depth = max_branch_depth
-        # An attached injector mutates runs beyond what choice replay
-        # controls; both optimizations stand down.
-        hazardous = "inject" in run_kwargs
-        self.prune = prune and not hazardous
-        self.run_kwargs = run_kwargs
+        self.prune = prune
         self.stack: List[_Work] = [_Work([], (), None, 0, ())]
         self.statuses: dict = {}
         self.runs = 0
-        self.runs_saved = 0
         self.pruned = 0
         self.divergences = 0
         self.divergence_events: List[Tuple[int, int, int]] = []
         self.max_depth = 0
-        self.trie = None if (not memo or hazardous) else self._get_trie()
-
-    # -- memoization ---------------------------------------------------
-
-    def _get_trie(self) -> Optional[dict]:
-        from ..parallel import memo as memo_mod
-
-        if not memo_mod.enabled:
-            return None
-        try:
-            key = ("explore-trie", self.program, self.stop_on,
-                   memo_mod.fingerprint(self.run_kwargs))
-            hash(key)
-        except TypeError:
-            return None
-        trie = memo_mod.memo.get(key)
-        if trie is None:
-            trie = {"_runs": 0}
-            memo_mod.memo.put(key, trie)
-        return trie
-
-    def lookup(self, prefix: List[int]):
-        """Replay ``prefix`` through the trie; a stored payload on full
-        match, else None."""
-        if self.trie is None:
-            return None
-        node = self.trie
-        depth = 0
-        while True:
-            n = node.get("n")
-            if n is None:
-                return node.get("end")
-            intended = prefix[depth] if depth < len(prefix) else 0
-            effective = intended if intended < n else n - 1
-            node = node["children"].get(effective)
-            if node is None:
-                return None
-            depth += 1
-
-    def store(self, log, payload) -> None:
-        if self.trie is None or self.trie["_runs"] >= _TRIE_MAX_RUNS:
-            return
-        node = self.trie
-        for n, taken in log:
-            if "n" not in node:
-                node["n"] = n
-                node["children"] = {}
-            elif node["n"] != n:  # nondeterminism: refuse to corrupt
-                return
-            node = node["children"].setdefault(taken, {})
-        if "end" not in node:
-            node["end"] = payload
-            self.trie["_runs"] += 1
 
     # -- outcome processing --------------------------------------------
 
@@ -468,8 +388,6 @@ class _Explorer:
             runs=self.runs,
             exhausted=False,
             statuses=self.statuses,
-            runs_executed=self.runs - self.runs_saved,
-            runs_saved=self.runs_saved,
             pruned=self.pruned,
             divergences=self.divergences,
             divergence_events=list(self.divergence_events),
@@ -486,7 +404,6 @@ def explore_systematic(
     max_branch_depth: int = 400,
     jobs: int = 1,
     prune: bool = True,
-    memo: bool = True,
     **run_kwargs: Any,
 ) -> Exploration:
     """Depth-first enumeration of the program's schedule tree.
@@ -497,8 +414,7 @@ def explore_systematic(
             satisfying it ends exploration as a counterexample.  Without
             it, the explorer simply covers schedules (useful with
             ``statuses`` for coverage summaries).
-        max_runs: total visit budget (memoized visits count: verdicts are
-            independent of what happened to be cached).
+        max_runs: total run budget.
         max_branch_depth: only branch on the first N decision points of
             each run (bounds the tree; later choices stay at the default).
         jobs: worker processes (:mod:`repro.parallel`).  With ``jobs > 1``
@@ -515,11 +431,12 @@ def explore_systematic(
             Coverage of reachable outcomes is preserved; schedules visited
             shrink.  Disabled automatically when a fault injector is
             attached.
-        memo: cross-run memoization through :mod:`repro.parallel.memo`.
         run_kwargs: forwarded to :func:`repro.run` (e.g. ``time_limit``).
     """
-    explorer = _Explorer(program, stop_on, max_runs, max_branch_depth,
-                         prune, memo, run_kwargs)
+    # An attached injector mutates runs beyond what choice replay
+    # controls; pruning stands down.
+    explorer = _Explorer(max_runs, max_branch_depth,
+                         prune and "inject" not in run_kwargs)
     t0 = time.perf_counter()
 
     def finish(**overrides) -> Exploration:
@@ -533,35 +450,15 @@ def explore_systematic(
             width = min(jobs, len(explorer.stack),
                         explorer.max_runs - explorer.runs)
             batch = [explorer.stack.pop() for _ in range(width)]
-            outcomes: List[Any] = []
-            to_run: List[int] = []
-            for i, work in enumerate(batch):
-                payload = explorer.lookup(work.prefix)
-                if payload is not None:
-                    outcomes.append(payload)
-                else:
-                    outcomes.append(None)
-                    to_run.append(i)
-            if to_run:
-                executed = map_units(
-                    [partial(_explore_unit, program, batch[i].prefix,
-                             stop_on, run_kwargs, explorer.prune)
-                     for i in to_run],
-                    jobs=jobs,
-                )
-                for i, outcome in zip(to_run, executed):
-                    outcomes[i] = outcome
-                    log, summary, hit, picks, clamps = outcome
-                    diverged = bool(clamps) or _log_mismatch(batch[i], log)
-                    if not diverged:
-                        explorer.store(log, outcome)
-            memoized = set(range(width)) - set(to_run)
-            for i, (work, outcome) in enumerate(zip(batch, outcomes)):
-                log, summary, hit, picks, clamps = outcome
+            outcomes = map_units(
+                [partial(_explore_unit, program, work.prefix, stop_on,
+                         run_kwargs, explorer.prune) for work in batch],
+                jobs=jobs,
+            )
+            for work, (log, summary, hit, picks, clamps) in zip(batch,
+                                                                outcomes):
                 diverged = bool(clamps) or _log_mismatch(work, log)
                 explorer.runs += 1
-                if i in memoized:
-                    explorer.runs_saved += 1
                 if hit:
                     # First hit in submission order wins; the rest of this
                     # speculative batch is discarded uncounted.
@@ -578,29 +475,11 @@ def explore_systematic(
 
     while explorer.stack and explorer.runs < explorer.max_runs:
         work = explorer.stack.pop()
-        payload = explorer.lookup(work.prefix)
-        if payload is not None and not payload[2]:
-            # Memo hit on a non-counterexample run: reuse it outright.
-            # (Hits replay live so the caller gets a full RunResult.)
-            log, summary, hit, picks, clamps = payload
-            explorer.runs += 1
-            explorer.runs_saved += 1
-            diverged = bool(clamps) or _log_mismatch(work, log)
-            explorer.process(work, log, summary.status, hit, picks,
-                             diverged, clamps)
-            continue
-
         choices, result, picks = _run_scripted(program, work.prefix,
                                                run_kwargs, explorer.prune)
         explorer.runs += 1
         diverged = explorer.diverged(work, choices)
         hit = stop_on is not None and bool(stop_on(result))
-        if not diverged and explorer.trie is not None:
-            from ..parallel import summarize_result
-
-            explorer.store(choices.log,
-                           (choices.log, summarize_result(result), hit,
-                            picks, []))
         if hit:
             explorer.statuses[result.status] = \
                 explorer.statuses.get(result.status, 0) + 1

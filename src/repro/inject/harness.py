@@ -172,23 +172,13 @@ class ChaosHarness:
     (:mod:`repro.parallel`).  Serial and parallel sweeps fold the same
     per-seed records in the same seed order, so the resulting cells (and
     ``to_dict()`` output) are byte-identical.
-
-    With ``memo=True`` (the default) per-seed records are cached across
-    harness instances through :mod:`repro.parallel.memo`, keyed by the
-    content-bearing ``(target name, plan cache_key, seed)`` identity (the
-    plan's name plus its full fingerprint, so plans that differ in any
-    parameter never share records) — a scorecard that revisits a cell
-    pays only for seeds it has never run.
-    Pass ``memo=False`` (or :func:`repro.parallel.memo.disable`) when
-    timing cells or when a target's name does not pin down its behavior.
     """
 
     def __init__(self, seeds: Sequence[int] = tuple(range(10)),
-                 observe: bool = False, jobs: int = 1, memo: bool = True):
+                 observe: bool = False, jobs: int = 1):
         self.seeds = tuple(seeds)
         self.observe = observe
         self.jobs = jobs
-        self.memo = memo
         self.cells: List[ChaosCell] = []
 
     # ------------------------------------------------------------------
@@ -205,7 +195,9 @@ class ChaosHarness:
         cell = ChaosCell(target=target.name,
                          plan=plan.name if plan is not None else "baseline")
         observing = self.observe and self._runner_takes_observe(target.runner)
-        records = self._cell_records(target, plan, observing)
+        records = map_units([partial(_run_cell_seed, target, plan, observing,
+                                     seed) for seed in self.seeds],
+                            jobs=self.jobs)
         for seed, record in zip(self.seeds, records):
             cell.runs += 1
             cell.statuses[record["status"]] += 1
@@ -213,41 +205,12 @@ class ChaosHarness:
             cell.steps += record["steps"]
             if record["metrics"] is not None:
                 self._fold_metrics(cell, record["metrics"])
-            # .get(): memo records written before verdicts existed fold
-            # cleanly (their cells simply have no verdict column).
-            if record.get("verdict") is not None:
+            if record["verdict"] is not None:
                 cell.verdicts[record["verdict"]] += 1
             if not record["ok"]:
                 cell.failures.append(seed)
         self.cells.append(cell)
         return cell
-
-    def _cell_records(self, target: ChaosTarget, plan: Optional[FaultPlan],
-                      observing: bool) -> List[Dict[str, Any]]:
-        """Per-seed records for one cell: memo hits plus dispatched misses."""
-        from ..parallel import memo as memo_mod
-
-        units = [partial(_run_cell_seed, target, plan, observing, seed)
-                 for seed in self.seeds]
-        if not (self.memo and memo_mod.enabled):
-            return map_units(units, jobs=self.jobs)
-        # cache_key() (name + content fingerprint), NOT repr (name + fault
-        # count): two same-named plans differing only in a parameter — a
-        # crash_restart delay, a target glob — must never be served each
-        # other's cached records.  The "chaos-v2" tag retires pre-fingerprint
-        # records wholesale.
-        plan_key = "baseline" if plan is None else plan.cache_key()
-        keys = [("chaos-v2", target.name, plan_key, observing, seed)
-                for seed in self.seeds]
-        records: List[Optional[Dict[str, Any]]] = [memo_mod.memo.get(key)
-                                                   for key in keys]
-        misses = [i for i, record in enumerate(records) if record is None]
-        if misses:
-            executed = map_units([units[i] for i in misses], jobs=self.jobs)
-            for i, record in zip(misses, executed):
-                records[i] = record
-                memo_mod.memo.put(keys[i], record)
-        return records  # type: ignore[return-value]
 
     @staticmethod
     def _fold_metrics(cell: ChaosCell, seed_metrics: Dict[str, float]) -> None:
@@ -389,26 +352,10 @@ def manifestation_rate(kernel, seeds: Sequence[int],
     """Fraction of seeds under which the kernel's symptom appears.
 
     ``jobs > 1`` runs the seeds across worker processes; the rate is
-    identical to the serial sweep's.  Per-seed verdicts are memoized by
-    ``(kernel, variant, plan, seed)``, so re-computing a rate over an
-    overlapping seed range only runs the new seeds.
+    identical to the serial sweep's.
     """
-    from ..parallel import memo as memo_mod
-
     run_variant = kernel.run_buggy if variant == "buggy" else kernel.run_fixed
     units = [partial(_manifested_under, kernel, run_variant, plan, seed)
              for seed in seeds]
-    if not memo_mod.enabled:
-        verdicts = map_units(units, jobs=jobs)
-        return sum(verdicts) / len(seeds) if seeds else 0.0
-    plan_key = "baseline" if plan is None else plan.cache_key()
-    keys = [("rate-v2", kernel.meta.kernel_id, variant, plan_key, seed)
-            for seed in seeds]
-    verdicts: List[Optional[bool]] = [memo_mod.memo.get(key) for key in keys]
-    misses = [i for i, verdict in enumerate(verdicts) if verdict is None]
-    if misses:
-        executed = map_units([units[i] for i in misses], jobs=jobs)
-        for i, verdict in zip(misses, executed):
-            verdicts[i] = verdict
-            memo_mod.memo.put(keys[i], verdict)
+    verdicts = map_units(units, jobs=jobs)
     return sum(verdicts) / len(seeds) if seeds else 0.0

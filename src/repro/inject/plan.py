@@ -173,14 +173,6 @@ class FaultPlan:
         digest = hashlib.sha256(self.to_json().encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big")
 
-    def cache_key(self) -> str:
-        """Content-bearing identity for memo keys.  Unlike ``repr`` (name +
-        fault count), this folds in the full fingerprint, so two plans that
-        share a name but differ in any parameter — a ``crash_restart``
-        delay, a target glob — can never be served each other's cached
-        results."""
-        return f"{self.name}#{self.fingerprint():016x}"
-
     def __len__(self) -> int:
         return len(self.faults)
 

@@ -66,7 +66,6 @@ def sweep_seeds(
     *,
     jobs: int = 1,
     predicate: Optional[Callable[[Any], bool]] = None,
-    memo_key: Optional[Any] = None,
     **run_kwargs: Any,
 ) -> List[RunSummary]:
     """Run ``program`` under every seed, optionally across processes.
@@ -79,48 +78,13 @@ def sweep_seeds(
         predicate: optional test over each full :class:`RunResult`
             (e.g. ``kernel.manifested``), evaluated in the worker; lands on
             ``RunSummary.manifested``.
-        memo_key: opt into cross-run memoization (:mod:`repro.parallel.memo`)
-            under this stable identity (e.g. ``("kernel", kernel_id,
-            variant)``).  Seeds already in the cache are served without
-            running; only misses are dispatched, and their summaries are
-            stored for the next sweep.  The key must uniquely identify the
-            *program's behavior* — registry ids qualify, closures do not.
         run_kwargs: forwarded to :func:`repro.run`.  ``host_join_timeout``
             defaults to :data:`DEFAULT_SWEEP_JOIN_TIMEOUT` here.
 
     Returns:
         One :class:`RunSummary` per seed, in seed order.
     """
-    from . import memo as memo_mod
-
     run_kwargs.setdefault("host_join_timeout", DEFAULT_SWEEP_JOIN_TIMEOUT)
-    if "backend" in run_kwargs:
-        # Resolve in the parent so every forked worker inherits the same
-        # concrete vehicle (and the fallback warning fires once, here, not
-        # once per worker process).  Schedules are backend-invariant, so
-        # this only pins *which* vehicle runs, never what it produces.
-        from ..runtime.scheduler import resolve_backend
-
-        run_kwargs["backend"] = resolve_backend(run_kwargs["backend"])
-    seeds = list(seeds)
-    use_memo = memo_key is not None and memo_mod.enabled
-    if not use_memo:
-        units = [partial(_run_unit, program, seed, predicate, run_kwargs)
-                 for seed in seeds]
-        return map_units(units, jobs=jobs)
-
-    options = memo_mod.fingerprint(run_kwargs)
-    keys = [("sweep", memo_key, seed, predicate, options) for seed in seeds]
-    results: List[Optional[RunSummary]] = [memo_mod.memo.get(key)
-                                           for key in keys]
-    misses = [i for i, summary in enumerate(results) if summary is None]
-    if misses:
-        executed = map_units(
-            [partial(_run_unit, program, seeds[i], predicate, run_kwargs)
-             for i in misses],
-            jobs=jobs,
-        )
-        for i, summary in zip(misses, executed):
-            results[i] = summary
-            memo_mod.memo.put(keys[i], summary)
-    return results  # type: ignore[return-value]
+    units = [partial(_run_unit, program, seed, predicate, run_kwargs)
+             for seed in seeds]
+    return map_units(units, jobs=jobs)

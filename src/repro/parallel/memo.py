@@ -1,112 +1,13 @@
-"""Cross-run memoization: never pay for the same deterministic run twice.
+"""Run-cache counters, all zero: no layer caches runs (every repeat is a new
+seed or schedule, so identical runs never recur)."""
 
-Every simulation in this codebase is a pure function of its inputs — the
-program, the seed (or scripted schedule), and the run options.  The study
-pipeline nevertheless repeats runs constantly: ``manifestation_seeds``
-sweeps the same kernels per table, chaos scorecards revisit ``(target,
-plan, seed)`` cells across invocations, and systematic exploration replays
-shared schedule prefixes every round.  :class:`RunMemo` is the shared
-result cache behind all of those: callers build a stable key for the unit
-of work, and a completed unit's picklable summary is stored for reuse.
-
-Keys must capture *everything* the result depends on.  The built-in
-consumers key on registry-stable identity (kernel id + variant, chaos
-target name + kind) plus a repr fingerprint of the options, which assumes
-registry names uniquely identify behavior within a process — true for the
-corpus and apps, and the reason arbitrary user programs are keyed by
-object identity instead.  Set :data:`enabled` to ``False`` (or use
-:func:`disable` as a context manager) to rule the cache out of a
-measurement, and :func:`clear` to drop entries, e.g. after monkeypatching
-a kernel in tests.
-
-The cache is process-local.  Sweep workers forked from a warm parent
-inherit its entries; parent-side consumers consult the cache *before*
-dispatch so memoized units never travel to the pool at all.
-"""
-
-from __future__ import annotations
-
-import contextlib
-from collections import OrderedDict
-from typing import Any, Dict, Iterator, Tuple
-
-__all__ = ["RunMemo", "memo", "fingerprint", "clear", "disable"]
-
-#: Global kill switch consulted by every consumer.
-enabled = True
+from typing import Dict
 
 
-def fingerprint(kwargs: Dict[str, Any]) -> Tuple[Any, ...]:
-    """A hashable, order-insensitive fingerprint of run options.
-
-    Values are folded through ``repr`` — stable for the plain data that
-    run options are made of (ints, bools, strings, fault plans with
-    dataclass reprs).  Callers with unreprable options should key by
-    object identity instead of using the shared memo.
-    """
-    return tuple(sorted((k, repr(v)) for k, v in kwargs.items()))
-
-
-class RunMemo:
-    """A bounded LRU mapping of work-unit keys to picklable results."""
-
-    def __init__(self, max_entries: int = 65536) -> None:
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Any) -> Any:
-        """The stored result for ``key``, or ``None`` (and a recorded miss)."""
-        if not enabled:
-            return None
-        try:
-            value = self._entries[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key: Any, value: Any) -> None:
-        if not enabled:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._entries
-
-    def clear(self) -> None:
-        self._entries.clear()
-
+class _Counters:
+    # Kept only because perfbench/worker.py reads ``memo.stats()``.
     def stats(self) -> Dict[str, int]:
-        return {"entries": len(self._entries), "hits": self.hits,
-                "misses": self.misses}
+        return {"entries": 0, "hits": 0, "misses": 0}
 
 
-#: The process-wide instance shared by sweeps, chaos cells, and exploration.
-memo = RunMemo()
-
-
-def clear() -> None:
-    """Drop every memoized result (hit/miss counters survive)."""
-    memo.clear()
-
-
-@contextlib.contextmanager
-def disable() -> Iterator[None]:
-    """Context manager: run a block with memoization switched off."""
-    global enabled
-    previous = enabled
-    enabled = False
-    try:
-        yield
-    finally:
-        enabled = previous
+memo = _Counters()

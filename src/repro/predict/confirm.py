@@ -4,7 +4,7 @@ A prediction is a claim about schedules that were never run.  This
 module cashes the claim in: for each prediction it derives a runtime
 predicate (``stop_on``), hands it to
 :func:`repro.detect.systematic.explore_systematic` — whose sleep-set
-pruning and cross-run memo make the search cheap — and, when the search
+pruning makes the search cheap — and, when the search
 finds a counterexample, replays the schedule with
 :func:`repro.detect.systematic.replay_schedule` to verify the witness
 stands on its own.  The witness (a choice-index prefix) is attached to

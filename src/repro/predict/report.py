@@ -137,7 +137,8 @@ def build_predict_scorecard(kernels: Optional[Sequence[Any]] = None,
     :func:`repro.bugs.scorecard.evaluate_kernel`; the predict column from
     a *single* recorded run of the buggy variant (the first
     non-manifesting seed when one exists — the hard case where the bug
-    did not show — else seed 0).
+    did not show — else seed 0).  The manifesting seeds come from the
+    dynamic row, so each kernel is swept once.
     """
     from ..bugs import registry
     from ..bugs.scorecard import evaluate_kernel
@@ -148,8 +149,11 @@ def build_predict_scorecard(kernels: Optional[Sequence[Any]] = None,
     rows: List[PredictScorecardRow] = []
     for kernel in targets:
         dynamic = evaluate_kernel(kernel, runs_per_kernel)
+        passing = [s for s in range(runs_per_kernel)
+                   if s not in dynamic.manifesting_seeds]
         t0 = time.perf_counter()
-        report, seed = predict_kernel(kernel, runs=runs_per_kernel)
+        report, seed = predict_kernel(kernel,
+                                      seed=passing[0] if passing else 0)
         wall = time.perf_counter() - t0
         rows.append(PredictScorecardRow(
             kernel_id=kernel.meta.kernel_id,

@@ -2,9 +2,8 @@
 
 Two hand-written CPython extensions live here:
 
-- ``_ctasklet`` — single-threaded stack-switching continuations (a minimal
-  greenlet), used as the default goroutine vehicle when greenlet itself is
-  not installed.  CPython 3.11 / x86-64 Linux only.
+- ``_ctasklet`` — single-threaded stack-switching continuations, the
+  default goroutine vehicle.  CPython 3.11 / x86-64 Linux only.
 - ``_hotloop`` — the fused per-step scheduler loop plus a bit-identical
   MT19937 ``BatchedRandom`` and array-backed vector clocks.
 

@@ -57,9 +57,9 @@ def get_drive() -> Optional[Callable[[Any], Optional[str]]]:
 
     First call binds the extension to the runtime classes (slot offsets,
     state constants, the continuation switch); that may lazily compile
-    ``_ctasklet`` for the fast switching path.  ``drive`` still works —
-    through a generic ``resume()`` call — for greenlet/generator vehicles
-    and thread-compat hosts driven by the centralized loop.
+    ``_ctasklet`` for the fast switching path.  Only tasklet-vehicle
+    schedulers call it; the thread vehicle hands off directly and never
+    enters the centralized loop.
     """
     global _drive, _drive_resolved
     if not _drive_resolved:

@@ -1,35 +1,30 @@
 """Goroutines as token-passing hosts (single-threaded continuations by
-default, OS threads as an opt-in compatibility mode).
+default, OS threads as the fallback and an opt-in mode).
 
 Exactly one host in a simulation runs at any instant: either the scheduler
 or a single goroutine holding the *token*.  Because of this one-runner
 invariant, primitive state needs no host-level locking and every
 interleaving is fully determined by the scheduler's seeded choices.
 
-Four interchangeable vehicles implement the handoff; ``backend="coroutine"``
-(the default) resolves to the best continuation vehicle available:
+Two interchangeable vehicles implement the handoff:
 
-* ``"greenlet"``: every goroutine is a greenlet on the scheduler's own
-  thread; the handoff is a userspace stack switch with no locks and no OS
-  context switch at all.  Needs the optional :mod:`greenlet` package.
-* ``"tasklet"``: the same single-threaded stack switching, provided by the
-  in-tree ``repro.runtime._ext._ctasklet`` C extension (compiled lazily
-  with the system toolchain; CPython 3.11 / x86-64 Linux).  This is what
-  ``"coroutine"`` resolves to when greenlet is not installed.
-* ``"generator"``: the pure-Python trampoline fallback.  Goroutine bodies
-  written as *generator functions* run as true continuations (each
-  ``yield`` is a schedule point); plain-function bodies ride thread-compat
-  hosts so arbitrary programs still work unchanged.
-* ``"thread"``: one daemon host thread per goroutine — the original
-  backend, kept as an opt-in compatibility mode.  The token moves through
-  raw ``threading.Lock`` binary semaphores — one per goroutine plus one
-  owned by the scheduler's main loop.  Handoffs are *direct*: a yielding
-  goroutine runs the scheduler's per-step logic inline on its own host
-  (see :meth:`Scheduler._handback`) and wakes the next goroutine's thread
+* ``"tasklet"`` (:class:`TaskletGoroutine`): every goroutine is a
+  continuation on the scheduler's own thread, provided by the in-tree
+  ``repro.runtime._ext._ctasklet`` C extension (compiled lazily with the
+  system toolchain; CPython 3.11 / x86-64 Linux).  The handoff is a
+  userspace stack switch with no locks and no OS context switch.  This is
+  what the default ``backend="coroutine"`` resolves to.
+* ``"thread"`` (:class:`Goroutine`): one daemon host thread per goroutine —
+  what ``"coroutine"`` falls back to when the extension cannot load, and an
+  opt-in mode everywhere.  The token moves through raw ``threading.Lock``
+  binary semaphores — one per goroutine plus one owned by the scheduler's
+  main loop.  Handoffs are *direct*: a yielding goroutine runs the
+  scheduler's per-step logic inline on its own host (see
+  :meth:`Scheduler._handback`) and wakes the next goroutine's thread
   itself, so a step costs one OS context switch instead of the two a
   bounce through the scheduler thread would pay — and zero on a self-pick.
 
-All vehicles produce bit-identical schedules — the token protocol and the
+Both vehicles produce bit-identical schedules — the token protocol and the
 seeded decision sequence are the same, only the vehicle differs — which the
 cross-backend fingerprint tests assert over the whole kernel corpus.
 
@@ -46,7 +41,7 @@ import traceback
 import warnings
 from typing import Any, Callable, Optional, Tuple
 
-from .errors import GoPanic, Killed, SchedulerStateError
+from .errors import GoPanic, Killed
 
 #: How long :meth:`Goroutine.kill` waits for a host thread to unwind before
 #: declaring it stuck.  A thread can outlive this when user code swallows
@@ -57,14 +52,6 @@ from .errors import GoPanic, Killed, SchedulerStateError
 #: ``run(..., host_join_timeout=...)``; sweep workers shrink it so one
 #: pathological seed cannot stall a whole sweep (see :mod:`repro.parallel`).
 HOST_JOIN_TIMEOUT = 5.0
-
-try:  # optional single-thread backend
-    import greenlet as _greenlet
-except ImportError:  # pragma: no cover - greenlet not installed in CI image
-    _greenlet = None
-
-#: True when the optional greenlet backend can actually be used.
-HAS_GREENLET = _greenlet is not None
 
 # The in-tree stack-switching extension (lazy: first use compiles it with
 # the system toolchain and caches the .so; see repro.runtime._ext).
@@ -310,92 +297,14 @@ class Goroutine:
         return f"<Goroutine {self.gid} {self.name} {self.state}>"
 
 
-class GreenletGoroutine(Goroutine):
-    """A goroutine hosted on a greenlet instead of an OS thread.
-
-    All goroutines (and the scheduler) share one OS thread; ``resume`` /
-    ``yield_to_scheduler`` become userspace stack switches, eliminating the
-    two lock operations and the kernel context switch per scheduling step.
-    Requires the optional :mod:`greenlet` package (``HAS_GREENLET``).
-    """
-
-    __slots__ = ("_glet", "_hub")
-
-    def __init__(self, *args: Any, hub: Any = None, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        #: The scheduler's own greenlet: the parent every goroutine greenlet
-        #: returns to when it finishes or yields.
-        self._hub = hub
-        self._glet: Any = None
-
-    # -- scheduler side -------------------------------------------------
-
-    def start(self) -> None:
-        if _greenlet is None:  # pragma: no cover - guarded by the scheduler
-            raise RuntimeError("greenlet backend requested but the greenlet "
-                               "package is not installed")
-        # parent=hub: when the goroutine finishes, control returns to the
-        # scheduler's greenlet no matter which goroutine spawned it.
-        self._glet = _greenlet.greenlet(self._execute, parent=self._hub)
-        self.state = GState.RUNNABLE
-
-    def resume(self) -> None:
-        self.state = GState.RUNNING
-        self._glet.switch()
-
-    def kill(self, join_timeout: Optional[float] = None) -> None:
-        """Unwind the goroutine's greenlet by raising ``Killed`` inside it.
-
-        ``join_timeout`` is accepted for interface parity but unused: a
-        greenlet unwinds synchronously inside ``throw`` — unless user code
-        swallows the signal and yields again, which is recorded as a stuck
-        host exactly like a thread that outlives its join.
-        """
-        if self.state in GState.TERMINAL or self._glet is None:
-            return
-        self._killed = True
-        # Two attempts: the first throw unwinds well-behaved code; a second
-        # covers a handler that swallowed Killed once.  After that the
-        # goroutine is stuck by the same definition the thread backend uses.
-        for _ in range(2):
-            if self._glet.dead:
-                break
-            self._glet.throw(Killed)
-            if self._glet.dead or self.state in GState.TERMINAL:
-                break
-        else:
-            timeout = HOST_JOIN_TIMEOUT if join_timeout is None else join_timeout
-            self._mark_stuck(timeout)
-            return
-        if self.state not in GState.TERMINAL:
-            # Killed before its first resume: the body never ran, so
-            # ``_execute`` never classified the exit.
-            self.state = GState.KILLED
-
-    def on_current_host(self) -> bool:
-        return (self._glet is not None
-                and _greenlet.getcurrent() is self._glet)
-
-    # -- goroutine side -------------------------------------------------
-
-    def yield_to_scheduler(self) -> None:
-        self._hub.switch()
-        if self._killed:
-            raise Killed()
-        if self.pending_error is not None:
-            error = self.pending_error
-            self.pending_error = None
-            raise error
-
-
 class TaskletGoroutine(Goroutine):
     """A goroutine hosted on an in-tree C continuation (``_ctasklet``).
 
-    Semantically identical to :class:`GreenletGoroutine` — all goroutines
-    share the scheduler's OS thread and the handoff is a userspace stack
-    switch — but carried by ``repro.runtime._ext._ctasklet`` instead of the
-    optional greenlet package, so the coroutine core works out of the box
-    on CPython 3.11 / x86-64 Linux with nothing but a C compiler.
+    All goroutines share the scheduler's OS thread, and the handoff is a
+    userspace stack switch: ``resume`` switches into the goroutine's
+    continuation and ``yield_to_scheduler`` switches back to the hub (the
+    scheduler's own continuation).  Works on CPython 3.11 / x86-64 Linux
+    with nothing but a C compiler.
     """
 
     __slots__ = ("_tk", "_hub")
@@ -423,9 +332,10 @@ class TaskletGoroutine(Goroutine):
 
     def kill(self, join_timeout: Optional[float] = None) -> None:
         """Unwind the goroutine's continuation by raising ``Killed`` inside
-        it (same two-attempt policy as the greenlet vehicle; a continuation
-        that swallows both is recorded as a stuck host and its stack is
-        abandoned, mirroring an OS thread that outlives its join)."""
+        it.  The first throw unwinds well-behaved code; a second covers a
+        handler that swallowed ``Killed`` once.  A continuation that
+        swallows both is recorded as a stuck host and its stack is
+        abandoned, mirroring an OS thread that outlives its join."""
         if self.state in GState.TERMINAL or self._tk is None:
             return
         self._killed = True
@@ -458,108 +368,3 @@ class TaskletGoroutine(Goroutine):
             error = self.pending_error
             self.pending_error = None
             raise error
-
-
-class GeneratorGoroutine(Goroutine):
-    """A goroutine whose body is a *generator function*, trampolined by the
-    scheduler: every ``yield`` is a voluntary schedule point.
-
-    This is the pure-Python continuation vehicle — no OS thread, no C
-    extension, works on any interpreter.  The restriction is structural:
-    a generator can only suspend its own frame, so a generator-backed body
-    must not call blocking primitives (``chan.send``, ``mutex.lock``, ...)
-    or ``rt.gosched()`` — it yields instead.  The scheduler only picks this
-    vehicle (under ``backend="generator"``) for bodies that *are* generator
-    functions; plain functions ride thread-compat hosts in the same run.
-    """
-
-    __slots__ = ("_gen",)
-
-    def __init__(self, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self._gen: Any = None
-
-    # -- scheduler side -------------------------------------------------
-
-    def start(self) -> None:
-        self.state = GState.RUNNABLE
-
-    def resume(self) -> None:
-        """Drive the generator one step, in the caller's (scheduler) frame.
-
-        Unlike the stack-switching vehicles there is no separate host to
-        transfer to, so exit classification (``_execute``'s job elsewhere)
-        happens inline here.
-        """
-        self.state = GState.RUNNING
-        try:
-            if self._gen is None:
-                if self._killed:
-                    raise Killed()
-                self._gen = self.fn(*self.args)
-            if self._killed:
-                self._gen.throw(Killed)
-            elif self.pending_error is not None:
-                error = self.pending_error
-                self.pending_error = None
-                self._gen.throw(error)
-            else:
-                next(self._gen)
-            # Yielded: state stays RUNNING so the loop records a voluntary
-            # schedule point (exactly like yield_to_scheduler elsewhere).
-        except StopIteration as stop:
-            self.result = stop.value
-            self.state = GState.DONE
-        except Killed:
-            self.state = GState.KILLED
-        except GoPanic as exc:
-            self.state = GState.PANICKED
-            self.panic_value = exc
-            self.panic_traceback = traceback.format_exc()
-        except BaseException as exc:
-            self.state = GState.PANICKED
-            self.panic_value = exc
-            self.panic_traceback = traceback.format_exc()
-
-    def kill(self, join_timeout: Optional[float] = None) -> None:
-        if self.state in GState.TERMINAL:
-            return
-        self._killed = True
-        if self._gen is None:
-            self.state = GState.KILLED
-            return
-        for _ in range(2):
-            try:
-                self._gen.throw(Killed)
-            except StopIteration as stop:
-                self.result = stop.value
-                self.state = GState.DONE
-                return
-            except Killed:
-                self.state = GState.KILLED
-                return
-            except BaseException as exc:
-                self.state = GState.PANICKED
-                self.panic_value = exc
-                self.panic_traceback = traceback.format_exc()
-                return
-            # throw() returned: the generator swallowed Killed and yielded
-            # again — one more attempt, then it is stuck by the standard
-            # definition (nothing to abandon: dropping the generator is safe).
-        timeout = HOST_JOIN_TIMEOUT if join_timeout is None else join_timeout
-        self._mark_stuck(timeout)
-
-    def on_current_host(self) -> bool:
-        # A generator has no separate host to park; resume() drives it in
-        # the scheduler's own frame, so parking from here is impossible.
-        return False
-
-    # -- goroutine side -------------------------------------------------
-
-    def yield_to_scheduler(self) -> None:
-        raise SchedulerStateError(
-            f"goroutine {self.gid} ({self.name}) is generator-backed: its "
-            "body must use a bare `yield` as the schedule point and cannot "
-            "call blocking primitives or gosched() (only the thread, "
-            "greenlet and tasklet vehicles can suspend nested frames)"
-        )

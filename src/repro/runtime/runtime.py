@@ -380,8 +380,8 @@ class RunResult:
         stuck_host_threads: goroutines whose host threads survived the kill
             join timeout at teardown (previously dropped silently).
         backend: the resolved goroutine vehicle that ran this simulation
-            (``"greenlet"`` | ``"tasklet"`` | ``"generator"`` |
-            ``"thread"``) — what ``backend="coroutine"`` actually picked.
+            (``"tasklet"`` | ``"thread"``) — what ``backend="coroutine"``
+            actually picked.
         compiled: True when the scheduler had compiled accelerators loaded
             (the fused step loop and/or the channel/select/sync fast ops);
             False on pure-Python runs (``REPRO_NO_CEXT=1``, off-platform,
@@ -531,20 +531,19 @@ def run(
             configured Observer to control site capture and sampling.  The
             observer is a pure trace consumer — attaching it never changes
             the schedule — and lands on ``result.observation``.
-        backend: goroutine host backend.  ``"coroutine"`` (the default)
-            resolves to the best single-threaded continuation vehicle
-            available — ``"greenlet"``, then the in-tree ``"tasklet"`` C
-            extension, then the pure-Python ``"generator"`` trampoline.
-            ``"thread"`` is the opt-in compatibility mode (one OS thread
-            per goroutine).  A specific vehicle can also be named directly;
-            unavailable ones fall back with a once-per-process warning.
-            Every backend produces bit-identical schedules; the resolved
+        backend: goroutine host backend, ``"coroutine"`` or ``"thread"``.
+            ``"coroutine"`` (the default) runs goroutines as single-threaded
+            continuations on the in-tree ``"tasklet"`` C extension, and
+            falls back to ``"thread"`` (counted in
+            :func:`repro.runtime.scheduler.backend_fallbacks`) when that
+            extension cannot load.  ``"thread"`` runs one OS thread per
+            goroutine.  Both produce bit-identical schedules; the resolved
             vehicle is surfaced as ``result.backend``.
         host_join_timeout: *total* teardown budget in seconds for unwinding
             host threads at the end of the run (default
             :data:`repro.runtime.goroutine.HOST_JOIN_TIMEOUT`); hosts that
             outlive their share of it are declared stuck.  Only
-            thread-compat hosts can consume it — continuation vehicles
+            host threads can consume it — tasklet continuations
             unwind synchronously.  Sweep engines shrink it so one
             pathological seed cannot stall a whole sweep.
     """

@@ -21,7 +21,6 @@ system's effective speed, the per-step path here is deliberately lean:
 
 from __future__ import annotations
 
-import inspect
 import os
 import random
 import sys
@@ -33,10 +32,7 @@ from .clock import VirtualClock
 from .errors import Killed, SchedulerStateError, StepLimitExceeded
 from ._hotloop import BatchedRandom, get_drive, get_fastops
 from .goroutine import (
-    HAS_GREENLET,
-    GeneratorGoroutine,
     Goroutine,
-    GreenletGoroutine,
     GState,
     TaskletGoroutine,
     has_tasklet,
@@ -52,19 +48,13 @@ from .trace import EventKind, Trace, TraceEvent
 _INTERNAL_PACKAGES = ("runtime", "chan", "sync", "stdlib")
 _internal_dirs: Optional[Tuple[str, ...]] = None
 
-#: Goroutine host backends.  ``"coroutine"`` (the default) resolves to the
-#: best single-threaded continuation vehicle available — greenlet, then the
-#: in-tree ``_ctasklet`` C extension, then the pure-Python generator
-#: trampoline.  ``"thread"`` is the always-available opt-in compatibility
-#: mode (one daemon OS thread per goroutine); the remaining names request a
-#: specific vehicle and fall back (with a one-time warning) when it is
-#: unavailable.  Every backend produces bit-identical schedules.
-BACKENDS = ("coroutine", "thread", "greenlet", "tasklet", "generator")
-
-#: Backends whose goroutines share the scheduler's OS thread.  For these the
-#: main loop drives every step itself (``_direct`` is False); only the
-#: ``"thread"`` backend uses the inline direct-handoff continuation.
-COROUTINE_BACKENDS = frozenset({"greenlet", "tasklet", "generator"})
+#: Goroutine host backends a caller may request.  ``"coroutine"`` (the
+#: default) runs every goroutine as a single-threaded continuation on the
+#: in-tree ``_ctasklet`` C extension (vehicle ``"tasklet"``), or on
+#: ``"thread"`` when that extension cannot load.  ``"thread"`` (one daemon
+#: OS thread per goroutine) is always available.  Both vehicles produce
+#: bit-identical schedules.
+BACKENDS = ("coroutine", "thread")
 
 
 def _internal_frame_dirs() -> Tuple[str, ...]:
@@ -127,15 +117,9 @@ def user_stack(limit: int = 8) -> Tuple[str, ...]:
     return tuple(frames)
 
 
-# Requested backends we have already warned about falling back from.
-# Module-level so the warning fires exactly once per process, no matter how
-# many Schedulers a sweep constructs.
-_fallback_warned: set = set()
-
-# Every fallback that actually happened, counted per (requested -> fallback)
-# edge.  The warning above fires once; the counts keep accumulating so
-# ``repro bench`` can report how many schedulers silently ran on a different
-# vehicle than the one requested.
+# Every fallback that actually happened, counted per (requested -> used)
+# edge, so ``repro bench`` and perfbench can report how many schedulers ran
+# on a different vehicle than the one requested.
 _fallback_counts: Dict[str, int] = {}
 
 
@@ -144,58 +128,24 @@ def backend_fallbacks() -> Dict[str, int]:
     return dict(_fallback_counts)
 
 
-def _best_coroutine_backend() -> str:
-    if HAS_GREENLET:
-        return "greenlet"
-    if has_tasklet():
-        return "tasklet"
-    return "generator"
-
-
 def resolve_backend(backend: str) -> str:
     """Map a requested backend name to the concrete vehicle that will run.
 
-    ``"coroutine"`` picks the best continuation vehicle silently; asking for
-    a specific unavailable vehicle (``"greenlet"`` without the package,
-    ``"tasklet"`` off-platform) falls back to the next-best one with a
-    once-per-process ``RuntimeWarning``.  Fallbacks never change schedules —
-    every vehicle draws the identical seeded decision sequence.
+    ``"coroutine"`` gives ``"tasklet"`` when the ``_ctasklet`` extension
+    loads; otherwise it gives ``"thread"`` and counts a
+    ``coroutine->thread`` fallback.  Fallbacks never change schedules —
+    both vehicles draw the identical seeded decision sequence.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown goroutine backend {backend!r}; expected one of {BACKENDS}")
     if backend == "coroutine":
-        return _best_coroutine_backend()
-    if backend == "greenlet" and not HAS_GREENLET:
-        fallback = "tasklet" if has_tasklet() else "generator"
-        _warn_fallback(backend, fallback, "the greenlet package is not installed")
-        return fallback
-    if backend == "tasklet" and not has_tasklet():
-        fallback = "greenlet" if HAS_GREENLET else "generator"
-        _warn_fallback(backend, fallback,
-                       "the _ctasklet extension is unavailable on this platform")
-        return fallback
+        if has_tasklet():
+            return "tasklet"
+        _fallback_counts["coroutine->thread"] = (
+            _fallback_counts.get("coroutine->thread", 0) + 1)
+        return "thread"
     return backend
-
-
-def _warn_fallback(requested: str, fallback: str, why: str) -> None:
-    edge = f"{requested}->{fallback}"
-    _fallback_counts[edge] = _fallback_counts.get(edge, 0) + 1
-    if requested in _fallback_warned:
-        return
-    _fallback_warned.add(requested)
-    import warnings
-
-    warnings.warn(
-        f"{requested} backend requested but {why}; falling back to the "
-        f"{fallback} backend (schedules are identical)",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-
-
-# Backwards-compatible alias (pre-coroutine-core name).
-_resolve_backend = resolve_backend
 
 
 class Scheduler:
@@ -231,32 +181,24 @@ class Scheduler:
         self.preempt = preempt
         #: The backend name the caller asked for (possibly ``"coroutine"``).
         self.requested_backend = backend
-        #: The concrete vehicle carrying the token: "greenlet", "tasklet",
-        #: "generator" (single-thread continuations) or "thread" (compat).
+        #: The concrete vehicle carrying the token: "tasklet" (single-thread
+        #: continuations) or "thread".
         self.backend = resolve_backend(backend)
-        #: True only for the thread backend: yields run the scheduler's
+        #: True for the thread vehicle: yields run the scheduler's
         #: continuation inline on the yielding host (direct handoff).  The
-        #: coroutine backends bounce every yield back to the main loop —
-        #: a userspace switch, so there is nothing to save by not bouncing.
+        #: tasklet vehicle bounces every yield back to the main loop — a
+        #: userspace switch, so there is nothing to save by not bouncing.
         self._direct = self.backend == "thread"
-        self._hub: Any = None
-        if self.backend == "greenlet":
-            import greenlet
-
-            # The scheduler loop runs on whatever greenlet constructs the
-            # Scheduler (the main greenlet of the calling thread); every
-            # goroutine greenlet yields back to it.
-            self._hub = greenlet.getcurrent()
-        elif self.backend == "tasklet":
-            # Same pattern: the calling thread's main continuation is the
-            # hub every goroutine tasklet switches back to.
-            self._hub = tasklet_module().current()
+        #: The calling thread's main continuation (tasklet vehicle only):
+        #: the hub every goroutine tasklet switches back to.
+        self._hub: Any = (None if self._direct
+                          else tasklet_module().current())
 
         self.goroutines: List[Goroutine] = []
         self._runnable: List[Goroutine] = []
         self._current: Optional[Goroutine] = None
         self._steps = 0
-        #: Scheduler-owned half of the token handoff (thread backend):
+        #: Scheduler-owned half of the token handoff (thread vehicle):
         #: created held; goroutines release it when handing the token back.
         self._handoff = threading.Lock()
         self._handoff.acquire()
@@ -267,12 +209,12 @@ class Scheduler:
         #: :meth:`_teardown_park`).
         self._teardown_g: Optional[Goroutine] = None
         #: The compiled fused step loop (``repro.runtime._ext._hotloop``),
-        #: or None.  Only the centralized (coroutine-core) loop can use it;
-        #: the thread backend's direct handoff never goes through here.
+        #: or None.  Only the centralized (tasklet) loop can use it; the
+        #: thread vehicle's direct handoff never goes through here.
         self._hot: Optional[Callable[["Scheduler"], Optional[str]]] = (
             None if self._direct else get_drive())
         #: Compiled channel/select/mutex fast ops (the same C module), or
-        #: None.  Unlike ``_hot`` these work on every backend: each op
+        #: None.  Unlike ``_hot`` these work on both vehicles: each op
         #: re-checks engagement (trace inactive, no injector, goroutine
         #: context) at entry and returns ``NotImplemented`` to defer to the
         #: pure path when any observer is attached.
@@ -414,17 +356,10 @@ class Scheduler:
             anonymous=anonymous,
             creation_site=creation_site,
         )
-        backend = self.backend
-        if backend == "greenlet":
-            g: Goroutine = GreenletGoroutine(hub=self._hub, **common)
-        elif backend == "tasklet":
-            g = TaskletGoroutine(hub=self._hub, **common)
-        elif backend == "generator" and inspect.isgeneratorfunction(fn):
-            g = GeneratorGoroutine(**common)
+        if self._direct:
+            g: Goroutine = Goroutine(**common)
         else:
-            # thread backend, or a plain-function body under the generator
-            # backend (which can only trampoline generator functions).
-            g = Goroutine(**common)
+            g = TaskletGoroutine(hub=self._hub, **common)
         self._next_gid += 1
         g.created_at = self.clock.now
         self.goroutines.append(g)
@@ -523,17 +458,14 @@ class Scheduler:
           * ``"timeout"``   — the virtual clock passed ``time_limit`` (the
             observation-window cutoff for programs that run forever).
 
-        Thread backend: after the first ``resume`` the token moves between
+        Thread vehicle: after the first ``resume`` the token moves between
         goroutine hosts *directly* — each yield runs :meth:`_handback` on the
         yielding host, which performs this loop's per-step logic inline and
         wakes the next host itself.  The main thread parks here and only
         wakes when a continuation leaves a verdict (timers to fire, loop
-        done).  Coroutine backends (greenlet/tasklet/generator): every yield
-        comes straight back into this loop, which does the bookkeeping
-        itself — switches are userspace-cheap and the whole simulation
-        shares one OS thread anyway.  Thread-compat hosts spawned under a
-        coroutine backend (plain functions on the generator backend) bounce
-        through the same centralized path.
+        done).  Tasklet vehicle: every yield switches straight back into
+        this loop, which does the bookkeeping itself — switches are
+        userspace-cheap and the whole simulation shares one OS thread.
         """
         if stop_mode is not None:
             if stop_when is not None:
@@ -584,8 +516,7 @@ class Scheduler:
                     self._current = g
                     g.resume()
                     if not direct:
-                        # Coroutine core: the yield switched (or bounced)
-                        # straight back here.
+                        # Tasklet: the yield switched straight back here.
                         self._current = None
                         self._after_resume(g)
                         continue
@@ -650,7 +581,7 @@ class Scheduler:
             return None
 
     def _handback(self, g: Goroutine, terminal: bool) -> Optional[str]:
-        """Thread-backend continuation, run on ``g``'s own host right after
+        """Thread-vehicle continuation, run on ``g``'s own host right after
         it yields (or its body ends).  Records the yield, makes the next
         scheduling decision inline, and moves the token with at most one OS
         context switch:
@@ -669,11 +600,6 @@ class Scheduler:
                 self._handoff.release()
             except RuntimeError:  # pragma: no cover - late stuck-thread race
                 pass
-            return None
-        if not self._direct:
-            # Centralized mode (thread-compat host under a coroutine
-            # backend): wake the main loop, which does all bookkeeping.
-            self._handoff.release()
             return None
         self._current = None
         try:
@@ -772,12 +698,12 @@ class Scheduler:
         """Unwind every live goroutine's host (end of run cleanup).
 
         ``host_join_timeout`` is a *total* teardown budget, not a
-        per-goroutine one: with N hung thread-compat hosts the old
-        per-goroutine bound stalled teardown for N x timeout, which let a
-        mixed-backend test suite leak minutes to a handful of stuck
-        threads.  Each kill gets the time remaining on the shared deadline
-        (with a small floor so a well-behaved host can always unwind);
-        coroutine vehicles unwind synchronously and spend none of it.
+        per-goroutine one: with N hung host threads the old per-goroutine
+        bound stalled teardown for N x timeout, which let a mixed-backend
+        test suite leak minutes to a handful of stuck threads.  Each kill
+        gets the time remaining on the shared deadline (with a small floor
+        so a well-behaved host can always unwind); tasklets unwind
+        synchronously and spend none of it.
         """
         self._shutting_down = True
         from .goroutine import HOST_JOIN_TIMEOUT

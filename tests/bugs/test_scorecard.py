@@ -17,6 +17,15 @@ def test_evaluate_race_kernel():
     assert not row.builtin_deadlock
 
 
+def test_row_rate_derives_from_manifesting_seeds():
+    kernel = get("nonblocking-trad-docker-lost-update")
+    row = evaluate_kernel(kernel, runs=10)
+    assert row.runs == 10
+    assert row.manifesting_seeds == tuple(
+        kernel.manifestation_seeds(range(10)))
+    assert row.manifestation_rate == len(row.manifesting_seeds) / 10
+
+
 def test_render_scorecard_shape():
     rows = [
         evaluate_kernel(get("blocking-mutex-kubernetes-abba"), runs=5),

@@ -1,9 +1,9 @@
-"""Crash-recovery faults: serialization, globs, replay, memo identity."""
+"""Crash-recovery faults: serialization, globs, replay."""
 
 import hashlib
 
 from repro import run
-from repro.inject import ChaosHarness, ChaosTarget, Fault, FaultPlan, plans
+from repro.inject import Fault, FaultPlan, plans
 from repro.net import Node, RestartPolicy, Supervisor
 
 
@@ -130,36 +130,3 @@ def test_supervised_recovery_under_injected_crash():
     assert stopped is False
     assert incarnation == 1
     assert restarts == 1
-
-
-def test_memo_key_distinguishes_same_named_plans():
-    """The RunMemo satellite fix: two plans sharing a name but differing
-    in a restart delay must not share cached chaos records."""
-    from repro.parallel import memo as memo_mod
-
-    calls = []
-
-    def make_runner(tag):
-        def runner(seed, plan, observe=None):
-            calls.append(tag)
-            return run(lambda rt: True, seed=seed, inject=plan)
-        return runner
-
-    fast = plans.crash_restart(target="nope", delay=0.1)
-    slow = plans.crash_restart(target="nope", delay=0.9)
-    assert repr(fast) == repr(slow)            # the old key collided
-    assert fast.cache_key() != slow.cache_key()  # the new one cannot
-
-    memo_mod.memo.clear()
-    try:
-        harness = ChaosHarness(seeds=(0,), memo=True)
-        target = ChaosTarget(name="memo-probe", runner=make_runner("a"),
-                             ok=lambda r: True)
-        harness.run_cell(target, fast)
-        before = len(calls)
-        harness.run_cell(target, slow)   # different content: must re-run
-        assert len(calls) == before + 1
-        harness.run_cell(target, fast)   # identical content: memo hit
-        assert len(calls) == before + 1
-    finally:
-        memo_mod.memo.clear()

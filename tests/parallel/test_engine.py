@@ -122,22 +122,19 @@ def _spread(rt):
 def test_three_consecutive_sweeps_one_pool_identical_to_serial():
     # The steady-state contract in one test: back-to-back sweeps reuse a
     # single pool (no fork/teardown per call) and every round is
-    # byte-identical to the serial sweep.  Memo off so each round really
-    # dispatches instead of replaying the first round from cache.
+    # byte-identical to the serial sweep.
     if not engine_mod._fork_available():
         pytest.skip("fork unavailable")
-    from repro.parallel import memo as memo_mod
     from repro.parallel import sweep_seeds
 
     engine_mod.shutdown_pool()
     slow = engine_mod.MIN_PARALLEL_COST_S
     engine_mod.MIN_PARALLEL_COST_S = 0.0  # force dispatch for tiny programs
     try:
-        with memo_mod.disable():
-            serial = sweep_seeds(_spread, range(12), jobs=1)
-            before = engine_mod.pool_stats()
-            for _ in range(3):
-                assert sweep_seeds(_spread, range(12), jobs=4) == serial
+        serial = sweep_seeds(_spread, range(12), jobs=1)
+        before = engine_mod.pool_stats()
+        for _ in range(3):
+            assert sweep_seeds(_spread, range(12), jobs=4) == serial
     finally:
         engine_mod.MIN_PARALLEL_COST_S = slow
     after = engine_mod.pool_stats()

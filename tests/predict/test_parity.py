@@ -13,6 +13,8 @@ exercises), add it with an honest reason rather than weakening the
 assertion.
 """
 
+import pytest
+
 from repro.predict import (
     build_predict_scorecard,
     predict_precision,
@@ -61,3 +63,46 @@ def test_predict_only_rows_are_the_known_wins():
         "nonblocking-trad-grpc-shadow-eviction",
         "nonblocking-wg-cockroach-add-inside",
     }
+
+
+@pytest.mark.parametrize("kernel_id", [
+    "blocking-mutex-boltdb-392",
+    "nonblocking-trad-docker-lost-update",
+    "blocking-chan-kubernetes-5316",
+])
+def test_scorecard_trace_seed_matches_predict_kernel_pick(kernel_id):
+    # The seed derived from the dynamic row is the one predict_kernel's
+    # own sweep would pick: first passing seed, else 0.
+    from repro.bugs import registry
+    from repro.predict import predict_kernel
+
+    kernel = registry.get(kernel_id)
+    [row] = build_predict_scorecard(kernels=[kernel],
+                                    runs_per_kernel=RUNS_PER_KERNEL)
+    _, seed = predict_kernel(kernel, runs=RUNS_PER_KERNEL)
+    assert row.trace_seed == seed
+
+
+def test_scorecard_sweeps_each_kernel_once(monkeypatch):
+    # evaluate_kernel's manifesting seeds also pick predict's recorded
+    # run, so one sweep per kernel serves both columns.
+    from collections import Counter
+
+    from repro.bugs import registry
+    from repro.bugs.meta import BugKernel
+
+    calls = Counter()
+    sweep = BugKernel.manifestation_seeds.__func__
+
+    def counting(cls, seeds, jobs=1, **kwargs):
+        calls[cls.meta.kernel_id] += 1
+        return sweep(cls, seeds, jobs=jobs, **kwargs)
+
+    monkeypatch.setattr(BugKernel, "manifestation_seeds",
+                        classmethod(counting))
+    rows = build_predict_scorecard(runs_per_kernel=RUNS_PER_KERNEL)
+    assert calls == Counter({k.meta.kernel_id: 1
+                             for k in registry.all_kernels()})
+    # The committed BENCH_predict.json numbers at 15 runs per kernel.
+    assert round(predict_recall(rows), 4) == 1.0
+    assert round(predict_precision(rows), 4) == 0.9583

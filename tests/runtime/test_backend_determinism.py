@@ -2,7 +2,7 @@
 
 The coroutine-core scheduler promises that an identical ``(seed, plan)``
 produces byte-identical schedules no matter which vehicle hosts the
-goroutines (OS threads, greenlet, the tasklet extension, generators) and
+goroutines (OS threads or the tasklet extension) and
 no matter whether a sweep ran in-process or across worker processes.
 This suite pins that contract over the benchmark workloads and a full
 repro.net crash-recovery scenario; ``test_hotloop.py`` pins the
@@ -16,17 +16,11 @@ import pytest
 from repro import run
 from repro.bench import WORKLOADS
 from repro.parallel import schedule_digest, sweep_seeds
-from repro.runtime.goroutine import HAS_GREENLET, has_tasklet
 from repro.runtime.scheduler import resolve_backend
 
 
 def _available_backends():
-    backends = ["thread", "coroutine", "generator"]
-    if HAS_GREENLET:
-        backends.append("greenlet")
-    if has_tasklet():
-        backends.append("tasklet")
-    return backends
+    return ["thread", "coroutine"]
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))

@@ -1,5 +1,5 @@
-"""Goroutine host backends: resolution, fallback warnings, cross-backend
-schedule equivalence.
+"""Goroutine host backends: resolution and cross-backend schedule
+equivalence.
 
 The backend only changes *how* goroutines are hosted (continuations vs OS
 threads); every scheduling decision comes from the same seeded RNG either
@@ -13,8 +13,7 @@ import pytest
 from repro import run
 from repro.parallel import schedule_digest
 from repro.runtime import scheduler as scheduler_mod
-from repro.runtime.goroutine import HAS_GREENLET, has_tasklet
-from repro.runtime.scheduler import BACKENDS, resolve_backend
+from repro.runtime.scheduler import BACKENDS, backend_fallbacks, resolve_backend
 
 
 def _program(rt):
@@ -33,11 +32,11 @@ def test_unknown_backend_rejected():
         run(_program, backend="fiber")
 
 
-def test_coroutine_is_the_default_and_resolves_to_a_continuation_vehicle():
+def test_coroutine_is_the_default_and_resolves_to_a_vehicle():
     result = run(_program, seed=3)
-    assert result.backend in ("greenlet", "tasklet", "generator")
+    assert result.backend in ("tasklet", "thread")
     assert result.backend == resolve_backend("coroutine")
-    # The compat mode is still reachable and reports itself.
+    # The thread vehicle is reachable by name and reports itself.
     assert run(_program, seed=3, backend="thread").backend == "thread"
 
 
@@ -50,46 +49,9 @@ def test_backend_surfaced_on_result_and_summary():
     assert summarize_result(result).backend == "thread"
 
 
-@pytest.mark.skipif(HAS_GREENLET,
-                    reason="greenlet installed; fallback path unreachable")
-def test_missing_greenlet_falls_back_to_continuations_with_warning(monkeypatch):
-    monkeypatch.setattr(scheduler_mod, "_fallback_warned", set())
-    with pytest.warns(RuntimeWarning, match="falling back to the"):
-        fallback = run(_program, seed=5, backend="greenlet")
-    assert fallback.backend in ("tasklet", "generator")
-    thread = run(_program, seed=5, backend="thread")
-    assert fallback.status == thread.status
-    assert fallback.main_result == thread.main_result
-    assert schedule_digest(fallback) == schedule_digest(thread)
-    # The warning fires once per process, not once per run.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        run(_program, seed=5, backend="greenlet")
-
-
-def test_fallback_warns_once_per_process_across_schedulers(monkeypatch):
-    """Many Scheduler constructions (a sweep) -> at most one warning."""
-    if HAS_GREENLET and has_tasklet():
-        pytest.skip("every vehicle available; no fallback to exercise")
-    requested = "greenlet" if not HAS_GREENLET else "tasklet"
-    monkeypatch.setattr(scheduler_mod, "_fallback_warned", set())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        for seed in range(4):
-            run(_program, seed=seed, backend=requested)
-    fallback_warnings = [w for w in caught
-                         if "falling back to the" in str(w.message)]
-    assert len(fallback_warnings) == 1
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_backends_produce_identical_schedules(seed):
-    available = ["thread", "coroutine", "generator"]
-    if HAS_GREENLET:
-        available.append("greenlet")
-    if has_tasklet():
-        available.append("tasklet")
-    results = {b: run(_program, seed=seed, backend=b) for b in available}
+    results = {b: run(_program, seed=seed, backend=b) for b in BACKENDS}
     reference = results["thread"]
     for backend, result in results.items():
         assert result.status == reference.status, backend
@@ -98,11 +60,51 @@ def test_backends_produce_identical_schedules(seed):
         assert schedule_digest(result) == schedule_digest(reference), backend
 
 
+def _no_tasklet(monkeypatch):
+    """Make the tasklet extension look unloadable, with fresh counts."""
+    monkeypatch.setattr(scheduler_mod, "has_tasklet", lambda: False)
+    monkeypatch.setattr(scheduler_mod, "_fallback_counts", {})
+
+
+def test_coroutine_falls_back_to_thread_and_counts_it(monkeypatch):
+    _no_tasklet(monkeypatch)
+    assert resolve_backend("coroutine") == "thread"
+    assert backend_fallbacks() == {"coroutine->thread": 1}
+    assert run(_program, seed=2).backend == "thread"
+    assert backend_fallbacks() == {"coroutine->thread": 2}
+
+
+def test_coroutine_fallback_is_silent(monkeypatch):
+    _no_tasklet(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(_program, seed=0)
+        run(_program, seed=1)
+    assert not caught
+
+
+def test_thread_request_counts_no_fallback(monkeypatch):
+    _no_tasklet(monkeypatch)
+    assert resolve_backend("thread") == "thread"
+    run(_program, seed=0, backend="thread")
+    assert backend_fallbacks() == {}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fallback_schedules_match_the_default(monkeypatch, seed):
+    default = run(_program, seed=seed)
+    _no_tasklet(monkeypatch)
+    fallback = run(_program, seed=seed)
+    assert fallback.backend == "thread"
+    assert fallback.steps == default.steps
+    assert fallback.main_result == default.main_result
+    assert schedule_digest(fallback) == schedule_digest(default)
+
+
 def test_backends_tuple_names_every_vehicle():
-    assert BACKENDS == ("coroutine", "thread", "greenlet", "tasklet",
-                        "generator")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for name in BACKENDS:
-            assert resolve_backend(name) in ("thread", "greenlet", "tasklet",
-                                             "generator")
+    assert BACKENDS == ("coroutine", "thread")
+    for name in BACKENDS:
+        assert resolve_backend(name) in ("thread", "tasklet")
+    # The concrete vehicle name is reported, never accepted.
+    with pytest.raises(ValueError, match="unknown goroutine backend"):
+        resolve_backend("tasklet")

@@ -9,7 +9,8 @@ equivalences the determinism contract rests on:
   sequence the pure one draws, over every seed shape;
 * a traceless run (compiled loop eligible) takes the same steps as a
   traced run of the same seed (pure loop, trace forces it);
-* a subprocess with ``REPRO_NO_CEXT=1`` — pure RNG, pure loop — produces
+* a subprocess with ``REPRO_NO_CEXT=1`` — pure RNG, pure loop, and the
+  default backend falling back to the thread vehicle — produces
   byte-identical digests, statuses, and step counts.
 
 Where the extension didn't build, the compiled-only tests skip and the
@@ -101,6 +102,7 @@ _SUBPROCESS_SCRIPT = textwrap.dedent("""
     from repro.bench import WORKLOADS
     from repro.parallel import schedule_digest
     from repro.runtime import _hotloop
+    from repro.runtime.scheduler import backend_fallbacks
 
     rows = {}
     for name in sorted(WORKLOADS):
@@ -110,13 +112,17 @@ _SUBPROCESS_SCRIPT = textwrap.dedent("""
             "digest": schedule_digest(traced),
             "status": fast.status,
             "steps": fast.steps,
+            "backend": fast.backend,
         }
-    print(json.dumps({"compiled": _hotloop.HAS_COMPILED, "rows": rows}))
+    print(json.dumps({"compiled": _hotloop.HAS_COMPILED, "rows": rows,
+                      "fallbacks": backend_fallbacks()}))
 """)
 
 
 def test_pure_python_subprocess_matches_compiled_process():
-    """REPRO_NO_CEXT=1 end to end: pure RNG + pure loop, same bytes."""
+    """REPRO_NO_CEXT=1 end to end: pure RNG + pure loop + the thread
+    vehicle the default backend falls back to, same bytes as this
+    process's runs (tasklet-hosted where the extension loads)."""
     env = dict(os.environ, REPRO_NO_CEXT="1",
                PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", _SUBPROCESS_SCRIPT],
@@ -125,7 +131,10 @@ def test_pure_python_subprocess_matches_compiled_process():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["compiled"] is False
+    assert set(payload["fallbacks"]) == {"coroutine->thread"}
+    assert payload["fallbacks"]["coroutine->thread"] > 0
     for name, row in payload["rows"].items():
+        assert row["backend"] == "thread", name
         traced = run(WORKLOADS[name], seed=11, keep_trace=True)
         fast = run(WORKLOADS[name], seed=11, keep_trace=False)
         assert row["digest"] == schedule_digest(traced), name
