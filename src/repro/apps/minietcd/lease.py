@@ -10,7 +10,6 @@ locked work (exactly how etcd's lessor separates its timer heap from its
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, List, Optional, Set
 
 from ...chan.cases import recv
@@ -19,10 +18,8 @@ from ...chan.cases import recv
 class Lease:
     """One granted lease."""
 
-    _ids = itertools.count(1)
-
-    def __init__(self, ttl: float):
-        self.id = next(Lease._ids)
+    def __init__(self, lease_id: int, ttl: float):
+        self.id = lease_id
         self.ttl = ttl
         self.keys: Set[str] = set()
         self.expired = False
@@ -94,7 +91,7 @@ class Lessor:
     # ------------------------------------------------------------------
 
     def grant(self, ttl: float) -> Lease:
-        lease = Lease(ttl)
+        lease = Lease(self._rt.fresh_id("lease"), ttl)
         with self.mu:
             self._leases[lease.id] = lease
         self._arm(lease)

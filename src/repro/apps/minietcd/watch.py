@@ -9,7 +9,6 @@ as real etcd does).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...chan.cases import recv, send
@@ -34,10 +33,8 @@ class Event:
 class Watcher:
     """One subscription: a prefix filter plus a delivery channel."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, rt, prefix: str, buffer: int = 8):
-        self.id = next(Watcher._ids)
+        self.id = rt.fresh_id("watch")
         self.prefix = prefix
         self.events = rt.make_chan(buffer, name=f"watch-{self.id}")
         self.dropped = rt.atomic_int(0, name=f"watch-{self.id}.dropped")
@@ -122,14 +119,12 @@ class ReliableWatch:
     and call :meth:`cancel` when done.
     """
 
-    _ids = itertools.count(1)
-
     def __init__(self, rt, node, prefix: str = "", buffer: int = 8):
         self._rt = rt
         self._node = node
         self.prefix = prefix
         self.buffer = buffer
-        self.id = next(ReliableWatch._ids)
+        self.id = rt.fresh_id("rwatch")
         self.events = rt.make_chan(buffer, name=f"rwatch-{self.id}")
         self._stop = rt.make_chan(0, name=f"rwatch-{self.id}.stop")
         self.resyncs = rt.atomic_int(0, name=f"rwatch-{self.id}.resyncs")

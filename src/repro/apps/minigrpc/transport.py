@@ -7,7 +7,6 @@ response channel — the common Go RPC idiom that Figure 1's bug lives in.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 from ...runtime.errors import GoPanic
@@ -35,10 +34,8 @@ class RpcError(Exception):
 class Request:
     """One unary or stream-opening request frame."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, rt, method: str, payload: Any, streaming: bool = False):
-        self.id = next(Request._ids)
+        self.id = rt.fresh_id("grpc.request")
         self.method = method
         self.payload = payload
         self.streaming = streaming
@@ -70,11 +67,10 @@ class Connection:
     bookkeeping makes Mutex the most-used primitive (Table 4).
     """
 
-    _ids = itertools.count(1)
     WINDOW = 64  # outstanding-frame budget, like an HTTP/2 window
 
     def __init__(self, rt, queue_depth: int = 16):
-        self.id = next(Connection._ids)
+        self.id = rt.fresh_id("grpc.connection")
         self._rt = rt
         self.requests = rt.make_chan(queue_depth, name=f"conn-{self.id}")
         self.mu = rt.mutex(f"conn-{self.id}.flow")

@@ -43,12 +43,13 @@ class ConnReset(NetError):
 class _Pipe:
     """One direction of a connection: src node -> dst node."""
 
-    __slots__ = ("src", "dst", "obj", "queue", "waiters", "closed",
+    __slots__ = ("src", "dst", "name", "obj", "queue", "waiters", "closed",
                  "aborted", "in_flight", "last_deliver", "_sched")
 
     def __init__(self, rt: "Runtime", src: str, dst: str):
         self.src = src
         self.dst = dst
+        self.name = f"{src}->{dst}"       # the link name in events and logs
         self.obj = rt.new_obj_id()
         self.queue: deque = deque()       # (seq, payload, sent_at)
         self.waiters: deque = deque()     # goroutines parked in recv
@@ -76,6 +77,7 @@ class Conn:
         self._out = out
         self._in = in_
         self._closed = False
+        self._recv_reason = f"net.recv:{remote}->{local}"
 
     @classmethod
     def pair(cls, rt: "Runtime", net: "Network", a: str, b: str
@@ -132,21 +134,22 @@ class Conn:
         while True:
             if pipe.queue:
                 seq, payload, sent_at = pipe.queue.popleft()
-                sched.emit(EventKind.NET_RECV, obj=pipe.obj,
-                           info={"link": f"{pipe.src}->{pipe.dst}",
-                                 "seq": seq,
-                                 "latency": sched.clock.now - sent_at})
+                if sched.trace.active:
+                    sched.emit(EventKind.NET_RECV, obj=pipe.obj,
+                               info={"link": pipe.name, "seq": seq,
+                                     "latency": sched.clock.now - sent_at})
                 return payload, True
             if pipe.aborted:
                 return None, False
             if pipe.closed and pipe.in_flight == 0:
                 return None, False
-            pipe.waiters.append(me)
-            sched.block(f"net.recv:{self.remote}->{self.local}")
-            try:
-                pipe.waiters.remove(me)
-            except ValueError:
-                pass
+            waiters = pipe.waiters
+            waiters.append(me)
+            sched.block(self._recv_reason)
+            # ``wake_all`` pops the waiters it readies; only a wakeup from
+            # elsewhere (an injected one) leaves ``me`` queued.
+            if me in waiters:
+                waiters.remove(me)
 
     def try_recv(self) -> Tuple[Any, bool, bool]:
         """Non-blocking receive: ``(payload, received, open)``."""
@@ -154,10 +157,11 @@ class Conn:
         pipe = self._in
         if pipe.queue:
             seq, payload, sent_at = pipe.queue.popleft()
-            self._sched.emit(EventKind.NET_RECV, obj=pipe.obj,
-                             info={"link": f"{pipe.src}->{pipe.dst}",
-                                   "seq": seq,
-                                   "latency": self._sched.clock.now - sent_at})
+            sched = self._sched
+            if sched.trace.active:
+                sched.emit(EventKind.NET_RECV, obj=pipe.obj,
+                           info={"link": pipe.name, "seq": seq,
+                                 "latency": sched.clock.now - sent_at})
             return payload, True, True
         if pipe.aborted or (pipe.closed and pipe.in_flight == 0):
             return None, False, False

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 import zlib
 from fnmatch import fnmatchcase
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..runtime.trace import EventKind
@@ -209,19 +210,18 @@ class Network:
         """(drop, duplicate, reorder, extra_delay) after rate rules."""
         drop, dup = link.drop, link.duplicate
         reorder, extra = link.reorder, link.extra_delay
-        if self._rules:
-            name = link.name
-            for (kind, pattern), value in self._rules.items():
-                if not fnmatchcase(name, pattern):
-                    continue
-                if kind == "drop":
-                    drop = max(drop, value)
-                elif kind == "duplicate":
-                    dup = max(dup, value)
-                elif kind == "reorder":
-                    reorder = max(reorder, value)
-                else:
-                    extra += value
+        name = link.name
+        for (kind, pattern), value in self._rules.items():
+            if not fnmatchcase(name, pattern):
+                continue
+            if kind == "drop":
+                drop = max(drop, value)
+            elif kind == "duplicate":
+                dup = max(dup, value)
+            elif kind == "reorder":
+                reorder = max(reorder, value)
+            else:
+                extra += value
         return drop, dup, reorder, extra
 
     # ------------------------------------------------------------------
@@ -229,69 +229,89 @@ class Network:
     # ------------------------------------------------------------------
 
     def transmit(self, pipe: "_Pipe", payload: Any) -> None:
-        """Schedule delivery of one message on a pipe (sender context)."""
-        src, dst = pipe.src, pipe.dst
-        link = self.link(src, dst)
-        drop, dup, reorder, extra = self._effective(link)
-        now = self._sched.clock.now
+        """Schedule delivery of one message on a pipe (sender context).
+
+        Trace payloads and log lines are built only when someone reads
+        them (``trace.active`` / ``log_messages``): an untraced, unlogged
+        send does the fabric's own work and nothing else.
+        """
+        sched = self._sched
+        link = self.link(pipe.src, pipe.dst)
+        if self._rules:
+            drop, dup, reorder, extra = self._effective(link)
+        else:
+            drop, dup = link.drop, link.duplicate
+            reorder, extra = link.reorder, link.extra_delay
+        now = sched.clock.now
         seq = self._next_msg
         self._next_msg += 1
         self.stats["sent"] += 1
-        self._sched.emit(EventKind.NET_SEND, obj=pipe.obj,
-                         info={"link": link.name, "seq": seq,
-                               "latency": link.latency + extra})
-        self._log_line(f"SEND {link.name} #{seq}")
+        traced = sched.trace.active
+        logged = self.log_messages
+        if traced:
+            sched.emit(EventKind.NET_SEND, obj=pipe.obj,
+                       info={"link": pipe.name, "seq": seq,
+                             "latency": link.latency + extra})
+        if logged:
+            self._log_line(f"SEND {pipe.name} #{seq}")
 
-        if drop and self._rng.random() < drop:
+        rng = self._rng
+        if drop and rng.random() < drop:
             self.stats["dropped"] += 1
-            self._sched.emit(EventKind.NET_DROP, gid=0, obj=pipe.obj,
-                             info={"link": link.name, "seq": seq,
-                                   "reason": "loss"})
-            self._log_line(f"DROP {link.name} #{seq} loss")
+            if traced:
+                sched.emit(EventKind.NET_DROP, gid=0, obj=pipe.obj,
+                           info={"link": pipe.name, "seq": seq,
+                                 "reason": "loss"})
+            if logged:
+                self._log_line(f"DROP {pipe.name} #{seq} loss")
             return
 
         copies = 1
-        if dup and self._rng.random() < dup:
+        if dup and rng.random() < dup:
             copies = 2
             self.stats["duplicated"] += 1
-            self._log_line(f"DUP  {link.name} #{seq}")
+            if logged:
+                self._log_line(f"DUP  {pipe.name} #{seq}")
 
         base = now + link.latency + extra
+        deliver = partial(self._deliver, pipe, seq, payload, now)
         for _ in range(copies):
             deliver_at = base
-            if reorder and self._rng.random() < reorder:
+            if reorder and rng.random() < reorder:
                 jitter = link.jitter or 2.0 * (link.latency or 0.001)
-                deliver_at += self._rng.uniform(0.0, jitter)
+                deliver_at += rng.uniform(0.0, jitter)
             else:
                 # FIFO per pipe: a message never overtakes its predecessor
                 # unless the reorder fault explicitly jitters it.
-                deliver_at = max(deliver_at, pipe.last_deliver)
+                if deliver_at < pipe.last_deliver:
+                    deliver_at = pipe.last_deliver
                 pipe.last_deliver = deliver_at
             pipe.in_flight += 1
-            self._sched.clock.call_at(
-                deliver_at,
-                lambda p=pipe, s=seq, v=payload, t=now: self._deliver(p, s, v, t))
+            sched.clock.call_at(deliver_at, deliver)
 
     def _deliver(self, pipe: "_Pipe", seq: int, payload: Any,
                  sent_at: float) -> None:
         """Timer callback (scheduler context): land or drop one message."""
         pipe.in_flight -= 1
-        link_name = f"{pipe.src}->{pipe.dst}"
-        if not self.reachable(pipe.src, pipe.dst):
+        if self._partitions and not self.reachable(pipe.src, pipe.dst):
             self.stats["dropped"] += 1
-            self._sched.emit(EventKind.NET_DROP, gid=0, obj=pipe.obj,
-                             info={"link": link_name, "seq": seq,
-                                   "reason": "partition"})
-            self._log_line(f"DROP {link_name} #{seq} partition")
+            if self._sched.trace.active:
+                self._sched.emit(EventKind.NET_DROP, gid=0, obj=pipe.obj,
+                                 info={"link": pipe.name, "seq": seq,
+                                       "reason": "partition"})
+            if self.log_messages:
+                self._log_line(f"DROP {pipe.name} #{seq} partition")
         elif pipe.aborted:
             # Receiver already closed its end; silently discard, like
             # packets arriving for a closed socket.
             self.stats["dropped"] += 1
-            self._log_line(f"DROP {link_name} #{seq} closed")
+            if self.log_messages:
+                self._log_line(f"DROP {pipe.name} #{seq} closed")
         else:
             self.stats["delivered"] += 1
             pipe.queue.append((seq, payload, sent_at))
-            self._log_line(f"RECV {link_name} #{seq}")
+            if self.log_messages:
+                self._log_line(f"RECV {pipe.name} #{seq}")
         # Wake receivers either way: a dropped final message may complete
         # an EOF condition (sender closed and nothing left in flight).
         pipe.wake_all()
@@ -316,6 +336,8 @@ class Network:
     # ------------------------------------------------------------------
 
     def _log_line(self, text: str) -> None:
+        # Hot paths (transmit, _deliver) test ``log_messages`` before
+        # formatting ``text``; the check here covers the cold callers.
         if self.log_messages:
             self._log.append(f"{self._sched.clock.now:.6f} {text}")
 

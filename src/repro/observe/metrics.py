@@ -18,6 +18,7 @@ exactly as the simulation produced them, no wall-clock anywhere.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
@@ -109,11 +110,12 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # First bound >= value; NaN compares false everywhere, so it goes
+        # to the overflow bucket.
+        if value == value:
+            self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        else:
+            self.bucket_counts[-1] += 1
 
     @property
     def mean(self) -> float:

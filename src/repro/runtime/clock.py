@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 
 class TimerHandle:
@@ -38,64 +38,56 @@ class VirtualClock:
     """Discrete-event virtual clock with a cancellable timer heap."""
 
     def __init__(self, start: float = 0.0):
-        self._now = float(start)
+        #: Current virtual time in seconds.  A plain attribute because every
+        #: send, receive and ``rt.now()`` reads it; only this class's own
+        #: methods write it.
+        self.now = float(start)
         self._heap: List[Tuple[float, int, TimerHandle]] = []
         self._seq = itertools.count()
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     def call_at(self, deadline: float, callback: Callable[[], None]) -> TimerHandle:
         """Schedule ``callback`` to run when the clock reaches ``deadline``.
 
         Deadlines in the past fire on the next scheduler idle point.
         """
-        handle = TimerHandle(max(deadline, self._now), next(self._seq), callback)
+        handle = TimerHandle(max(deadline, self.now), next(self._seq), callback)
         heapq.heappush(self._heap, (handle.deadline, handle.seq, handle))
         return handle
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Schedule ``callback`` ``delay`` seconds from now."""
-        return self.call_at(self._now + max(delay, 0.0), callback)
-
-    def next_deadline(self) -> Optional[float]:
-        """Earliest pending (non-cancelled) deadline, or None."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def has_pending(self) -> bool:
-        return self.next_deadline() is not None
+        return self.call_at(self.now + max(delay, 0.0), callback)
 
     def advance_to_next(self) -> List[TimerHandle]:
         """Jump to the earliest deadline and pop every timer due at it.
 
-        Returns the fired handles (callbacks are *not* run here; the
-        scheduler runs them so it can interleave wakeups correctly).
+        Returns the fired handles, or ``[]`` when nothing is pending
+        (callbacks are *not* run here; the scheduler runs them so it can
+        interleave wakeups correctly).  One pass: cancelled heads are
+        dropped on the way to the first live deadline.
         """
-        deadline = self.next_deadline()
-        if deadline is None:
-            return []
-        self._now = max(self._now, deadline)
-        return self._pop_due()
+        heap = self._heap
+        while heap:
+            deadline, _, head = heap[0]
+            if head.cancelled:
+                heapq.heappop(heap)
+                continue
+            if deadline > self.now:
+                self.now = deadline
+            return self._pop_due()
+        return []
 
     def advance(self, delta: float) -> List[TimerHandle]:
         """Advance the clock by ``delta`` and pop every timer now due."""
-        self._now += max(delta, 0.0)
+        self.now += max(delta, 0.0)
         return self._pop_due()
 
     def _pop_due(self) -> List[TimerHandle]:
         due: List[TimerHandle] = []
-        while self._heap and self._heap[0][0] <= self._now:
-            _, _, handle = heapq.heappop(self._heap)
+        heap, now = self._heap, self.now
+        while heap and heap[0][0] <= now:
+            _, _, handle = heapq.heappop(heap)
             if not handle.cancelled:
                 handle.cancelled = True  # a fired timer cannot be cancelled
                 due.append(handle)
         return due
-
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)

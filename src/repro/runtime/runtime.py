@@ -140,20 +140,22 @@ class Runtime:
 
     def sleep(self, duration: float) -> None:
         """Sleep on the virtual clock, like ``time.Sleep``."""
-        g = self.sched.current
-        self.sched.emit(EventKind.SLEEP, info={"duration": duration})
+        sched = self.sched
+        g = sched.current
+        if sched.trace.active:
+            sched.emit(EventKind.SLEEP, info={"duration": duration})
         if duration <= 0:
-            self.sched.schedule_point()
+            sched.schedule_point()
             return
         woke = [False]
 
         def wake() -> None:
             woke[0] = True
-            self.sched.ready(g)
+            sched.ready(g)
 
-        self.sched.clock.call_after(duration, wake)
+        sched.clock.call_after(duration, wake)
         while not woke[0]:
-            self.sched.block("time.sleep")
+            sched.block("time.sleep")
 
     def external_wait(self, what: str, duration: Optional[float] = None) -> None:
         """Block on a modelled external resource (network, disk, subprocess).
@@ -164,7 +166,8 @@ class Runtime:
         goroutine waits forever.
         """
         g = self.sched.current
-        self.sched.emit(EventKind.EXTERNAL_WAIT, info={"what": what})
+        if self.sched.trace.active:
+            self.sched.emit(EventKind.EXTERNAL_WAIT, info={"what": what})
         if duration is None:
             while True:
                 self.sched.block(f"external:{what}", external=True)
@@ -622,7 +625,6 @@ def run(
                 # remains blocked then is blocked *forever*.
                 sched.run_until_quiescent(
                     stop_mode=("panic", None),
-                    advance_clock=True,
                     step_budget=drain_budget,
                 )
             if sched.panicked is not None:

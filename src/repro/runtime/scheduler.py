@@ -223,9 +223,8 @@ class Scheduler:
         # goroutine hosts run in ``_handback`` (all token-serialized).
         self._stop_when: Optional[Callable[[], bool]] = None
         #: Structured stop condition (``("main", g)`` / ``("panic", None)``)
-        #: mirroring ``_stop_when`` when the caller used one of the standard
-        #: shapes; lets the compiled loop evaluate the stop check without a
-        #: Python call per step.
+        #: that ``_stop_when`` mirrors; lets the compiled loop evaluate the
+        #: stop check without a Python call per step.
         self._stop_mode: Optional[Tuple[str, Optional[Goroutine]]] = None
         self._time_limit: Optional[float] = None
         self._budget = 0
@@ -425,7 +424,8 @@ class Scheduler:
             return
         g.state = GState.RUNNABLE
         self._runnable.append(g)
-        self.emit(EventKind.GO_UNBLOCK, obj=g.gid)
+        if self.trace.active:
+            self.emit(EventKind.GO_UNBLOCK, obj=g.gid)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -433,27 +433,23 @@ class Scheduler:
 
     def run_until_quiescent(
         self,
-        stop_when: Optional[Callable[[], bool]] = None,
-        advance_clock: bool = True,
+        stop_mode: Tuple[str, Optional[Goroutine]],
         step_budget: Optional[int] = None,
         time_limit: Optional[float] = None,
-        stop_mode: Optional[Tuple[str, Optional[Goroutine]]] = None,
     ) -> str:
-        """Drive goroutines until nothing can run.
+        """Drive goroutines until nothing can run, firing timers when idle.
 
-        ``stop_mode`` is the structured form of the two standard stop
-        conditions — ``("main", g)`` (stop when ``g`` is terminal or any
-        goroutine panicked) and ``("panic", None)`` (stop only on panic).
-        Passing it instead of a ``stop_when`` closure means the compiled
-        hot loop can evaluate the condition without calling into Python,
-        and this method synthesizes the equivalent closure for the pure
-        paths.  An explicit ``stop_when`` always wins.
+        ``stop_mode`` names one of the two standard stop conditions —
+        ``("main", g)`` (stop when ``g`` is terminal or any goroutine
+        panicked) and ``("panic", None)`` (stop only on panic).  It is
+        structured rather than a closure so the compiled hot loop can
+        evaluate it without calling into Python; this method synthesizes
+        the equivalent closure for the pure paths.
 
         Returns one of:
-          * ``"stopped"``   — ``stop_when()`` became true (e.g. main exited,
-            or a goroutine panicked),
-          * ``"quiescent"`` — no goroutine runnable and no timer armed (or
-            clock advancement disabled),
+          * ``"stopped"``   — the stop condition became true (e.g. main
+            exited, or a goroutine panicked),
+          * ``"quiescent"`` — no goroutine runnable and no timer armed,
           * ``"steps"``     — the step budget ran out (livelock backstop),
           * ``"timeout"``   — the virtual clock passed ``time_limit`` (the
             observation-window cutoff for programs that run forever).
@@ -467,20 +463,16 @@ class Scheduler:
         this loop, which does the bookkeeping itself — switches are
         userspace-cheap and the whole simulation shares one OS thread.
         """
-        if stop_mode is not None:
-            if stop_when is not None:
-                stop_mode = None  # explicit closure wins; compiled loop off
-            else:
-                kind, stop_g = stop_mode
-                if kind == "main":
-                    def stop_when() -> bool:
-                        return (stop_g.state in GState.TERMINAL
-                                or self.panicked is not None)
-                elif kind == "panic":
-                    def stop_when() -> bool:
-                        return self.panicked is not None
-                else:
-                    raise ValueError(f"unknown stop mode {kind!r}")
+        kind, stop_g = stop_mode
+        if kind == "main":
+            def stop_when() -> bool:
+                return (stop_g.state in GState.TERMINAL
+                        or self.panicked is not None)
+        elif kind == "panic":
+            def stop_when() -> bool:
+                return self.panicked is not None
+        else:
+            raise ValueError(f"unknown stop mode {kind!r}")
         self._stop_when = stop_when
         self._stop_mode = stop_mode
         self._time_limit = time_limit
@@ -489,10 +481,10 @@ class Scheduler:
         self._main_verdict = None
         direct = self._direct
         # The compiled fused loop stands in for the whole per-step body
-        # below whenever nothing observable differs from the pure path: a
-        # structured stop condition, no trace consumer, no injector, no
-        # observe/explore hooks, and the stock RNG (checked inside drive).
-        hot = self._hot if stop_mode is not None else None
+        # below whenever nothing observable differs from the pure path: no
+        # trace consumer, no injector, no observe/explore hooks, and the
+        # stock RNG (checked inside drive).
+        hot = self._hot
         try:
             while True:
                 if (hot is not None and self.injector is None
@@ -504,28 +496,25 @@ class Scheduler:
                         # Static mismatch (e.g. a scripted RNG): the pure
                         # loop takes over for the rest of this call.
                         hot = None
-                    elif verdict == "idle":
-                        if advance_clock and self.clock.has_pending():
-                            self.fire_timers(self.clock.advance_to_next())
-                            continue
-                        return "quiescent"
-                    else:
-                        return verdict
-                g = self._advance()
-                if g is not None:
-                    self._current = g
-                    g.resume()
-                    if not direct:
-                        # Tasklet: the yield switched straight back here.
-                        self._current = None
-                        self._after_resume(g)
                         continue
-                    # Thread: some host's continuation woke us with a verdict.
-                verdict = self._main_verdict
-                self._main_verdict = None
+                else:
+                    g = self._advance()
+                    if g is not None:
+                        self._current = g
+                        g.resume()
+                        if not direct:
+                            # Tasklet: the yield switched straight back here.
+                            self._current = None
+                            self._after_resume(g)
+                            continue
+                        # Thread: some host's continuation woke us with a
+                        # verdict.
+                    verdict = self._main_verdict
+                    self._main_verdict = None
                 if verdict == "idle":
-                    if advance_clock and self.clock.has_pending():
-                        self.fire_timers(self.clock.advance_to_next())
+                    fired = self.clock.advance_to_next()
+                    if fired:
+                        self.fire_timers(fired)
                         continue
                     return "quiescent"
                 if verdict == "error":
@@ -541,8 +530,10 @@ class Scheduler:
     def fire_timers(self, fired) -> None:
         """Run fired timer callbacks in scheduler context (one trace event
         each), shared by the main loop and the fault injector's clock jumps."""
+        trace = self.trace
         for handle in fired:
-            self.emit(EventKind.TIMER_FIRE, gid=0)
+            if trace.active:
+                self.emit(EventKind.TIMER_FIRE, gid=0)
             handle.callback()
 
     def _advance(self) -> Optional[Goroutine]:

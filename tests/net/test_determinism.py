@@ -156,3 +156,15 @@ def test_parallel_sweep_matches_serial_byte_for_byte():
     fanned = map_units(units, jobs=2)
     assert serial == fanned
     assert [row["seed"] for row in serial] == [0, 1, 2, 3]
+
+
+def test_cluster_demo_trace_repeats_within_one_process():
+    # Watch, lease and RPC ids name channels and goroutines; drawn from a
+    # process-global counter they made the second run's trace differ.
+    from repro.net.demo import cluster_demo
+
+    def events():
+        result = run(cluster_demo, seed=2, max_steps=400_000)
+        return [repr(event) for event in result.trace.events]
+
+    assert events() == events()

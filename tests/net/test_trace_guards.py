@@ -1,0 +1,176 @@
+"""The untraced net and timer paths build no trace payloads, and guarding
+them changes nothing anyone can observe.
+
+* Golden digests over every traced event (and the fabric message log) of
+  ``cluster_demo``, a small echo load and a faulty fabric.  They were
+  computed before the payload guards existed, so a guard that drops or
+  reshapes a traced event fails here.
+* With no trace consumer, the send / receive / sleep / timer paths never
+  call ``Scheduler.emit``.
+* Untraced, traced and pure-Python runs of ``loadgen_summary`` agree.
+"""
+
+import hashlib
+import sys
+from functools import partial
+
+import pytest
+
+from repro import run
+from repro.net import Conn
+from repro.net import demo
+from repro.net.demo import cluster_demo, loadgen_summary
+from repro.net.load import echo_load_program
+from repro.runtime._hotloop import force_pure
+from repro.runtime.scheduler import Scheduler
+
+
+def _faulty_fabric(rt):
+    """Loss, duplication, reordering, an in-flight partition and a closed
+    receiver on one logged fabric: every DROP / DUP branch fires."""
+    net = rt.network(name="faultnet", log_messages=True)
+    a, b = Conn.pair(rt, net, "a", "b")
+    net.set_fault_rate("drop", "a->*", 0.2)
+    net.set_fault_rate("duplicate", "a->*", 0.2)
+    net.set_fault_rate("reorder", "a->*", 0.3)
+    for i in range(20):
+        a.send(i)
+    net.partition({"a"}, {"b"})
+    a.send("cut")
+    rt.sleep(0.0015)
+    net.heal()
+    a.send("healed")
+    a.close_write()
+    got = []
+    while True:
+        payload, ok = b.recv_ok()
+        if not ok:
+            break
+        got.append(payload)
+    c, d = Conn.pair(rt, net, "c", "d")
+    c.send("late")
+    d.shutdown()
+    rt.sleep(0.01)
+    return got, net.format_message_log(), dict(net.stats)
+
+
+_PROGRAMS = {
+    "cluster_demo": (cluster_demo, 400_000),
+    "echo": (partial(echo_load_program, clients=3, requests=20), 100_000),
+    "faulty": (_faulty_fabric, 100_000),
+}
+
+#: sha256 over ``(step, time, gid, kind, obj, sorted(info))`` of every
+#: traced event, then the message log when the program returns one.  Each
+#: was computed in a fresh process.
+_GOLDEN = {
+    ("cluster_demo", 1):
+        "7eae291ed2f0d4639a19cf44eaf45b629b416eab14b3ac2507838ceea5d50483",
+    ("cluster_demo", 7):
+        "9af61bcf285cb597600fb227e29ae612725acd5fcbc56d38299d5554de78dfa3",
+    ("echo", 1):
+        "17a16eaac5100b4075822a728634234dde7e2c99668f587ffaf2ca00dbca6421",
+    ("echo", 7):
+        "ca316e37e8d227c117654becd3b229af7053863e139c55cd5b0e00be8dfc863a",
+    ("faulty", 1):
+        "723ac333c05049110fd8de08597f31740ea09a9ea28998bd67fa47a97d7fb47b",
+    ("faulty", 7):
+        "2a58c7760984ca2e966a4f31d91c61c1a932d2e776caf310538cc9cbf433e525",
+}
+
+
+def _message_log(name, result):
+    if name == "cluster_demo":
+        return result.main_result["message_log_sha256"]
+    if name == "faulty":
+        return result.main_result[1]
+    return ""
+
+
+def _info(info):
+    # ``go.create`` sites carry source line numbers; keep only the file so
+    # an unrelated edit to an app does not move the digest.
+    if "site" in info and info["site"]:
+        info = dict(info, site=info["site"].rsplit(":", 1)[0])
+    return sorted(info.items())
+
+
+def _digest(name, result):
+    h = hashlib.sha256()
+    for ev in result.trace.events:
+        h.update(repr((ev.step, ev.time, ev.gid, ev.kind, ev.obj,
+                       _info(ev.info))).encode())
+        h.update(b"\n")
+    h.update(_message_log(name, result).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", sorted(_GOLDEN))
+def test_traced_events_match_golden(name, seed):
+    program, max_steps = _PROGRAMS[name]
+    result = run(program, seed=seed, max_steps=max_steps)
+    assert result.status == "ok"
+    assert _digest(name, result) == _GOLDEN[(name, seed)]
+
+
+@pytest.mark.parametrize("name", ["cluster_demo", "faulty"])
+def test_message_log_does_not_depend_on_tracing(name):
+    program, max_steps = _PROGRAMS[name]
+    traced = run(program, seed=3, max_steps=max_steps)
+    untraced = run(program, seed=3, max_steps=max_steps, keep_trace=False)
+    assert _message_log(name, untraced) == _message_log(name, traced)
+    assert untraced.main_result == traced.main_result
+    assert untraced.steps == traced.steps
+
+
+def test_faulty_fabric_covers_every_drop_branch():
+    log = run(_faulty_fabric, seed=1).main_result[1]
+    for marker in ("DUP ", " loss", " partition", " closed", "RECV "):
+        assert marker in log
+
+
+# Functions on the untraced hot path that must not call ``emit``.
+_GUARDED = ("transmit", "_deliver", "recv_ok", "try_recv", "sleep",
+            "fire_timers", "ready")
+
+
+def _count_emits(monkeypatch, body):
+    calls = {}
+    original = Scheduler.emit
+
+    def counting_emit(self, *args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller] = calls.get(caller, 0) + 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scheduler, "emit", counting_emit)
+    body()
+    monkeypatch.undo()
+    return calls
+
+
+def test_untraced_loadgen_never_emits_from_hot_paths(monkeypatch):
+    calls = _count_emits(monkeypatch, lambda: loadgen_summary(
+        seed=4, clients=3, requests=20))
+    assert {name: calls[name] for name in _GUARDED if name in calls} == {}
+
+
+def test_traced_run_emits_from_hot_paths(monkeypatch):
+    # The counter above sees these callers when a trace is kept, so its
+    # empty result means "guarded", not "never reached".
+    calls = _count_emits(monkeypatch, lambda: run(
+        partial(echo_load_program, clients=3, requests=20), seed=4))
+    for name in ("transmit", "recv_ok", "sleep", "fire_timers", "ready"):
+        assert calls.get(name, 0) > 0, name
+
+
+def test_loadgen_summary_same_untraced_traced_and_pure(monkeypatch):
+    kwargs = dict(seed=6, clients=4, requests=25)
+    untraced = loadgen_summary(**kwargs)
+    with force_pure():
+        pure = loadgen_summary(**kwargs)
+    monkeypatch.setattr(demo, "run",
+                        lambda *a, **kw: run(*a, **{**kw, "keep_trace": True}))
+    traced = loadgen_summary(**kwargs)
+    assert untraced["status"] == "ok"
+    assert untraced == traced == pure

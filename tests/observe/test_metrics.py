@@ -48,6 +48,38 @@ def test_histogram_buckets_and_stats():
     assert h.mean == pytest.approx(5056 / 5)
 
 
+def _linear_bucket(bounds, value):
+    """Reference bucketing: the first bound >= value, else overflow."""
+    for i, bound in enumerate(bounds):
+        if value <= bound:
+            return i
+    return len(bounds)
+
+
+@pytest.mark.parametrize("bounds", [
+    (0, 1, 2, 4, 8),
+    (0.00025, 0.0005, 0.001, 0.002, 0.004),
+    (1, 1, 2, 3),  # repeated bound: the first of the pair takes the value
+])
+def test_histogram_bucket_matches_linear_scan(bounds):
+    between = [(lo + hi) / 2 for lo, hi in zip(bounds, bounds[1:])]
+    values = ([bounds[0] - 1, *bounds, *between, bounds[-1] * 2 + 1,
+               float("inf"), float("-inf"), float("nan")])
+    for value in values:
+        h = Histogram("h", bounds=bounds)
+        h.observe(value)
+        expected = [0] * (len(bounds) + 1)
+        expected[_linear_bucket(bounds, value)] += 1
+        assert h.bucket_counts == expected, value
+
+
+def test_histogram_nan_lands_in_overflow_bucket():
+    h = Histogram("h", bounds=(1, 10))
+    h.observe(float("nan"))
+    assert h.bucket_counts == [0, 0, 1]
+    assert h.count == 1
+
+
 def test_histogram_rejects_unsorted_bounds():
     with pytest.raises(ValueError):
         Histogram("bad", bounds=(10, 1))

@@ -6,8 +6,7 @@ from repro.runtime.clock import VirtualClock
 def test_starts_at_zero():
     clock = VirtualClock()
     assert clock.now == 0.0
-    assert clock.next_deadline() is None
-    assert not clock.has_pending()
+    assert clock.advance_to_next() == []
 
 
 def test_call_after_orders_by_deadline():
@@ -15,7 +14,6 @@ def test_call_after_orders_by_deadline():
     fired = []
     clock.call_after(2.0, lambda: fired.append("b"))
     clock.call_after(1.0, lambda: fired.append("a"))
-    assert clock.next_deadline() == 1.0
     for handle in clock.advance_to_next():
         handle.callback()
     assert fired == ["a"]
@@ -53,10 +51,10 @@ def test_cancelled_head_does_not_mask_later_timer():
     head = clock.call_after(1.0, lambda: fired.append("head"))
     clock.call_after(2.0, lambda: fired.append("tail"))
     head.cancel()
-    assert clock.next_deadline() == 2.0
     for handle in clock.advance_to_next():
         handle.callback()
     assert fired == ["tail"]
+    assert clock.now == 2.0
 
 
 def test_past_deadline_clamps_to_now():
@@ -91,3 +89,26 @@ def test_negative_delay_is_clamped():
     for handle in clock.advance(0.0):
         handle.callback()
     assert fired == [True]
+
+
+def test_advance_to_next_skips_cancelled_and_pops_all_due():
+    clock = VirtualClock()
+    fired = []
+    early = [clock.call_after(0.5, lambda: fired.append("early"))
+             for _ in range(3)]
+    clock.call_after(1.0, lambda: fired.append("a"))
+    middle = clock.call_after(1.0, lambda: fired.append("cancelled"))
+    clock.call_after(1.0, lambda: fired.append("b"))
+    for handle in early + [middle]:
+        handle.cancel()
+    for handle in clock.advance_to_next():
+        handle.callback()
+    assert fired == ["a", "b"]
+    assert clock.now == 1.0
+
+
+def test_advance_to_next_with_only_cancelled_timers_keeps_time():
+    clock = VirtualClock()
+    clock.call_after(4.0, lambda: None).cancel()
+    assert clock.advance_to_next() == []
+    assert clock.now == 0.0
