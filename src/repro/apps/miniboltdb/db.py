@@ -9,7 +9,6 @@ module's ``_grow`` path carefully avoids.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
@@ -20,10 +19,10 @@ class TxClosed(Exception):
 class Tx:
     """One transaction; writable transactions are exclusive."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, db: "DB", writable: bool):
-        self.id = next(Tx._ids)
+        # Per-run, like every id in the simulated apps: a process-global
+        # counter made a run's ids depend on the runs before it.
+        self.id = db._rt.fresh_id("tx")
         self.db = db
         self.writable = writable
         self._pending: Dict[str, Optional[Any]] = {}

@@ -66,7 +66,6 @@ class ClusterMember:
         self._rt = rt
         self.name = name
         self.durable = durable
-        self._cluster = cluster
         self._compaction_interval = compaction_interval
         self.kv = KvNode(rt, compaction_interval=compaction_interval)
         if not durable:
@@ -76,7 +75,15 @@ class ClusterMember:
         self.disk = self.node.disk(fsync_latency=fsync_latency) \
             if durable else None
         if durable:
-            self.node.on_restart = self._on_restart
+            # The cluster is reached only through the node's restart hook,
+            # which the fabric drops at the end of the run: a member ->
+            # cluster attribute would make the pair a reference cycle.
+            def on_restart(node: NetNode) -> None:
+                self._on_restart(node)
+                if cluster is not None:
+                    cluster._member_restarted(self)
+
+            self.node.on_restart = on_restart
         self.is_leader = False
         self._leases: Dict[int, Lease] = {}
         self._next_lease = 0
@@ -94,7 +101,6 @@ class ClusterMember:
         server.register("lease_grant", self._rpc_lease_grant)
         server.register_streaming("range", self._rpc_range)
         server.register_streaming("watch", self._rpc_watch)
-        self.server = server
         server.serve(self.node.listen(PORT))
 
     # ------------------------------------------------------------------
@@ -254,8 +260,6 @@ class ClusterMember:
         self._repl_queues = {}
         self._leases = {}
         self._wire_server()
-        if self._cluster is not None:
-            self._cluster._member_restarted(self)
 
     # ------------------------------------------------------------------
 
@@ -299,14 +303,13 @@ class EtcdCluster:
         self.elect = elect
         self.net = net if net is not None else rt.network(
             name="etcdnet", default_latency=latency)
-        self.members = [
+        self._roster = _Roster([
             ClusterMember(rt, self.net, f"n{i + 1}",
                           compaction_interval=compaction_interval,
                           durable=durable, fsync_latency=fsync_latency,
                           cluster=self if durable else None)
             for i in range(size)
-        ]
-        self.leader = self.members[0]
+        ])
         self.leader.become_leader([m.addr for m in self.members[1:]])
         self._clients: List["ClusterClient"] = []
         self._elect_stop = None
@@ -314,6 +317,18 @@ class EtcdCluster:
             self._elect_poll = elect_poll
             self._elect_stop = rt.make_chan(0, name="etcd.elect.stop")
             rt.go(self._election_loop, name="etcd.elect")
+
+    @property
+    def members(self) -> List[ClusterMember]:
+        return self._roster.members
+
+    @property
+    def leader(self) -> ClusterMember:
+        return self._roster.leader
+
+    @leader.setter
+    def leader(self, member: ClusterMember) -> None:
+        self._roster.leader = member
 
     def client(self, name: str = "client",
                failover: bool = False) -> "ClusterClient":
@@ -420,6 +435,21 @@ class EtcdCluster:
         return f"<EtcdCluster size={len(self.members)} net={self.net.name!r}>"
 
 
+class _Roster:
+    """A cluster's members and current leader, shared with its clients.
+
+    Clients read the leader through this record rather than through the
+    cluster: the cluster holds its clients (``stop`` closes them), so a
+    client -> cluster edge would make every client a reference cycle.
+    """
+
+    __slots__ = ("members", "leader")
+
+    def __init__(self, members: List[ClusterMember]):
+        self.members = members
+        self.leader = members[0]
+
+
 class ClusterClient:
     """A client machine talking to the cluster over the fabric.
 
@@ -433,7 +463,7 @@ class ClusterClient:
     def __init__(self, rt, cluster: EtcdCluster, name: str = "client",
                  failover: bool = False):
         self._rt = rt
-        self._cluster = cluster
+        self._roster = cluster._roster
         self._name = name
         self._failover = failover
         self.node = NetNode(cluster.net, name)
@@ -446,7 +476,7 @@ class ClusterClient:
         in failover mode."""
         if not self._failover:
             return self._rpc
-        want = self._cluster.leader.addr
+        want = self._roster.leader.addr
         if self._rpc.broken or self._rpc.addr != want:
             self._rpc.close()
             self.redials += 1
@@ -464,33 +494,30 @@ class ClusterClient:
                                              attempts=attempts)
         backoff = Backoff(self._rt, max_delay=0.5,
                           name=f"{self._name}.put.{key}")
-        last: Optional[RpcError] = None
         for attempt in range(attempts):
+            final = attempt + 1 == attempts
             try:
                 return self._leader_rpc().call("put", payload,
                                                timeout=timeout)
             except RpcError as err:
                 # FAILED_PRECONDITION = "not the leader": the member we
                 # dialed was demoted while we slept; redial and retry.
-                if not (err.retryable
-                        or err.code == Status.FAILED_PRECONDITION):
+                if final or not (err.retryable
+                                 or err.code == Status.FAILED_PRECONDITION):
                     raise
-                last = err
-                if attempt + 1 < attempts:
-                    backoff.sleep()
+                backoff.sleep()
             except NetError as err:
                 # Dial failed outright (target down, no listener yet).
-                last = RpcError(Status.UNAVAILABLE, str(err))
-                if attempt + 1 < attempts:
-                    backoff.sleep()
-        assert last is not None
-        raise last
+                if final:
+                    raise RpcError(Status.UNAVAILABLE, str(err)) from None
+                backoff.sleep()
+        raise AssertionError("put needs at least one attempt")
 
     def get(self, key: str, member: Optional[int] = None) -> Any:
         """Read from the leader, or any member (may lag) by index."""
         if member is None:
             return self._leader_rpc().call_with_retry("get", key)
-        target = self._cluster.members[member]
+        target = self._roster.members[member]
         rpc = connect_with_retry(self.node, target.addr,
                                  name=f"get.{target.name}")
         try:

@@ -29,12 +29,11 @@ class Lease:
 class Lessor:
     """Grants, renews and expires leases."""
 
-    def __init__(self, rt, on_expire: Optional[Callable[[Lease], None]] = None):
+    def __init__(self, rt):
         self._rt = rt
         self.mu = rt.mutex("lessor")
         self._leases: Dict[int, Lease] = {}
         self._handles: Dict[int, object] = {}
-        self._on_expire = on_expire
         self._expired_ch = rt.make_chan(32, name="lessor.expired")
         self._stop = rt.make_chan(0, name="lessor.stop")
         self._expirations = rt.atomic_int(0, name="lessor.expired.count")
@@ -44,36 +43,42 @@ class Lessor:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def start(self) -> None:
-        """Start the expiry goroutine (idempotent)."""
+    def start(self, on_expire: Optional[Callable[[Lease], None]] = None) -> None:
+        """Start the expiry goroutine (idempotent); ``on_expire(lease)``
+        runs on it after each expiry.
+
+        The callback lives on the goroutine, not on the lessor: it is
+        usually a method of the lessor's owner, and storing it here would
+        tie owner and lessor into a reference cycle.
+        """
         if self._running:
             return
         self._running = True
 
         def expiry_loop():
-            self._expiry_loop()
+            self._expiry_loop(on_expire)
 
         self._rt.go(expiry_loop, name="lessor.expiry")
 
-    def _expiry_loop(self) -> None:
+    def _expiry_loop(self, on_expire: Optional[Callable[[Lease], None]]) -> None:
         while True:
             index, lease, ok = self._rt.select(
                 recv(self._stop), recv(self._expired_ch)
             )
             if index == 0 or not ok:
                 return
-            self._expire(lease)
+            if self._expire(lease) and on_expire is not None:
+                on_expire(lease)
 
-    def _expire(self, lease: Lease) -> None:
+    def _expire(self, lease: Lease) -> bool:
         with self.mu:
             if lease.revoked or lease.expired:
-                return
+                return False
             lease.expired = True
             self._leases.pop(lease.id, None)
             self._handles.pop(lease.id, None)
         self._expirations.add(1)
-        if self._on_expire is not None:
-            self._on_expire(lease)
+        return True
 
     def shutdown(self) -> None:
         with self.mu:

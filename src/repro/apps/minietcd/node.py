@@ -17,7 +17,7 @@ class Node:
         self._rt = rt
         self.store = Store(rt)
         self.watch_hub = WatchHub(rt)
-        self.lessor = Lessor(rt, on_expire=self._expire_lease)
+        self.lessor = Lessor(rt)
         self.init_once = rt.once("node.init")
         self._stop = rt.make_chan(0, name="node.stop")
         self._compaction_interval = compaction_interval
@@ -34,7 +34,7 @@ class Node:
 
     def _start_loops(self) -> None:
         self._started = True
-        self.lessor.start()
+        self.lessor.start(on_expire=self._expire_lease)
 
         def compaction_loop():
             self._compaction_loop()

@@ -71,20 +71,17 @@ class Client:
                    backoff: Optional[Backoff]) -> Any:
         """Retry ``fn`` on ``transient`` codes, redialing + backing off."""
         policy = backoff if backoff is not None else Backoff(self._rt, name=name)
-        last: Optional[RpcError] = None
         for attempt in range(attempts):
             try:
                 return fn()
             except RpcError as exc:
-                if exc.code not in transient:
+                # Re-raised from inside the handler: kept in a local past
+                # it, the error would hold its own traceback's frames.
+                if exc.code not in transient or attempt == attempts - 1:
                     raise
-                last = exc
-                if attempt == attempts - 1:
-                    break
                 self.redial()
                 policy.sleep()
-        assert last is not None
-        raise last
+        raise AssertionError("_retry_rpc needs at least one attempt")
 
     def call_with_retry(self, method: str, payload: Any = None,
                         timeout: Optional[float] = None, attempts: int = 4,

@@ -102,6 +102,8 @@ class ApiServer:
         return evicted
 
     def create_pod(self, pod: Pod) -> None:
+        if pod.uid is None:
+            pod.uid = f"pod-{self._rt.fresh_id('pod'):04d}"
         self.mu.lock()
         try:
             self._pods[pod.uid] = pod

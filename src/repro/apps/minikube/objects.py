@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional
 
 
@@ -14,10 +13,11 @@ class PodPhase:
 
 
 class Pod:
-    _ids = itertools.count(1)
-
     def __init__(self, name: str, owner: Optional[str] = None, cpu: int = 1):
-        self.uid = f"pod-{next(Pod._ids):04d}"
+        #: Assigned by :meth:`ApiServer.create_pod` from a per-run counter:
+        #: a process-global one made ``sorted(..., key=uid)`` depend on how
+        #: many pods earlier runs made (``"pod-10000" < "pod-9999"``).
+        self.uid: Optional[str] = None
         self.name = name
         self.owner = owner          # replica set name
         self.cpu = cpu

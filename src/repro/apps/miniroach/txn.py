@@ -83,7 +83,6 @@ class TxnCoordinator:
         """
         policy = Backoff(self._rt, base=self.backoff,
                          name=f"txn.retry.{self.id}")
-        last_error: Optional[Exception] = None
         for attempt in range(self.max_retries):
             txn = Transaction(self._rt, self.store)
             try:
@@ -91,12 +90,16 @@ class TxnCoordinator:
                 txn.commit()
                 self.commits.add(1)
                 return result
-            except WriteConflict as exc:
+            except WriteConflict:
                 txn.abort()
                 self.aborts.add(1)
                 self.retries.add(1)
-                last_error = exc
+                # The last conflict is re-raised from inside its handler:
+                # kept in a local past it, it would hold its own
+                # traceback's frames, a reference cycle.
                 if ctx is not None and ctx.err() is not None:
-                    break
+                    raise
                 policy.sleep()
-        raise last_error  # type: ignore[misc]
+                if attempt == self.max_retries - 1:
+                    raise
+        raise AssertionError("run needs at least one retry")

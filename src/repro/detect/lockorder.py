@@ -17,7 +17,7 @@ the inversion on every schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..runtime.trace import EventKind, TraceEvent
 
@@ -109,32 +109,42 @@ class LockOrderDetector:
     def analyze(self) -> List[LockOrderViolation]:
         """Find elementary cycles in the order graph (small graphs: DFS)."""
         self._finalized = True
-        self.violations = []
-        graph: Dict[int, Set[int]] = {}
-        for a, b in self.edges:
-            graph.setdefault(a, set()).add(b)
-
-        seen_cycles: Set[FrozenSet[int]] = set()
-
-        def dfs(start: int, node: int, path: List[int]) -> None:
-            for nxt in sorted(graph.get(node, ())):
-                if nxt == start and len(path) > 1:
-                    key = frozenset(path)
-                    if key not in seen_cycles:
-                        seen_cycles.add(key)
-                        witnesses = []
-                        cycle = tuple(path)
-                        for i, a in enumerate(cycle):
-                            b = cycle[(i + 1) % len(cycle)]
-                            witnesses.append(self.edges[(a, b)])
-                        self.violations.append(
-                            LockOrderViolation(cycle, tuple(witnesses))
-                        )
-                elif nxt not in path and nxt > start:
-                    # Only explore nodes above `start` so each cycle is
-                    # found once, from its smallest node.
-                    dfs(start, nxt, path + [nxt])
-
-        for start in sorted(graph):
-            dfs(start, start, [start])
+        self.violations = [
+            LockOrderViolation(cycle, tuple(
+                self.edges[(a, cycle[(i + 1) % len(cycle)])]
+                for i, a in enumerate(cycle)))
+            for cycle in elementary_cycles(self.edges)
+        ]
         return self.violations
+
+
+def elementary_cycles(pairs: Iterable[Tuple[int, int]]
+                      ) -> List[Tuple[int, ...]]:
+    """Every elementary cycle of the directed graph with edges ``pairs``,
+    once per node set, each listed from its smallest node, in DFS order
+    (successors ascending)."""
+    graph: Dict[int, Set[int]] = {}
+    for a, b in pairs:
+        graph.setdefault(a, set()).add(b)
+    cycles: List[Tuple[int, ...]] = []
+    seen: Set[FrozenSet[int]] = set()
+    for start in sorted(graph):
+        _collect_cycles(graph, start, start, [start], seen, cycles)
+    return cycles
+
+
+def _collect_cycles(graph: Dict[int, Set[int]], start: int, node: int,
+                    path: List[int], seen: Set[FrozenSet[int]],
+                    out: List[Tuple[int, ...]]) -> None:
+    # Module-level recursion: a self-recursive closure would be a
+    # function <-> cell reference cycle on every call.
+    for nxt in sorted(graph.get(node, ())):
+        if nxt == start and len(path) > 1:
+            key = frozenset(path)
+            if key not in seen:
+                seen.add(key)
+                out.append(tuple(path))
+        elif nxt not in path and nxt > start:
+            # Only explore nodes above `start` so each cycle is found
+            # once, from its smallest node.
+            _collect_cycles(graph, start, nxt, path + [nxt], seen, out)

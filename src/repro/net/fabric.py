@@ -331,6 +331,15 @@ class Network:
     def lookup(self, addr: str) -> Optional["Listener"]:
         return self._listeners.get(addr)
 
+    def _teardown(self) -> None:
+        """End-of-run teardown: nodes and listeners point back at this
+        fabric, so drop the tables that point at them, and each node's
+        restart hook (it usually points back at the node's owner)."""
+        for node in self.nodes.values():
+            node.on_restart = None
+        self.nodes.clear()
+        self._listeners.clear()
+
     # ------------------------------------------------------------------
     # Message log
     # ------------------------------------------------------------------

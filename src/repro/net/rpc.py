@@ -242,18 +242,17 @@ class RpcClient:
         """Unary call retried on retryable statuses with seeded backoff."""
         policy = backoff if backoff is not None else Backoff(
             self._rt, name=f"{self.name}.{method}")
-        last: Optional[RpcError] = None
         for attempt in range(attempts):
             try:
                 return self.call(method, payload, timeout=timeout)
             except RpcError as err:
-                if not err.retryable:
+                # The last failure is re-raised from inside its handler:
+                # kept in a local past it, it would hold its own
+                # traceback's frames, a reference cycle.
+                if not err.retryable or attempt + 1 == attempts:
                     raise
-                last = err
-                if attempt + 1 < attempts:
-                    policy.sleep()
-        assert last is not None
-        raise last
+                policy.sleep()
+        raise AssertionError("call_with_retry needs at least one attempt")
 
     def stream(self, method: str, payload: Any = None, buffer: int = 16,
                timeout: Optional[float] = None) -> Iterator[Any]:
@@ -331,13 +330,11 @@ def connect_with_retry(node: "Node", addr: str, name: str = "rpc",
     the redial loop every resilient client in the mini-apps uses."""
     policy = backoff if backoff is not None else Backoff(
         node._rt, name=f"{name}.dial")
-    last: Optional[NetError] = None
     for attempt in range(attempts):
         try:
             return RpcClient(node, addr, name=name)
-        except NetError as err:
-            last = err
-            if attempt + 1 < attempts:
-                policy.sleep()
-    assert last is not None
-    raise last
+        except NetError:
+            if attempt + 1 == attempts:
+                raise
+            policy.sleep()
+    raise AssertionError("connect_with_retry needs at least one attempt")

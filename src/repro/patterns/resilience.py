@@ -67,19 +67,18 @@ def retry(rt, fn: Callable[[], Any], attempts: int = 5,
     if attempts < 1:
         raise ValueError("retry needs at least one attempt")
     policy = backoff if backoff is not None else Backoff(rt, name=name)
-    last: Optional[BaseException] = None
     for attempt in range(attempts):
         try:
             return fn()
-        except retry_on as exc:
-            last = exc
+        except retry_on:
+            # Re-raised from inside the handler: an error kept in a local
+            # past it would hold its own traceback's frames (a cycle).
             if attempt == attempts - 1:
-                break
+                raise
             if ctx is not None and ctx.err() is not None:
-                break
+                raise
             policy.sleep()
-    assert last is not None
-    raise last
+    raise AssertionError("unreachable: the last attempt re-raises")
 
 
 class CircuitOpen(SimulatorError):

@@ -12,9 +12,9 @@ but can never interleave into a deadlock; the gate rejects it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Tuple
 
-from ..detect.lockorder import LockOrderViolation
+from ..detect.lockorder import LockOrderViolation, elementary_cycles
 from ..runtime.trace import EventKind
 from .hb import EXCLUSIVE, Stamp
 from .model import SyncTrace
@@ -54,28 +54,11 @@ def predict_lock_cycles(trace: SyncTrace, stamps: List[Stamp]
             edges.setdefault(key, []).append(
                 _Edge(e.gid, lock, int(e.obj), stamp))  # type: ignore
 
-    graph: Dict[int, Set[int]] = {}
-    for a, b in edges:
-        graph.setdefault(a, set()).add(b)
-
     violations: List[LockOrderViolation] = []
-    seen: Set[FrozenSet[int]] = set()
-
-    def dfs(start: int, node: int, path: List[int]) -> None:
-        for nxt in sorted(graph.get(node, ())):
-            if nxt == start and len(path) > 1:
-                key = frozenset(path)
-                if key not in seen:
-                    seen.add(key)
-                    witnesses = _feasible_witnesses(tuple(path), edges)
-                    if witnesses is not None:
-                        violations.append(
-                            LockOrderViolation(tuple(path), witnesses))
-            elif nxt not in path and nxt > start:
-                dfs(start, nxt, path + [nxt])
-
-    for start in sorted(graph):
-        dfs(start, start, [start])
+    for cycle in elementary_cycles(edges):
+        witnesses = _feasible_witnesses(cycle, edges)
+        if witnesses is not None:
+            violations.append(LockOrderViolation(cycle, witnesses))
     return violations
 
 

@@ -364,8 +364,7 @@ static PyObject *st_running = NULL, *st_runnable = NULL, *st_done = NULL,
 static PyObject *s_runnable_attr = NULL, *s_rng = NULL, *s_stop_mode = NULL,
                 *s_panicked_attr = NULL, *s_budget = NULL, *s_budget_used = NULL,
                 *s_steps = NULL, *s_time_limit = NULL, *s_clock = NULL,
-                *s_now = NULL, *s_current = NULL, *s_resume = NULL,
-                *s_state = NULL, *s_ended_at = NULL;
+                *s_now = NULL, *s_current = NULL;
 
 static PyObject *v_stopped = NULL, *v_timeout = NULL, *v_steps = NULL,
                 *v_idle = NULL;
@@ -598,103 +597,58 @@ hl_drive(PyObject *module, PyObject *sched)
             PyObject *g = PyList_GET_ITEM(runnable, idx);
             Py_INCREF(g);
 
-            if (Py_TYPE(g) == tk_go_type && switch_meth != NULL) {
-                /* Fast path: slot writes + a direct continuation switch
-                 * (this is resume() with the Python frames scraped off). */
-                slot_set(g, off_state, st_running);
-                if (PyObject_SetAttr(sched, s_current, g) < 0) {
-                    Py_DECREF(g);
-                    failed = 1;
-                    break;
-                }
-                PyObject *tk = slot_get(g, off_tk);
-                if (tk == NULL || tk == Py_None) {
-                    Py_DECREF(g);
-                    PyErr_SetString(PyExc_RuntimeError,
-                                    "tasklet goroutine has no continuation");
-                    failed = 1;
-                    break;
-                }
-                PyObject *sargs[1] = {tk};
-                PyObject *r = PyObject_Vectorcall(switch_meth, sargs, 1, NULL);
-                if (r == NULL) {
-                    Py_DECREF(g);
-                    failed = 1;
-                    break;
-                }
-                Py_DECREF(r);
-                PyObject *st = slot_get(g, off_state);
-                if (st == st_running) {
-                    slot_set(g, off_state, st_runnable);
-                }
-                else if (st != NULL && state_is_terminal(st)) {
-                    runnable_remove(runnable, g);
-                    slot_set(g, off_ended_at, now_obj);
-                    if (st == st_panicked && panicked == Py_None) {
-                        if (PyObject_SetAttr(sched, s_panicked_attr, g) < 0) {
-                            Py_DECREF(g);
-                            failed = 1;
-                            break;
-                        }
-                        Py_INCREF(g);
-                        Py_SETREF(panicked, g);
-                    }
-                }
-                /* BLOCKED: block() already dequeued it before yielding. */
+            if (Py_TYPE(g) != tk_go_type || switch_meth == NULL) {
+                /* drive() runs only on the tasklet vehicle, where every
+                 * goroutine is a TaskletGoroutine and Tasklet.switch is
+                 * bound; anything else is a scheduler bug. */
+                Py_DECREF(g);
+                PyErr_SetString(PyExc_RuntimeError,
+                                "drive() needs tasklet goroutines");
+                failed = 1;
+                break;
             }
-            else {
-                /* Generic path (thread-compat hosts, greenlet or generator
-                 * vehicles in a centralized run): call resume() and do the
-                 * after-resume bookkeeping through ordinary attributes. */
-                if (PyObject_SetAttr(sched, s_current, g) < 0) {
-                    Py_DECREF(g);
-                    failed = 1;
-                    break;
-                }
-                PyObject *rargs[1] = {g};
-                PyObject *r = PyObject_VectorcallMethod(s_resume, rargs, 1,
-                                                        NULL);
-                if (r == NULL) {
-                    Py_DECREF(g);
-                    failed = 1;
-                    break;
-                }
-                Py_DECREF(r);
-                PyObject *st = PyObject_GetAttr(g, s_state);
-                if (st == NULL) {
-                    Py_DECREF(g);
-                    failed = 1;
-                    break;
-                }
-                if (st == st_running) {
-                    if (PyObject_SetAttr(g, s_state, st_runnable) < 0) {
-                        Py_DECREF(st);
+            /* Fast path: slot writes + a direct continuation switch
+             * (this is resume() with the Python frames scraped off). */
+            slot_set(g, off_state, st_running);
+            if (PyObject_SetAttr(sched, s_current, g) < 0) {
+                Py_DECREF(g);
+                failed = 1;
+                break;
+            }
+            PyObject *tk = slot_get(g, off_tk);
+            if (tk == NULL || tk == Py_None) {
+                Py_DECREF(g);
+                PyErr_SetString(PyExc_RuntimeError,
+                                "tasklet goroutine has no continuation");
+                failed = 1;
+                break;
+            }
+            PyObject *sargs[1] = {tk};
+            PyObject *r = PyObject_Vectorcall(switch_meth, sargs, 1, NULL);
+            if (r == NULL) {
+                Py_DECREF(g);
+                failed = 1;
+                break;
+            }
+            Py_DECREF(r);
+            PyObject *st = slot_get(g, off_state);
+            if (st == st_running) {
+                slot_set(g, off_state, st_runnable);
+            }
+            else if (st != NULL && state_is_terminal(st)) {
+                runnable_remove(runnable, g);
+                slot_set(g, off_ended_at, now_obj);
+                if (st == st_panicked && panicked == Py_None) {
+                    if (PyObject_SetAttr(sched, s_panicked_attr, g) < 0) {
                         Py_DECREF(g);
                         failed = 1;
                         break;
                     }
+                    Py_INCREF(g);
+                    Py_SETREF(panicked, g);
                 }
-                else if (state_is_terminal(st)) {
-                    runnable_remove(runnable, g);
-                    if (PyObject_SetAttr(g, s_ended_at, now_obj) < 0) {
-                        Py_DECREF(st);
-                        Py_DECREF(g);
-                        failed = 1;
-                        break;
-                    }
-                    if (st == st_panicked && panicked == Py_None) {
-                        if (PyObject_SetAttr(sched, s_panicked_attr, g) < 0) {
-                            Py_DECREF(st);
-                            Py_DECREF(g);
-                            failed = 1;
-                            break;
-                        }
-                        Py_INCREF(g);
-                        Py_SETREF(panicked, g);
-                    }
-                }
-                Py_DECREF(st);
             }
+            /* BLOCKED: block() already dequeued it before yielding. */
             Py_DECREF(g);
         }
     }
@@ -2555,9 +2509,6 @@ PyInit__hotloop(void)
     INTERN(s_clock, "clock");
     INTERN(s_now, "now");
     INTERN(s_current, "_current");
-    INTERN(s_resume, "resume");
-    INTERN(s_state, "state");
-    INTERN(s_ended_at, "ended_at");
     INTERN(v_stopped, "stopped");
     INTERN(v_timeout, "timeout");
     INTERN(v_steps, "steps");

@@ -16,7 +16,13 @@ from typing import Callable, List, Tuple
 
 
 class TimerHandle:
-    """A cancellable entry in the virtual-clock timer heap."""
+    """A cancellable entry in the virtual-clock timer heap.
+
+    A handle drops its callback once it is cancelled or has fired: the
+    callback is usually a bound method of the object that holds the handle
+    (a ``Timer``, ``Ticker`` or timeout context), and keeping it would tie
+    the two into a reference cycle.
+    """
 
     __slots__ = ("deadline", "callback", "cancelled", "seq")
 
@@ -31,6 +37,7 @@ class TimerHandle:
         if self.cancelled:
             return False
         self.cancelled = True
+        self.callback = None
         return True
 
 
@@ -81,6 +88,13 @@ class VirtualClock:
         """Advance the clock by ``delta`` and pop every timer now due."""
         self.now += max(delta, 0.0)
         return self._pop_due()
+
+    def clear(self) -> None:
+        """Drop every pending timer and its callback (end-of-run teardown)."""
+        for _, _, handle in self._heap:
+            handle.cancelled = True
+            handle.callback = None
+        self._heap.clear()
 
     def _pop_due(self) -> List[TimerHandle]:
         due: List[TimerHandle] = []

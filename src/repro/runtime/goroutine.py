@@ -41,7 +41,7 @@ import traceback
 import warnings
 from typing import Any, Callable, Optional, Tuple
 
-from .errors import GoPanic, Killed
+from .errors import Killed
 
 #: How long :meth:`Goroutine.kill` waits for a host thread to unwind before
 #: declaring it stuck.  A thread can outlive this when user code swallows
@@ -73,6 +73,18 @@ def tasklet_module() -> Any:
 def has_tasklet() -> bool:
     """True when the in-tree tasklet continuation vehicle is usable."""
     return tasklet_module() is not None
+
+
+def _drop_tracebacks(exc: Optional[BaseException]) -> None:
+    """Clear the traceback of ``exc`` and of every exception chained to it."""
+    stack, seen = [exc], set()
+    while stack:
+        exc = stack.pop()
+        if exc is None or id(exc) in seen:
+            continue
+        seen.add(id(exc))
+        exc.__traceback__ = None
+        stack += (exc.__cause__, exc.__context__)
 
 
 class GState:
@@ -243,9 +255,12 @@ class Goroutine:
         if self._killed:
             raise Killed()
         if self.pending_error is not None:
-            error = self.pending_error
-            self.pending_error = None
-            raise error
+            try:
+                raise self.pending_error
+            finally:
+                # Not kept in a local: the frame, on the raised error's
+                # traceback, would hold the error (a reference cycle).
+                self.pending_error = None
 
     # ------------------------------------------------------------------
 
@@ -258,14 +273,26 @@ class Goroutine:
             self.state = GState.DONE
         except Killed:
             self.state = GState.KILLED
-        except GoPanic as exc:
+        except BaseException as exc:  # GoPanic, or a host-level bug in user code
             self.state = GState.PANICKED
             self.panic_value = exc
             self.panic_traceback = traceback.format_exc()
-        except BaseException as exc:  # host-level bug in user code
-            self.state = GState.PANICKED
-            self.panic_value = exc
-            self.panic_traceback = traceback.format_exc()
+            # The text is all a report needs; the live traceback's frames
+            # would keep this goroutine's locals (and the scheduler) alive.
+            _drop_tracebacks(exc)
+
+    def release(self) -> None:
+        """Drop the edges back into the finished run (end-of-run teardown).
+
+        What a report reads stays: gid, name, state, block reason, result,
+        the panic and its formatted traceback, ``describe()``.
+        """
+        self.fn = None
+        self.args = ()
+        self.mailbox = None
+        self.pending_error = None
+        self._sched = None
+        self._thread = None
 
     def _run(self) -> None:
         # Park until the scheduler first hands us the token.
@@ -354,6 +381,11 @@ class TaskletGoroutine(Goroutine):
             # ``_execute`` never classified the exit.
             self.state = GState.KILLED
 
+    def release(self) -> None:
+        super().release()
+        self._tk = None
+        self._hub = None
+
     def on_current_host(self) -> bool:
         return (self._tk is not None
                 and tasklet_module().current() is self._tk)
@@ -365,6 +397,7 @@ class TaskletGoroutine(Goroutine):
         if self._killed:
             raise Killed()
         if self.pending_error is not None:
-            error = self.pending_error
-            self.pending_error = None
-            raise error
+            try:
+                raise self.pending_error
+            finally:
+                self.pending_error = None

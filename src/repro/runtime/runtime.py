@@ -97,6 +97,17 @@ class Runtime:
         self._fresh_ids[kind] = nxt
         return nxt
 
+    def _teardown(self) -> None:
+        """End-of-run teardown: drop the registries (every primitive in them
+        points back here) and the scheduler's back edges."""
+        for net in self._networks:
+            net._teardown()
+        self._shared_vars.clear()
+        self._channels.clear()
+        self._cancel_contexts.clear()
+        self._networks.clear()
+        self.sched.teardown()
+
     # ------------------------------------------------------------------
     # Goroutines
     # ------------------------------------------------------------------
@@ -339,10 +350,10 @@ class Runtime:
 
     def pipe(self):
         """An in-memory synchronous pipe, like ``io.Pipe()``."""
-        from ..stdlib.iopipe import Pipe
+        from ..stdlib.iopipe import Pipe, PipeReader, PipeWriter
 
         p = Pipe(self)
-        return p.reader, p.writer
+        return PipeReader(p), PipeWriter(p)
 
     # ------------------------------------------------------------------
     # Simulated network (repro.net)
@@ -663,6 +674,7 @@ def run(
         finish = getattr(obs, "finish", None)
         if finish is not None:
             finish(result)
+    rt._teardown()
     return result
 
 

@@ -534,7 +534,8 @@ class Scheduler:
         for handle in fired:
             if trace.active:
                 self.emit(EventKind.TIMER_FIRE, gid=0)
-            handle.callback()
+            callback, handle.callback = handle.callback, None
+            callback()
 
     def _advance(self) -> Optional[Goroutine]:
         """One scheduler-loop decision, in scheduler context on whichever
@@ -710,6 +711,30 @@ class Scheduler:
                     g.kill(join_timeout=max(remaining, 0.05))
         finally:
             self._teardown_g = None
+
+    def teardown(self) -> None:
+        """Cut the back edges that tie a finished run into reference cycles.
+
+        Runs after :meth:`kill_all` and after the observers' ``finish``.
+        Goroutines drop their scheduler, body and vehicle handles; the
+        scheduler drops its runnable list, hooks, trace listeners and
+        pending timers.  The run is then freed by reference counting as
+        soon as its :class:`RunResult` goes, instead of surviving as
+        cyclic garbage that every later collection re-scans.  A goroutine
+        whose host is stuck keeps its edges: that host may still re-enter
+        the runtime.
+        """
+        for g in self.goroutines:
+            if not g.stuck_host_thread:
+                g.release()
+        self._runnable.clear()
+        self._current = None
+        self._hub = None
+        self.injector = None
+        self.on_step = None
+        self.annotate_pick = None
+        self.trace.unsubscribe_all()
+        self.clock.clear()
 
     def check_step_limit(self) -> None:
         if self._steps > self.max_steps:

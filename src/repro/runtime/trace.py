@@ -140,6 +140,15 @@ class Trace:
         self._listeners.append(listener)
         self.active = True
 
+    def unsubscribe_all(self) -> None:
+        """Drop every listener (end-of-run teardown); kept events stay.
+
+        A listener is usually a bound method of a detector that may hold
+        the runtime, which holds this trace: a reference cycle.
+        """
+        self._listeners.clear()
+        self.active = self._keep_events
+
     def emit(self, event: TraceEvent) -> None:
         if self._keep_events:
             self._events.append(event)

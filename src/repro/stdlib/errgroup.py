@@ -42,7 +42,9 @@ class Group:
             try:
                 err = fn()
             except Exception as exc:  # a raise is an error return
-                err = exc
+                # An error value, as in Go: its traceback's frames would
+                # tie this group to the error in a reference cycle.
+                err = exc.with_traceback(None)
             if err is not None:
                 self._record(err)
             self._wg.done()

@@ -25,7 +25,11 @@ class EOF(Exception):
 
 
 class Pipe:
-    """The shared pipe state; users hold :class:`PipeReader`/:class:`PipeWriter`."""
+    """The shared pipe state; users hold :class:`PipeReader`/:class:`PipeWriter`.
+
+    The ends point at the pipe and the pipe does not point back, so a
+    finished run's pipes are freed by reference counting.
+    """
 
     def __init__(self, rt: "Runtime"):
         self._rt = rt
@@ -33,8 +37,23 @@ class Pipe:
         self._done = rt.make_chan(0, name="pipe.done")
         self._err: Optional[Exception] = None
         self._write_closed = False
-        self.reader = PipeReader(self)
-        self.writer = PipeWriter(self)
+
+    def _raised(self, default: str) -> Exception:
+        """A fresh copy of the pipe's error (``PipeError(default)`` when
+        there is none), for one raise.
+
+        Go hands back the same error value on every call.  Raising one
+        stored instance again and again would chain each raise's traceback
+        onto it, and those frames hold this pipe: a reference cycle through
+        the pipe and the error.  A copy per raise keeps the type, arguments
+        and attributes and avoids both.
+        """
+        err = self._err
+        if err is None:
+            return PipeError(default)
+        fresh = type(err).__new__(type(err), *err.args)
+        fresh.__dict__.update(err.__dict__)
+        return fresh
 
     def _close(self, err: Optional[Exception]) -> None:
         if self._err is None:
@@ -58,13 +77,13 @@ class PipeWriter:
         if pipe._write_closed:
             raise PipeError("io: write on closed pipe")
         if pipe._err is not None:
-            raise pipe._err
+            raise pipe._raised("io: read/write on closed pipe")
         index, _value, _ok = pipe._rt.select(
             send(pipe._data, data),
             recv(pipe._done),
         )
         if index == 1:
-            raise pipe._err or PipeError("io: write on closed pipe")
+            raise pipe._raised("io: write on closed pipe")
         return len(data) if hasattr(data, "__len__") else 1
 
     def close(self) -> None:
@@ -98,13 +117,13 @@ class PipeReader:
         """
         pipe = self._pipe
         if pipe._err is not None:
-            raise pipe._err
+            raise pipe._raised("io: read/write on closed pipe")
         index, value, ok = pipe._rt.select(
             recv(pipe._data),
             recv(pipe._done),
         )
         if index == 1:
-            raise pipe._err or PipeError("io: read on closed pipe")
+            raise pipe._raised("io: read on closed pipe")
         if not ok:
             raise EOF("EOF")
         return value

@@ -167,3 +167,27 @@ def test_stats_and_close():
             return txs, commits, "closed"
 
     assert run(main).main_result == (2, 1, "closed")
+
+
+def test_tx_ids_repeat_within_one_process():
+    # Tx ids come from the run, not from a process-global counter.
+    def main(rt):
+        db = DB(rt)
+        ids = []
+
+        def writer(tx):
+            ids.append(tx.id)
+            tx.put("k", len(ids))
+
+        db.update(writer)
+        db.view(lambda tx: ids.append(tx.id))
+        tx = db.begin(writable=True)
+        tx.commit()
+        try:
+            tx.put("late", 1)
+        except TxClosed as exc:
+            return ids, str(exc)
+
+    first = run(main, seed=1).main_result
+    assert run(main, seed=1).main_result == first
+    assert first == ([1, 2], "tx 3 already finished")

@@ -186,3 +186,33 @@ def test_full_control_plane_schedules_replicaset():
         count, spread = run(main, seed=seed).main_result
         assert count == 5, seed
         assert spread >= 2, "pods should spread across nodes"
+
+
+def _scale_down_survivors(rt):
+    api = ApiServer(rt)
+    controller = ReplicaSetController(rt, api)
+    controller.start()
+    api.apply_replicaset(ReplicaSet("web", replicas=4))
+    rt.sleep(2.0)
+    api.apply_replicaset(ReplicaSet("web", replicas=1))
+    rt.sleep(2.0)
+    survivors = [(p.uid, p.name) for p in api.pods(owner="web")]
+    controller.stop()
+    api.close_watchers()
+    rt.sleep(0.5)
+    return survivors
+
+
+def test_pod_uids_repeat_within_one_process():
+    # Scale-down deletes the pods with the highest uids.  Drawn from a
+    # process-global counter, uids depended on the pods earlier runs made:
+    # past "pod-9999", "pod-10000" sorted first and a different pod died.
+    def trace():
+        result = run(_scale_down_survivors, seed=3)
+        return result.main_result, [repr(e) for e in result.trace.events]
+
+    first = trace()
+    for i in range(10_000):
+        Pod(f"unrelated-{i}")
+    assert trace() == first
+    assert first[0] == [("pod-0001", "web-0")]
