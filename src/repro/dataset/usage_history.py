@@ -44,12 +44,15 @@ def shared_memory_series(app: App) -> List[float]:
     """Figure 2's series for one app: shared-memory proportion per month."""
     final = SHARED_MEMORY_PROPORTION[app]
     start = final + _START_OFFSET[app]
+    # The wobble's phase comes from the app's declaration order, never from
+    # ``hash()``: string hashes are salted per process.
+    phase = list(App).index(app)
     n = len(SNAPSHOTS)
     series = []
     for i in range(n):
         t = i / (n - 1)
         level = start + (final - start) * t
-        wobble = 0.018 * math.sin(2.1 * i + hash(app.value) % 7) * (1 - t * 0.5)
+        wobble = 0.018 * math.sin(2.1 * i + phase) * (1 - t * 0.5)
         series.append(round(min(max(level + wobble, 0.0), 1.0), 4))
     return series
 

@@ -1,7 +1,7 @@
 """Vector clocks for happens-before reasoning.
 
 The implementation lives in :mod:`repro.runtime._hotloop` (array-backed,
-shared with the predictive engine's :class:`repro.predict.hb.HBEngine`);
+used by the happens-before engine :class:`repro.detect.hb.HBEngine`);
 this module keeps the historical import location for the detectors.  Epoch
 pairs ``(gid, count)`` give FastTrack-style O(1) ordered-with-current
 checks.

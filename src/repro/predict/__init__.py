@@ -31,9 +31,9 @@ See ``docs/PREDICT.md`` for the trace model, the happens-before
 relaxation rules, and the soundness caveats.
 """
 
+from ..detect.hb import HBEngine, Stamp, strict_stamps, weak_stamps
 from .confirm import ConfirmOutcome, confirm_predictions, predicate_for
 from .engine import as_sync_trace, observed_predictions, predict, predict_kernel
-from .hb import HBEngine, Stamp, strict_stamps, weak_stamps
 from .lockorder import predict_lock_cycles
 from .model import BlockedGoroutine, SyncEvent, SyncTrace
 from .race import predict_races

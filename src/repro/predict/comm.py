@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..detect.hb import Stamp
 from ..runtime.trace import EventKind
-from .hb import Stamp
 from .model import SyncEvent, SyncTrace
 from .report import Prediction
 

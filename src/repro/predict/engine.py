@@ -20,8 +20,8 @@ from __future__ import annotations
 import time
 from typing import Any, List, Optional, Tuple, Union
 
+from ..detect.hb import weak_stamps
 from .comm import predict_comm
-from .hb import weak_stamps
 from .lockorder import predict_lock_cycles
 from .model import SyncTrace
 from .race import predict_races

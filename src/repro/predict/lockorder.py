@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..detect.hb import EXCLUSIVE, Stamp
 from ..detect.lockorder import LockOrderViolation, elementary_cycles
 from ..runtime.trace import EventKind
-from .hb import EXCLUSIVE, Stamp
 from .model import SyncTrace
 
 _REQUEST = (EventKind.MU_REQUEST, EventKind.RW_REQUEST)

@@ -12,7 +12,7 @@ Two accesses are reported when they
   goroutines, at least one writing,
 * are unordered by the weak happens-before closure (fork, channel,
   WaitGroup, Once, atomic edges kept; lock and cond scheduling edges
-  dropped — see :mod:`repro.predict.hb`), and
+  dropped — see :mod:`repro.detect.hb`), and
 * hold no common lock with at least one exclusive holder (mutual
   exclusion permits either order but never overlap, so a common lock is
   the one relaxation the reordering cannot break).
@@ -28,7 +28,7 @@ from typing import Dict, List
 
 from ..detect.report import Access, RaceReport
 from ..runtime.trace import EventKind
-from .hb import Stamp
+from ..detect.hb import Stamp
 from .model import SyncTrace
 
 
@@ -37,7 +37,7 @@ def predict_races(trace: SyncTrace, stamps: List[Stamp],
     """All predicted races, at most ``max_reports_per_var`` per variable.
 
     ``stamps`` must come from the *weak* engine
-    (:func:`repro.predict.hb.weak_stamps`) over the same ``trace``.
+    (:func:`repro.detect.hb.weak_stamps`) over the same ``trace``.
     """
     by_var: Dict[int, List[Stamp]] = {}
     names: Dict[int, str] = {}

@@ -2,8 +2,8 @@
 
 Three pieces of the simulator dominate sweep profiles: the scheduler's
 per-step decision loop, the ``randrange`` draws feeding it, and the
-vector-clock joins the happens-before engines (:mod:`repro.detect.race`,
-:mod:`repro.predict.hb`) perform per trace event.  This module hosts all
+vector-clock joins the happens-before engine (:mod:`repro.detect.hb`)
+performs per trace event.  This module hosts all
 three behind one stable surface:
 
 * :data:`BatchedRandom` — the scheduling RNG.  The compiled MT19937 from

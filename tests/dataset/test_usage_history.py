@@ -1,5 +1,9 @@
 """Figure 2/3 series: stability, complementarity, Table 4 convergence."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.dataset import paper_values, usage_history
@@ -53,3 +57,25 @@ def test_etcd_has_highest_message_passing_share():
         app: usage_history.message_passing_series(app)[-1] for app in App
     }
     assert max(finals, key=finals.get) == App.ETCD
+
+
+_SERIES_SCRIPT = """
+import json
+from repro.dataset import usage_history
+print(json.dumps({app.value: data
+                  for app, data in usage_history.all_series().items()}))
+"""
+
+
+def _series_under_hash_seed(seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _SERIES_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    return proc.stdout
+
+
+def test_series_do_not_depend_on_the_hash_seed():
+    """Figures 2/3 are reproducible across processes: no salted hash()."""
+    assert _series_under_hash_seed(1) == _series_under_hash_seed(2)

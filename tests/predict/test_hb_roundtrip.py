@@ -5,8 +5,12 @@ exports, so the export must carry *every* happens-before-relevant fact.
 The pin: replaying the JSON through :class:`repro.predict.HBEngine` in
 strict mode must land clock-for-clock on the live
 :class:`repro.detect.RaceDetector`'s final vector clocks — over the whole
-corpus, buggy and fixed, not a curated subset.
+corpus, buggy and fixed, not a curated subset.  A second pin compares
+the per-access clocks the shadow check reads: the unlimited-history
+detector must report exactly the races the strict stamps order.
 """
+
+from dataclasses import astuple
 
 import pytest
 
@@ -14,7 +18,7 @@ from repro import run
 from repro.bugs import registry
 from repro.detect import RaceDetector
 from repro.observe import sync_events_json
-from repro.predict import HBEngine, SyncTrace
+from repro.predict import HBEngine, SyncTrace, predict_races, strict_stamps
 
 KERNELS = [k.meta.kernel_id for k in registry.all_kernels()]
 
@@ -37,6 +41,25 @@ def test_strict_closure_matches_live_detector(kernel_id):
         for gid, clock in live.items():
             assert offline.get(gid) == clock, (
                 f"{kernel_id}: clock for g{gid} diverged after round-trip")
+
+
+def _race_keys(reports):
+    return sorted((r.var_id, r.var_name, astuple(r.first), astuple(r.second))
+                  for r in reports)
+
+
+@pytest.mark.parametrize("kernel_id", KERNELS)
+def test_unlimited_detector_matches_strict_stamps(kernel_id):
+    kernel = registry.get(kernel_id)
+    for program in (kernel.buggy, kernel.fixed):
+        for seed in range(5):
+            det = RaceDetector(shadow_words=None)
+            result = run(program, seed=seed, observers=[det],
+                         **dict(kernel.run_kwargs))
+            trace = SyncTrace.from_result(result)
+            offline = predict_races(trace, strict_stamps(trace))
+            assert _race_keys(det.reports) == _race_keys(offline), (
+                f"{kernel_id} seed {seed}: live and strict-stamp races differ")
 
 
 def test_json_is_stable_across_identical_runs():

@@ -160,7 +160,7 @@ def test_hot_loop_disabled_by_observers_without_changing_results():
 
 
 # ---------------------------------------------------------------------------
-# Array-backed vector clocks (shared by detect.race and predict.hb)
+# Array-backed vector clocks (used by the detect.hb engine)
 # ---------------------------------------------------------------------------
 
 
