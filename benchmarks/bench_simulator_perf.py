@@ -8,7 +8,7 @@ both without gating the build.
 """
 
 from repro import run
-from repro.bench import CHANNEL_WORKLOADS, WORKLOADS
+from repro.bench import WORKLOADS
 from repro.chan import recv, send
 
 
@@ -96,29 +96,6 @@ def test_perf_fastpath_pingpong(benchmark):
 def test_perf_fastpath_mutex(benchmark):
     program = WORKLOADS["mutex"]
     result = benchmark(lambda: run(program, seed=1, keep_trace=False))
-    assert result.status == "ok"
-
-
-def test_perf_fastpath_channel_heavy(benchmark):
-    """The compiled channel/select/sync fast ops on the heavy rendezvous
-    cell — the pytest twin of the schema-4 ``channel_fastpath`` numbers."""
-    program = CHANNEL_WORKLOADS["pingpong_heavy"]
-    result = benchmark(lambda: run(program, seed=1, keep_trace=False))
-    assert result.status == "ok"
-
-
-def test_perf_purepath_channel_heavy(benchmark):
-    """The same cell with every compiled path disabled — the denominator
-    of the ≥3x fast-op speedup target in BENCH_simulator.json."""
-    from repro.runtime._hotloop import force_pure
-
-    program = CHANNEL_WORKLOADS["pingpong_heavy"]
-
-    def pure():
-        with force_pure():
-            return run(program, seed=1, keep_trace=False)
-
-    result = benchmark(pure)
     assert result.status == "ok"
 
 

@@ -51,7 +51,10 @@ from .runtime.runtime import run
 #: fallback counts plus the fast-op engage/bail counters accumulated over
 #: the whole bench process); ``single`` cells gain ``fastops_per_run`` and
 #: ``compiled`` now reports what the run actually had loaded.
-SCHEMA = 4
+#: 5: the compiled channel/select/sync ops are gone, and with them the
+#: ``channel_fastpath`` and ``fallbacks`` sections and ``fastops_per_run``;
+#: ``compiled`` means the drive loop was available to the run.
+SCHEMA = 5
 
 
 # ----------------------------------------------------------------------
@@ -149,77 +152,6 @@ WORKLOADS: Dict[str, Callable[[Any], None]] = {
 
 
 # ----------------------------------------------------------------------
-# Channel-heavy workloads (the ``channel_fastpath`` cells)
-#
-# Long enough that per-run fixed costs (spawn, teardown) vanish and the
-# time is the primitive operations themselves — the cells the ≥3x
-# compiled-vs-pure fast-op target is measured on.
-# ----------------------------------------------------------------------
-
-
-def pingpong_heavy(rt) -> None:
-    """Unbuffered rendezvous: 1000 round trips between two goroutines."""
-    ping = rt.make_chan()
-    pong = rt.make_chan()
-
-    def echo():
-        for _ in range(1000):
-            ping.recv()
-            pong.send(None)
-
-    rt.go(echo)
-    for _ in range(1000):
-        ping.send(None)
-        pong.recv()
-
-
-def select_fanin_heavy(rt) -> None:
-    """Four feeders x 250 sends fanning into one select loop.
-
-    The case list is built once and reused — cases carry no per-select
-    state — so the loop times the select operation, not case-object
-    allocation.
-    """
-    from .chan import recv as recv_case
-
-    channels = [rt.make_chan(1) for _ in range(4)]
-
-    def feeder(ch):
-        for i in range(250):
-            ch.send(i)
-
-    for ch in channels:
-        rt.go(feeder, ch)
-    cases = [recv_case(ch) for ch in channels]
-    for _ in range(1000):
-        rt.select(*cases)
-
-
-def mutex_heavy(rt) -> None:
-    """Four workers taking one mutex 500 times each."""
-    mu = rt.mutex()
-    done = rt.waitgroup()
-
-    def worker():
-        for _ in range(500):
-            with mu:
-                pass
-        done.done()
-
-    for _ in range(4):
-        done.add(1)
-        rt.go(worker)
-    done.wait()
-
-
-CHANNEL_WORKLOADS: Dict[str, Callable[[Any], None]] = {
-    "pingpong_heavy": pingpong_heavy,
-    "select_fanin_heavy": select_fanin_heavy,
-    "mutex_heavy": mutex_heavy,
-}
-
-
-# ----------------------------------------------------------------------
 # Network workloads (repro.net; see BENCH_net.json for the baseline)
 # ----------------------------------------------------------------------
 
@@ -285,50 +217,29 @@ def bench_single(
     repeats: int = 3,
     seed: int = 1,
     backend: str = "coroutine",
-    pure: bool = False,
 ) -> Dict[str, Any]:
     """Best-of-``repeats`` timing of ``rounds`` serial runs of ``program``.
 
     Each cell records the resolved ``backend`` (what ``"coroutine"``
-    actually picked on this host), ``compiled`` — whether the run had the
-    compiled accelerators loaded — and ``fastops_per_run``, how many
-    channel/select/sync operations per run the compiled fast paths
-    actually executed (0 on traced cells: a live trace consumer makes
-    every fast op bail to the observable pure primitive).
-
-    ``pure=True`` times the same cell under
-    :class:`repro.runtime._hotloop.force_pure` — every compiled path off,
-    as under ``REPRO_NO_CEXT=1`` — which is how the ``channel_fastpath``
-    speedups are measured in one process.
+    actually picked on this host) and ``compiled`` — whether the compiled
+    drive loop was available to the run.
     """
-    from contextlib import nullcontext
-
-    from .runtime._hotloop import force_pure, get_fastops
-
-    ctx = force_pure if pure else nullcontext
-    with ctx():
-        # Warm-up: imports, code objects, site caches.
-        for _ in range(3):
-            warm = run(program, seed=seed, keep_trace=keep_trace,
-                       backend=backend)
-        fast = get_fastops()
-        if fast is not None:
-            fast.fastops_stats(True)  # reset the engage counters
-        best = float("inf")
-        steps = 0
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            total_steps = 0
-            for _ in range(rounds):
-                total_steps += run(program, seed=seed, keep_trace=keep_trace,
-                                   backend=backend).steps
-            elapsed = time.perf_counter() - t0
-            if elapsed < best:
-                best = elapsed
-                steps = total_steps
-        engaged = 0
-        if fast is not None:
-            engaged = sum(fast.fastops_stats(True)["engaged"].values())
+    # Warm-up: imports, code objects, site caches.
+    for _ in range(3):
+        warm = run(program, seed=seed, keep_trace=keep_trace,
+                   backend=backend)
+    best = float("inf")
+    steps = 0
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        total_steps = 0
+        for _ in range(rounds):
+            total_steps += run(program, seed=seed, keep_trace=keep_trace,
+                               backend=backend).steps
+        elapsed = time.perf_counter() - t0
+        if elapsed < best:
+            best = elapsed
+            steps = total_steps
     per_run = best / rounds
     return {
         "ms_per_run": round(per_run * 1e3, 4),
@@ -336,9 +247,6 @@ def bench_single(
         "steps_per_s": round(steps / best, 1),
         "backend": warm.backend,
         "compiled": bool(warm.compiled),
-        # Deterministic runs engage the same ops every time, so the
-        # integer division over all timed runs is exact.
-        "fastops_per_run": engaged // (repeats * rounds),
     }
 
 
@@ -378,66 +286,12 @@ def run_backend_comparison(repeats: int = 3, seed: int = 1) -> Dict[str, Any]:
     }
 
 
-def run_fastpath_comparison(repeats: int = 5, seed: int = 1,
-                            rounds: int = 15) -> Dict[str, Any]:
-    """The ``channel_fastpath`` section: compiled fast ops vs forced pure.
-
-    For every channel-heavy workload, fast-path steps/s with the compiled
-    channel/select/sync ops engaged next to the same cell under
-    :class:`force_pure` (every compiled path off), plus the determinism
-    witness: one traced run per mode and whether the schedule digests came
-    back byte-identical.  ``min_speedup`` is the rollup the ≥3x target is
-    checked against.
-    """
-    from .parallel.summary import schedule_digest
-    from .runtime._hotloop import force_pure
-
-    rows: Dict[str, Any] = {}
-    for name, program in CHANNEL_WORKLOADS.items():
-        # Interleave the compiled and pure samples instead of timing one
-        # side's repeats back to back: on a noisy (shared/single-core)
-        # host a slow stretch then lands on both sides of the ratio
-        # rather than silently deflating whichever side it hit.
-        compiled: Dict[str, Any] = {}
-        pure: Dict[str, Any] = {}
-        for _ in range(repeats):
-            c = bench_single(program, keep_trace=False, rounds=rounds,
-                             repeats=1, seed=seed)
-            p = bench_single(program, keep_trace=False, rounds=rounds,
-                             repeats=1, seed=seed, pure=True)
-            if c["steps_per_s"] > compiled.get("steps_per_s", 0):
-                compiled = c
-            if p["steps_per_s"] > pure.get("steps_per_s", 0):
-                pure = p
-        digest_compiled = schedule_digest(
-            run(program, seed=seed, keep_trace=True))
-        with force_pure():
-            digest_pure = schedule_digest(
-                run(program, seed=seed, keep_trace=True))
-        rows[name] = {
-            "compiled_steps_per_s": compiled["steps_per_s"],
-            "pure_steps_per_s": pure["steps_per_s"],
-            "speedup": (round(compiled["steps_per_s"] / pure["steps_per_s"], 2)
-                        if pure["steps_per_s"] else None),
-            "fastops_per_run": compiled["fastops_per_run"],
-            "backend": compiled["backend"],
-            "digests_equal": digest_compiled == digest_pure,
-        }
-    return {
-        "workloads": rows,
-        "all_digests_equal": all(row["digests_equal"]
-                                 for row in rows.values()),
-        "min_speedup": min((row["speedup"] for row in rows.values()
-                            if row["speedup"] is not None), default=None),
-    }
-
-
 def run_loadgen_fastpath(clients: int = 8, requests: int = 12_500,
                          seed: int = 1) -> Dict[str, Any]:
     """The ``loadgen100k`` section: 100k echo requests, compiled vs pure.
 
     One six-figure-request load-generator run (``requests`` is per
-    client) timed with the compiled fast paths engaged and again under
+    client) timed with the compiled drive loop and again under
     :class:`force_pure`; ``deterministic`` asserts the two summaries —
     latency histogram, step count, error counts — came back identical, so
     the speedup changed the wall clock and nothing else.  Each side is
@@ -473,28 +327,6 @@ def run_loadgen_fastpath(clients: int = 8, requests: int = 12_500,
         "steps_per_s": (round(compiled["steps"] / compiled_s, 1)
                         if compiled_s else None),
         "deterministic": compiled == pure,
-    }
-
-
-def collect_runtime_fallbacks() -> Dict[str, Any]:
-    """The ``fallbacks`` section: what silently ran somewhere else.
-
-    Two kinds of quiet substitution, surfaced so a bench document never
-    hides them: backend fallbacks (a requested vehicle that was
-    unavailable, counted per ``requested->used`` edge; the warning itself
-    fires only once per process) and the compiled fast-op engage/bail
-    counters accumulated since the last reset — a run that bailed every
-    op is a run measured on the pure path.
-    """
-    from .runtime._hotloop import get_fastops
-    from .runtime.scheduler import backend_fallbacks
-
-    fast = get_fastops()
-    stats = (fast.fastops_stats() if fast is not None
-             else {"engaged": {}, "bailed": {}})
-    return {
-        "backend_fallbacks": backend_fallbacks(),
-        "fastops": stats,
     }
 
 
@@ -789,8 +621,8 @@ def run_benchmarks(jobs: int = 0, repeats: int = 3,
                    sweep_seeds_n: int = 64,
                    explore: bool = True,
                    loadgen: bool = True) -> Dict[str, Any]:
-    """The full document: single-run timings + fast-path comparison +
-    sweep scaling + the 100k-request load run + exploration."""
+    """The full document: single-run timings + sweep scaling + the
+    100k-request load run + exploration."""
     single: Dict[str, Any] = {}
     for name, program in WORKLOADS.items():
         single[name] = {
@@ -805,18 +637,12 @@ def run_benchmarks(jobs: int = 0, repeats: int = 3,
         "backend": next(iter(single.values()))["fast"]["backend"],
         "compiled": HAS_COMPILED,
         "single": single,
-        # Deliberately not wired to ``repeats``: the speedup ratio needs
-        # the noise-resistant sampling policy (interleaved best-of-5)
-        # regardless of how coarse the single-run cells are.
-        "channel_fastpath": run_fastpath_comparison(),
         "sweep": bench_sweep(pingpong, n_seeds=sweep_seeds_n, jobs=jobs),
     }
     if loadgen:
         document["loadgen100k"] = run_loadgen_fastpath()
     if explore:
         document["explore"] = run_explore_benchmarks()
-    # Last, so the counters cover everything the bench process ran.
-    document["fallbacks"] = collect_runtime_fallbacks()
     return document
 
 
@@ -952,21 +778,6 @@ def render(document: Dict[str, Any]) -> str:
                          f"{fast['steps_per_s']:>14,.0f} "
                          f"{traced['ms_per_run']:>14.3f} "
                          f"{traced['steps_per_s']:>15,.0f}")
-    if "channel_fastpath" in document:
-        fp = document["channel_fastpath"]
-        lines.append("")
-        lines.append("channel fast paths (compiled ops vs forced pure, "
-                     "steps/s):")
-        lines.append(f"{'workload':<20} {'compiled':>12} {'pure':>12} "
-                     f"{'speedup':>8} {'ops/run':>8} {'digests':>8}")
-        for name, row in fp["workloads"].items():
-            lines.append(
-                f"{name:<20} {row['compiled_steps_per_s']:>12,.0f} "
-                f"{row['pure_steps_per_s']:>12,.0f} "
-                f"{row['speedup']:>7.2f}x {row['fastops_per_run']:>8} "
-                f"{'equal' if row['digests_equal'] else 'DIFFER':>8}")
-        lines.append(f"  min speedup {fp['min_speedup']}x, all schedule "
-                     f"digests equal: {fp['all_digests_equal']}")
     if "backends" in document:
         cmp_doc = document["backends"]
         lines.append("")
@@ -1092,19 +903,6 @@ def render(document: Dict[str, Any]) -> str:
             f"({lg['speedup']}x, {lg['requests_per_wall_s']:,.0f} req/s, "
             f"{lg['steps_per_s']:,.0f} steps/s, errors={lg['errors']}, "
             f"deterministic={lg['deterministic']})")
-    if "fallbacks" in document:
-        fb = document["fallbacks"]
-        edges = fb.get("backend_fallbacks") or {}
-        bailed = {op: n for op, n in fb["fastops"].get("bailed", {}).items()
-                  if n}
-        engaged = sum(fb["fastops"].get("engaged", {}).values())
-        lines.append("")
-        edge_text = (" ".join(f"{edge}:{n}" for edge, n
-                              in sorted(edges.items())) or "none")
-        bail_text = (" ".join(f"{op}:{n}" for op, n
-                              in sorted(bailed.items())) or "none")
-        lines.append(f"fallbacks: backend {edge_text}; fast ops engaged "
-                     f"{engaged:,}, bailed {bail_text}")
     if "recovery" in document:
         recovery = document["recovery"]
         lines.append("")
@@ -1190,12 +988,11 @@ def check_regression(current: Dict[str, Any], baseline: Dict[str, Any],
     """Throughput drops beyond ``threshold_pct`` vs the committed baseline.
 
     Compares ``steps_per_s`` for every single-run cell (fast and traced)
-    and every ``channel_fastpath`` cell (compiled and pure) present in
-    both documents and returns one human-readable line per regression; an
-    empty list means nothing dropped past the threshold.  Cells whose
-    recorded backend differs between the documents are still compared —
-    the committed baseline is the number users actually get, whatever
-    vehicle produced it — but the line says so.
+    present in both documents and returns one human-readable line per
+    regression; an empty list means nothing dropped past the threshold.
+    Cells whose recorded backend differs between the documents are still
+    compared — the committed baseline is the number users actually get,
+    whatever vehicle produced it — but the line says so.
     """
     regressions: List[str] = []
     base_single = baseline.get("single", {})
@@ -1217,23 +1014,6 @@ def check_regression(current: Dict[str, Any], baseline: Dict[str, Any],
                 f"{name}/{cell}: {cur_sps:,.0f} steps/s vs baseline "
                 f"{base_sps:,.0f} (-{drop:.1f}%, threshold "
                 f"{threshold_pct:.0f}%){note}")
-    base_fastpath = baseline.get("channel_fastpath", {}).get("workloads", {})
-    for name, row in (current.get("channel_fastpath", {})
-                      .get("workloads", {}).items()):
-        base_row = base_fastpath.get(name)
-        if not base_row:
-            continue
-        for cell in ("compiled_steps_per_s", "pure_steps_per_s"):
-            cur_sps, base_sps = row.get(cell), base_row.get(cell)
-            if (not cur_sps or not base_sps
-                    or cur_sps >= base_sps * (1 - threshold_pct / 100)):
-                continue
-            drop = 100.0 * (base_sps - cur_sps) / base_sps
-            label = cell.removesuffix("_steps_per_s")
-            regressions.append(
-                f"{name}/{label}: {cur_sps:,.0f} steps/s vs baseline "
-                f"{base_sps:,.0f} (-{drop:.1f}%, threshold "
-                f"{threshold_pct:.0f}%)")
     return regressions
 
 

@@ -268,9 +268,6 @@ class Channel:
 
     def send(self, value: Any) -> None:
         """Send ``value``; blocks per Go semantics.  Panics if closed."""
-        fast = self._sched._fastops
-        if fast is not None and fast.chan_send(self, value) is not NotImplemented:
-            return
         self._sched.schedule_point()
         me = self._sched.current
         while True:
@@ -292,11 +289,6 @@ class Channel:
 
     def recv_ok(self) -> Tuple[Any, bool]:
         """Receive with the open flag, like ``v, ok := <-ch``."""
-        fast = self._sched._fastops
-        if fast is not None:
-            outcome = fast.chan_recv(self)
-            if outcome is not NotImplemented:
-                return outcome
         self._sched.schedule_point()
         me = self._sched.current
         while True:
@@ -316,21 +308,11 @@ class Channel:
 
     def try_send(self, value: Any) -> bool:
         """Non-blocking send: ``select { case ch <- v: ... default: }``."""
-        fast = self._sched._fastops
-        if fast is not None:
-            outcome = fast.chan_try_send(self, value)
-            if outcome is not NotImplemented:
-                return outcome
         self._sched.schedule_point()
         return self.poll_send(value, self._sched.current_gid)
 
     def try_recv(self) -> Tuple[Any, bool, bool]:
         """Non-blocking receive.  Returns ``(value, ok, received)``."""
-        fast = self._sched._fastops
-        if fast is not None:
-            outcome = fast.chan_try_recv(self)
-            if outcome is not NotImplemented:
-                return outcome
         self._sched.schedule_point()
         outcome = self.poll_recv(self._sched.current_gid)
         if outcome is None:

@@ -49,14 +49,6 @@ def select(rt: "Runtime", cases: Sequence[SelectCase], default: bool = False
            ) -> Tuple[int, Any, bool]:
     """Execute a select over ``cases``; see :meth:`Runtime.select`."""
     sched = rt.sched
-    fast = sched._fastops
-    if fast is not None:
-        # The compiled op exact-type-checks every case before doing
-        # anything observable (a stranger bails it out to the pure path,
-        # which raises below), so validation can wait for the slow path.
-        outcome = fast.select_op(sched, tuple(cases), default)
-        if outcome is not NotImplemented:
-            return outcome
     for case in cases:
         if not isinstance(case, SelectCase):
             raise TypeError(f"select case must be send(...)/recv(...), got {case!r}")

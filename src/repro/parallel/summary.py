@@ -62,8 +62,8 @@ class RunSummary:
         backend: the resolved goroutine vehicle that ran the simulation
             (``result.backend``); lets cross-backend parity checks compare
             ``trace_digest`` while still recording who produced it.
-        compiled: whether the run had compiled accelerators loaded
-            (``result.compiled``).  Worker processes record their *own*
+        compiled: whether the compiled drive loop was available to the
+            run (``result.compiled``).  Worker processes record their *own*
             resolution here, so a sweep whose forked children failed to
             load the extension the parent had is visible in the summaries
             rather than silently slower.

@@ -5,7 +5,7 @@ Two hand-written CPython extensions live here:
 - ``_ctasklet`` — single-threaded stack-switching continuations, the
   default goroutine vehicle.  CPython 3.11 / x86-64 Linux only.
 - ``_hotloop`` — the fused per-step scheduler loop plus a bit-identical
-  MT19937 ``BatchedRandom`` and array-backed vector clocks.
+  MT19937 ``BatchedRandom``.
 
 Both are compiled lazily with the system C compiler on first import and
 cached next to the sources (or under ``REPRO_EXT_CACHE`` when the tree is

@@ -712,1708 +712,6 @@ fail_entry:
 }
 
 /* ------------------------------------------------------------------ */
-/* Channel / select / sync fast ops                                    */
-/*                                                                     */
-/* Compiled bodies for the blocking primitives themselves: channel     */
-/* send/recv (buffered and rendezvous), try_send/try_recv, select      */
-/* readiness + commit, Mutex and RWMutex.  Unlike drive(), these work  */
-/* on every backend: each op re-checks engagement at entry — trace     */
-/* inactive, no injector, a current goroutine — and returns            */
-/* NotImplemented to defer to the pure path otherwise.  All bail-outs  */
-/* happen BEFORE the op's entry schedule point so an op is either      */
-/* entirely compiled or entirely pure; the observable schedule is      */
-/* identical either way (asserted by the parity tests).                */
-/* ------------------------------------------------------------------ */
-
-static int fo_bound = 0;
-
-static PyTypeObject *fo_chan = NULL, *fo_waiter = NULL, *fo_selctx = NULL,
-                    *fo_sendcase = NULL, *fo_recvcase = NULL,
-                    *fo_mutex = NULL, *fo_mu_ticket = NULL,
-                    *fo_rwmutex = NULL, *fo_rw_ticket = NULL,
-                    *fo_trace = NULL, *fo_goro = NULL;
-static PyObject *fo_gopanic = NULL, *fo_killed = NULL;
-static PyObject *dq_popleft_m = NULL, *dq_append_m = NULL, *dq_remove_m = NULL;
-static PyObject *st_blocked = NULL;
-
-/* Channel slots */
-static Py_ssize_t off_ch_sched = -1, off_ch_capacity = -1, off_ch_buf = -1,
-                  off_ch_sendw = -1, off_ch_recvw = -1, off_ch_closed = -1,
-                  off_ch_sendseq = -1, off_ch_reason_send = -1,
-                  off_ch_reason_recv = -1;
-/* _Waiter slots */
-static Py_ssize_t off_w_goroutine = -1, off_w_payload = -1, off_w_value = -1,
-                  off_w_ok = -1, off_w_completed = -1, off_w_selctx = -1,
-                  off_w_caseidx = -1;
-/* _SelectContext slots */
-static Py_ssize_t off_sc_winner = -1, off_sc_value = -1, off_sc_ok = -1;
-/* SelectCase / SendCase slots */
-static Py_ssize_t off_case_channel = -1, off_case_value = -1;
-/* Mutex slots */
-static Py_ssize_t off_mu_sched = -1, off_mu_locked = -1, off_mu_owner = -1,
-                  off_mu_waiters = -1, off_mu_reason = -1;
-static Py_ssize_t off_mtix_goroutine = -1, off_mtix_granted = -1;
-/* RWMutex slots */
-static Py_ssize_t off_rw_sched = -1, off_rw_wprio = -1, off_rw_readers = -1,
-                  off_rw_writer = -1, off_rw_pw = -1, off_rw_pr = -1,
-                  off_rw_reason_r = -1, off_rw_reason_w = -1;
-static Py_ssize_t off_rwtix_goroutine = -1, off_rwtix_granted = -1;
-/* Goroutine slots beyond bind()'s state/ended_at */
-static Py_ssize_t off_g_gid = -1, off_g_blockreason = -1, off_g_external = -1,
-                  off_g_pending = -1, off_g_killed = -1;
-static Py_ssize_t off_tkg_hub = -1;
-static Py_ssize_t off_trace_active = -1;
-
-static PyObject *s_trace = NULL, *s_injector = NULL, *s_preempt = NULL,
-                *s_yield = NULL, *r_select = NULL;
-static PyObject *msg_send_closed = NULL, *msg_mu_unlock = NULL,
-                *msg_rw_runlock = NULL, *msg_rw_unlock = NULL;
-static PyObject *long_zero = NULL;
-
-enum { OP_SEND, OP_RECV, OP_TRYSEND, OP_TRYRECV, OP_SELECT, OP_MUTEX,
-       OP_RWMUTEX, OP_N };
-static long long fo_hits[OP_N], fo_bails[OP_N];
-
-#define FO_BAIL(op)                                                 \
-    do {                                                            \
-        fo_bails[op]++;                                             \
-        Py_RETURN_NOTIMPLEMENTED;                                   \
-    } while (0)
-
-static void
-fo_panic(PyObject *msg)
-{
-    PyErr_SetObject(fo_gopanic, msg);
-}
-
-static long long
-fo_slot_ll(PyObject *obj, Py_ssize_t off, int *err)
-{
-    PyObject *v = slot_get(obj, off);
-    if (v == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "unset integer slot");
-        *err = 1;
-        return 0;
-    }
-    long long out = PyLong_AsLongLong(v);
-    if (out == -1 && PyErr_Occurred())
-        *err = 1;
-    return out;
-}
-
-static int
-fo_slot_set_ll(PyObject *obj, Py_ssize_t off, long long v)
-{
-    PyObject *o = PyLong_FromLongLong(v);
-    if (o == NULL)
-        return -1;
-    slot_set(obj, off, o);
-    Py_DECREF(o);
-    return 0;
-}
-
-/* deque access through the cached unbound methods: the queues stay real
- * collections.deque objects, so pure code (close(), the injector, tests)
- * interoperates with compiled ops freely. */
-
-static PyObject *
-fo_dq_popleft(PyObject *dq)
-{
-    PyObject *a[1] = {dq};
-    return PyObject_Vectorcall(dq_popleft_m, a, 1, NULL);
-}
-
-static int
-fo_dq_append(PyObject *dq, PyObject *item)
-{
-    PyObject *a[2] = {dq, item};
-    PyObject *r = PyObject_Vectorcall(dq_append_m, a, 2, NULL);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
-/* deque.remove, swallowing ValueError — exactly Channel._discard's loop
- * body (removal compares by identity: _Waiter defines no __eq__). */
-static int
-fo_dq_discard(PyObject *dq, PyObject *item)
-{
-    PyObject *a[2] = {dq, item};
-    PyObject *r = PyObject_Vectorcall(dq_remove_m, a, 2, NULL);
-    if (r != NULL) {
-        Py_DECREF(r);
-        return 0;
-    }
-    if (PyErr_ExceptionMatches(PyExc_ValueError)) {
-        PyErr_Clear();
-        return 0;
-    }
-    return -1;
-}
-
-static int
-fo_ch_discard(PyObject *ch, PyObject *w)
-{
-    PyObject *q = slot_get(ch, off_ch_sendw);
-    if (q == NULL || fo_dq_discard(q, w) < 0)
-        return -1;
-    q = slot_get(ch, off_ch_recvw);
-    if (q == NULL || fo_dq_discard(q, w) < 0)
-        return -1;
-    return 0;
-}
-
-/* yield_to_scheduler: a direct hub switch for tasklet goroutines (with
- * the killed / pending_error checks done here, exactly as the Python
- * method would), the generic method call for every other vehicle. */
-static int
-fo_yield(PyObject *g)
-{
-    if (Py_TYPE(g) == tk_go_type && switch_meth != NULL) {
-        PyObject *hub = slot_get(g, off_tkg_hub);
-        if (hub != NULL && hub != Py_None) {
-            PyObject *sargs[1] = {hub};
-            PyObject *r = PyObject_Vectorcall(switch_meth, sargs, 1, NULL);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
-            if (slot_get(g, off_g_killed) == Py_True) {
-                PyErr_SetNone(fo_killed);
-                return -1;
-            }
-            PyObject *pe = slot_get(g, off_g_pending);
-            if (pe != NULL && pe != Py_None) {
-                Py_INCREF(pe);
-                slot_set(g, off_g_pending, Py_None);
-                PyErr_SetObject(PyExceptionInstance_Class(pe), pe);
-                Py_DECREF(pe);
-                return -1;
-            }
-            return 0;
-        }
-    }
-    PyObject *rargs[1] = {g};
-    PyObject *r = PyObject_VectorcallMethod(s_yield, rargs, 1, NULL);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
-/* Scheduler.block(reason) with the trace-inactive emit skipped.  On a
- * raise out of the yield (Killed / injected error) block_reason stays
- * set, matching the pure method's control flow. */
-static int
-fo_block(PyObject *sched, PyObject *g, PyObject *reason)
-{
-    slot_set(g, off_state, st_blocked);
-    slot_set(g, off_g_blockreason, reason);
-    slot_set(g, off_g_external, Py_False);
-    PyObject *runnable = PyObject_GetAttr(sched, s_runnable_attr);
-    if (runnable == NULL)
-        return -1;
-    if (!PyList_CheckExact(runnable)) {
-        Py_DECREF(runnable);
-        PyErr_SetString(PyExc_TypeError, "scheduler _runnable is not a list");
-        return -1;
-    }
-    runnable_remove(runnable, g);
-    Py_DECREF(runnable);
-    if (fo_yield(g) < 0)
-        return -1;
-    slot_set(g, off_g_blockreason, Py_None);
-    slot_set(g, off_g_external, Py_False);
-    return 0;
-}
-
-/* Scheduler.ready(g): BLOCKED -> RUNNABLE + requeue (emit skipped). */
-static int
-fo_ready(PyObject *sched, PyObject *g)
-{
-    if (!PyObject_TypeCheck(g, fo_goro)) {
-        PyErr_SetString(PyExc_TypeError, "waiter goroutine is not a Goroutine");
-        return -1;
-    }
-    PyObject *st = slot_get(g, off_state);
-    if (st != st_blocked) {
-        if (st == NULL)
-            return 0;
-        int eq = PyObject_RichCompareBool(st, st_blocked, Py_EQ);
-        if (eq < 0)
-            return -1;
-        if (!eq)
-            return 0;
-    }
-    slot_set(g, off_state, st_runnable);
-    PyObject *runnable = PyObject_GetAttr(sched, s_runnable_attr);
-    if (runnable == NULL)
-        return -1;
-    if (!PyList_CheckExact(runnable)) {
-        Py_DECREF(runnable);
-        PyErr_SetString(PyExc_TypeError, "scheduler _runnable is not a list");
-        return -1;
-    }
-    int rc = PyList_Append(runnable, g);
-    Py_DECREF(runnable);
-    return rc;
-}
-
-/* Channel._pop_claimable, with the peek-then-pop collapsed into a single
- * popleft-first loop (every branch of the pure loop pops exactly once).
- * Returns a new reference, or NULL with *err set on failure / clear on
- * an empty queue. */
-static PyObject *
-fo_pop_claimable(PyObject *queue, int *err)
-{
-    for (;;) {
-        Py_ssize_t sz = PyObject_Size(queue);
-        if (sz < 0) {
-            *err = 1;
-            return NULL;
-        }
-        if (sz == 0)
-            return NULL;
-        PyObject *w = fo_dq_popleft(queue);
-        if (w == NULL) {
-            *err = 1;
-            return NULL;
-        }
-        if (slot_get(w, off_w_completed) == Py_True) {
-            Py_DECREF(w);
-            continue;
-        }
-        PyObject *ctx = slot_get(w, off_w_selctx);
-        if (ctx == NULL || ctx == Py_None)
-            return w;
-        PyObject *winner = slot_get(ctx, off_sc_winner);
-        if (winner != NULL && winner != Py_None) {
-            Py_DECREF(w);          /* lost select: discard */
-            continue;
-        }
-        PyObject *idx = slot_get(w, off_w_caseidx);
-        slot_set(ctx, off_sc_winner, idx ? idx : Py_None);
-        return w;
-    }
-}
-
-/* Channel._next_seq: the counter must advance even where the value is
- * only used by (skipped) emits — it is observable in later buffered
- * operations.  Returns the new seq as a new reference. */
-static PyObject *
-fo_next_seq(PyObject *ch)
-{
-    PyObject *cur = slot_get(ch, off_ch_sendseq);
-    if (cur == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "channel _send_seq unset");
-        return NULL;
-    }
-    long long n = PyLong_AsLongLong(cur);
-    if (n == -1 && PyErr_Occurred())
-        return NULL;
-    PyObject *nv = PyLong_FromLongLong(n + 1);
-    if (nv == NULL)
-        return NULL;
-    slot_set(ch, off_ch_sendseq, nv);
-    return nv;
-}
-
-/* Channel.poll_send: -1 error (incl. the closed-channel panic), 0 would
- * block, 1 completed. */
-static int
-fo_poll_send(PyObject *ch, PyObject *value)
-{
-    if (slot_get(ch, off_ch_closed) == Py_True) {
-        fo_panic(msg_send_closed);
-        return -1;
-    }
-    PyObject *recvw = slot_get(ch, off_ch_recvw);
-    if (recvw == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "channel queues unset");
-        return -1;
-    }
-    int err = 0;
-    PyObject *w = fo_pop_claimable(recvw, &err);
-    if (err)
-        return -1;
-    if (w != NULL) {
-        PyObject *seq = fo_next_seq(ch);
-        if (seq == NULL) {
-            Py_DECREF(w);
-            return -1;
-        }
-        Py_DECREF(seq);
-        slot_set(w, off_w_value, value);
-        slot_set(w, off_w_ok, Py_True);
-        slot_set(w, off_w_completed, Py_True);
-        PyObject *ctx = slot_get(w, off_w_selctx);
-        if (ctx != NULL && ctx != Py_None) {
-            slot_set(ctx, off_sc_value, value);
-            slot_set(ctx, off_sc_ok, Py_True);
-        }
-        PyObject *sched = slot_get(ch, off_ch_sched);
-        PyObject *g = slot_get(w, off_w_goroutine);
-        int rc = -1;
-        if (sched != NULL && g != NULL)
-            rc = fo_ready(sched, g);
-        else
-            PyErr_SetString(PyExc_AttributeError, "waiter goroutine unset");
-        Py_DECREF(w);
-        return rc < 0 ? -1 : 1;
-    }
-    PyObject *buf = slot_get(ch, off_ch_buf);
-    if (buf == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "channel buffer unset");
-        return -1;
-    }
-    Py_ssize_t blen = PyObject_Size(buf);
-    if (blen < 0)
-        return -1;
-    int cerr = 0;
-    long long cap = fo_slot_ll(ch, off_ch_capacity, &cerr);
-    if (cerr)
-        return -1;
-    if (blen < cap) {
-        PyObject *seq = fo_next_seq(ch);
-        if (seq == NULL)
-            return -1;
-        PyObject *tup = PyTuple_Pack(2, seq, value);
-        Py_DECREF(seq);
-        if (tup == NULL)
-            return -1;
-        int rc = fo_dq_append(buf, tup);
-        Py_DECREF(tup);
-        return rc < 0 ? -1 : 1;
-    }
-    return 0;
-}
-
-/* Channel.poll_recv: -1 error, 0 would block, 1 completed with
- * *value_out (new ref) and *ok_out. */
-static int
-fo_poll_recv(PyObject *ch, PyObject **value_out, int *ok_out)
-{
-    PyObject *buf = slot_get(ch, off_ch_buf);
-    PyObject *sendw = slot_get(ch, off_ch_sendw);
-    if (buf == NULL || sendw == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "channel queues unset");
-        return -1;
-    }
-    Py_ssize_t blen = PyObject_Size(buf);
-    if (blen < 0)
-        return -1;
-    if (blen > 0) {
-        PyObject *item = fo_dq_popleft(buf);
-        if (item == NULL)
-            return -1;
-        if (!PyTuple_CheckExact(item) || PyTuple_GET_SIZE(item) != 2) {
-            Py_DECREF(item);
-            PyErr_SetString(PyExc_TypeError,
-                            "channel buffer entry is not (seq, value)");
-            return -1;
-        }
-        PyObject *value = PyTuple_GET_ITEM(item, 1);
-        Py_INCREF(value);
-        Py_DECREF(item);
-        /* A sender blocked on the full buffer can now complete. */
-        int err = 0;
-        PyObject *w = fo_pop_claimable(sendw, &err);
-        if (err) {
-            Py_DECREF(value);
-            return -1;
-        }
-        if (w != NULL) {
-            PyObject *wseq = fo_next_seq(ch);
-            if (wseq == NULL) {
-                Py_DECREF(w);
-                Py_DECREF(value);
-                return -1;
-            }
-            PyObject *payload = slot_get(w, off_w_payload);
-            if (payload == NULL)
-                payload = Py_None;
-            PyObject *tup = PyTuple_Pack(2, wseq, payload);
-            Py_DECREF(wseq);
-            if (tup == NULL || fo_dq_append(buf, tup) < 0) {
-                Py_XDECREF(tup);
-                Py_DECREF(w);
-                Py_DECREF(value);
-                return -1;
-            }
-            Py_DECREF(tup);
-            slot_set(w, off_w_ok, Py_True);
-            slot_set(w, off_w_completed, Py_True);
-            PyObject *ctx = slot_get(w, off_w_selctx);
-            if (ctx != NULL && ctx != Py_None) {
-                slot_set(ctx, off_sc_value, Py_None);
-                slot_set(ctx, off_sc_ok, Py_True);
-            }
-            PyObject *sched = slot_get(ch, off_ch_sched);
-            PyObject *g = slot_get(w, off_w_goroutine);
-            int rc = (sched != NULL && g != NULL) ? fo_ready(sched, g) : -1;
-            Py_DECREF(w);
-            if (rc < 0) {
-                Py_DECREF(value);
-                return -1;
-            }
-        }
-        *value_out = value;
-        *ok_out = 1;
-        return 1;
-    }
-    int err = 0;
-    PyObject *w = fo_pop_claimable(sendw, &err);
-    if (err)
-        return -1;
-    if (w != NULL) {
-        /* Rendezvous with a blocked sender (unbuffered channel). */
-        PyObject *seq = fo_next_seq(ch);
-        if (seq == NULL) {
-            Py_DECREF(w);
-            return -1;
-        }
-        Py_DECREF(seq);
-        slot_set(w, off_w_ok, Py_True);
-        slot_set(w, off_w_completed, Py_True);
-        PyObject *ctx = slot_get(w, off_w_selctx);
-        if (ctx != NULL && ctx != Py_None) {
-            slot_set(ctx, off_sc_value, Py_None);
-            slot_set(ctx, off_sc_ok, Py_True);
-        }
-        PyObject *payload = slot_get(w, off_w_payload);
-        PyObject *value = payload ? payload : Py_None;
-        Py_INCREF(value);
-        PyObject *sched = slot_get(ch, off_ch_sched);
-        PyObject *g = slot_get(w, off_w_goroutine);
-        int rc = (sched != NULL && g != NULL) ? fo_ready(sched, g) : -1;
-        Py_DECREF(w);
-        if (rc < 0) {
-            Py_DECREF(value);
-            return -1;
-        }
-        *value_out = value;
-        *ok_out = 1;
-        return 1;
-    }
-    if (slot_get(ch, off_ch_closed) == Py_True) {
-        Py_INCREF(Py_None);
-        *value_out = Py_None;
-        *ok_out = 0;
-        return 1;
-    }
-    return 0;
-}
-
-/* any(not w.dead for w in queue) — iteration only, no mutation. */
-static int
-fo_any_live(PyObject *queue)
-{
-    PyObject *it = PyObject_GetIter(queue);
-    if (it == NULL)
-        return -1;
-    PyObject *w;
-    int live = 0;
-    while (!live && (w = PyIter_Next(it)) != NULL) {
-        if (slot_get(w, off_w_completed) != Py_True) {
-            PyObject *ctx = slot_get(w, off_w_selctx);
-            if (ctx == NULL || ctx == Py_None) {
-                live = 1;
-            }
-            else {
-                PyObject *winner = slot_get(ctx, off_sc_winner);
-                if (winner == NULL || winner == Py_None)
-                    live = 1;
-            }
-        }
-        Py_DECREF(w);
-    }
-    Py_DECREF(it);
-    if (PyErr_Occurred())
-        return -1;
-    return live;
-}
-
-static int
-fo_can_send_now(PyObject *ch)
-{
-    if (slot_get(ch, off_ch_closed) == Py_True)
-        return 1;                   /* "ready": completing panics */
-    PyObject *recvw = slot_get(ch, off_ch_recvw);
-    if (recvw == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "channel queues unset");
-        return -1;
-    }
-    int live = fo_any_live(recvw);
-    if (live != 0)
-        return live;
-    PyObject *buf = slot_get(ch, off_ch_buf);
-    Py_ssize_t blen = buf ? PyObject_Size(buf) : -1;
-    if (blen < 0)
-        return -1;
-    int err = 0;
-    long long cap = fo_slot_ll(ch, off_ch_capacity, &err);
-    if (err)
-        return -1;
-    return blen < cap;
-}
-
-static int
-fo_can_recv_now(PyObject *ch)
-{
-    PyObject *buf = slot_get(ch, off_ch_buf);
-    if (buf == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "channel buffer unset");
-        return -1;
-    }
-    Py_ssize_t blen = PyObject_Size(buf);
-    if (blen < 0)
-        return -1;
-    if (blen > 0)
-        return 1;
-    PyObject *sendw = slot_get(ch, off_ch_sendw);
-    if (sendw == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "channel queues unset");
-        return -1;
-    }
-    int live = fo_any_live(sendw);
-    if (live != 0)
-        return live;
-    return slot_get(ch, off_ch_closed) == Py_True;
-}
-
-static PyObject *
-fo_pair(PyObject *a, PyObject *b)
-{
-    PyObject *t = PyTuple_New(2);
-    if (t == NULL)
-        return NULL;
-    Py_INCREF(a);
-    PyTuple_SET_ITEM(t, 0, a);
-    Py_INCREF(b);
-    PyTuple_SET_ITEM(t, 1, b);
-    return t;
-}
-
-static PyObject *
-fo_triple(PyObject *a, PyObject *b, PyObject *c)
-{
-    PyObject *t = PyTuple_New(3);
-    if (t == NULL)
-        return NULL;
-    Py_INCREF(a);
-    PyTuple_SET_ITEM(t, 0, a);
-    Py_INCREF(b);
-    PyTuple_SET_ITEM(t, 1, b);
-    Py_INCREF(c);
-    PyTuple_SET_ITEM(t, 2, c);
-    return t;
-}
-
-/* Per-op engagement check + the entry schedule point.
- * 1 -> engaged (*me_out is a new ref to the current goroutine),
- * 0 -> bail to the pure path (no observable action taken),
- * -1 -> error raised (only possible once the op is committed: every
- *       bail-out condition is evaluated before the entry yield). */
-static int
-fo_enter(PyObject *sched, PyObject **me_out)
-{
-    PyObject *trace = PyObject_GetAttr(sched, s_trace);
-    if (trace == NULL) {
-        PyErr_Clear();
-        return 0;
-    }
-    int traced = (Py_TYPE(trace) != fo_trace ||
-                  slot_get(trace, off_trace_active) != Py_False);
-    Py_DECREF(trace);
-    if (traced)
-        return 0;
-    PyObject *inj = PyObject_GetAttr(sched, s_injector);
-    if (inj == NULL) {
-        PyErr_Clear();
-        return 0;
-    }
-    int has_inj = (inj != Py_None);
-    Py_DECREF(inj);
-    if (has_inj)
-        return 0;
-    PyObject *me = PyObject_GetAttr(sched, s_current);
-    if (me == NULL) {
-        PyErr_Clear();
-        return 0;
-    }
-    if (me == Py_None || !PyObject_TypeCheck(me, fo_goro)) {
-        Py_DECREF(me);
-        return 0;
-    }
-    PyObject *preempt = PyObject_GetAttr(sched, s_preempt);
-    if (preempt == NULL) {
-        PyErr_Clear();
-        Py_DECREF(me);
-        return 0;
-    }
-    int do_yield = PyObject_IsTrue(preempt);
-    Py_DECREF(preempt);
-    if (do_yield < 0) {
-        Py_DECREF(me);
-        return -1;
-    }
-    if (do_yield && fo_yield(me) < 0) {
-        Py_DECREF(me);
-        return -1;
-    }
-    *me_out = me;
-    return 1;
-}
-
-/* ---- channel ops ---- */
-
-static PyObject *
-fo_chan_send(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (!fo_bound || nargs != 2)
-        FO_BAIL(OP_SEND);
-    PyObject *ch = args[0], *value = args[1];
-    if (Py_TYPE(ch) != fo_chan)
-        FO_BAIL(OP_SEND);
-    PyObject *sched = slot_get(ch, off_ch_sched);
-    if (sched == NULL)
-        FO_BAIL(OP_SEND);
-    Py_INCREF(sched);
-    PyObject *me = NULL;
-    int e = fo_enter(sched, &me);
-    if (e <= 0) {
-        Py_DECREF(sched);
-        if (e < 0)
-            return NULL;
-        FO_BAIL(OP_SEND);
-    }
-    fo_hits[OP_SEND]++;
-    PyObject *reason = slot_get(ch, off_ch_reason_send);
-    if (reason == NULL)
-        reason = Py_None;
-    Py_INCREF(reason);
-    PyObject *result = NULL;
-    for (;;) {
-        int r = fo_poll_send(ch, value);
-        if (r < 0)
-            break;
-        if (r == 1) {
-            Py_INCREF(Py_None);
-            result = Py_None;
-            break;
-        }
-        PyObject *w = PyObject_CallFunctionObjArgs((PyObject *)fo_waiter,
-                                                   me, Py_True, value, NULL);
-        if (w == NULL)
-            break;
-        PyObject *sendw = slot_get(ch, off_ch_sendw);
-        if (sendw == NULL || fo_dq_append(sendw, w) < 0) {
-            if (sendw == NULL)
-                PyErr_SetString(PyExc_AttributeError, "channel queues unset");
-            Py_DECREF(w);
-            break;
-        }
-        if (fo_block(sched, me, reason) < 0) {
-            Py_DECREF(w);           /* stays queued, matching pure */
-            break;
-        }
-        if (slot_get(w, off_w_completed) == Py_True) {
-            int closed = (slot_get(w, off_w_ok) == Py_False);
-            Py_DECREF(w);
-            if (closed) {
-                fo_panic(msg_send_closed);
-                break;
-            }
-            Py_INCREF(Py_None);
-            result = Py_None;
-            break;
-        }
-        if (fo_ch_discard(ch, w) < 0) {
-            Py_DECREF(w);
-            break;
-        }
-        Py_DECREF(w);               /* spurious wakeup: retry */
-    }
-    Py_DECREF(reason);
-    Py_DECREF(me);
-    Py_DECREF(sched);
-    return result;
-}
-
-static PyObject *
-fo_chan_recv(PyObject *module, PyObject *ch)
-{
-    if (!fo_bound || Py_TYPE(ch) != fo_chan)
-        FO_BAIL(OP_RECV);
-    PyObject *sched = slot_get(ch, off_ch_sched);
-    if (sched == NULL)
-        FO_BAIL(OP_RECV);
-    Py_INCREF(sched);
-    PyObject *me = NULL;
-    int e = fo_enter(sched, &me);
-    if (e <= 0) {
-        Py_DECREF(sched);
-        if (e < 0)
-            return NULL;
-        FO_BAIL(OP_RECV);
-    }
-    fo_hits[OP_RECV]++;
-    PyObject *reason = slot_get(ch, off_ch_reason_recv);
-    if (reason == NULL)
-        reason = Py_None;
-    Py_INCREF(reason);
-    PyObject *result = NULL;
-    for (;;) {
-        PyObject *value = NULL;
-        int ok = 0;
-        int r = fo_poll_recv(ch, &value, &ok);
-        if (r < 0)
-            break;
-        if (r == 1) {
-            result = fo_pair(value, ok ? Py_True : Py_False);
-            Py_DECREF(value);
-            break;
-        }
-        PyObject *w = PyObject_CallFunctionObjArgs((PyObject *)fo_waiter,
-                                                   me, Py_False, NULL);
-        if (w == NULL)
-            break;
-        PyObject *recvw = slot_get(ch, off_ch_recvw);
-        if (recvw == NULL || fo_dq_append(recvw, w) < 0) {
-            if (recvw == NULL)
-                PyErr_SetString(PyExc_AttributeError, "channel queues unset");
-            Py_DECREF(w);
-            break;
-        }
-        if (fo_block(sched, me, reason) < 0) {
-            Py_DECREF(w);
-            break;
-        }
-        if (slot_get(w, off_w_completed) == Py_True) {
-            PyObject *wval = slot_get(w, off_w_value);
-            if (wval == NULL)
-                wval = Py_None;
-            PyObject *wok = slot_get(w, off_w_ok);
-            result = fo_pair(wval, wok == Py_True ? Py_True : Py_False);
-            Py_DECREF(w);
-            break;
-        }
-        if (fo_ch_discard(ch, w) < 0) {
-            Py_DECREF(w);
-            break;
-        }
-        Py_DECREF(w);
-    }
-    Py_DECREF(reason);
-    Py_DECREF(me);
-    Py_DECREF(sched);
-    return result;
-}
-
-static PyObject *
-fo_chan_try_send(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (!fo_bound || nargs != 2)
-        FO_BAIL(OP_TRYSEND);
-    PyObject *ch = args[0], *value = args[1];
-    if (Py_TYPE(ch) != fo_chan)
-        FO_BAIL(OP_TRYSEND);
-    PyObject *sched = slot_get(ch, off_ch_sched);
-    if (sched == NULL)
-        FO_BAIL(OP_TRYSEND);
-    Py_INCREF(sched);
-    PyObject *me = NULL;
-    int e = fo_enter(sched, &me);
-    if (e <= 0) {
-        Py_DECREF(sched);
-        if (e < 0)
-            return NULL;
-        FO_BAIL(OP_TRYSEND);
-    }
-    fo_hits[OP_TRYSEND]++;
-    int r = fo_poll_send(ch, value);
-    Py_DECREF(me);
-    Py_DECREF(sched);
-    if (r < 0)
-        return NULL;
-    return PyBool_FromLong(r);
-}
-
-static PyObject *
-fo_chan_try_recv(PyObject *module, PyObject *ch)
-{
-    if (!fo_bound || Py_TYPE(ch) != fo_chan)
-        FO_BAIL(OP_TRYRECV);
-    PyObject *sched = slot_get(ch, off_ch_sched);
-    if (sched == NULL)
-        FO_BAIL(OP_TRYRECV);
-    Py_INCREF(sched);
-    PyObject *me = NULL;
-    int e = fo_enter(sched, &me);
-    if (e <= 0) {
-        Py_DECREF(sched);
-        if (e < 0)
-            return NULL;
-        FO_BAIL(OP_TRYRECV);
-    }
-    fo_hits[OP_TRYRECV]++;
-    PyObject *value = NULL;
-    int ok = 0;
-    int r = fo_poll_recv(ch, &value, &ok);
-    Py_DECREF(me);
-    Py_DECREF(sched);
-    if (r < 0)
-        return NULL;
-    if (r == 0)
-        return fo_triple(Py_None, Py_False, Py_False);
-    PyObject *result = fo_triple(value, ok ? Py_True : Py_False, Py_True);
-    Py_DECREF(value);
-    return result;
-}
-
-/* ---- select ---- */
-
-static PyObject *
-fo_select(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (!fo_bound || nargs != 3)
-        FO_BAIL(OP_SELECT);
-    PyObject *sched = args[0], *cases = args[1], *defarg = args[2];
-    if (!PyTuple_CheckExact(cases))
-        FO_BAIL(OP_SELECT);
-    Py_ssize_t n = PyTuple_GET_SIZE(cases);
-    if (n == 0 || n > 64)
-        FO_BAIL(OP_SELECT);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *c = PyTuple_GET_ITEM(cases, i);
-        PyTypeObject *t = Py_TYPE(c);
-        if (t != fo_sendcase && t != fo_recvcase)
-            FO_BAIL(OP_SELECT);
-        PyObject *ch = slot_get(c, off_case_channel);
-        if (ch == NULL || Py_TYPE(ch) != fo_chan)
-            FO_BAIL(OP_SELECT);     /* nil channels go the pure route */
-    }
-    PyObject *rng_obj = PyObject_GetAttr(sched, s_rng);
-    if (rng_obj == NULL) {
-        PyErr_Clear();
-        FO_BAIL(OP_SELECT);
-    }
-    if (Py_TYPE(rng_obj) != &BatchedRandom_Type) {
-        Py_DECREF(rng_obj);
-        FO_BAIL(OP_SELECT);
-    }
-    int use_default = PyObject_IsTrue(defarg);
-    if (use_default < 0) {
-        Py_DECREF(rng_obj);
-        return NULL;
-    }
-    PyObject *me = NULL;
-    int e = fo_enter(sched, &me);
-    if (e <= 0) {
-        Py_DECREF(rng_obj);
-        if (e < 0)
-            return NULL;
-        FO_BAIL(OP_SELECT);
-    }
-    fo_hits[OP_SELECT]++;
-    BatchedRandomObject *rng = (BatchedRandomObject *)rng_obj;
-    PyObject *result = NULL;
-
-    for (;;) {
-        int ready_idx[64];
-        int n_ready = 0;
-        for (Py_ssize_t i = 0; i < n; i++) {
-            PyObject *c = PyTuple_GET_ITEM(cases, i);
-            PyObject *ch = slot_get(c, off_case_channel);
-            int rdy = (Py_TYPE(c) == fo_sendcase)
-                          ? fo_can_send_now(ch)
-                          : fo_can_recv_now(ch);
-            if (rdy < 0)
-                goto out;
-            if (rdy)
-                ready_idx[n_ready++] = (int)i;
-        }
-        if (n_ready > 0) {
-            /* One draw even for a single ready case: randrange(1) consumes
-             * an MT word, and the stream is shared with the scheduler. */
-            uint32_t k = mt_randrange32(rng, (uint32_t)n_ready);
-            Py_ssize_t index = ready_idx[k];
-            PyObject *c = PyTuple_GET_ITEM(cases, index);
-            PyObject *ch = slot_get(c, off_case_channel);
-            PyObject *idxobj = PyLong_FromSsize_t(index);
-            if (idxobj == NULL)
-                goto out;
-            if (Py_TYPE(c) == fo_sendcase) {
-                PyObject *sval = slot_get(c, off_case_value);
-                if (sval == NULL)
-                    sval = Py_None;
-                int r = fo_poll_send(ch, sval);
-                if (r == 0)
-                    PyErr_SetString(PyExc_AssertionError,
-                                    "select chose a send case that was "
-                                    "not ready");
-                if (r != 1) {
-                    Py_DECREF(idxobj);
-                    goto out;
-                }
-                result = fo_triple(idxobj, Py_None, Py_True);
-            }
-            else {
-                PyObject *val = NULL;
-                int ok = 0;
-                int r = fo_poll_recv(ch, &val, &ok);
-                if (r == 0)
-                    PyErr_SetString(PyExc_AssertionError,
-                                    "select chose a recv case that was "
-                                    "not ready");
-                if (r != 1) {
-                    Py_DECREF(idxobj);
-                    goto out;
-                }
-                result = fo_triple(idxobj, val, ok ? Py_True : Py_False);
-                Py_DECREF(val);
-            }
-            Py_DECREF(idxobj);
-            goto out;
-        }
-        if (use_default) {
-            PyObject *neg = PyLong_FromLong(-1);
-            if (neg == NULL)
-                goto out;
-            result = fo_triple(neg, Py_None, Py_False);
-            Py_DECREF(neg);
-            goto out;
-        }
-        /* Park one waiter per case, sharing a fresh context. */
-        PyObject *ctx = PyObject_CallFunctionObjArgs((PyObject *)fo_selctx,
-                                                     me, NULL);
-        if (ctx == NULL)
-            goto out;
-        PyObject *waiters[64];
-        int nw = 0;
-        int failed = 0;
-        for (Py_ssize_t i = 0; i < n; i++) {
-            PyObject *c = PyTuple_GET_ITEM(cases, i);
-            PyObject *ch = slot_get(c, off_case_channel);
-            int is_send = (Py_TYPE(c) == fo_sendcase);
-            PyObject *payload = is_send ? slot_get(c, off_case_value)
-                                        : Py_None;
-            if (payload == NULL)
-                payload = Py_None;
-            PyObject *idxobj = PyLong_FromSsize_t(i);
-            if (idxobj == NULL) {
-                failed = 1;
-                break;
-            }
-            PyObject *w = PyObject_CallFunctionObjArgs(
-                (PyObject *)fo_waiter, me, is_send ? Py_True : Py_False,
-                payload, ctx, idxobj, NULL);
-            Py_DECREF(idxobj);
-            if (w == NULL) {
-                failed = 1;
-                break;
-            }
-            PyObject *q = slot_get(ch, is_send ? off_ch_sendw : off_ch_recvw);
-            if (q == NULL || fo_dq_append(q, w) < 0) {
-                if (q == NULL)
-                    PyErr_SetString(PyExc_AttributeError,
-                                    "channel queues unset");
-                Py_DECREF(w);
-                failed = 1;
-                break;
-            }
-            waiters[nw++] = w;
-        }
-        if (!failed && fo_block(sched, me, r_select) < 0)
-            failed = 1;             /* waiters stay queued, matching pure */
-        if (failed) {
-            for (int j = 0; j < nw; j++)
-                Py_DECREF(waiters[j]);
-            Py_DECREF(ctx);
-            goto out;
-        }
-        for (int j = 0; j < nw; j++) {
-            PyObject *w = waiters[j];
-            if (!failed && slot_get(w, off_w_completed) != Py_True) {
-                PyObject *c = PyTuple_GET_ITEM(cases, (Py_ssize_t)j);
-                PyObject *ch = slot_get(c, off_case_channel);
-                if (ch == NULL || fo_ch_discard(ch, w) < 0)
-                    failed = 1;
-            }
-            Py_DECREF(w);
-        }
-        if (failed) {
-            Py_DECREF(ctx);
-            goto out;
-        }
-        PyObject *winner = slot_get(ctx, off_sc_winner);
-        if (winner != NULL && winner != Py_None) {
-            Py_ssize_t widx = PyLong_AsSsize_t(winner);
-            if (widx < 0 || widx >= n) {
-                if (!PyErr_Occurred())
-                    PyErr_SetString(PyExc_IndexError,
-                                    "select winner index out of range");
-                Py_DECREF(ctx);
-                goto out;
-            }
-            PyObject *c = PyTuple_GET_ITEM(cases, widx);
-            PyObject *ok = slot_get(ctx, off_sc_ok);
-            if (ok == NULL)
-                ok = Py_False;
-            if (Py_TYPE(c) == fo_sendcase && ok != Py_True) {
-                fo_panic(msg_send_closed);
-                Py_DECREF(ctx);
-                goto out;
-            }
-            PyObject *val = slot_get(ctx, off_sc_value);
-            if (val == NULL)
-                val = Py_None;
-            result = fo_triple(winner, val, ok);
-            Py_DECREF(ctx);
-            goto out;
-        }
-        Py_DECREF(ctx);             /* spurious wakeup: retry */
-    }
-out:
-    Py_DECREF(me);
-    Py_DECREF(rng_obj);
-    return result;
-}
-
-/* ---- mutex ---- */
-
-static PyObject *
-fo_mutex_lock(PyObject *module, PyObject *mu)
-{
-    if (!fo_bound || Py_TYPE(mu) != fo_mutex)
-        FO_BAIL(OP_MUTEX);
-    PyObject *sched = slot_get(mu, off_mu_sched);
-    if (sched == NULL)
-        FO_BAIL(OP_MUTEX);
-    Py_INCREF(sched);
-    PyObject *me = NULL;
-    int e = fo_enter(sched, &me);
-    if (e <= 0) {
-        Py_DECREF(sched);
-        if (e < 0)
-            return NULL;
-        FO_BAIL(OP_MUTEX);
-    }
-    fo_hits[OP_MUTEX]++;
-    PyObject *result = NULL;
-    if (slot_get(mu, off_mu_locked) != Py_True) {
-        slot_set(mu, off_mu_locked, Py_True);
-        PyObject *gid = slot_get(me, off_g_gid);
-        slot_set(mu, off_mu_owner, gid ? gid : Py_None);
-        Py_INCREF(Py_None);
-        result = Py_None;
-    }
-    else {
-        PyObject *ticket = PyObject_CallFunctionObjArgs(
-            (PyObject *)fo_mu_ticket, me, NULL);
-        PyObject *q = ticket ? slot_get(mu, off_mu_waiters) : NULL;
-        if (ticket != NULL &&
-            (q != NULL && fo_dq_append(q, ticket) == 0)) {
-            PyObject *reason = slot_get(mu, off_mu_reason);
-            if (reason == NULL)
-                reason = Py_None;
-            Py_INCREF(reason);
-            int failed = 0;
-            while (slot_get(ticket, off_mtix_granted) != Py_True) {
-                if (fo_block(sched, me, reason) < 0) {
-                    failed = 1;
-                    break;
-                }
-            }
-            Py_DECREF(reason);
-            if (!failed) {
-                Py_INCREF(Py_None);
-                result = Py_None;
-            }
-        }
-        else if (ticket != NULL && q == NULL) {
-            PyErr_SetString(PyExc_AttributeError, "mutex waiters unset");
-        }
-        Py_XDECREF(ticket);
-    }
-    Py_DECREF(me);
-    Py_DECREF(sched);
-    return result;
-}
-
-static PyObject *
-fo_mutex_trylock(PyObject *module, PyObject *mu)
-{
-    if (!fo_bound || Py_TYPE(mu) != fo_mutex)
-        FO_BAIL(OP_MUTEX);
-    PyObject *sched = slot_get(mu, off_mu_sched);
-    if (sched == NULL)
-        FO_BAIL(OP_MUTEX);
-    Py_INCREF(sched);
-    PyObject *me = NULL;
-    int e = fo_enter(sched, &me);
-    if (e <= 0) {
-        Py_DECREF(sched);
-        if (e < 0)
-            return NULL;
-        FO_BAIL(OP_MUTEX);
-    }
-    fo_hits[OP_MUTEX]++;
-    PyObject *result;
-    if (slot_get(mu, off_mu_locked) == Py_True) {
-        result = Py_False;
-    }
-    else {
-        slot_set(mu, off_mu_locked, Py_True);
-        PyObject *gid = slot_get(me, off_g_gid);
-        slot_set(mu, off_mu_owner, gid ? gid : Py_None);
-        result = Py_True;
-    }
-    Py_INCREF(result);
-    Py_DECREF(me);
-    Py_DECREF(sched);
-    return result;
-}
-
-static PyObject *
-fo_mutex_unlock(PyObject *module, PyObject *mu)
-{
-    if (!fo_bound || Py_TYPE(mu) != fo_mutex)
-        FO_BAIL(OP_MUTEX);
-    PyObject *sched = slot_get(mu, off_mu_sched);
-    if (sched == NULL)
-        FO_BAIL(OP_MUTEX);
-    Py_INCREF(sched);
-    PyObject *me = NULL;
-    int e = fo_enter(sched, &me);
-    if (e <= 0) {
-        Py_DECREF(sched);
-        if (e < 0)
-            return NULL;
-        FO_BAIL(OP_MUTEX);
-    }
-    fo_hits[OP_MUTEX]++;
-    PyObject *result = NULL;
-    if (slot_get(mu, off_mu_locked) != Py_True) {
-        fo_panic(msg_mu_unlock);
-        goto out;
-    }
-    {
-        PyObject *q = slot_get(mu, off_mu_waiters);
-        if (q == NULL) {
-            PyErr_SetString(PyExc_AttributeError, "mutex waiters unset");
-            goto out;
-        }
-        Py_ssize_t sz = PyObject_Size(q);
-        if (sz < 0)
-            goto out;
-        if (sz > 0) {
-            /* Direct handoff: stays locked, ownership moves to the head. */
-            PyObject *ticket = fo_dq_popleft(q);
-            if (ticket == NULL)
-                goto out;
-            slot_set(ticket, off_mtix_granted, Py_True);
-            PyObject *g = slot_get(ticket, off_mtix_goroutine);
-            if (g == NULL || !PyObject_TypeCheck(g, fo_goro)) {
-                PyErr_SetString(PyExc_TypeError, "mutex ticket goroutine");
-                Py_DECREF(ticket);
-                goto out;
-            }
-            PyObject *gid = slot_get(g, off_g_gid);
-            slot_set(mu, off_mu_owner, gid ? gid : Py_None);
-            int rc = fo_ready(sched, g);
-            Py_DECREF(ticket);
-            if (rc < 0)
-                goto out;
-        }
-        else {
-            slot_set(mu, off_mu_locked, Py_False);
-            slot_set(mu, off_mu_owner, Py_None);
-        }
-    }
-    Py_INCREF(Py_None);
-    result = Py_None;
-out:
-    Py_DECREF(me);
-    Py_DECREF(sched);
-    return result;
-}
-
-/* ---- rwmutex ---- */
-
-static int
-fo_rw_grant_all(PyObject *rw, PyObject *sched)
-{
-    PyObject *pr = slot_get(rw, off_rw_pr);
-    if (pr == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "rwmutex queues unset");
-        return -1;
-    }
-    for (;;) {
-        Py_ssize_t sz = PyObject_Size(pr);
-        if (sz < 0)
-            return -1;
-        if (sz == 0)
-            return 0;
-        PyObject *t = fo_dq_popleft(pr);
-        if (t == NULL)
-            return -1;
-        int err = 0;
-        long long readers = fo_slot_ll(rw, off_rw_readers, &err);
-        if (err || fo_slot_set_ll(rw, off_rw_readers, readers + 1) < 0) {
-            Py_DECREF(t);
-            return -1;
-        }
-        slot_set(t, off_rwtix_granted, Py_True);
-        PyObject *g = slot_get(t, off_rwtix_goroutine);
-        int rc = (g != NULL) ? fo_ready(sched, g) : -1;
-        if (g == NULL)
-            PyErr_SetString(PyExc_AttributeError, "ticket goroutine unset");
-        Py_DECREF(t);
-        if (rc < 0)
-            return -1;
-    }
-}
-
-static int
-fo_rw_promote(PyObject *rw, PyObject *sched, int prefer_readers)
-{
-    if (slot_get(rw, off_rw_writer) == Py_True)
-        return 0;
-    PyObject *pr = slot_get(rw, off_rw_pr);
-    PyObject *pw = slot_get(rw, off_rw_pw);
-    if (pr == NULL || pw == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "rwmutex queues unset");
-        return -1;
-    }
-    Py_ssize_t npr = PyObject_Size(pr);
-    if (npr < 0)
-        return -1;
-    Py_ssize_t npw = PyObject_Size(pw);
-    if (npw < 0)
-        return -1;
-    if (prefer_readers && npr > 0)
-        return fo_rw_grant_all(rw, sched);
-    int err = 0;
-    long long readers = fo_slot_ll(rw, off_rw_readers, &err);
-    if (err)
-        return -1;
-    if (readers == 0 && npw > 0) {
-        PyObject *t = fo_dq_popleft(pw);
-        if (t == NULL)
-            return -1;
-        slot_set(rw, off_rw_writer, Py_True);
-        slot_set(t, off_rwtix_granted, Py_True);
-        PyObject *g = slot_get(t, off_rwtix_goroutine);
-        int rc = (g != NULL) ? fo_ready(sched, g) : -1;
-        if (g == NULL)
-            PyErr_SetString(PyExc_AttributeError, "ticket goroutine unset");
-        Py_DECREF(t);
-        return rc;
-    }
-    if (npr > 0) {
-        PyObject *wp = slot_get(rw, off_rw_wprio);
-        int prio = wp ? PyObject_IsTrue(wp) : 0;
-        if (prio < 0)
-            return -1;
-        if (!(prio && npw > 0))
-            return fo_rw_grant_all(rw, sched);
-    }
-    return 0;
-}
-
-/* Shared ticket-wait loop for the slow paths of rlock and lock. */
-static int
-fo_rw_wait(PyObject *rw, PyObject *sched, PyObject *me,
-           Py_ssize_t off_queue, Py_ssize_t off_reason)
-{
-    PyObject *q = slot_get(rw, off_queue);
-    if (q == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "rwmutex queues unset");
-        return -1;
-    }
-    PyObject *ticket = PyObject_CallFunctionObjArgs(
-        (PyObject *)fo_rw_ticket, me, NULL);
-    if (ticket == NULL)
-        return -1;
-    if (fo_dq_append(q, ticket) < 0) {
-        Py_DECREF(ticket);
-        return -1;
-    }
-    PyObject *reason = slot_get(rw, off_reason);
-    if (reason == NULL)
-        reason = Py_None;
-    Py_INCREF(reason);
-    int rc = 0;
-    while (slot_get(ticket, off_rwtix_granted) != Py_True) {
-        if (fo_block(sched, me, reason) < 0) {
-            rc = -1;
-            break;
-        }
-    }
-    Py_DECREF(reason);
-    Py_DECREF(ticket);
-    return rc;
-}
-
-/* One engagement prologue shared by the four RWMutex entry points. */
-#define FO_RW_ENTER(rw, sched, me)                                  \
-    if (!fo_bound || Py_TYPE(rw) != fo_rwmutex)                     \
-        FO_BAIL(OP_RWMUTEX);                                        \
-    sched = slot_get(rw, off_rw_sched);                             \
-    if (sched == NULL)                                              \
-        FO_BAIL(OP_RWMUTEX);                                        \
-    Py_INCREF(sched);                                               \
-    me = NULL;                                                      \
-    do {                                                            \
-        int _e = fo_enter(sched, &me);                              \
-        if (_e <= 0) {                                              \
-            Py_DECREF(sched);                                       \
-            if (_e < 0)                                             \
-                return NULL;                                        \
-            FO_BAIL(OP_RWMUTEX);                                    \
-        }                                                           \
-    } while (0);                                                    \
-    fo_hits[OP_RWMUTEX]++
-
-static PyObject *
-fo_rw_rlock(PyObject *module, PyObject *rw)
-{
-    PyObject *sched, *me;
-    FO_RW_ENTER(rw, sched, me);
-    PyObject *result = NULL;
-    int can = (slot_get(rw, off_rw_writer) != Py_True);
-    if (can) {
-        PyObject *wp = slot_get(rw, off_rw_wprio);
-        int prio = wp ? PyObject_IsTrue(wp) : 0;
-        if (prio < 0)
-            goto out;
-        if (prio) {
-            PyObject *pw = slot_get(rw, off_rw_pw);
-            Py_ssize_t npw = pw ? PyObject_Size(pw) : -1;
-            if (npw < 0)
-                goto out;
-            if (npw > 0)
-                can = 0;
-        }
-    }
-    if (can) {
-        int err = 0;
-        long long readers = fo_slot_ll(rw, off_rw_readers, &err);
-        if (err || fo_slot_set_ll(rw, off_rw_readers, readers + 1) < 0)
-            goto out;
-    }
-    else if (fo_rw_wait(rw, sched, me, off_rw_pr, off_rw_reason_r) < 0) {
-        goto out;
-    }
-    Py_INCREF(Py_None);
-    result = Py_None;
-out:
-    Py_DECREF(me);
-    Py_DECREF(sched);
-    return result;
-}
-
-static PyObject *
-fo_rw_runlock(PyObject *module, PyObject *rw)
-{
-    PyObject *sched, *me;
-    FO_RW_ENTER(rw, sched, me);
-    PyObject *result = NULL;
-    int err = 0;
-    long long readers = fo_slot_ll(rw, off_rw_readers, &err);
-    if (err)
-        goto out;
-    if (readers <= 0) {
-        fo_panic(msg_rw_runlock);
-        goto out;
-    }
-    if (fo_slot_set_ll(rw, off_rw_readers, readers - 1) < 0)
-        goto out;
-    if (readers - 1 == 0 && fo_rw_promote(rw, sched, 0) < 0)
-        goto out;
-    Py_INCREF(Py_None);
-    result = Py_None;
-out:
-    Py_DECREF(me);
-    Py_DECREF(sched);
-    return result;
-}
-
-static PyObject *
-fo_rw_lock(PyObject *module, PyObject *rw)
-{
-    PyObject *sched, *me;
-    FO_RW_ENTER(rw, sched, me);
-    PyObject *result = NULL;
-    int err = 0;
-    long long readers = fo_slot_ll(rw, off_rw_readers, &err);
-    if (err)
-        goto out;
-    if (slot_get(rw, off_rw_writer) != Py_True && readers == 0) {
-        slot_set(rw, off_rw_writer, Py_True);
-    }
-    else if (fo_rw_wait(rw, sched, me, off_rw_pw, off_rw_reason_w) < 0) {
-        goto out;
-    }
-    Py_INCREF(Py_None);
-    result = Py_None;
-out:
-    Py_DECREF(me);
-    Py_DECREF(sched);
-    return result;
-}
-
-static PyObject *
-fo_rw_unlock(PyObject *module, PyObject *rw)
-{
-    PyObject *sched, *me;
-    FO_RW_ENTER(rw, sched, me);
-    PyObject *result = NULL;
-    if (slot_get(rw, off_rw_writer) != Py_True) {
-        fo_panic(msg_rw_unlock);
-        goto out;
-    }
-    slot_set(rw, off_rw_writer, Py_False);
-    if (fo_rw_promote(rw, sched, 1) < 0)
-        goto out;
-    Py_INCREF(Py_None);
-    result = Py_None;
-out:
-    Py_DECREF(me);
-    Py_DECREF(sched);
-    return result;
-}
-
-/* ---- vector-clock kernels ---- */
-
-static PyObject *
-hl_vc_join(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2 || !PyList_CheckExact(args[0]) ||
-        !PyList_CheckExact(args[1])) {
-        PyErr_SetString(PyExc_TypeError, "vc_join expects two lists");
-        return NULL;
-    }
-    PyObject *v = args[0], *o = args[1];
-    Py_ssize_t nv = PyList_GET_SIZE(v), no = PyList_GET_SIZE(o);
-    for (Py_ssize_t i = 0; i < no; i++) {
-        PyObject *oi = PyList_GET_ITEM(o, i);
-        if (i < nv) {
-            PyObject *vi = PyList_GET_ITEM(v, i);
-            int gt = PyObject_RichCompareBool(oi, vi, Py_GT);
-            if (gt < 0)
-                return NULL;
-            if (gt) {
-                Py_INCREF(oi);
-                PyList_SetItem(v, i, oi);
-            }
-        }
-        else {
-            /* The pure join extends with zeros then maxes. */
-            int gt = PyObject_RichCompareBool(oi, long_zero, Py_GT);
-            if (gt < 0)
-                return NULL;
-            if (PyList_Append(v, gt ? oi : long_zero) < 0)
-                return NULL;
-        }
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-hl_vc_le(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2 || !PyList_CheckExact(args[0]) ||
-        !PyList_CheckExact(args[1])) {
-        PyErr_SetString(PyExc_TypeError, "vc_le expects two lists");
-        return NULL;
-    }
-    PyObject *v = args[0], *o = args[1];
-    Py_ssize_t nv = PyList_GET_SIZE(v), no = PyList_GET_SIZE(o);
-    for (Py_ssize_t i = 0; i < nv; i++) {
-        PyObject *vi = PyList_GET_ITEM(v, i);
-        PyObject *oi = (i < no) ? PyList_GET_ITEM(o, i) : long_zero;
-        int gt = PyObject_RichCompareBool(vi, oi, Py_GT);
-        if (gt < 0)
-            return NULL;
-        if (gt)
-            Py_RETURN_FALSE;
-    }
-    Py_RETURN_TRUE;
-}
-
-/* ---- stats + bind ---- */
-
-static PyObject *
-hl_fastops_stats(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    static const char *names[OP_N] = {
-        "send", "recv", "try_send", "try_recv", "select", "mutex", "rwmutex",
-    };
-    int reset = 0;
-    if (nargs > 1) {
-        PyErr_SetString(PyExc_TypeError, "fastops_stats([reset])");
-        return NULL;
-    }
-    if (nargs == 1) {
-        reset = PyObject_IsTrue(args[0]);
-        if (reset < 0)
-            return NULL;
-    }
-    PyObject *engaged = PyDict_New();
-    PyObject *bailed = PyDict_New();
-    PyObject *result = NULL;
-    if (engaged == NULL || bailed == NULL)
-        goto done;
-    for (int i = 0; i < OP_N; i++) {
-        PyObject *h = PyLong_FromLongLong(fo_hits[i]);
-        if (h == NULL || PyDict_SetItemString(engaged, names[i], h) < 0) {
-            Py_XDECREF(h);
-            goto done;
-        }
-        Py_DECREF(h);
-        PyObject *b = PyLong_FromLongLong(fo_bails[i]);
-        if (b == NULL || PyDict_SetItemString(bailed, names[i], b) < 0) {
-            Py_XDECREF(b);
-            goto done;
-        }
-        Py_DECREF(b);
-    }
-    result = Py_BuildValue("{sOsO}", "engaged", engaged, "bailed", bailed);
-    if (result != NULL && reset) {
-        memset(fo_hits, 0, sizeof(fo_hits));
-        memset(fo_bails, 0, sizeof(fo_bails));
-    }
-done:
-    Py_XDECREF(engaged);
-    Py_XDECREF(bailed);
-    return result;
-}
-
-static PyObject *
-hl_bind_fastops(PyObject *module, PyObject *args)
-{
-    PyObject *chan_cls, *waiter_cls, *selctx_cls, *sendcase_cls,
-             *recvcase_cls, *mutex_cls, *mu_ticket_cls, *rwmutex_cls,
-             *rw_ticket_cls, *trace_cls, *goro_cls, *tk_goro_cls,
-             *gstate_cls, *gopanic_exc, *killed_exc, *deque_cls;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOOO",
-                          &chan_cls, &waiter_cls, &selctx_cls, &sendcase_cls,
-                          &recvcase_cls, &mutex_cls, &mu_ticket_cls,
-                          &rwmutex_cls, &rw_ticket_cls, &trace_cls,
-                          &goro_cls, &tk_goro_cls, &gstate_cls,
-                          &gopanic_exc, &killed_exc, &deque_cls))
-        return NULL;
-    if (!hl_bound) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "bind() must run before bind_fastops()");
-        return NULL;
-    }
-    fo_bound = 0;
-
-#define OFFSET(cls, name, dst)                                      \
-    do {                                                            \
-        if (member_offset(cls, name, &dst) < 0)                     \
-            return NULL;                                            \
-    } while (0)
-    OFFSET(chan_cls, "_sched", off_ch_sched);
-    OFFSET(chan_cls, "capacity", off_ch_capacity);
-    OFFSET(chan_cls, "_buf", off_ch_buf);
-    OFFSET(chan_cls, "_send_waiters", off_ch_sendw);
-    OFFSET(chan_cls, "_recv_waiters", off_ch_recvw);
-    OFFSET(chan_cls, "_closed", off_ch_closed);
-    OFFSET(chan_cls, "_send_seq", off_ch_sendseq);
-    OFFSET(chan_cls, "_reason_send", off_ch_reason_send);
-    OFFSET(chan_cls, "_reason_recv", off_ch_reason_recv);
-    OFFSET(waiter_cls, "goroutine", off_w_goroutine);
-    OFFSET(waiter_cls, "payload", off_w_payload);
-    OFFSET(waiter_cls, "value", off_w_value);
-    OFFSET(waiter_cls, "ok", off_w_ok);
-    OFFSET(waiter_cls, "completed", off_w_completed);
-    OFFSET(waiter_cls, "select_ctx", off_w_selctx);
-    OFFSET(waiter_cls, "case_index", off_w_caseidx);
-    OFFSET(selctx_cls, "winner", off_sc_winner);
-    OFFSET(selctx_cls, "value", off_sc_value);
-    OFFSET(selctx_cls, "ok", off_sc_ok);
-    OFFSET(sendcase_cls, "channel", off_case_channel);
-    OFFSET(sendcase_cls, "value", off_case_value);
-    OFFSET(mutex_cls, "_sched", off_mu_sched);
-    OFFSET(mutex_cls, "_locked", off_mu_locked);
-    OFFSET(mutex_cls, "_owner", off_mu_owner);
-    OFFSET(mutex_cls, "_waiters", off_mu_waiters);
-    OFFSET(mutex_cls, "_reason", off_mu_reason);
-    OFFSET(mu_ticket_cls, "goroutine", off_mtix_goroutine);
-    OFFSET(mu_ticket_cls, "granted", off_mtix_granted);
-    OFFSET(rwmutex_cls, "_sched", off_rw_sched);
-    OFFSET(rwmutex_cls, "writer_priority", off_rw_wprio);
-    OFFSET(rwmutex_cls, "_readers", off_rw_readers);
-    OFFSET(rwmutex_cls, "_writer", off_rw_writer);
-    OFFSET(rwmutex_cls, "_pending_writers", off_rw_pw);
-    OFFSET(rwmutex_cls, "_pending_readers", off_rw_pr);
-    OFFSET(rwmutex_cls, "_reason_r", off_rw_reason_r);
-    OFFSET(rwmutex_cls, "_reason_w", off_rw_reason_w);
-    OFFSET(rw_ticket_cls, "goroutine", off_rwtix_goroutine);
-    OFFSET(rw_ticket_cls, "granted", off_rwtix_granted);
-    OFFSET(trace_cls, "active", off_trace_active);
-    OFFSET(goro_cls, "gid", off_g_gid);
-    OFFSET(goro_cls, "block_reason", off_g_blockreason);
-    OFFSET(goro_cls, "external", off_g_external);
-    OFFSET(goro_cls, "pending_error", off_g_pending);
-    OFFSET(goro_cls, "_killed", off_g_killed);
-    OFFSET(tk_goro_cls, "_hub", off_tkg_hub);
-#undef OFFSET
-
-#define STORE_TYPE(dst, src)                                        \
-    do {                                                            \
-        if (!PyType_Check(src)) {                                   \
-            PyErr_SetString(PyExc_TypeError, "expected a class");   \
-            return NULL;                                            \
-        }                                                           \
-        Py_INCREF(src);                                             \
-        Py_XSETREF(dst, (PyTypeObject *)(src));                     \
-    } while (0)
-    STORE_TYPE(fo_chan, chan_cls);
-    STORE_TYPE(fo_waiter, waiter_cls);
-    STORE_TYPE(fo_selctx, selctx_cls);
-    STORE_TYPE(fo_sendcase, sendcase_cls);
-    STORE_TYPE(fo_recvcase, recvcase_cls);
-    STORE_TYPE(fo_mutex, mutex_cls);
-    STORE_TYPE(fo_mu_ticket, mu_ticket_cls);
-    STORE_TYPE(fo_rwmutex, rwmutex_cls);
-    STORE_TYPE(fo_rw_ticket, rw_ticket_cls);
-    STORE_TYPE(fo_trace, trace_cls);
-    STORE_TYPE(fo_goro, goro_cls);
-#undef STORE_TYPE
-
-    {
-        PyObject *b = PyObject_GetAttrString(gstate_cls, "BLOCKED");
-        if (b == NULL)
-            return NULL;
-        Py_XSETREF(st_blocked, b);
-    }
-    Py_INCREF(gopanic_exc);
-    Py_XSETREF(fo_gopanic, gopanic_exc);
-    Py_INCREF(killed_exc);
-    Py_XSETREF(fo_killed, killed_exc);
-
-#define DQ_METH(dst, name)                                          \
-    do {                                                            \
-        PyObject *mth = PyObject_GetAttrString(deque_cls, name);    \
-        if (mth == NULL)                                            \
-            return NULL;                                            \
-        Py_XSETREF(dst, mth);                                       \
-    } while (0)
-    DQ_METH(dq_popleft_m, "popleft");
-    DQ_METH(dq_append_m, "append");
-    DQ_METH(dq_remove_m, "remove");
-#undef DQ_METH
-
-    fo_bound = 1;
-    Py_RETURN_NONE;
-}
-
-/* ------------------------------------------------------------------ */
 /* module                                                              */
 /* ------------------------------------------------------------------ */
 
@@ -2424,43 +722,6 @@ static PyMethodDef hl_methods[] = {
     {"drive", hl_drive, METH_O,
      "drive(scheduler) -> verdict str, or None when the compiled loop "
      "cannot run this scheduler (pure loop takes over)."},
-    {"bind_fastops", hl_bind_fastops, METH_VARARGS,
-     "bind_fastops(Channel, _Waiter, _SelectContext, SendCase, RecvCase, "
-     "Mutex, MutexTicket, RWMutex, RWTicket, Trace, Goroutine, "
-     "TaskletGoroutine, GState, GoPanic, Killed, deque): cache the slot "
-     "offsets and classes the channel/select/sync fast ops need."},
-    {"chan_send", (PyCFunction)fo_chan_send, METH_FASTCALL,
-     "chan_send(ch, value) -> None, or NotImplemented to use the pure op."},
-    {"chan_recv", (PyCFunction)fo_chan_recv, METH_O,
-     "chan_recv(ch) -> (value, ok), or NotImplemented."},
-    {"chan_try_send", (PyCFunction)fo_chan_try_send, METH_FASTCALL,
-     "chan_try_send(ch, value) -> bool, or NotImplemented."},
-    {"chan_try_recv", (PyCFunction)fo_chan_try_recv, METH_O,
-     "chan_try_recv(ch) -> (value, ok, received), or NotImplemented."},
-    {"select_op", (PyCFunction)fo_select, METH_FASTCALL,
-     "select_op(sched, cases, default) -> (index, value, ok), or "
-     "NotImplemented."},
-    {"mutex_lock", (PyCFunction)fo_mutex_lock, METH_O,
-     "mutex_lock(mu) -> None, or NotImplemented."},
-    {"mutex_trylock", (PyCFunction)fo_mutex_trylock, METH_O,
-     "mutex_trylock(mu) -> bool, or NotImplemented."},
-    {"mutex_unlock", (PyCFunction)fo_mutex_unlock, METH_O,
-     "mutex_unlock(mu) -> None, or NotImplemented."},
-    {"rw_rlock", (PyCFunction)fo_rw_rlock, METH_O,
-     "rw_rlock(rw) -> None, or NotImplemented."},
-    {"rw_runlock", (PyCFunction)fo_rw_runlock, METH_O,
-     "rw_runlock(rw) -> None, or NotImplemented."},
-    {"rw_lock", (PyCFunction)fo_rw_lock, METH_O,
-     "rw_lock(rw) -> None, or NotImplemented."},
-    {"rw_unlock", (PyCFunction)fo_rw_unlock, METH_O,
-     "rw_unlock(rw) -> None, or NotImplemented."},
-    {"vc_join", (PyCFunction)hl_vc_join, METH_FASTCALL,
-     "vc_join(v, o): in-place pointwise max of two dense count lists."},
-    {"vc_le", (PyCFunction)hl_vc_le, METH_FASTCALL,
-     "vc_le(v, o) -> bool: pointwise v <= o with zero padding."},
-    {"fastops_stats", (PyCFunction)hl_fastops_stats, METH_FASTCALL,
-     "fastops_stats(reset=False) -> {'engaged': {...}, 'bailed': {...}} "
-     "per-op counters for the compiled fast paths."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2513,30 +774,7 @@ PyInit__hotloop(void)
     INTERN(v_timeout, "timeout");
     INTERN(v_steps, "steps");
     INTERN(v_idle, "idle");
-    INTERN(s_trace, "trace");
-    INTERN(s_injector, "injector");
-    INTERN(s_preempt, "preempt");
-    INTERN(s_yield, "yield_to_scheduler");
-    INTERN(r_select, "select");
 #undef INTERN
 
-#define MKSTR(var, text)                                    \
-    do {                                                    \
-        var = PyUnicode_FromString(text);                   \
-        if (var == NULL) {                                  \
-            Py_DECREF(m);                                   \
-            return NULL;                                    \
-        }                                                   \
-    } while (0)
-    MKSTR(msg_send_closed, "send on closed channel");
-    MKSTR(msg_mu_unlock, "sync: unlock of unlocked mutex");
-    MKSTR(msg_rw_runlock, "sync: RUnlock of unlocked RWMutex");
-    MKSTR(msg_rw_unlock, "sync: Unlock of unlocked RWMutex");
-#undef MKSTR
-    long_zero = PyLong_FromLong(0);
-    if (long_zero == NULL) {
-        Py_DECREF(m);
-        return NULL;
-    }
     return m;
 }

@@ -226,17 +226,6 @@ class Runtime:
             default), the received value (None for send cases), and the
             channel-open flag.
         """
-        sched = self.sched
-        fast = sched._fastops
-        if fast is not None:
-            # Dispatch the compiled op before paying for the pure
-            # machinery below; it validates the cases itself and bails
-            # (idempotently, before anything observable) on anything it
-            # cannot handle, so re-dispatching inside the slow path is
-            # harmless.
-            outcome = fast.select_op(sched, cases, default)
-            if outcome is not NotImplemented:
-                return outcome
         from ..chan.select import select as _select
 
         return _select(self, cases, default=default)
@@ -396,11 +385,12 @@ class RunResult:
         backend: the resolved goroutine vehicle that ran this simulation
             (``"tasklet"`` | ``"thread"``) — what ``backend="coroutine"``
             actually picked.
-        compiled: True when the scheduler had compiled accelerators loaded
-            (the fused step loop and/or the channel/select/sync fast ops);
-            False on pure-Python runs (``REPRO_NO_CEXT=1``, off-platform,
-            or under ``force_pure``).  Availability, not engagement: a
-            traced run reports True even though every fast op bailed out.
+        compiled: True when the compiled drive loop was available to this
+            run's scheduler: a tasklet-vehicle run with the extension
+            loaded.  False on the thread vehicle (whose direct handoff
+            never enters the loop), with ``REPRO_NO_CEXT=1``, off-platform,
+            or under ``force_pure``.  Availability, not engagement: a
+            traced run reports True even though the pure loop ran it.
         injected: records of faults the injector fired during this run
             (empty when no fault plan was attached).
         observation: the :class:`repro.observe.Observer` that watched this
@@ -666,7 +656,7 @@ def run(
         injected=injector.log if injector is not None else (),
         observation=observation,
         backend=sched.backend,
-        compiled=sched._hot is not None or sched._fastops is not None,
+        compiled=sched._hot is not None,
     )
     if observation is not None:
         observation.finish(result)

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .clock import VirtualClock
 from .errors import Killed, SchedulerStateError, StepLimitExceeded
-from ._hotloop import BatchedRandom, get_drive, get_fastops
+from ._hotloop import BatchedRandom, get_drive
 from .goroutine import (
     Goroutine,
     GState,
@@ -213,12 +213,6 @@ class Scheduler:
         #: thread vehicle's direct handoff never goes through here.
         self._hot: Optional[Callable[["Scheduler"], Optional[str]]] = (
             None if self._direct else get_drive())
-        #: Compiled channel/select/mutex fast ops (the same C module), or
-        #: None.  Unlike ``_hot`` these work on both vehicles: each op
-        #: re-checks engagement (trace inactive, no injector, goroutine
-        #: context) at entry and returns ``NotImplemented`` to defer to the
-        #: pure path when any observer is attached.
-        self._fastops = get_fastops()
         # Per-call loop state, shared with the inline continuations that
         # goroutine hosts run in ``_handback`` (all token-serialized).
         self._stop_when: Optional[Callable[[], bool]] = None

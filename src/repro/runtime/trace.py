@@ -121,8 +121,8 @@ class Trace:
     they observe the exact interleaving order.
     """
 
-    # Slotted so the compiled fast ops can probe ``active`` by slot offset
-    # (and exact type) instead of a dict lookup on every channel operation.
+    # Slotted: ``active`` is read at every event site, so a slot read
+    # beats a dict lookup.
     __slots__ = ("_events", "_listeners", "_keep_events", "active")
 
     def __init__(self, keep_events: bool = True):

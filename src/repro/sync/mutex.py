@@ -29,15 +29,12 @@ class _Ticket:
 class Mutex:
     """Mutual exclusion lock.  Usable as a context manager."""
 
-    __slots__ = ("_rt", "_sched", "_fast", "id", "name", "_locked", "_owner",
+    __slots__ = ("_rt", "_sched", "id", "name", "_locked", "_owner",
                  "_waiters", "_reason")
 
     def __init__(self, rt: "Runtime", name: Optional[str] = None):
         self._rt = rt
         self._sched = rt.sched
-        # The scheduler binds its fast-op table once at construction, so
-        # caching it here saves an attribute hop on every acquire/release.
-        self._fast = rt.sched._fastops
         self.id = rt.new_obj_id()
         self.name = name or f"mutex#{self.id}"
         self._locked = False
@@ -51,9 +48,6 @@ class Mutex:
 
     def lock(self) -> None:
         """Acquire, like ``mu.Lock()``; blocks while held (even by self)."""
-        fast = self._fast
-        if fast is not None and fast.mutex_lock(self) is not NotImplemented:
-            return
         self._sched.schedule_point()
         me = self._sched.current
         # The *request* is observable even if the acquisition never
@@ -76,11 +70,6 @@ class Mutex:
 
     def try_lock(self) -> bool:
         """Non-blocking acquire, like ``mu.TryLock()``."""
-        fast = self._fast
-        if fast is not None:
-            outcome = fast.mutex_trylock(self)
-            if outcome is not NotImplemented:
-                return outcome
         self._sched.schedule_point()
         if self._locked:
             return False
@@ -91,9 +80,6 @@ class Mutex:
 
     def unlock(self) -> None:
         """Release, like ``mu.Unlock()``.  Panics if not locked."""
-        fast = self._fast
-        if fast is not None and fast.mutex_unlock(self) is not NotImplemented:
-            return
         self._sched.schedule_point()
         if not self._locked:
             raise GoPanic("sync: unlock of unlocked mutex")
@@ -110,19 +96,12 @@ class Mutex:
             self._owner = None
 
     # Context-manager sugar for the common lock/defer-unlock pattern.
-    # Dispatches the compiled op directly — one Python frame per acquire
-    # instead of two; on a bail the full wrapper runs (the repeated
-    # engagement check is cheap and happens before anything observable).
     def __enter__(self) -> "Mutex":
-        fast = self._fast
-        if fast is None or fast.mutex_lock(self) is NotImplemented:
-            self.lock()
+        self.lock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        fast = self._fast
-        if fast is None or fast.mutex_unlock(self) is NotImplemented:
-            self.unlock()
+        self.unlock()
 
     def __repr__(self) -> str:
         state = f"locked by g{self._owner}" if self._locked else "unlocked"

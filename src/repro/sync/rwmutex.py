@@ -62,9 +62,6 @@ class RWMutex:
 
     def rlock(self) -> None:
         """Acquire a read lock, like ``mu.RLock()``."""
-        fast = self._sched._fastops
-        if fast is not None and fast.rw_rlock(self) is not NotImplemented:
-            return
         self._sched.schedule_point()
         me = self._sched.current
         if self._can_rlock_now():
@@ -79,9 +76,6 @@ class RWMutex:
 
     def runlock(self) -> None:
         """Release a read lock, like ``mu.RUnlock()``."""
-        fast = self._sched._fastops
-        if fast is not None and fast.rw_runlock(self) is not NotImplemented:
-            return
         self._sched.schedule_point()
         if self._readers <= 0:
             raise GoPanic("sync: RUnlock of unlocked RWMutex")
@@ -103,9 +97,6 @@ class RWMutex:
 
     def lock(self) -> None:
         """Acquire the write lock, like ``mu.Lock()``."""
-        fast = self._sched._fastops
-        if fast is not None and fast.rw_lock(self) is not NotImplemented:
-            return
         self._sched.schedule_point()
         me = self._sched.current
         self._sched.emit(EventKind.RW_REQUEST, obj=self.id,
@@ -123,9 +114,6 @@ class RWMutex:
 
     def unlock(self) -> None:
         """Release the write lock, like ``mu.Unlock()``."""
-        fast = self._sched._fastops
-        if fast is not None and fast.rw_unlock(self) is not NotImplemented:
-            return
         self._sched.schedule_point()
         if not self._writer:
             raise GoPanic("sync: Unlock of unlocked RWMutex")

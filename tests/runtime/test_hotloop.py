@@ -159,16 +159,44 @@ def test_hot_loop_disabled_by_observers_without_changing_results():
     assert len(seen) == hooked.steps
 
 
+def test_compiled_field_means_the_drive_loop_was_available():
+    """``RunResult.compiled`` is drive-loop availability: only a tasklet
+    run can have it, and ``force_pure`` takes it away."""
+    from repro.runtime.scheduler import resolve_backend
+
+    program = WORKLOADS["pingpong"]
+    if resolve_backend("coroutine") == "tasklet":
+        tasklet = run(program, seed=1, backend="coroutine")
+        assert tasklet.backend == "tasklet"
+        assert tasklet.compiled is _hotloop.HAS_COMPILED
+    thread = run(program, seed=1, backend="thread")
+    assert thread.compiled is False
+    with _hotloop.force_pure():
+        pure = run(program, seed=1)
+    assert pure.compiled is False
+
+
+def test_get_fastops_binds_the_drive_loop_and_returns_none():
+    """The stub kept for outside callers: no fast ops, but the call still
+    binds the compiled drive loop where the extension loaded."""
+    assert _hotloop.get_fastops() is None
+    if _hotloop.HAS_COMPILED:
+        assert _hotloop.get_drive() is _hotloop._c.drive
+    else:
+        assert _hotloop.get_drive() is None
+
+
+@needs_compiled
+def test_extension_exports_only_the_rng_and_drive_loop():
+    """The compiled primitive ops and vector-clock kernels are gone; the
+    extension is the RNG, ``bind`` and ``drive``."""
+    public = {name for name in dir(_hotloop._c) if not name.startswith("_")}
+    assert public == {"BatchedRandom", "bind", "drive"}
+
+
 # ---------------------------------------------------------------------------
-# Array-backed vector clocks (used by the detect.hb engine)
+# Dense vector clocks (repro.detect.vectorclock, used by the detect.hb engine)
 # ---------------------------------------------------------------------------
-
-
-def test_vectorclock_import_locations_are_one_class():
-    from repro.detect.vectorclock import VectorClock as DetectVC
-    from repro.runtime._hotloop import VectorClock as HotVC
-
-    assert DetectVC is HotVC
 
 
 def test_vectorclock_zero_components_are_absent_components():

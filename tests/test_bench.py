@@ -1,4 +1,4 @@
-"""The benchmark document: schema-4 fields, backend comparison, perf guard."""
+"""The benchmark document: schema-5 fields, backend comparison, perf guard."""
 
 from repro import bench
 from repro.runtime.scheduler import resolve_backend
@@ -8,28 +8,23 @@ def test_single_cell_records_backend_and_compiled():
     row = bench.bench_single(bench.WORKLOADS["pingpong"], keep_trace=False,
                              rounds=2, repeats=1)
     assert row["backend"] == resolve_backend("coroutine")
-    # `compiled` is availability; `fastops_per_run` is engagement.
-    assert row["compiled"] == bench.HAS_COMPILED
-    if bench.HAS_COMPILED:
-        assert row["fastops_per_run"] > 0
+    # `compiled` is drive-loop availability: only a tasklet run has it.
+    assert row["compiled"] == (bench.HAS_COMPILED
+                               and row["backend"] == "tasklet")
     traced = bench.bench_single(bench.WORKLOADS["pingpong"], keep_trace=True,
                                 rounds=2, repeats=1)
-    # A live trace consumer makes every fast op bail to the observable
-    # pure primitive — the accelerators stay loaded, but engage nothing.
-    assert traced["compiled"] == bench.HAS_COMPILED
-    assert traced["fastops_per_run"] == 0
+    # Availability, not engagement: a trace forces the pure loop but the
+    # compiled one stays available.
+    assert traced["compiled"] == row["compiled"]
     thread = bench.bench_single(bench.WORKLOADS["pingpong"], keep_trace=False,
                                 rounds=2, repeats=1, backend="thread")
     assert thread["backend"] == "thread"
-    # The fast ops run from goroutine context, so they engage on any
-    # vehicle — only the fused drive loop is continuation-only.
-    assert thread["fastops_per_run"] == row["fastops_per_run"]
+    assert thread["compiled"] is False
 
 
-def test_schema_bumped_for_the_channel_fastpath():
-    assert bench.SCHEMA == 4
+def test_schema_bumped_for_the_deleted_fast_ops():
+    assert bench.SCHEMA == 5
     assert "spin" in bench.WORKLOADS
-    assert "pingpong_heavy" in bench.CHANNEL_WORKLOADS
 
 
 def test_backend_comparison_section(monkeypatch):
