@@ -1,11 +1,8 @@
 """Exploration pruning: fewer runs to exhaustion, identical verdicts.
 
 Not a paper table — this guards the systematic explorer's sleep-set
-pruning (:mod:`repro.detect.systematic`) the way
-``bench_simulator_perf`` guards the scheduler fast path.  The same
-measurements back ``repro bench
---explore``, whose JSON lands in the committed ``BENCH_simulator.json``
-baseline under the ``explore`` section.
+pruning (:mod:`repro.detect.systematic`).  perfbench's explore-exhaust
+workload times the explorer; this file checks what the pruning buys.
 
 The acceptance bar it enforces: on at least three corpus kernels the
 pruned exploration reaches exhaustion in >=30% fewer runs than the raw
@@ -13,9 +10,54 @@ tree, with the same exhaustion verdict — and on every buggy variant it
 still finds the counterexample the unpruned explorer finds.
 """
 
-from repro.bench import EXPLORE_KERNELS, run_explore_benchmarks
+import time
+from typing import Any, Dict, Sequence
+
+from repro.bench import EXPLORE_KERNELS
 from repro.bugs import registry
 from repro.detect.systematic import explore_systematic
+
+
+def bench_explore(kernel_id: str, max_runs: int = 800) -> Dict[str, Any]:
+    """Exploration to exhaustion on one kernel: raw tree vs pruned tree."""
+    kernel = registry.get(kernel_id)
+    kwargs = dict(kernel.run_kwargs)
+    t0 = time.perf_counter()
+    base = explore_systematic(kernel.fixed, stop_on=kernel.manifested,
+                              max_runs=max_runs, prune=False, **kwargs)
+    base_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    pruned = explore_systematic(kernel.fixed, stop_on=kernel.manifested,
+                                max_runs=max_runs, prune=True, **kwargs)
+    pruned_s = time.perf_counter() - t0
+    saved_pct = (100.0 * (base.runs - pruned.runs) / base.runs
+                 if base.runs else 0.0)
+    return {
+        "runs_unpruned": base.runs,
+        "runs_pruned": pruned.runs,
+        "saved_pct": round(saved_pct, 1),
+        "branches_pruned": pruned.pruned,
+        "unpruned_s": round(base_s, 4),
+        "pruned_s": round(pruned_s, 4),
+        "exhausted_unpruned": base.exhausted,
+        "exhausted_pruned": pruned.exhausted,
+        "verdict_match": (base.found == pruned.found
+                          and (not base.exhausted or pruned.exhausted)),
+    }
+
+
+def run_explore_benchmarks(kernel_ids: Sequence[str] = EXPLORE_KERNELS,
+                           max_runs: int = 800) -> Dict[str, Any]:
+    """Per-kernel pruning savings + the rollup."""
+    kernels = {kid: bench_explore(kid, max_runs=max_runs)
+               for kid in kernel_ids}
+    rows = list(kernels.values())
+    return {
+        "max_runs": max_runs,
+        "kernels": kernels,
+        "min_saved_pct": min(row["saved_pct"] for row in rows),
+        "all_verdicts_match": all(row["verdict_match"] for row in rows),
+    }
 
 
 def test_pruning_savings_and_verdicts(report):

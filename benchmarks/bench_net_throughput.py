@@ -1,21 +1,19 @@
 """Network throughput: the fabric under load, and determinism at scale.
 
-Three claims about :mod:`repro.net`:
+Two claims about :mod:`repro.net`:
 
 1. The virtual-time load generator sustains **six figures of requests in
    one deterministic run** — 100,000 echo round trips through the
    simulated fabric, with latency percentiles from the observe-layer
    histograms, in seconds of wall clock.
-2. The fabric and RPC micro-workloads hold their single-run cost
-   (``BENCH_net.json`` at the repo root is the committed baseline; CI's
-   perf-smoke job uploads a fresh document per run).
-3. Loadgen seed sweeps are **byte-identical** across worker counts:
+2. Loadgen seed sweeps are **byte-identical** across worker counts:
    ``jobs=4`` returns exactly the serial summaries.
+
+perfbench's net-loadgen workload times the fabric.
 """
 
 from functools import partial
 
-from repro.bench import render, run_net_benchmarks
 from repro.net.demo import loadgen_summary
 from repro.parallel import map_units
 
@@ -46,21 +44,6 @@ def test_loadgen_sustains_100k_requests(benchmark, report):
     assert lat["count"] == 100_000
     assert lat["p99"] >= lat["p50"] > 0
     assert summary["net"]["delivered"] == summary["net"]["sent"]
-
-
-def test_net_micro_benchmarks(benchmark, report):
-    document = benchmark.pedantic(
-        lambda: run_net_benchmarks(repeats=1, loadgen_requests=100),
-        rounds=1, iterations=1)
-
-    report("Network micro-benchmarks (baseline: BENCH_net.json)",
-           render(document))
-
-    assert set(document["single"]) == {"net_pingpong", "net_rpc"}
-    for row in document["single"].values():
-        assert row["fast"]["steps_per_run"] > 0
-    assert document["loadgen"]["errors"] == 0
-    assert document["loadgen"]["deterministic"]
 
 
 def test_loadgen_sweep_parallel_identical(benchmark, report):

@@ -23,7 +23,7 @@ REPEATS = 5
 
 
 # ----------------------------------------------------------------------
-# Workloads: the bench_simulator_perf substrate scenarios.
+# Workloads: four small scheduler and primitive scenarios.
 # ----------------------------------------------------------------------
 
 

@@ -7,8 +7,8 @@ Commands:
 * ``run-kernel <id>``       — run one kernel (buggy or fixed) and classify.
 * ``detect <id>``           — run every detector against one kernel.
 * ``scan <paths...>``       — static loop-capture scan over Python sources.
-* ``bench``                 — simulator performance benchmarks: single-run
-  fast path and parallel sweep scaling (``--out BENCH_simulator.json``).
+* ``bench``                 — detector-quality documents: the predict or
+  static scorecard plus triage savings (``--predict``/``--static``).
 * ``chaos``                 — fault-injection sweeps and the resilience
   scorecard (``repro chaos --apps``, ``repro chaos --kernel <id>``,
   ``repro chaos --net-apps --plan partition``).
@@ -695,28 +695,7 @@ def _cmd_static(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import main as bench_main
 
-    forwarded = []
-    if args.jobs:
-        forwarded += ["--jobs", str(args.jobs)]
-    forwarded += ["--repeats", str(args.repeats),
-                  "--sweep-seeds", str(args.sweep_seeds)]
-    if args.net:
-        forwarded.append("--net")
-    if args.recovery:
-        forwarded.append("--recovery")
-    if args.explore:
-        forwarded.append("--explore")
-    if args.predict:
-        forwarded.append("--predict")
-    if args.static:
-        forwarded.append("--static")
-    if args.baseline:
-        forwarded += ["--baseline", args.baseline]
-    if args.compare_backends:
-        forwarded.append("--compare-backends")
-    if args.guard:
-        forwarded += ["--guard", args.guard,
-                      "--guard-threshold", str(args.guard_threshold)]
+    forwarded = ["--predict" if args.predict else "--static"]
     if args.json:
         forwarded.append("--json")
     if args.out:
@@ -776,48 +755,17 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("paths", nargs="+")
 
     bench = sub.add_parser(
-        "bench", help="simulator performance benchmarks (fast path + sweep "
-                      "scaling; see BENCH_simulator.json for the baseline)"
+        "bench", help="detector-quality benchmarks: the predict or static "
+                      "scorecard plus triage savings (BENCH_predict.json, "
+                      "BENCH_static.json)"
     )
-    bench.add_argument("--jobs", type=int, default=0, metavar="N",
-                       help="workers for the sweep benchmark "
-                            "(default: all cpus)")
-    bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                       help="timing repeats per workload (default: 3)")
-    bench.add_argument("--sweep-seeds", type=int, default=64, metavar="N",
-                       help="seeds in the sweep benchmark (default: 64)")
-    bench.add_argument("--explore", action="store_true",
-                       help="run only the exploration-pruning benchmarks")
-    bench.add_argument("--predict", action="store_true",
-                       help="run the predictive-analysis benchmarks instead "
-                            "(scorecard vs dynamic detectors + triage "
-                            "savings; baseline: BENCH_predict.json)")
-    bench.add_argument("--static", action="store_true",
-                       help="run the static-analysis benchmarks instead "
-                            "(scorecard vs ground-truth labels + triage "
-                            "savings; baseline: BENCH_static.json)")
-    bench.add_argument("--baseline", metavar="FILE",
-                       help="print a delta table against a committed "
-                            "benchmark document")
-    bench.add_argument("--recovery", action="store_true",
-                       help="run the crash-recovery benchmarks instead "
-                            "(verdicts + recovery-time distributions under "
-                            "crash faults)")
-    bench.add_argument("--net", action="store_true",
-                       help="run the network benchmarks instead (fabric "
-                            "round trips, RPC echo, loadgen throughput; "
-                            "baseline: BENCH_net.json)")
-    bench.add_argument("--compare-backends", action="store_true",
-                       help="also time each workload on the thread backend "
-                            "and check digest equality vs the coroutine "
-                            "core (adds a 'backends' section)")
-    bench.add_argument("--guard", metavar="FILE",
-                       help="exit 1 if any fast/traced cell dropped more "
-                            "than --guard-threshold vs FILE")
-    bench.add_argument("--guard-threshold", type=float, default=20.0,
-                       metavar="PCT",
-                       help="regression threshold for --guard, percent "
-                            "(default: 20)")
+    which = bench.add_mutually_exclusive_group(required=True)
+    which.add_argument("--predict", action="store_true",
+                       help="offline scorecard vs the dynamic detectors + "
+                            "triage savings")
+    which.add_argument("--static", action="store_true",
+                       help="scan scorecard vs ground-truth labels + triage "
+                            "savings")
     bench.add_argument("--json", action="store_true",
                        help="print the JSON document instead of the table")
     bench.add_argument("--out", metavar="FILE",

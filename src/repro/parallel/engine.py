@@ -134,7 +134,7 @@ atexit.register(shutdown_pool)
 
 
 def pool_stats() -> Dict[str, int]:
-    """Counters for pool lifecycle (tests and ``repro bench`` read these)."""
+    """Counters for pool lifecycle (the tests read these)."""
     stats = dict(_STATS)
     stats["pool_alive"] = 1 if _POOL is not None else 0
     stats["pool_workers"] = _POOL_WORKERS

@@ -118,8 +118,8 @@ def user_stack(limit: int = 8) -> Tuple[str, ...]:
 
 
 # Every fallback that actually happened, counted per (requested -> used)
-# edge, so ``repro bench`` and perfbench can report how many schedulers ran
-# on a different vehicle than the one requested.
+# edge, so perfbench and the tests can report how many schedulers ran on a
+# different vehicle than the one requested.
 _fallback_counts: Dict[str, int] = {}
 
 

@@ -4,9 +4,9 @@ The coroutine-core scheduler promises that an identical ``(seed, plan)``
 produces byte-identical schedules no matter which vehicle hosts the
 goroutines (OS threads or the tasklet extension) and
 no matter whether a sweep ran in-process or across worker processes.
-This suite pins that contract over the benchmark workloads and a full
-repro.net crash-recovery scenario; ``test_hotloop.py`` pins the
-compiled-vs-pure half of the same contract.
+This suite pins that contract over the shared workloads
+(``tests/workloads.py``) and a full repro.net crash-recovery scenario;
+``test_hotloop.py`` pins the compiled-vs-pure half of the same contract.
 """
 
 from functools import partial
@@ -14,7 +14,7 @@ from functools import partial
 import pytest
 
 from repro import run
-from repro.bench import WORKLOADS
+from tests.workloads import WORKLOADS
 from repro.parallel import schedule_digest, sweep_seeds
 from repro.runtime.scheduler import resolve_backend
 

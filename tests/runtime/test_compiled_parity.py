@@ -32,7 +32,7 @@ from functools import partial
 import pytest
 
 from repro import run
-from repro.bench import WORKLOADS
+from tests.workloads import WORKLOADS
 from repro.inject import FaultPlan
 from repro.parallel import schedule_digest
 from repro.runtime._hotloop import force_pure, get_drive
@@ -340,7 +340,7 @@ def test_runlock_without_rlock_panics_identically():
 _SUBPROCESS_SCRIPT = textwrap.dedent("""
     import json
     from repro import run
-    from repro.bench import WORKLOADS
+    from tests.workloads import WORKLOADS
     from repro.parallel import schedule_digest
     from repro.runtime import _hotloop
 

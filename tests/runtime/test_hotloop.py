@@ -27,7 +27,7 @@ import textwrap
 import pytest
 
 from repro import run
-from repro.bench import WORKLOADS
+from tests.workloads import WORKLOADS
 from repro.parallel import schedule_digest
 from repro.runtime import _hotloop
 from repro.runtime.fastrand import BatchedRandom as PyBatchedRandom
@@ -99,7 +99,7 @@ def test_traceless_run_matches_traced_run(workload):
 _SUBPROCESS_SCRIPT = textwrap.dedent("""
     import json, sys
     from repro import run
-    from repro.bench import WORKLOADS
+    from tests.workloads import WORKLOADS
     from repro.parallel import schedule_digest
     from repro.runtime import _hotloop
     from repro.runtime.scheduler import backend_fallbacks

@@ -1,81 +1,114 @@
-"""The benchmark document: schema-5 fields, backend comparison, perf guard."""
+"""``repro bench``: the predict and static documents and their CLI.
 
-from repro import bench
-from repro.runtime.scheduler import resolve_backend
+The documents are regenerated once per module and compared with the
+committed ``BENCH_predict.json`` / ``BENCH_static.json``: every
+non-timing value is deterministic, so the key layout, the scorecards and
+the per-kernel triage savings must match the committed files exactly.
+"""
 
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
 
-def test_single_cell_records_backend_and_compiled():
-    row = bench.bench_single(bench.WORKLOADS["pingpong"], keep_trace=False,
-                             rounds=2, repeats=1)
-    assert row["backend"] == resolve_backend("coroutine")
-    # `compiled` is drive-loop availability: only a tasklet run has it.
-    assert row["compiled"] == (bench.HAS_COMPILED
-                               and row["backend"] == "tasklet")
-    traced = bench.bench_single(bench.WORKLOADS["pingpong"], keep_trace=True,
-                                rounds=2, repeats=1)
-    # Availability, not engagement: a trace forces the pure loop but the
-    # compiled one stays available.
-    assert traced["compiled"] == row["compiled"]
-    thread = bench.bench_single(bench.WORKLOADS["pingpong"], keep_trace=False,
-                                rounds=2, repeats=1, backend="thread")
-    assert thread["backend"] == "thread"
-    assert thread["compiled"] is False
+import pytest
+
+from repro import bench, cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SECTIONS = ("predict", "static")
 
 
-def test_schema_bumped_for_the_deleted_fast_ops():
-    assert bench.SCHEMA == 5
-    assert "spin" in bench.WORKLOADS
+def _committed(section):
+    with open(ROOT / f"BENCH_{section}.json", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
-def test_backend_comparison_section(monkeypatch):
-    monkeypatch.setattr(bench, "WORKLOADS",
-                        {"pingpong": bench.WORKLOADS["pingpong"]})
-    doc = bench.run_backend_comparison(repeats=1)
-    row = doc["workloads"]["pingpong"]
-    assert row["digests_equal"] is True
-    assert doc["all_digests_equal"] is True
-    assert row["coroutine_backend"] == resolve_backend("coroutine")
-    assert row["thread_steps_per_s"] > 0
-    assert row["coroutine_steps_per_s"] > 0
-    rendered = bench.render({"python": "3.11", "cpus": 1,
-                             "backend": row["coroutine_backend"],
-                             "compiled": row["compiled"],
-                             "backends": doc})
-    assert "backend comparison" in rendered
-    assert "all schedule digests equal: True" in rendered
+@pytest.fixture(scope="module")
+def documents():
+    """``repro bench --<section> --json`` for both sections, parsed."""
+    docs = {}
+    for section in SECTIONS:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["bench", f"--{section}", "--json"]) == 0
+        docs[section] = json.loads(out.getvalue())
+    return docs
 
 
-def _doc(sps_fast, sps_traced, backend="tasklet"):
-    return {"single": {"pingpong": {
-        "fast": {"steps_per_s": sps_fast, "backend": backend},
-        "traced": {"steps_per_s": sps_traced, "backend": backend},
-    }}}
+def _key_tree(node):
+    if isinstance(node, dict):
+        return {key: _key_tree(value) for key, value in node.items()}
+    return None
 
 
-def test_check_regression_flags_big_drops_only():
-    baseline = _doc(100_000, 50_000)
-    assert bench.check_regression(_doc(85_000, 45_000), baseline) == []
-    flagged = bench.check_regression(_doc(70_000, 50_000), baseline)
-    assert len(flagged) == 1
-    assert "pingpong/fast" in flagged[0]
-    assert "-30.0%" in flagged[0]
+def test_static_json_carries_the_recall_the_gate_reads(documents):
+    # CI's static recall gate reads exactly this path.
+    recall = documents["static"]["static"]["scorecard"]["recall"]
+    assert isinstance(recall, float)
+    assert recall == _committed("static")["static"]["scorecard"]["recall"]
 
 
-def test_check_regression_notes_backend_changes_and_missing_cells():
-    baseline = _doc(100_000, 50_000, backend="thread")
-    flagged = bench.check_regression(_doc(10_000, 50_000), baseline)
-    assert "backend thread -> tasklet" in flagged[0]
-    # Workloads absent from the baseline (new cells) are not regressions.
-    assert bench.check_regression(
-        {"single": {"brand_new": {"fast": {"steps_per_s": 1},
-                                  "traced": {"steps_per_s": 1}}}},
-        baseline) == []
+@pytest.mark.parametrize("section", SECTIONS)
+def test_document_key_tree_matches_committed(documents, section):
+    assert _key_tree(documents[section]) == _key_tree(_committed(section))
 
 
-def test_repro_cli_forwards_comparison_and_guard_flags(monkeypatch):
-    """`repro bench` must pass the new flags through to bench.main."""
-    from repro import cli
+@pytest.mark.parametrize("section", SECTIONS)
+def test_scorecard_matches_committed(documents, section):
+    timing = {"predict_wall_s", "scorecard_wall_s", "scan_wall_s",
+              "apps_wall_s", "checker_seconds"}
+    fresh = documents[section][section]["scorecard"]
+    committed = _committed(section)[section]["scorecard"]
+    assert ({k: v for k, v in fresh.items() if k not in timing}
+            == {k: v for k, v in committed.items() if k not in timing})
 
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_triage_savings_match_committed(documents, section):
+    """Predict saves ``runs - 1`` per clean kernel, static ``runs``."""
+    fresh = documents[section][section]["triage"]
+    committed = _committed(section)[section]["triage"]
+    pinned = ("explore_runs", "explore_exhausted", "runs_saved",
+              "triage_clean", "buggy_flagged")
+    assert list(fresh["kernels"]) == list(bench.EXPLORE_KERNELS)
+    for kid, row in fresh["kernels"].items():
+        want = committed["kernels"][kid]
+        assert {k: row[k] for k in pinned} == {k: want[k] for k in pinned}
+        clean_cost = 1 if section == "predict" else 0
+        assert row["runs_saved"] == row["explore_runs"] - clean_cost
+    for key in ("false_skips", "total_runs_saved", "total_explore_runs",
+                "all_fixed_screened_clean", "max_runs"):
+        assert fresh[key] == committed[key], key
+
+
+def test_render_prints_both_triage_tables(documents):
+    text = bench.render({**documents["predict"], **documents["static"]})
+    assert "triage screen vs explore-to-exhaustion" in text
+    assert "static screen vs explore-to-exhaustion" in text
+    assert "false skips: none" in text
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--predict", "--static"],
+    ["--net"],
+    ["--recovery"],
+    ["--explore"],
+    ["--compare-backends"],
+    ["--predict", "--guard", "BENCH_predict.json"],
+    ["--predict", "--baseline", "BENCH_predict.json"],
+    ["--predict", "--jobs", "4"],
+], ids=lambda argv: " ".join(argv) or "bare")
+def test_removed_and_missing_flags_are_usage_errors(argv):
+    for entry in (lambda: cli.main(["bench", *argv]),
+                  lambda: bench.main(argv)):
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 2
+
+
+def test_cli_forwards_section_and_out(monkeypatch, tmp_path):
     captured = {}
 
     def fake_main(argv):
@@ -83,31 +116,8 @@ def test_repro_cli_forwards_comparison_and_guard_flags(monkeypatch):
         return 0
 
     monkeypatch.setattr("repro.bench.main", fake_main)
-    assert cli.main(["bench", "--compare-backends",
-                     "--guard", "BENCH_baseline.json",
-                     "--guard-threshold", "35"]) == 0
-    argv = captured["argv"]
-    assert "--compare-backends" in argv
-    assert argv[argv.index("--guard") + 1] == "BENCH_baseline.json"
-    assert argv[argv.index("--guard-threshold") + 1] == "35.0"
-
-
-def test_guard_cli_exit_codes(tmp_path, capsys, monkeypatch):
-    import json
-
-    monkeypatch.setattr(bench, "WORKLOADS",
-                        {"pingpong": bench.WORKLOADS["pingpong"]})
-    monkeypatch.setattr(bench, "run_benchmarks",
-                        lambda **kw: {"schema": bench.SCHEMA,
-                                      "python": "3.11", "cpus": 1,
-                                      **_doc(100_000, 50_000)})
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps(_doc(100_000, 50_000)))
-    assert bench.main(["--json", "--guard", str(good)]) == 0
-    assert "perf regression guard: ok" in capsys.readouterr().out
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_doc(1_000_000, 50_000)))
-    assert bench.main(["--json", "--guard", str(bad)]) == 1
-    assert "perf regression guard" in capsys.readouterr().out
-    assert bench.main(["--json", "--guard",
-                       str(tmp_path / "missing.json")]) == 1
+    out = str(tmp_path / "doc.json")
+    assert cli.main(["bench", "--predict", "--out", out]) == 0
+    assert captured["argv"] == ["--predict", "--out", out]
+    assert cli.main(["bench", "--static", "--json"]) == 0
+    assert captured["argv"] == ["--static", "--json"]
