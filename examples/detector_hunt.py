@@ -4,7 +4,7 @@
 The paper's Section 5.3 / 6.3 experiments as an interactive tour: every
 kernel's buggy variant goes through the built-in deadlock detector, the
 goroutine-leak extension, the happens-before race detector, and the
-channel-rule checker; the static capture detector scans the corpus source.
+channel-rule checker; the static capture checker scans the corpus source.
 
 Run:  python examples/detector_hunt.py
 """
@@ -16,12 +16,12 @@ from repro import run
 from repro.bugs import registry
 from repro.dataset.records import Behavior
 from repro.detect import (
-    AnonymousCaptureDetector,
     BuiltinDeadlockDetector,
     ChannelRuleChecker,
     GoroutineLeakDetector,
     RaceDetector,
 )
+from repro.static.capture import check_paths, check_source
 
 
 def manifesting_seed(kernel):
@@ -88,12 +88,12 @@ def hunt_rules():
 
 
 def hunt_captures():
-    print("== static capture detector over the corpus source ==")
+    print("== static capture checker over the corpus source ==")
     corpus_dir = Path(registry.__file__).parent
-    detection = AnonymousCaptureDetector().detect_paths([corpus_dir])
-    for finding in detection.reports:
+    findings = check_paths([corpus_dir])
+    for finding in findings:
         print(f"   {finding}")
-    if not detection.detected:
+    if not findings:
         print("   (corpus kernels encode capture races through SharedVar, "
               "so source-level captures are in their fixed form)")
     figure8 = (
@@ -101,9 +101,8 @@ def hunt_captures():
         "    for i in range(17, 22):\n"
         "        rt.go(lambda: serve('v1.%d' % i))\n"
     )
-    demo = AnonymousCaptureDetector().detect_source(figure8, "figure8.py")
     print("   on Figure 8's literal shape:")
-    for finding in demo.reports:
+    for finding in check_source(figure8, "figure8.py"):
         print(f"   {finding}")
 
 

@@ -20,7 +20,7 @@ from ..dataset.records import (
     FixStrategy,
     NonBlockingSubCause,
 )
-from ..runtime.runtime import RunResult, run
+from ..runtime.runtime import RunResult, is_stuck, run
 
 #: Symptom kinds a kernel can declare.
 SYMPTOMS = ("deadlock", "leak", "panic", "wrong-value")
@@ -90,7 +90,7 @@ class BugKernel:
         if symptom == "deadlock":
             return result.status == "deadlock"
         if symptom == "leak":
-            return result.status in ("deadlock", "hang") or bool(result.leaked)
+            return is_stuck(result)
         if symptom == "panic":
             return result.status == "panic"
         # wrong-value: the program reports its own misbehavior.

@@ -2,8 +2,8 @@
 
 Figure 8's shape — a goroutine closure capturing a loop variable by
 reference — exists verbatim in Python, so these kernels are also the
-positive corpus for the static capture detector
-(:mod:`repro.detect.capture`), mirroring the detector the paper's authors
+positive corpus for the static capture checker
+(:mod:`repro.static.capture`), mirroring the detector the paper's authors
 prototype in Section 7.
 """
 

@@ -6,7 +6,8 @@ Commands:
 * ``kernels``               — list the executable bug corpus.
 * ``run-kernel <id>``       — run one kernel (buggy or fixed) and classify.
 * ``detect <id>``           — run every detector against one kernel.
-* ``scan <paths...>``       — static loop-capture scan over Python sources.
+* ``static <ids|paths...>`` — static analysis: kernel summary models, or
+  the loop-capture scan of Python sources (exit 1 on any finding).
 * ``bench``                 — detector-quality documents: the predict or
   static scorecard plus triage savings (``--predict``/``--static``).
 * ``chaos``                 — fault-injection sweeps and the resilience
@@ -47,7 +48,6 @@ from .detect import (
     GoroutineLeakDetector,
     LockOrderDetector,
     RaceDetector,
-    scan_paths,
 )
 from .runtime.runtime import run
 
@@ -703,14 +703,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return bench_main(forwarded)
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    findings = scan_paths(args.paths)
-    for finding in findings:
-        print(finding)
-    print(f"{len(findings)} finding(s)")
-    return 1 if findings else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -750,9 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of text")
     add_jobs_arg(detect)
-
-    scan = sub.add_parser("scan", help="static loop-capture scan")
-    scan.add_argument("paths", nargs="+")
 
     bench = sub.add_parser(
         "bench", help="detector-quality benchmarks: the predict or static "
@@ -977,7 +966,6 @@ _COMMANDS = {
     "kernels": _cmd_kernels,
     "run-kernel": _cmd_run_kernel,
     "detect": _cmd_detect,
-    "scan": _cmd_scan,
     "bench": _cmd_bench,
     "explore": _cmd_explore,
     "explore-systematic": _cmd_explore,

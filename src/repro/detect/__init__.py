@@ -8,13 +8,13 @@
   (Implication 4 extension).
 * :class:`ChannelRuleChecker` — runtime rule-violation diagnostics
   (Section 7 extension).
-* :class:`AnonymousCaptureDetector` — the static loop-capture detector the
-  authors prototype in Section 7.
+* :class:`LockOrderDetector` — the lockdep-style lock-order graph
+  (Implication 4 extension); its offline twin with a feasibility gate is
+  :func:`repro.predict.predict_lock_cycles`.
 * :func:`await_recovery` — cluster-level convergence/liveness verdicts
   for crash-recovery chaos (recovered / diverged / stuck).
 """
 
-from .capture import AnonymousCaptureDetector, scan_file, scan_paths, scan_source
 from .convergence import (
     ConvergenceReport,
     await_recovery,
@@ -27,7 +27,6 @@ from .lockorder import LockOrderDetector, LockOrderViolation
 from .race import RaceDetector
 from .report import (
     Access,
-    CaptureFinding,
     Detection,
     LeakReport,
     RaceReport,
@@ -45,9 +44,7 @@ from .vectorclock import VectorClock
 
 __all__ = [
     "Access",
-    "AnonymousCaptureDetector",
     "BuiltinDeadlockDetector",
-    "CaptureFinding",
     "ChannelRuleChecker",
     "ConvergenceReport",
     "Detection",
@@ -65,10 +62,7 @@ __all__ = [
     "leak_reports",
     "leaks_under_any_seed",
     "manifestation_rate",
-    "scan_file",
-    "scan_paths",
     "replay_schedule",
-    "scan_source",
     "await_recovery",
     "classify",
     "recovery_verdict",

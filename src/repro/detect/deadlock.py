@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..runtime.runtime import RunResult, run
+from ..runtime.runtime import RunResult, is_stuck, run
 from .report import Detection
 
 
@@ -61,9 +61,7 @@ class GoroutineLeakDetector:
     name = "goroutine-leak-detector"
 
     def classify(self, result: RunResult) -> bool:
-        if result.status in ("deadlock", "hang"):
-            return True
-        return bool(result.leaked)
+        return is_stuck(result)
 
     def detect(self, program: Callable, seed: int = 0, **run_kwargs: Any) -> Detection:
         result = run(program, seed=seed, **run_kwargs)

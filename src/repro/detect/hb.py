@@ -27,13 +27,14 @@ applied after it.
   order with a lockset check rather than re-adding lock edges.
 
 A :class:`Stamp` is the acting goroutine's full vector clock at the event
-(after incoming joins, before its own increment) plus the set of locks
-held — which is what the predictors consume.
+(after incoming joins, before its own increment) plus the locks it holds
+(per :func:`track_held`, which the lock-order detector shares) — which is
+what the predictors consume.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..runtime.trace import EventKind, TraceEvent
 from .vectorclock import VectorClock
@@ -43,6 +44,34 @@ from .vectorclock import VectorClock
 EXCLUSIVE = "x"
 SHARED = "r"
 
+#: gid -> the ``(lock, mode)`` pairs that goroutine holds, oldest first.
+HeldLocks = Dict[int, List[Tuple[int, str]]]
+
+#: Acquiring kind -> mode held; releasing kind -> mode dropped (None:
+#: the most recent hold of the lock in either mode).
+_TAKES = {EventKind.MU_LOCK: EXCLUSIVE, EventKind.RW_RLOCK: SHARED,
+          EventKind.RW_LOCK: EXCLUSIVE}
+_DROPS = {EventKind.MU_UNLOCK: None, EventKind.RW_UNLOCK: None,
+          EventKind.RW_RUNLOCK: SHARED}
+
+#: The event kinds :func:`track_held` acts on.
+LOCK_KINDS = frozenset({**_TAKES, **_DROPS})
+
+
+def track_held(held: HeldLocks, event: TraceEvent) -> None:
+    """Apply one lock or unlock event to ``held``.  A release by a
+    goroutine that does not hold the lock (Go lets any goroutine unlock a
+    mutex) changes nothing."""
+    kind, gid, obj = event.kind, event.gid, event.obj
+    if kind in _TAKES:
+        held.setdefault(gid, []).append((obj, _TAKES[kind]))
+    elif kind in _DROPS:
+        mode, locks = _DROPS[kind], held.get(gid, [])
+        for i in range(len(locks) - 1, -1, -1):
+            if locks[i][0] == obj and mode in (None, locks[i][1]):
+                del locks[i]
+                return
+
 
 class Stamp:
     """One event's position in the (strict or weak) happens-before order."""
@@ -50,11 +79,11 @@ class Stamp:
     __slots__ = ("event", "clock", "count", "locks")
 
     def __init__(self, event: TraceEvent, clock: VectorClock, count: int,
-                 locks: FrozenSet[Tuple[int, str]]):
+                 locks: Tuple[Tuple[int, str], ...]):
         self.event = event
         self.clock = clock          # full clock snapshot at the event
         self.count = count          # the acting goroutine's own component
-        self.locks = locks          # locks held by the acting goroutine
+        self.locks = locks          # (lock, mode) held, in acquisition order
 
     def ordered_before(self, other: "Stamp") -> bool:
         """True when this event happens-before ``other`` in the closure."""
@@ -109,7 +138,7 @@ class HBEngine:
                               VectorClock] = {}
         self._released: Dict[str, Dict[int, VectorClock]] = {
             family: {} for family in _FAMILIES}
-        self._held: Dict[int, List[Tuple[int, str]]] = {}
+        self._held: HeldLocks = {}
 
     def clock(self, gid: int) -> VectorClock:
         """Goroutine ``gid``'s live clock (created at epoch 1 on first use)."""
@@ -136,13 +165,16 @@ class HBEngine:
         gid = event.gid
         clock = self.clock(gid)
         stamp = Stamp(event, clock.copy(), clock.get(gid),
-                      frozenset(self._held.get(gid, ())))
+                      tuple(self._held.get(gid, ())))
         if effect is not None:
             effect(self, event)
+        if event.kind in LOCK_KINDS:
+            track_held(self._held, event)
         return stamp
 
     def observe(self, event: TraceEvent) -> None:
-        """Apply one event's join and effect without stamping it."""
+        """Apply one event's join and effect without stamping it (and
+        without the held-lock bookkeeping only stamps carry)."""
         edges = self._edges.get(event.kind)
         if edges is not None:
             join, effect = edges
@@ -201,14 +233,6 @@ class HBEngine:
         else:
             self.clock(gid).join(msg_clock)
 
-    def _unlock(self, event: TraceEvent) -> None:
-        self._release("lock", event)
-        self._drop_lock(event.gid, event.obj)
-
-    def _read_unlock(self, event: TraceEvent) -> None:
-        self._release("readers", event)
-        self._drop_lock(event.gid, event.obj, SHARED)
-
     def _wg_add(self, event: TraceEvent) -> None:
         if event.info.get("delta", 0) > 0:
             self._release("wg", event)
@@ -225,16 +249,6 @@ class HBEngine:
         if event.info.get("ran"):
             self._release("once", event)
 
-    def _drop_lock(self, gid: int, obj: Optional[int],
-                   mode: Optional[str] = None) -> None:
-        held = self._held.get(gid)
-        if not held:
-            return
-        for i in range(len(held) - 1, -1, -1):
-            lock, held_mode = held[i]
-            if lock == obj and (mode is None or held_mode == mode):
-                del held[i]
-                return
 
 
 def _acquires(*families: str) -> Handler:
@@ -252,13 +266,6 @@ def _releases(family: str) -> Handler:
     return effect
 
 
-def _holds(mode: str) -> Handler:
-    """An effect: the actor now holds the event's lock in ``mode``."""
-    def effect(engine: HBEngine, event: TraceEvent) -> None:
-        engine._held.setdefault(event.gid, []).append((event.obj, mode))
-    return effect
-
-
 _NO_EDGES: Tuple[Handler, Handler] = (None, None)
 
 E = EventKind
@@ -270,12 +277,12 @@ STRICT_EDGES: Dict[str, Tuple[Handler, Handler]] = {
     E.CHAN_SEND: (None, H._send),
     E.CHAN_RECV: (H._recv, H._tick),
     E.CHAN_CLOSE: (None, _releases("close")),
-    E.MU_LOCK: (_acquires("lock"), _holds(EXCLUSIVE)),
-    E.RW_RLOCK: (_acquires("lock"), _holds(SHARED)),
-    E.RW_LOCK: (_acquires("lock", "readers"), _holds(EXCLUSIVE)),
-    E.MU_UNLOCK: (None, H._unlock),
-    E.RW_UNLOCK: (None, H._unlock),
-    E.RW_RUNLOCK: (None, H._read_unlock),
+    E.MU_LOCK: (_acquires("lock"), None),
+    E.RW_RLOCK: (_acquires("lock"), None),
+    E.RW_LOCK: (_acquires("lock", "readers"), None),
+    E.MU_UNLOCK: (None, _releases("lock")),
+    E.RW_UNLOCK: (None, _releases("lock")),
+    E.RW_RUNLOCK: (None, _releases("readers")),
     E.WG_ADD: (None, H._wg_add),
     E.WG_DONE: (None, _releases("wg")),
     E.WG_WAIT: (_acquires("wg"), None),
@@ -293,9 +300,9 @@ WEAK_EDGES: Dict[str, Tuple[Handler, Handler]] = {
     **STRICT_EDGES,
     # Mutex / write-lock release→acquire is the scheduler's coin flip;
     # writers still drain readers.
-    E.MU_LOCK: (None, _holds(EXCLUSIVE)),
-    E.RW_RLOCK: (None, _holds(SHARED)),
-    E.RW_LOCK: (_acquires("readers"), _holds(EXCLUSIVE)),
+    E.MU_LOCK: _NO_EDGES,
+    E.RW_RLOCK: _NO_EDGES,
+    E.RW_LOCK: (_acquires("readers"), None),
     # Wait never waits for Add (Figure 9): Add keeps only its epoch tick.
     # Wait is stamped before joining the Done releases — the moment it
     # could have passed — while later events by the waiter still inherit

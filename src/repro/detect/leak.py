@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, List, Sequence
 
 from ..runtime.goroutine import Goroutine
-from ..runtime.runtime import RunResult, run
+from ..runtime.runtime import RunResult, is_stuck, run
 from .report import LeakReport
 
 
@@ -62,10 +62,6 @@ def manifestation_rate(
     return hits / len(seed_list)
 
 
-def _stuck(result: Any) -> bool:
-    return result.status in ("deadlock", "hang") or bool(result.leaked)
-
-
 def leaks_under_any_seed(program: Callable, seeds: Iterable[int],
                          jobs: int = 1, **run_kwargs: Any) -> bool:
     """True when some seed makes the program leak or deadlock.
@@ -78,9 +74,9 @@ def leaks_under_any_seed(program: Callable, seeds: Iterable[int],
         from ..parallel import sweep_seeds
 
         summaries = sweep_seeds(program, seeds, jobs=jobs,
-                                predicate=_stuck, **run_kwargs)
+                                predicate=is_stuck, **run_kwargs)
         return any(s.manifested for s in summaries)
     for seed in seeds:
-        if _stuck(run(program, seed=seed, **run_kwargs)):
+        if is_stuck(run(program, seed=seed, **run_kwargs)):
             return True
     return False

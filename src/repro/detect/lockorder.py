@@ -1,29 +1,50 @@
-"""Lock-order (potential-deadlock) detector.
+"""Lock-order (potential-deadlock) analysis, live and offline.
 
 Implication 4 of the paper: "future research should focus on building
 novel blocking bug detection techniques, for example, with a combination
-of static and dynamic blocking pattern detection."  This detector is the
-classic dynamic half (lockdep/GoodLock): it builds a lock-acquisition
-order graph from the trace — an edge ``A -> B`` whenever some goroutine
-acquires ``B`` while holding ``A`` — and reports every cycle as a
-*potential* deadlock, even in runs where the timing never lined up and
-nothing actually blocked.
+of static and dynamic blocking pattern detection."  This is the classic
+dynamic half (lockdep/GoodLock): a lock-acquisition order graph — an
+edge ``A -> B`` whenever some goroutine requests ``B`` while holding
+``A`` (:func:`ordered_before`) — whose every cycle is a *potential*
+deadlock, even in runs where the timing never lined up.
 
-The companion ablation shows the point: on the AB/BA kernel the built-in
-detector needs the deadlock to *happen*; the lock-order detector flags
-the inversion on every schedule.
+:class:`LockOrderDetector` builds the graph live and reports every cycle:
+on the AB/BA kernel the built-in detector needs the deadlock to
+*happen*; this one flags the inversion on every schedule.
+:func:`predict_lock_cycles` builds it from one recorded run and keeps a
+cycle only when its witnessing requests can overlap — distinct
+goroutines, pairwise concurrent under the weak happens-before order.  A
+pipeline that takes ``A -> B`` in one stage and ``B -> A`` in a later
+stage the first one *starts* shows a textual cycle but can never
+interleave into a deadlock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..runtime.trace import EventKind, TraceEvent
+from .hb import EXCLUSIVE, LOCK_KINDS, HeldLocks, Stamp, track_held
 
-_REQUEST = {EventKind.MU_REQUEST, EventKind.RW_REQUEST}
-_ACQUIRE = {EventKind.MU_LOCK, EventKind.RW_LOCK}
-_RELEASE = {EventKind.MU_UNLOCK, EventKind.RW_UNLOCK}
+if TYPE_CHECKING:
+    from ..predict.model import SyncTrace
+
+_REQUEST = frozenset((EventKind.MU_REQUEST, EventKind.RW_REQUEST))
+
+Witness = Tuple[int, int, int]   # (requesting gid, held lock, wanted lock)
+
+
+def ordered_before(held: Iterable[Tuple[int, str]], wanted: int) -> List[int]:
+    """The locks a request for ``wanted`` orders before it: every other
+    lock the requester holds exclusively, oldest first.
+
+    Edges come from *requests*: a goroutine parked forever on its second
+    lock still witnesses the inversion (lockdep-style).  Read locks are
+    shared and establish no order.
+    """
+    return [lock for lock, mode in held
+            if mode == EXCLUSIVE and lock != wanted]
 
 
 @dataclass(frozen=True)
@@ -31,7 +52,7 @@ class LockOrderViolation:
     """A cycle in the lock acquisition-order graph."""
 
     cycle: Tuple[int, ...]          # lock object ids, in cycle order
-    witnesses: Tuple[Tuple[int, int, int], ...]  # (holder gid, held, wanted)
+    witnesses: Tuple[Witness, ...]
 
     def __str__(self) -> str:
         chain = " -> ".join(f"lock#{obj}" for obj in self.cycle)
@@ -58,9 +79,10 @@ class LockOrderDetector:
     name = "lock-order-detector"
 
     def __init__(self) -> None:
-        #: edges[(a, b)] -> witness (gid, a, b) for "b acquired holding a".
-        self.edges: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
-        self._held: Dict[int, List[int]] = {}  # gid -> stack of held locks
+        #: edges[(a, b)] -> first witness (gid, a, b) of "b requested
+        #: holding a", in the order the edges were first seen.
+        self.edges: Dict[Tuple[int, int], Witness] = {}
+        self._held: HeldLocks = {}
         self.violations: List[LockOrderViolation] = []
         self._finalized = False
 
@@ -84,23 +106,13 @@ class LockOrderDetector:
     # ------------------------------------------------------------------
 
     def on_event(self, event: TraceEvent) -> None:
-        if event.kind in _REQUEST:
-            # Edges come from *requests*: a goroutine parked forever on its
-            # second lock still witnesses the inversion (lockdep-style).
-            held = self._held.get(event.gid, ())
-            for prior in held:
-                if prior != event.obj:
-                    self.edges.setdefault(
-                        (prior, event.obj), (event.gid, prior, event.obj)
-                    )
-        elif event.kind in _ACQUIRE:
-            self._held.setdefault(event.gid, []).append(event.obj)
-        elif event.kind in _RELEASE:
-            held = self._held.get(event.gid)
-            if held and event.obj in held:
-                # Locks can be released out of order (and by other
-                # goroutines, which we conservatively ignore here).
-                held.remove(event.obj)
+        kind = event.kind
+        if kind in _REQUEST:
+            gid, wanted = event.gid, event.obj
+            for lock in ordered_before(self._held.get(gid, ()), wanted):
+                self.edges.setdefault((lock, wanted), (gid, lock, wanted))
+        elif kind in LOCK_KINDS:
+            track_held(self._held, event)
 
     # ------------------------------------------------------------------
     # Cycle detection
@@ -111,11 +123,14 @@ class LockOrderDetector:
         self._finalized = True
         self.violations = [
             LockOrderViolation(cycle, tuple(
-                self.edges[(a, cycle[(i + 1) % len(cycle)])]
-                for i, a in enumerate(cycle)))
+                self.edges[edge] for edge in _cycle_edges(cycle)))
             for cycle in elementary_cycles(self.edges)
         ]
         return self.violations
+
+
+def _cycle_edges(cycle: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    return [(a, cycle[(i + 1) % len(cycle)]) for i, a in enumerate(cycle)]
 
 
 def elementary_cycles(pairs: Iterable[Tuple[int, int]]
@@ -148,3 +163,55 @@ def _collect_cycles(graph: Dict[int, Set[int]], start: int, node: int,
             # Only explore nodes above `start` so each cycle is found
             # once, from its smallest node.
             _collect_cycles(graph, start, nxt, path + [nxt], seen, out)
+
+
+# ----------------------------------------------------------------------
+# Offline prediction
+# ----------------------------------------------------------------------
+
+
+def request_edges(stamps: Iterable[Stamp]
+                  ) -> Dict[Tuple[int, int], List[Stamp]]:
+    """The order graph of a stamped trace: each edge with every request
+    that witnesses it, in trace order (edges in first-seen order)."""
+    edges: Dict[Tuple[int, int], List[Stamp]] = {}
+    for stamp in stamps:
+        event = stamp.event
+        if event.kind in _REQUEST:
+            wanted = int(event.obj)  # type: ignore[arg-type]
+            for lock in ordered_before(stamp.locks, wanted):
+                edges.setdefault((lock, wanted), []).append(stamp)
+    return edges
+
+
+def predict_lock_cycles(trace: "SyncTrace", stamps: List[Stamp]
+                        ) -> List[LockOrderViolation]:
+    """Feasible lock-order cycles predicted from one recorded run.
+
+    ``stamps`` must come from the weak engine over the same ``trace``.
+    """
+    edges = request_edges(stamps)
+    violations: List[LockOrderViolation] = []
+    for cycle in elementary_cycles(edges):
+        pairs = _cycle_edges(cycle)
+        chosen: List[Stamp] = []
+        if _assign([edges[pair] for pair in pairs], chosen):
+            violations.append(LockOrderViolation(cycle, tuple(
+                (stamp.event.gid, a, b)
+                for (a, b), stamp in zip(pairs, chosen))))
+    return violations
+
+
+def _assign(per_edge: List[List[Stamp]], chosen: List[Stamp]) -> bool:
+    """Extend ``chosen`` with one witness per remaining cycle edge, all
+    pairwise weak-HB concurrent (so on distinct goroutines); False if no
+    such assignment exists.  Module-level like :func:`_collect_cycles`."""
+    if len(chosen) == len(per_edge):
+        return True
+    for candidate in per_edge[len(chosen)]:
+        if all(c.concurrent_with(candidate) for c in chosen):
+            chosen.append(candidate)
+            if _assign(per_edge, chosen):
+                return True
+            chosen.pop()
+    return False

@@ -61,20 +61,6 @@ class LeakReport:
         return f"LEAK: goroutine {self.gid} ({self.name}){site} blocked on {self.reason}"
 
 
-@dataclass(frozen=True)
-class CaptureFinding:
-    """A loop variable captured by a goroutine closure (Figure 8's pattern)."""
-
-    path: str
-    line: int
-    loop_var: str
-    function: str
-
-    def __str__(self) -> str:
-        return (f"{self.path}:{self.line}: goroutine closure {self.function!r} "
-                f"captures loop variable {self.loop_var!r} by reference")
-
-
 @dataclass
 class Detection:
     """Outcome of running one detector against one program."""

@@ -42,10 +42,9 @@ class ChannelRuleChecker:
 
     def __init__(self) -> None:
         self.violations: List[RuleViolation] = []
-        self._rt = None
 
     def attach(self, rt) -> None:
-        self._rt = rt
+        """Nothing to subscribe to: every rule is read off the result."""
 
     def finish(self, result: RunResult) -> None:
         self._check_panic(result)

@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..detect.race import RaceDetector
 from ..detect.systematic import explore_systematic, replay_schedule
+from ..runtime.runtime import is_stuck
 from .report import Prediction, PredictReport
 
 
@@ -50,10 +51,6 @@ class ConfirmOutcome:
 
 
 # -- runtime predicates (module-level: picklable for jobs>1) -----------
-
-def _blocking_manifested(result: Any) -> bool:
-    return result.status in ("deadlock", "hang") or bool(result.leaked)
-
 
 def _panic_manifested(result: Any) -> bool:
     return result.status == "panic"
@@ -95,17 +92,17 @@ def predicate_for(prediction: Prediction,
                 {"observer_factories": (_fresh_race_detector,)},
                 ("race", name))
     if family == "lockorder":
-        return _blocking_manifested, {}, ("blocking",)
+        return is_stuck, {}, ("blocking",)
     if family == "comm":
         if rule in ("send-on-closed", "double-close"):
             return _panic_manifested, {}, ("panic",)
         if rule in ("lost-signal", "abandoned-sender"):
-            return _blocking_manifested, {}, ("blocking",)
+            return is_stuck, {}, ("blocking",)
         return None, {}, ("comm", rule)
     if family == "blocking":
         if rule == "panic":
             return _panic_manifested, {}, ("panic",)
-        return _blocking_manifested, {}, ("blocking",)
+        return is_stuck, {}, ("blocking",)
     return None, {}, (family, rule)
 
 

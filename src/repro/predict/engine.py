@@ -5,7 +5,7 @@
 happens-before closure, and run every predictor family:
 
 * ``race`` — :mod:`repro.predict.race`,
-* ``lockorder`` — :mod:`repro.predict.lockorder`,
+* ``lockorder`` — :func:`repro.detect.lockorder.predict_lock_cycles`,
 * ``comm`` — :mod:`repro.predict.comm`,
 * ``blocking`` — goroutines observed stuck at end of trace (and recorded
   panics); the recorded run is itself the strongest evidence there is.
@@ -21,8 +21,8 @@ import time
 from typing import Any, List, Optional, Tuple, Union
 
 from ..detect.hb import weak_stamps
+from ..detect.lockorder import predict_lock_cycles
 from .comm import predict_comm
-from .lockorder import predict_lock_cycles
 from .model import SyncTrace
 from .race import predict_races
 from .report import Prediction, PredictReport

@@ -485,6 +485,13 @@ class RunResult:
         return f"<RunResult {' '.join(bits)}>"
 
 
+def is_stuck(result: RunResult) -> bool:
+    """Some goroutine is blocked forever: an all-asleep deadlock, an
+    external-wait hang, or a leak.  Module-level so that ``jobs > 1``
+    sweeps can pickle it as their predicate."""
+    return result.status in ("deadlock", "hang") or bool(result.leaked)
+
+
 def run(
     main: Callable[[Runtime], Any],
     *,

@@ -4,9 +4,8 @@ Section 7 of the paper: "As a preliminary effort, we built a detector
 targeting the non-blocking bugs caused by anonymous functions (e.g.
 Figure 8).  Our detector has already discovered a few new bugs."
 
-This began life as the standalone ``repro.detect.capture`` scanner and
-now lives in the static tier as one checker among peers, emitting the
-shared :class:`~repro.static.model.StaticFinding` schema.  Unlike the
+One checker among the static-analysis peers, emitting the shared
+:class:`~repro.static.model.StaticFinding` schema.  Unlike the
 model-based checkers it needs no abstract interpretation — it pattern
 matches the AST directly — which is exactly why it also powers *module
 mode*: scanning arbitrary files (the mini-apps, user code) where no
@@ -161,12 +160,3 @@ def check_paths(paths: Iterable[Union[str, Path]]) -> List[StaticFinding]:
         else:
             findings.extend(check_file(entry))
     return findings
-
-
-def to_capture_finding(finding: StaticFinding):
-    """Back-compat bridge to the legacy ``repro.detect`` report type."""
-    from ..detect.report import CaptureFinding
-
-    return CaptureFinding(path=finding.path, line=finding.line,
-                          loop_var=finding.obj,
-                          function=finding.function)

@@ -66,8 +66,8 @@ def test_fig8_all_goroutines_may_see_last_i():
 
 def test_fig8_static_detector_flags_the_buggy_shape():
     """The verbatim Figure 8 shape (and its fix) as seen by the static
-    capture detector — the Section 7 prototype's target."""
-    from repro.detect import scan_source
+    capture checker — the Section 7 prototype's target."""
+    from repro.static.capture import check_source
 
     figure8 = (
         "def prog(rt):\n"
@@ -77,8 +77,8 @@ def test_fig8_static_detector_flags_the_buggy_shape():
         "            serve(api_version)\n"
         "        rt.go(handler)\n"
     )
-    findings = scan_source(figure8, "figure8.py")
-    assert [f.loop_var for f in findings] == ["i"]
+    findings = check_source(figure8, "figure8.py")
+    assert [f.obj for f in findings] == ["i"]
 
     figure8_fixed = (
         "def prog(rt):\n"
@@ -87,7 +87,7 @@ def test_fig8_static_detector_flags_the_buggy_shape():
         "            serve('v1.%d' % i)\n"
         "        rt.go(handler)\n"
     )
-    assert scan_source(figure8_fixed, "figure8_fixed.py") == []
+    assert check_source(figure8_fixed, "figure8_fixed.py") == []
 
 
 def test_fig9_wait_can_return_before_add(seeds):

@@ -7,7 +7,9 @@ strict mode must land clock-for-clock on the live
 :class:`repro.detect.RaceDetector`'s final vector clocks — over the whole
 corpus, buggy and fixed, not a curated subset.  A second pin compares
 the per-access clocks the shadow check reads: the unlimited-history
-detector must report exactly the races the strict stamps order.
+detector must report exactly the races the strict stamps order, and
+the live lock-order detector must hold exactly the order edges the
+offline rule builds from the weak stamps.
 """
 
 from dataclasses import astuple
@@ -16,9 +18,12 @@ import pytest
 
 from repro import run
 from repro.bugs import registry
-from repro.detect import RaceDetector
+from repro.detect import LockOrderDetector, RaceDetector
+from repro.detect.lockorder import request_edges
 from repro.observe import sync_events_json
-from repro.predict import HBEngine, SyncTrace, predict_races, strict_stamps
+from repro.predict import (HBEngine, SyncTrace, predict_races, strict_stamps,
+                           weak_stamps)
+from tests.detect.test_lockorder import PROGRAMS as LOCK_PROGRAMS
 
 KERNELS = [k.meta.kernel_id for k in registry.all_kernels()]
 
@@ -60,6 +65,29 @@ def test_unlimited_detector_matches_strict_stamps(kernel_id):
             offline = predict_races(trace, strict_stamps(trace))
             assert _race_keys(det.reports) == _race_keys(offline), (
                 f"{kernel_id} seed {seed}: live and strict-stamp races differ")
+
+
+def _lock_order_cases():
+    for kernel in registry.all_kernels():
+        kwargs = dict(kernel.run_kwargs)
+        yield pytest.param([(kernel.buggy, kwargs), (kernel.fixed, kwargs)],
+                           id=kernel.meta.kernel_id)
+    for program in LOCK_PROGRAMS:
+        yield pytest.param([(program, {})], id=program.__name__)
+
+
+@pytest.mark.parametrize("programs", list(_lock_order_cases()))
+def test_live_lock_order_edges_match_offline_rule(programs):
+    """Same edges, same first witness, same insertion order."""
+    for program, run_kwargs in programs:
+        for seed in range(5):
+            det = LockOrderDetector()
+            result = run(program, seed=seed, observers=[det], **run_kwargs)
+            offline = request_edges(weak_stamps(SyncTrace.from_result(result)))
+            assert list(det.edges.items()) == [
+                (edge, (witnesses[0].event.gid, *edge))
+                for edge, witnesses in offline.items()
+            ], f"{program.__qualname__} seed {seed}"
 
 
 def test_json_is_stable_across_identical_runs():

@@ -6,9 +6,12 @@ suppresses the prediction).  Programs are scheduled so the recorded run
 is clean — prediction, not detection, is under test.
 """
 
+import gc
+
 from repro import run
+from repro.bugs import registry
 from repro.chan import recv
-from repro.predict import predict
+from repro.predict import SyncTrace, predict, predict_lock_cycles, weak_stamps
 
 
 def _rules(report):
@@ -135,6 +138,21 @@ def test_same_goroutine_inversion_is_not_a_cycle():
         rt.sleep(1.0)
 
     assert ("lockorder", "lock-cycle") not in _rules(_predict(main))
+
+
+def test_lock_cycle_prediction_leaves_no_cyclic_garbage():
+    """The witness search recurses at module level: a self-recursive
+    closure would leave a function <-> cell cycle behind on every call."""
+    kernel = registry.get("blocking-mutex-kubernetes-abba")
+    trace = SyncTrace.from_result(kernel.run_buggy(seed=0))
+    stamps = weak_stamps(trace)
+    gc.collect()
+    gc.disable()
+    try:
+        assert predict_lock_cycles(trace, stamps)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

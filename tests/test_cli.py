@@ -57,22 +57,22 @@ def test_detect_race_kernel(capsys):
     assert "DATA RACE" in out
 
 
-def test_scan_flags_capture_bug(tmp_path, capsys):
+def test_static_flags_capture_bug(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text(
         "def prog(rt):\n"
         "    for i in range(3):\n"
         "        rt.go(lambda: print(i))\n"
     )
-    assert main(["scan", str(bad)]) == 1  # findings -> nonzero, grep-style
+    assert main(["static", str(bad)]) == 1  # findings -> nonzero, grep-style
     out = capsys.readouterr().out
     assert "captures loop variable 'i'" in out
 
 
-def test_scan_clean_file_returns_zero(tmp_path, capsys):
+def test_static_clean_file_returns_zero(tmp_path, capsys):
     good = tmp_path / "good.py"
     good.write_text("x = 1\n")
-    assert main(["scan", str(good)]) == 0
+    assert main(["static", str(good)]) == 0
 
 
 def test_report_prints_tables(capsys):

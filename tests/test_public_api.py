@@ -1,6 +1,9 @@
 """The public API surface stays importable and complete."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -44,10 +47,22 @@ def test_submodules_import(module):
 def test_subpackage_all_exports_resolve():
     for module_name in ("repro.runtime", "repro.chan", "repro.sync",
                         "repro.stdlib", "repro.detect", "repro.dataset",
-                        "repro.net"):
+                        "repro.net", "repro.predict", "repro.static"):
         module = importlib.import_module(module_name)
         for name in module.__all__:
             assert getattr(module, name, None) is not None, (module_name, name)
+
+
+def test_detect_does_not_load_the_static_tier():
+    """The runtime detectors stand alone: importing them must not pull in
+    the static analyzer (set-up cost on every detect-only process)."""
+    code = ("import sys, repro.detect; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'repro.static' or m.startswith('repro.static.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_version_string():
