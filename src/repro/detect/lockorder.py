@@ -91,7 +91,7 @@ class LockOrderDetector:
     # ------------------------------------------------------------------
 
     def attach(self, rt) -> None:
-        rt.sched.trace.subscribe(self.on_event)
+        rt.sched.trace.subscribe(self.on_event, kinds=_REQUEST | LOCK_KINDS)
 
     def finish(self, result) -> None:
         self.analyze()

@@ -29,7 +29,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..runtime.trace import EventKind, TraceEvent
-from .hb import HBEngine
+from .hb import STRICT_EDGES, HBEngine
 from .report import Access, RaceReport
 from .vectorclock import VectorClock
 
@@ -69,7 +69,9 @@ class RaceDetector:
     # ------------------------------------------------------------------
 
     def attach(self, rt) -> None:
-        rt.sched.trace.subscribe(self.on_event)
+        # The strict edge table names every kind this detector acts on
+        # (accesses included); the trace routes no other kind here.
+        rt.sched.trace.subscribe(self.on_event, kinds=STRICT_EDGES)
 
     def finish(self, result) -> None:
         # Expose reports on the result for convenience.

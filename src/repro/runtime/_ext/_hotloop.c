@@ -13,18 +13,21 @@
  *     directly, and the interleaved sequence is unchanged.
  *
  *  2. ``drive(sched)`` — the fused scheduler loop: stop check, budget,
- *     RNG pick, continuation switch and after-resume bookkeeping with no
- *     Python frames in between.  Only runs when nothing observable differs
- *     from the pure loop: no trace consumer, no injector, no observe hooks,
- *     structured stop conditions, and the scheduler's RNG is the C type
- *     above.  Anything else returns None and the pure loop takes over.
+ *     RNG pick, continuation switch and yield bookkeeping with no Python
+ *     frames in between.  A goroutine that ended goes through the Python
+ *     ``_after_resume`` (dequeue, ``ended_at``, ``panicked``, its trace
+ *     event), so traced runs take this loop too.  Only runs with no
+ *     injector and no observe/explore hooks, structured stop conditions,
+ *     and the C RNG above; anything else returns None and the pure loop
+ *     takes over.
  *
  * Goroutine fields are reached through slot offsets cached from the class
  * ``__slots__`` member descriptors at bind() time — an attribute read is a
  * single pointer load.  The scheduler itself is dict-backed; the loop keeps
  * its counters in C locals and writes them back on every exit path, while
  * ``_current`` (which primitives running *inside* a switched-to goroutine
- * read) is kept accurate step by step.
+ * read) is kept accurate step by step, and so is ``_steps`` in a traced
+ * run (its events stamp it).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -354,7 +357,6 @@ static int hl_bound = 0;
 
 static PyTypeObject *tk_go_type = NULL;     /* TaskletGoroutine */
 static Py_ssize_t off_state = -1;           /* Goroutine.state */
-static Py_ssize_t off_ended_at = -1;        /* Goroutine.ended_at */
 static Py_ssize_t off_tk = -1;              /* TaskletGoroutine._tk */
 static PyObject *switch_meth = NULL;        /* unbound Tasklet.switch */
 
@@ -364,7 +366,8 @@ static PyObject *st_running = NULL, *st_runnable = NULL, *st_done = NULL,
 static PyObject *s_runnable_attr = NULL, *s_rng = NULL, *s_stop_mode = NULL,
                 *s_panicked_attr = NULL, *s_budget = NULL, *s_budget_used = NULL,
                 *s_steps = NULL, *s_time_limit = NULL, *s_clock = NULL,
-                *s_now = NULL, *s_current = NULL;
+                *s_now = NULL, *s_current = NULL, *s_after_resume = NULL,
+                *s_trace = NULL, *s_active = NULL;
 
 static PyObject *v_stopped = NULL, *v_timeout = NULL, *v_steps = NULL,
                 *v_idle = NULL;
@@ -394,8 +397,6 @@ hl_bind(PyObject *module, PyObject *args)
                           &goro_cls, &tk_goro_cls, &gstate_cls, &tasklet_cls))
         return NULL;
     if (member_offset(goro_cls, "state", &off_state) < 0)
-        return NULL;
-    if (member_offset(goro_cls, "ended_at", &off_ended_at) < 0)
         return NULL;
     if (member_offset(tk_goro_cls, "_tk", &off_tk) < 0)
         return NULL;
@@ -481,20 +482,6 @@ attr_as_longlong(PyObject *obj, PyObject *name, int *err)
     return out;
 }
 
-/* Remove g from the runnable list by identity (Goroutine defines no __eq__,
- * so this matches ``list.remove`` exactly). */
-static void
-runnable_remove(PyObject *runnable, PyObject *g)
-{
-    Py_ssize_t m = PyList_GET_SIZE(runnable);
-    for (Py_ssize_t i = 0; i < m; i++) {
-        if (PyList_GET_ITEM(runnable, i) == g) {
-            PyList_SetSlice(runnable, i, i + 1, NULL);
-            return;
-        }
-    }
-}
-
 static PyObject *
 hl_drive(PyObject *module, PyObject *sched)
 {
@@ -511,7 +498,7 @@ hl_drive(PyObject *module, PyObject *sched)
     PyObject *verdict = NULL;         /* borrowed from the v_* constants */
     int failed = 0;
     int stop_main = 0;
-    int time_exceeded = 0;
+    int time_exceeded = 0, traced = 0;
     long long budget = 0, budget_used = 0, steps = 0;
 
     runnable = PyObject_GetAttr(sched, s_runnable_attr);
@@ -543,22 +530,25 @@ hl_drive(PyObject *module, PyObject *sched)
         budget = attr_as_longlong(sched, s_budget, &err);
         budget_used = attr_as_longlong(sched, s_budget_used, &err);
         steps = attr_as_longlong(sched, s_steps, &err);
+        /* Only trace events read ``_steps`` while a goroutine runs. */
+        PyObject *trace = err ? NULL : PyObject_GetAttr(sched, s_trace);
+        traced = trace != NULL && attr_as_longlong(trace, s_active, &err);
+        err |= trace == NULL;
+        Py_XDECREF(trace);
         if (err)
             goto fail_entry;
     }
     panicked = PyObject_GetAttr(sched, s_panicked_attr);
     if (panicked == NULL)
         goto fail_entry;
-    clock = PyObject_GetAttr(sched, s_clock);
-    if (clock == NULL)
-        goto fail_entry;
-    now_obj = PyObject_GetAttr(clock, s_now);
-    if (now_obj == NULL)
-        goto fail_entry;
     time_limit = PyObject_GetAttr(sched, s_time_limit);
     if (time_limit == NULL)
         goto fail_entry;
     if (time_limit != Py_None) {
+        clock = PyObject_GetAttr(sched, s_clock);
+        now_obj = clock == NULL ? NULL : PyObject_GetAttr(clock, s_now);
+        if (now_obj == NULL)
+            goto fail_entry;
         double now = PyFloat_AsDouble(now_obj);
         double lim = PyFloat_AsDouble(time_limit);
         if (PyErr_Occurred())
@@ -567,90 +557,99 @@ hl_drive(PyObject *module, PyObject *sched)
     }
 
     /* ---------------- the loop ---------------- */
-    {
-        int first = 1;
-        for (;;) {
-            /* Stop check — same order as the pure _advance. */
-            int stop;
-            if (stop_main) {
-                PyObject *st = slot_get(stop_g, off_state);
-                stop = (st != NULL && state_is_terminal(st)) ||
-                       (panicked != Py_None);
+    for (;;) {
+        /* Stop check — same order as the pure _advance. */
+        int stop;
+        if (stop_main) {
+            PyObject *st = slot_get(stop_g, off_state);
+            stop = (st != NULL && state_is_terminal(st)) ||
+                   (panicked != Py_None);
+        }
+        else {
+            stop = (panicked != Py_None);
+        }
+        if (stop) { verdict = v_stopped; break; }
+        /* The virtual clock is frozen while goroutines run (timers only
+         * fire from the idle path, the injector is disabled here), so
+         * the time-limit comparison is loop-invariant: true here means
+         * the first pass stops. */
+        if (time_exceeded) { verdict = v_timeout; break; }
+        if (budget_used >= budget) { verdict = v_steps; break; }
+        Py_ssize_t nrun = PyList_GET_SIZE(runnable);
+        if (nrun == 0) { verdict = v_idle; break; }
+        budget_used++;
+        steps++;
+        if (traced) {  /* events stamp the step they run in */
+            PyObject *stp = PyLong_FromLongLong(steps);
+            if (stp == NULL || PyObject_SetAttr(sched, s_steps, stp) < 0) {
+                Py_XDECREF(stp);
+                failed = 1;
+                break;
             }
-            else {
-                stop = (panicked != Py_None);
-            }
-            if (stop) { verdict = v_stopped; break; }
-            /* The virtual clock is frozen while goroutines run (timers only
-             * fire from the idle path, the injector is disabled here), so
-             * the time-limit comparison is loop-invariant. */
-            if (first) {
-                first = 0;
-                if (time_exceeded) { verdict = v_timeout; break; }
-            }
-            if (budget_used >= budget) { verdict = v_steps; break; }
-            Py_ssize_t nrun = PyList_GET_SIZE(runnable);
-            if (nrun == 0) { verdict = v_idle; break; }
-            budget_used++;
-            steps++;
-            uint32_t idx = mt_randrange32(rng, (uint32_t)nrun);
-            PyObject *g = PyList_GET_ITEM(runnable, idx);
-            Py_INCREF(g);
+            Py_DECREF(stp);
+        }
+        uint32_t idx = mt_randrange32(rng, (uint32_t)nrun);
+        PyObject *g = PyList_GET_ITEM(runnable, idx);
+        Py_INCREF(g);
 
-            if (Py_TYPE(g) != tk_go_type || switch_meth == NULL) {
-                /* drive() runs only on the tasklet vehicle, where every
-                 * goroutine is a TaskletGoroutine and Tasklet.switch is
-                 * bound; anything else is a scheduler bug. */
-                Py_DECREF(g);
-                PyErr_SetString(PyExc_RuntimeError,
-                                "drive() needs tasklet goroutines");
-                failed = 1;
-                break;
-            }
-            /* Fast path: slot writes + a direct continuation switch
-             * (this is resume() with the Python frames scraped off). */
-            slot_set(g, off_state, st_running);
-            if (PyObject_SetAttr(sched, s_current, g) < 0) {
-                Py_DECREF(g);
-                failed = 1;
-                break;
-            }
-            PyObject *tk = slot_get(g, off_tk);
-            if (tk == NULL || tk == Py_None) {
-                Py_DECREF(g);
-                PyErr_SetString(PyExc_RuntimeError,
-                                "tasklet goroutine has no continuation");
-                failed = 1;
-                break;
-            }
-            PyObject *sargs[1] = {tk};
-            PyObject *r = PyObject_Vectorcall(switch_meth, sargs, 1, NULL);
-            if (r == NULL) {
+        if (Py_TYPE(g) != tk_go_type || switch_meth == NULL) {
+            /* drive() runs only on the tasklet vehicle, where every
+             * goroutine is a TaskletGoroutine and Tasklet.switch is
+             * bound; anything else is a scheduler bug. */
+            Py_DECREF(g);
+            PyErr_SetString(PyExc_RuntimeError,
+                            "drive() needs tasklet goroutines");
+            failed = 1;
+            break;
+        }
+        /* Fast path: slot writes + a direct continuation switch
+         * (this is resume() with the Python frames scraped off). */
+        slot_set(g, off_state, st_running);
+        if (PyObject_SetAttr(sched, s_current, g) < 0) {
+            Py_DECREF(g);
+            failed = 1;
+            break;
+        }
+        PyObject *tk = slot_get(g, off_tk);
+        if (tk == NULL || tk == Py_None) {
+            Py_DECREF(g);
+            PyErr_SetString(PyExc_RuntimeError,
+                            "tasklet goroutine has no continuation");
+            failed = 1;
+            break;
+        }
+        PyObject *sargs[1] = {tk};
+        PyObject *r = PyObject_Vectorcall(switch_meth, sargs, 1, NULL);
+        if (r == NULL) {
+            Py_DECREF(g);
+            failed = 1;
+            break;
+        }
+        Py_DECREF(r);
+        PyObject *st = slot_get(g, off_state);
+        if (st == st_running) {
+            slot_set(g, off_state, st_runnable);
+        }
+        else if (st != NULL && state_is_terminal(st)) {
+            /* Ended: the pure loop's bookkeeping, with no goroutine
+             * current (dequeue, ended_at, panicked, the end event). */
+            if (PyObject_SetAttr(sched, s_current, Py_None) < 0 ||
+                (r = PyObject_CallMethodOneArg(sched, s_after_resume,
+                                               g)) == NULL) {
                 Py_DECREF(g);
                 failed = 1;
                 break;
             }
             Py_DECREF(r);
-            PyObject *st = slot_get(g, off_state);
-            if (st == st_running) {
-                slot_set(g, off_state, st_runnable);
+            Py_SETREF(panicked, PyObject_GetAttr(sched, s_panicked_attr));
+            if (panicked == NULL) {
+                Py_DECREF(g);
+                failed = 1;
+                break;
             }
-            else if (st != NULL && state_is_terminal(st)) {
-                runnable_remove(runnable, g);
-                slot_set(g, off_ended_at, now_obj);
-                if (st == st_panicked && panicked == Py_None) {
-                    if (PyObject_SetAttr(sched, s_panicked_attr, g) < 0) {
-                        Py_DECREF(g);
-                        failed = 1;
-                        break;
-                    }
-                    Py_INCREF(g);
-                    Py_SETREF(panicked, g);
-                }
-            }
-            /* BLOCKED: block() already dequeued it before yielding. */
-            Py_DECREF(g);
         }
+        /* BLOCKED: block() already dequeued it before yielding. */
+        Py_DECREF(g);
     }
 
     /* Write the loop-local counters back and clear _current (the pure
@@ -661,12 +660,9 @@ hl_drive(PyObject *module, PyObject *sched)
             PyErr_Fetch(&exc_type, &exc_val, &exc_tb);
         PyObject *bu = PyLong_FromLongLong(budget_used);
         PyObject *stp = PyLong_FromLongLong(steps);
-        int wb_failed = (bu == NULL || stp == NULL);
-        if (!wb_failed) {
-            if (PyObject_SetAttr(sched, s_budget_used, bu) < 0 ||
-                PyObject_SetAttr(sched, s_steps, stp) < 0)
-                wb_failed = 1;
-        }
+        int wb_failed = (bu == NULL || stp == NULL ||
+                         PyObject_SetAttr(sched, s_budget_used, bu) < 0 ||
+                         PyObject_SetAttr(sched, s_steps, stp) < 0);
         if (!failed && !wb_failed &&
             PyObject_SetAttr(sched, s_current, Py_None) < 0)
             wb_failed = 1;
@@ -678,6 +674,7 @@ hl_drive(PyObject *module, PyObject *sched)
             failed = 1;
     }
 
+fail_entry:  /* an entry failure leaves verdict NULL */
     Py_XDECREF(time_limit);
     Py_XDECREF(now_obj);
     Py_XDECREF(clock);
@@ -685,7 +682,7 @@ hl_drive(PyObject *module, PyObject *sched)
     Py_XDECREF(stop_mode);
     Py_XDECREF(rng_obj);
     Py_XDECREF(runnable);
-    if (failed)
+    if (failed || verdict == NULL)
         return NULL;
     Py_INCREF(verdict);
     return verdict;
@@ -699,16 +696,6 @@ ineligible:
     Py_XDECREF(rng_obj);
     Py_XDECREF(runnable);
     Py_RETURN_NONE;
-
-fail_entry:
-    Py_XDECREF(time_limit);
-    Py_XDECREF(now_obj);
-    Py_XDECREF(clock);
-    Py_XDECREF(panicked);
-    Py_XDECREF(stop_mode);
-    Py_XDECREF(rng_obj);
-    Py_XDECREF(runnable);
-    return NULL;
 }
 
 /* ------------------------------------------------------------------ */
@@ -770,6 +757,9 @@ PyInit__hotloop(void)
     INTERN(s_clock, "clock");
     INTERN(s_now, "now");
     INTERN(s_current, "_current");
+    INTERN(s_after_resume, "_after_resume");
+    INTERN(s_trace, "trace");
+    INTERN(s_active, "active");
     INTERN(v_stopped, "stopped");
     INTERN(v_timeout, "timeout");
     INTERN(v_steps, "steps");

@@ -390,7 +390,8 @@ class RunResult:
             loaded.  False on the thread vehicle (whose direct handoff
             never enters the loop), with ``REPRO_NO_CEXT=1``, off-platform,
             or under ``force_pure``.  Availability, not engagement: a
-            traced run reports True even though the pure loop ran it.
+            run with an injector or a step hook reports True even though
+            the pure loop ran it.
         injected: records of faults the injector fired during this run
             (empty when no fault plan was attached).
         observation: the :class:`repro.observe.Observer` that watched this

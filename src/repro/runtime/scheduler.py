@@ -15,7 +15,11 @@ system's effective speed, the per-step path here is deliberately lean:
   (bit-identical to ``random.Random``, a fraction of the call overhead);
 * trace events are only *allocated* when someone will see them — a kept
   trace or a subscribed listener (``Trace.active``); a ``keep_trace=False``
-  run with no detectors pays one attribute check per would-be event;
+  run with no detectors pays one attribute check per would-be event, and a
+  listener is called only for the event kinds it subscribed to;
+* traced and untraced runs alike take the compiled drive loop when it
+  loads; only the fault injector and the observe/explore step hooks select
+  the interpreted loop;
 * ``user_stack()`` walks only happen under ``capture_sites`` (profiling).
 """
 
@@ -312,20 +316,17 @@ class Scheduler:
 
         Fast path: when nobody consumes events (``keep_trace=False`` and no
         subscribed detector/observer) the event object is never allocated.
+        Otherwise it is built positionally and handed to ``Trace.emit``,
+        which logs it and calls only the listeners of its kind.
         """
         trace = self.trace
         if not trace.active:
             return
-        trace.emit(
-            TraceEvent(
-                step=self._steps,
-                time=self.clock.now,
-                gid=self.current_gid if gid is None else gid,
-                kind=kind,
-                obj=obj,
-                info=info,
-            )
-        )
+        if gid is None:
+            g = self._current
+            gid = g.gid if g is not None else 0
+        trace.emit(TraceEvent(self._steps, self.clock.now, gid, kind, obj,
+                              info))
 
     # ------------------------------------------------------------------
     # Goroutine management
@@ -476,15 +477,15 @@ class Scheduler:
         direct = self._direct
         # The compiled fused loop stands in for the whole per-step body
         # below whenever nothing observable differs from the pure path: no
-        # trace consumer, no injector, no observe/explore hooks, and the
-        # stock RNG (checked inside drive).
+        # injector, no observe/explore hooks, and the stock RNG (checked
+        # inside drive).  Traced runs qualify: drive stamps ``_steps`` per
+        # step and hands ended goroutines to ``_after_resume``.
         hot = self._hot
         try:
             while True:
                 if (hot is not None and self.injector is None
                         and self.on_step is None
-                        and self.annotate_pick is None
-                        and not self.trace.active):
+                        and self.annotate_pick is None):
                     verdict = hot(self)
                     if verdict is None:
                         # Static mismatch (e.g. a scripted RNG): the pure

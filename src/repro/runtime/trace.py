@@ -4,11 +4,20 @@ Every scheduling-relevant action emits one :class:`TraceEvent`.  The trace is
 the single integration point between the runtime and the detectors
 (:mod:`repro.detect`): detectors are pure consumers of events and never reach
 into scheduler internals.
+
+A listener may subscribe to a subset of event kinds.  The trace routes each
+event only to the listeners that asked for its kind (plus every listener
+that asked for all kinds), so a detector that reads a handful of kinds does
+not pay a call for each of the sleep, block and timer events that dominate
+long runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
+
+Listener = Callable[["TraceEvent"], None]
 
 
 class EventKind:
@@ -118,16 +127,26 @@ class Trace:
     """An append-only event log with optional live listeners.
 
     Listeners (detectors) are invoked synchronously as events are emitted so
-    they observe the exact interleaving order.
+    they observe the exact interleaving order.  Within one event, listeners
+    run in subscription order.
     """
 
     # Slotted: ``active`` is read at every event site, so a slot read
     # beats a dict lookup.
-    __slots__ = ("_events", "_listeners", "_keep_events", "active")
+    __slots__ = ("_events", "_subscriptions", "_routes", "_every",
+                 "_keep_events", "active")
 
     def __init__(self, keep_events: bool = True):
         self._events: List[TraceEvent] = []
-        self._listeners: List[Callable[[TraceEvent], None]] = []
+        #: ``(listener, kinds)`` in subscription order; ``kinds`` None
+        #: means every event.
+        self._subscriptions: List[
+            Tuple[Listener, Optional[frozenset]]] = []
+        #: Event kind -> the listeners that want it, for every kind some
+        #: listener named; rebuilt on each subscribe.
+        self._routes: Dict[str, Tuple[Listener, ...]] = {}
+        #: The listeners of every other kind: those subscribed to all.
+        self._every: Tuple[Listener, ...] = ()
         self._keep_events = keep_events
         #: True when emitting an event has any consumer (the kept log or a
         #: listener).  The scheduler checks this before *allocating* events,
@@ -135,9 +154,23 @@ class Trace:
         #: trace layer at the cost of one attribute read per event site.
         self.active = keep_events
 
-    def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
-        """Register a callback invoked for every subsequent event."""
-        self._listeners.append(listener)
+    def subscribe(self, listener: Listener,
+                  kinds: Optional[Collection[str]] = None) -> None:
+        """Register a callback for subsequent events.
+
+        With ``kinds`` the callback sees only events of those kinds, in
+        emission order; without it, every event.  The routing table is
+        built here, once per subscription, so emitting an event costs one
+        dict lookup however many listeners there are.
+        """
+        wanted = None if kinds is None else frozenset(kinds)
+        self._subscriptions.append((listener, wanted))
+        subs = self._subscriptions
+        self._every = tuple(fn for fn, ks in subs if ks is None)
+        named = set().union(*(ks for _, ks in subs if ks is not None))
+        self._routes = {
+            kind: tuple(fn for fn, ks in subs if ks is None or kind in ks)
+            for kind in named}
         self.active = True
 
     def unsubscribe_all(self) -> None:
@@ -146,13 +179,16 @@ class Trace:
         A listener is usually a bound method of a detector that may hold
         the runtime, which holds this trace: a reference cycle.
         """
-        self._listeners.clear()
+        self._subscriptions.clear()
+        self._routes = {}
+        self._every = ()
         self.active = self._keep_events
 
     def emit(self, event: TraceEvent) -> None:
+        """Append ``event`` to the kept log and route it to its listeners."""
         if self._keep_events:
             self._events.append(event)
-        for listener in self._listeners:
+        for listener in self._routes.get(event.kind, self._every):
             listener(event)
 
     @property

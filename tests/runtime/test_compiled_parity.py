@@ -1,16 +1,19 @@
 """Whole runs with the compiled drive loop and RNG vs the pure runtime.
 
-``repro.runtime._ext._hotloop`` drives traceless tasklet runs in C and
-draws the scheduling RNG from a C MT19937.  Channels, select and the sync
-primitives have one implementation, in Python, so these tests pin the
-only thing the extension may not change — the run itself:
+``repro.runtime._ext._hotloop`` drives tasklet runs in C, traced or
+not, and draws the scheduling RNG from a C MT19937.  Channels, select and
+the sync primitives have one implementation, in Python, so these tests
+pin the only thing the extension may not change — the run itself:
 
-* traceless runs (compiled loop eligible) take byte-for-byte the same
-  schedules — steps, statuses, results, RNG draws — as the same seeds
-  under :class:`repro.runtime._hotloop.force_pure`;
-* every disqualifier of the compiled loop (kept trace, subscribed
-  listener, fault injector) forces the pure loop without changing the
-  schedule;
+* traceless runs take byte-for-byte the same schedules — steps,
+  statuses, results, RNG draws — as the same seeds under
+  :class:`repro.runtime._hotloop.force_pure`;
+* traced runs take the compiled loop too, and their kept event logs —
+  every event's step, time, goroutine, kind, object and details — equal
+  the pure loop's, over the whole corpus, the heavy workloads and a
+  panicking program;
+* a kept trace, a subscribed listener or a fault injector (which does
+  force the pure loop) leaves the schedule unchanged;
 * error paths (send on closed, unlock of unlocked, select on a closed
   send case) panic identically in both modes;
 * a ``REPRO_NO_CEXT=1`` subprocess — no extension at all — reproduces
@@ -112,6 +115,12 @@ def _signature(result):
     return result.status, result.steps, result.main_result
 
 
+def _corpus_kernels():
+    from repro.bugs import registry
+
+    return sorted(registry.all_kernels(), key=lambda k: k.meta.kernel_id)
+
+
 # ---------------------------------------------------------------------------
 # Compiled vs forced-pure parity
 # ---------------------------------------------------------------------------
@@ -148,7 +157,85 @@ def test_traced_digest_identical_compiled_process_vs_forced_pure(workload):
 
 
 # ---------------------------------------------------------------------------
-# Disqualifiers: each forces the pure loop, none changes the schedule
+# Traced runs on the compiled loop: the kept event log, event for event
+# ---------------------------------------------------------------------------
+
+
+def _event_log(result):
+    return [(e.step, e.time, e.gid, e.kind, e.obj, e.info)
+            for e in result.trace]
+
+
+def _assert_same_event_log(program, seed, **kwargs):
+    compiled = run(program, seed=seed, keep_trace=True, **kwargs)
+    with force_pure():
+        pure = run(program, seed=seed, keep_trace=True, **kwargs)
+    assert _signature(compiled) == _signature(pure)
+    assert _event_log(compiled) == _event_log(pure)
+    return compiled
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("variant", ["buggy", "fixed"])
+@pytest.mark.parametrize("kernel", _corpus_kernels(),
+                         ids=lambda k: k.meta.kernel_id)
+def test_corpus_event_log_compiled_vs_pure(kernel, variant, seed):
+    _assert_same_event_log(getattr(kernel, variant), seed,
+                           **kernel.run_kwargs)
+
+
+@pytest.mark.parametrize("workload", sorted(HEAVY_WORKLOADS))
+def test_heavy_event_log_compiled_vs_pure(workload):
+    _assert_same_event_log(HEAVY_WORKLOADS[workload], 5)
+
+
+def test_panic_event_log_compiled_vs_pure():
+    """A goroutine panics mid-run: its ``go.panic`` event and the stop
+    that follows come from ``_after_resume`` called out of drive."""
+    def program(rt):
+        ch = rt.make_chan()
+
+        def crash():
+            ch.send(1)
+            rt.panic("worker failed")
+
+        rt.go(crash)
+        ch.recv()
+        rt.sleep(1.0)
+
+    result = _assert_same_event_log(program, 1)
+    assert result.status == "panic"
+    assert [e.kind for e in result.trace][-1] == "go.panic"
+
+
+@needs_drive_loop
+def test_traced_run_enters_the_compiled_loop():
+    """A kept trace plus a listener no longer selects the pure loop: the
+    run's drive calls return verdicts (None would mean 'ineligible')."""
+    verdicts = []
+
+    class DriveCounter:
+        def attach(self, rt):
+            sched = rt.sched
+            drive = sched._hot
+
+            def counted(s):
+                verdict = drive(s)
+                verdicts.append(verdict)
+                return verdict
+
+            sched._hot = counted
+            sched.trace.subscribe(lambda e: None)
+
+    result = run(HEAVY_WORKLOADS["pingpong_heavy"], seed=1,
+                 keep_trace=True, observers=[DriveCounter()])
+    assert result.status == "ok"
+    assert [v for v in verdicts if v is not None]
+    assert None not in verdicts
+
+
+# ---------------------------------------------------------------------------
+# Inertness: kept traces, listeners and injectors leave the schedule alone
 # ---------------------------------------------------------------------------
 
 
@@ -163,8 +250,8 @@ def test_kept_trace_does_not_change_the_schedule(workload):
 
 @pytest.mark.parametrize("workload", sorted(HEAVY_WORKLOADS))
 def test_subscribed_listener_does_not_change_the_schedule(workload):
-    """keep_trace=False but a live listener: the run is observed, so it
-    takes the pure loop, and must still match the unobserved run."""
+    """keep_trace=False but a live listener: the observed run must still
+    match the unobserved run."""
     seen = []
 
     class Listener:
@@ -379,12 +466,6 @@ def test_no_cext_subprocess_matches_compiled_process():
 # ---------------------------------------------------------------------------
 # Corpus, mini-apps, recovery: compiled vs pure over everything
 # ---------------------------------------------------------------------------
-
-
-def _corpus_kernels():
-    from repro.bugs import registry
-
-    return sorted(registry.all_kernels(), key=lambda k: k.meta.kernel_id)
 
 
 @pytest.mark.parametrize("kernel", _corpus_kernels(),

@@ -7,8 +7,8 @@ equivalences the determinism contract rests on:
 
 * the compiled ``BatchedRandom`` draws the exact ``random.Random(seed)``
   sequence the pure one draws, over every seed shape;
-* a traceless run (compiled loop eligible) takes the same steps as a
-  traced run of the same seed (pure loop, trace forces it);
+* a traceless run on the compiled loop takes the same steps as a traced
+  run of the same seed on the pure loop (under ``force_pure``);
 * a subprocess with ``REPRO_NO_CEXT=1`` — pure RNG, pure loop, and the
   default backend falling back to the thread vehicle — produces
   byte-identical digests, statuses, and step counts.
@@ -84,13 +84,14 @@ def test_scheduler_uses_the_compiled_rng_by_default():
 def test_traceless_run_matches_traced_run(workload):
     """Compiled loop (traceless) vs pure loop (trace on), in-process.
 
-    A live trace is exactly what disqualifies the compiled loop, so the
-    pair exercises both loops on the same seed; steps, status, and the
+    A live trace no longer disqualifies the compiled loop, so the traced
+    run takes the pure loop under ``force_pure``; steps, status, and the
     main result must agree.
     """
     program = WORKLOADS[workload]
     hot = run(program, seed=11, keep_trace=False)
-    pure = run(program, seed=11, keep_trace=True)
+    with _hotloop.force_pure():
+        pure = run(program, seed=11, keep_trace=True)
     assert hot.status == pure.status
     assert hot.steps == pure.steps
     assert hot.main_result == pure.main_result

@@ -66,6 +66,69 @@ def test_trace_listener_sees_live_events():
     assert seen == [event]
 
 
+def _events(*kinds):
+    return [TraceEvent(i, 0.0, 1, kind) for i, kind in enumerate(kinds)]
+
+
+def test_kind_listener_receives_only_its_kinds_in_order():
+    events = _events("a", "b", "c", "a", "d", "b")
+    seen = []
+    trace = Trace()
+    trace.subscribe(seen.append, kinds=("a", "b"))
+    for event in events:
+        trace.emit(event)
+    assert seen == [e for e in events if e.kind in ("a", "b")]
+    assert trace.events == events
+
+
+def test_listener_without_kinds_receives_every_event():
+    events = _events("a", "b", "c", "z")
+    seen = []
+    trace = Trace(keep_events=False)
+    trace.subscribe(lambda e: None, kinds=("a",))
+    trace.subscribe(seen.append)
+    for event in events:
+        trace.emit(event)
+    assert seen == events
+    assert trace.events == []
+
+
+def test_mixed_listeners_run_in_subscription_order_per_event():
+    calls = []
+    trace = Trace()
+    trace.subscribe(lambda e: calls.append(("all-1", e.kind)))
+    trace.subscribe(lambda e: calls.append(("a", e.kind)), kinds={"a"})
+    trace.subscribe(lambda e: calls.append(("all-2", e.kind)))
+    trace.subscribe(lambda e: calls.append(("ab", e.kind)), kinds=["a", "b"])
+    for event in _events("a", "b", "c"):
+        trace.emit(event)
+    assert calls == [
+        ("all-1", "a"), ("a", "a"), ("all-2", "a"), ("ab", "a"),
+        ("all-1", "b"), ("all-2", "b"), ("ab", "b"),
+        ("all-1", "c"), ("all-2", "c"),
+    ]
+
+
+def test_trace_active_and_unsubscribe_all():
+    kept = Trace()
+    assert kept.active
+    bare = Trace(keep_events=False)
+    assert not bare.active
+    seen = []
+    bare.subscribe(seen.append, kinds=("a",))
+    assert bare.active
+    bare.unsubscribe_all()
+    assert not bare.active
+    bare.emit(TraceEvent(1, 0.0, 1, "a"))
+    assert seen == [] and bare.events == []
+    kept.subscribe(seen.append)
+    kept.emit(TraceEvent(1, 0.0, 1, "a"))
+    kept.unsubscribe_all()
+    assert kept.active
+    kept.emit(TraceEvent(2, 0.0, 1, "a"))
+    assert len(seen) == 1 and len(kept) == 2
+
+
 def test_scheduler_current_outside_run_raises():
     sched = Scheduler()
     with pytest.raises(SchedulerStateError):
