@@ -32,7 +32,8 @@ def schedule_fingerprint(result: RunResult) -> Tuple[Tuple[int, int, str, Any], 
     """
     if result.trace is None:
         raise ValueError("fingerprinting needs keep_trace=True")
-    return tuple((e.step, e.gid, e.kind, e.obj) for e in result.trace)
+    return tuple((step, gid, kind, obj) for step, _time, gid, kind, obj, _info
+                 in result.trace.records())
 
 
 @dataclass

@@ -25,7 +25,7 @@ def schedule_digest(result: Any) -> Optional[str]:
     """SHA-256 over the run's schedule fingerprint, or None without a trace.
 
     The fingerprint is the ``(step, gid, kind, obj)`` projection of every
-    trace event (the same projection
+    trace record (the same projection
     :func:`repro.observe.overhead.schedule_fingerprint` uses): it pins the
     complete interleaving while ignoring payload details.  A stable hex
     digest — not Python's salted ``hash()`` — so digests compare across
@@ -34,8 +34,8 @@ def schedule_digest(result: Any) -> Optional[str]:
     if result.trace is None:
         return None
     h = hashlib.sha256()
-    for e in result.trace:
-        h.update(f"{e.step}|{e.gid}|{e.kind}|{e.obj}\n".encode())
+    for step, _time, gid, kind, obj, _info in result.trace.records():
+        h.update(f"{step}|{gid}|{kind}|{obj}\n".encode())
     return h.hexdigest()
 
 

@@ -13,10 +13,12 @@ system's effective speed, the per-step path here is deliberately lean:
 
 * scheduling randomness comes from :class:`repro.runtime.fastrand.BatchedRandom`
   (bit-identical to ``random.Random``, a fraction of the call overhead);
-* trace events are only *allocated* when someone will see them — a kept
+* trace events are only *recorded* when someone will see them — a kept
   trace or a subscribed listener (``Trace.active``); a ``keep_trace=False``
-  run with no detectors pays one attribute check per would-be event, and a
-  listener is called only for the event kinds it subscribed to;
+  run with no detectors pays one attribute check per would-be event.  The
+  kept log stores plain records, and a ``TraceEvent`` object is built only
+  for an event some listener subscribed to (or later, for a reader of
+  ``trace.events``);
 * traced and untraced runs alike take the compiled drive loop when it
   loads; only the fault injector and the observe/explore step hooks select
   the interpreted loop;
@@ -42,7 +44,7 @@ from .goroutine import (
     has_tasklet,
     tasklet_module,
 )
-from .trace import EventKind, Trace, TraceEvent
+from .trace import EventKind, Trace
 
 #: Package directories whose frames are simulator plumbing, not user code.
 #: Bug kernels (``repro.bugs``), mini-apps (``repro.apps``) and the chaos
@@ -312,12 +314,13 @@ class Scheduler:
         info: Optional[dict] = None,
         gid: Optional[int] = None,
     ) -> None:
-        """Append a trace event attributed to the running goroutine.
+        """Record a trace event attributed to the running goroutine.
 
         Fast path: when nobody consumes events (``keep_trace=False`` and no
-        subscribed detector/observer) the event object is never allocated.
-        Otherwise it is built positionally and handed to ``Trace.emit``,
-        which logs it and calls only the listeners of its kind.
+        subscribed detector/observer) nothing is recorded.  Otherwise the
+        fields go positionally to ``Trace.emit``, which appends them to the
+        kept log as one record and builds an event object only for the
+        listeners of its kind.
         """
         trace = self.trace
         if not trace.active:
@@ -325,8 +328,7 @@ class Scheduler:
         if gid is None:
             g = self._current
             gid = g.gid if g is not None else 0
-        trace.emit(TraceEvent(self._steps, self.clock.now, gid, kind, obj,
-                              info))
+        trace.emit(self._steps, self.clock.now, gid, kind, obj, info)
 
     # ------------------------------------------------------------------
     # Goroutine management

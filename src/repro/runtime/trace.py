@@ -1,23 +1,33 @@
 """Structured execution traces.
 
-Every scheduling-relevant action emits one :class:`TraceEvent`.  The trace is
-the single integration point between the runtime and the detectors
+Every scheduling-relevant action emits one trace event.  The trace is the
+single integration point between the runtime and the detectors
 (:mod:`repro.detect`): detectors are pure consumers of events and never reach
 into scheduler internals.
+
+The kept log is a list of plain records, ``(step, time, gid, kind, obj,
+info)`` tuples.  :class:`TraceEvent` objects are built only for the
+consumers that read them: once per emitted event that some listener wants
+(all of that event's listeners share the one object), and lazily, once, for
+post-hoc readers of :attr:`Trace.events`.  ``len()`` and ``kinds()`` read the
+records and build nothing.
 
 A listener may subscribe to a subset of event kinds.  The trace routes each
 event only to the listeners that asked for its kind (plus every listener
 that asked for all kinds), so a detector that reads a handful of kinds does
-not pay a call for each of the sleep, block and timer events that dominate
-long runs.
+not pay a call, or an event object, for each of the sleep, block and timer
+events that dominate long runs.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
                     Optional, Tuple)
 
 Listener = Callable[["TraceEvent"], None]
+#: One kept event: ``(step, time, gid, kind, obj, info)``.
+Record = Tuple[int, float, int, str, Optional[int], Dict[str, object]]
 
 
 class EventKind:
@@ -117,6 +127,17 @@ class TraceEvent:
         self.obj = obj
         self.info = _NO_INFO if not info else info
 
+    def __eq__(self, other: object) -> bool:
+        # A listener's event and a reader's event are separate objects
+        # built from the same record, so events compare by value.
+        if not isinstance(other, TraceEvent):
+            return NotImplemented
+        return (self.step == other.step and self.time == other.time
+                and self.gid == other.gid and self.kind == other.kind
+                and self.obj == other.obj and self.info == other.info)
+
+    __hash__ = None  # type: ignore[assignment]
+
     def __repr__(self) -> str:
         extra = f" obj={self.obj}" if self.obj is not None else ""
         info = f" {self.info}" if self.info else ""
@@ -126,32 +147,32 @@ class TraceEvent:
 class Trace:
     """An append-only event log with optional live listeners.
 
-    Listeners (detectors) are invoked synchronously as events are emitted so
-    they observe the exact interleaving order.  Within one event, listeners
-    run in subscription order.
+    The log keeps plain records; :class:`TraceEvent` objects exist only
+    where something reads them (see the module docstring).  Listeners
+    (detectors) are invoked synchronously as events are emitted so they
+    observe the exact interleaving order.  Within one event, listeners run
+    in subscription order.
     """
 
     # Slotted: ``active`` is read at every event site, so a slot read
     # beats a dict lookup.
-    __slots__ = ("_events", "_subscriptions", "_routes", "_every",
-                 "_keep_events", "active")
+    __slots__ = ("_records", "_events", "_routes", "_every", "_keep_events",
+                 "active")
 
     def __init__(self, keep_events: bool = True):
+        self._records: List[Record] = []
+        #: Events built from ``_records`` so far, for post-hoc readers.
         self._events: List[TraceEvent] = []
-        #: ``(listener, kinds)`` in subscription order; ``kinds`` None
-        #: means every event.
-        self._subscriptions: List[
-            Tuple[Listener, Optional[frozenset]]] = []
         #: Event kind -> the listeners that want it, for every kind some
-        #: listener named; rebuilt on each subscribe.
+        #: listener named.
         self._routes: Dict[str, Tuple[Listener, ...]] = {}
         #: The listeners of every other kind: those subscribed to all.
         self._every: Tuple[Listener, ...] = ()
         self._keep_events = keep_events
         #: True when emitting an event has any consumer (the kept log or a
-        #: listener).  The scheduler checks this before *allocating* events,
-        #: so an unobserved ``keep_trace=False`` run skips the whole
-        #: trace layer at the cost of one attribute read per event site.
+        #: listener).  The scheduler checks this before emitting, so an
+        #: unobserved ``keep_trace=False`` run skips the whole trace layer
+        #: at the cost of one attribute read per event site.
         self.active = keep_events
 
     def subscribe(self, listener: Listener,
@@ -159,18 +180,21 @@ class Trace:
         """Register a callback for subsequent events.
 
         With ``kinds`` the callback sees only events of those kinds, in
-        emission order; without it, every event.  The routing table is
-        built here, once per subscription, so emitting an event costs one
-        dict lookup however many listeners there are.
+        emission order; without it, every event.  Subscribing extends the
+        routing table in place: the listener joins the route of each kind
+        it names (a new route starts from the all-kinds listeners), or,
+        without ``kinds``, the all-kinds listeners and every existing
+        route.  Emitting an event then costs one dict lookup however many
+        listeners there are.
         """
-        wanted = None if kinds is None else frozenset(kinds)
-        self._subscriptions.append((listener, wanted))
-        subs = self._subscriptions
-        self._every = tuple(fn for fn, ks in subs if ks is None)
-        named = set().union(*(ks for _, ks in subs if ks is not None))
-        self._routes = {
-            kind: tuple(fn for fn, ks in subs if ks is None or kind in ks)
-            for kind in named}
+        routes = self._routes
+        if kinds is None:
+            self._every += (listener,)
+            for kind in routes:
+                routes[kind] += (listener,)
+        else:
+            for kind in set(kinds):
+                routes[kind] = routes.get(kind, self._every) + (listener,)
         self.active = True
 
     def unsubscribe_all(self) -> None:
@@ -179,35 +203,63 @@ class Trace:
         A listener is usually a bound method of a detector that may hold
         the runtime, which holds this trace: a reference cycle.
         """
-        self._subscriptions.clear()
         self._routes = {}
         self._every = ()
         self.active = self._keep_events
 
-    def emit(self, event: TraceEvent) -> None:
-        """Append ``event`` to the kept log and route it to its listeners."""
+    def emit(self, step: int, time: float, gid: int, kind: str,
+             obj: Optional[int] = None,
+             info: Optional[Dict[str, object]] = None) -> None:
+        """Append one event record and route it to its listeners.
+
+        The record goes to the kept log as a plain tuple.  A
+        :class:`TraceEvent` is built only when the event's kind has a
+        listener, and all of them receive that one object.
+        """
+        if not info:
+            info = _NO_INFO
         if self._keep_events:
-            self._events.append(event)
-        for listener in self._routes.get(event.kind, self._every):
-            listener(event)
+            self._records.append((step, time, gid, kind, obj, info))
+        listeners = self._routes.get(kind, self._every)
+        if listeners:
+            event = TraceEvent(step, time, gid, kind, obj, info)
+            for listener in listeners:
+                listener(event)
 
     @property
     def events(self) -> List[TraceEvent]:
-        return self._events
+        """The kept events as objects, built on first read and cached.
+
+        Only the records emitted since the previous read are built, so
+        repeated reads return the same list holding the same objects.
+        """
+        events = self._events
+        if len(events) < len(self._records):
+            events.extend(TraceEvent(*record) for record
+                          in islice(self._records, len(events), None))
+        return events
+
+    def records(self) -> List[Record]:
+        """The kept log itself, one record per event; treat it as read-only.
+
+        For projections that read a few fields of every event (schedule
+        digests and fingerprints): they need no event objects.
+        """
+        return self._records
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return iter(self.events)
 
     def of_kind(self, *kinds: str) -> List[TraceEvent]:
         """Return all recorded events whose kind is in ``kinds``."""
         wanted = set(kinds)
-        return [e for e in self._events if e.kind in wanted]
+        return [e for e in self.events if e.kind in wanted]
 
     def by_goroutine(self, gid: int) -> List[TraceEvent]:
-        return [e for e in self._events if e.gid == gid]
+        return [e for e in self.events if e.gid == gid]
 
     def kinds(self) -> Iterable[str]:
-        return (e.kind for e in self._events)
+        return (record[3] for record in self._records)
