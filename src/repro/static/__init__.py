@@ -3,7 +3,8 @@
 Section 7 of the paper observes that existing static analyses cover a
 sliver of the taxonomy (a loop-capture scanner that "already discovered
 a few new bugs").  This package grows that sliver into a tier: an
-abstract interpreter (:mod:`.interp`) reduces each kernel to a
+abstract interpreter (:mod:`.interp`) reduces each kernel, read from
+the source model (:mod:`.source`, one parse per module file), to a
 whole-program summary model (:mod:`.ir`), and pure checkers over that
 model cover both halves of the study —
 

@@ -646,8 +646,9 @@ def _wg_wait_before_drain(model: ProgramModel, wg: AbstractObj
     out = []
     for t, pi, oi, wop in model.ops_on(wg, "wg_wait"):
         path = t.paths[pi]
-        spawned = {op.detail for op in path.ops[:oi]
-                   if op.kind == "spawn"}
+        # spawn order, not set order: the finding names the first worker
+        spawned = dict.fromkeys(op.detail for op in path.ops[:oi]
+                                if op.kind == "spawn")
         for key in spawned:
             worker = model.thread(key)
             if worker is None:

@@ -3,7 +3,10 @@
 Program mode (``analyze_kernel``) interprets a corpus kernel variant
 into a :class:`~repro.static.ir.ProgramModel` and runs the model
 checkers — lockgraph, chanshape, sharedrace — plus the syntactic
-capture scanner.  Module mode (``analyze_paths``) scans arbitrary
+capture scanner.  The interpreter and the capture scan read the same
+class node from the source model (:mod:`.source`), which parses each
+module file once per process; a class with no readable source fails
+there, for both.  Module mode (``analyze_paths``) scans arbitrary
 source files (the mini-apps, user code) with the syntactic checkers
 only.  Both return :class:`~repro.static.model.StaticReport` with
 per-checker wall times, so ``repro bench --static`` can account for
@@ -12,7 +15,7 @@ every stage.
 
 from __future__ import annotations
 
-import inspect
+import ast
 import time
 from pathlib import Path
 from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
@@ -21,6 +24,7 @@ from . import capture, chanshape, lockgraph, sharedrace
 from .interp import build_model
 from .ir import ProgramModel
 from .model import StaticFinding, StaticReport, dedupe
+from .source import class_node
 
 #: the model checkers, in report order
 MODEL_CHECKERS: Tuple[Tuple[str, Callable[[ProgramModel],
@@ -62,38 +66,14 @@ def analyze_kernel(kernel: Any, variant: str = "buggy") -> StaticReport:
     return analyze_program(kernel, variant=variant)
 
 
-_CLASS_TREES: dict = {}
-
-
-def _class_tree(kernel_cls: Any):
-    """One ``inspect.getsource`` + ``ast.parse`` per kernel class, cached."""
-    import ast
-    import textwrap
-    if kernel_cls in _CLASS_TREES:
-        return _CLASS_TREES[kernel_cls]
-    tree = None
-    try:
-        source = inspect.getsource(kernel_cls)
-        tree = ast.parse(textwrap.dedent(source))
-    except (OSError, TypeError, SyntaxError):
-        tree = None
-    _CLASS_TREES[kernel_cls] = tree
-    return tree
-
-
 def _capture_program(kernel_cls: Any, variant: str) -> List[StaticFinding]:
     """Run the syntactic capture scanner on the variant's entry code.
 
     Scanning only the relevant variant (plus shared helpers) keeps a
     capture bug in ``buggy`` from bleeding into the ``fixed`` report.
     """
-    import ast
     other = "fixed" if variant == "buggy" else "buggy"
-    tree = _class_tree(kernel_cls)
-    if tree is None:
-        return []
-    cls = tree.body[0]
-    kept = [n for n in cls.body
+    kept = [n for n in class_node(kernel_cls).body
             if not (isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and n.name == other)]
     module = ast.Module(body=kept, type_ignores=[])

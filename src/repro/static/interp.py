@@ -19,11 +19,10 @@ lockset.  No kernel code is ever executed.
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from typing import Any, Dict, List, Optional, Tuple
 
 from .ir import MANY, ONCE, AbstractObj, Op, Path, ProgramModel, ThreadModel
+from .source import class_node
 
 STATE_CAP = 64          # explored paths per thread body
 UNROLL_CAP = 16         # literal-loop unrolling bound
@@ -190,11 +189,7 @@ class StaticInterp:
 
     def __init__(self, kernel_cls):
         self.kernel_cls = kernel_cls
-        source = textwrap.dedent(inspect.getsource(
-            kernel_cls if isinstance(kernel_cls, type) else type(kernel_cls)))
-        tree = ast.parse(source)
-        self.class_node = next(n for n in tree.body
-                               if isinstance(n, ast.ClassDef))
+        self.class_node = class_node(kernel_cls)
         self.methods: Dict[str, ast.FunctionDef] = {}
         self.consts: Dict[str, Any] = {}
         for node in self.class_node.body:
@@ -1249,20 +1244,14 @@ class StaticInterp:
     _cur_thread_key: str = "main"
 
 
-_INTERP_CACHE: Dict[type, "StaticInterp"] = {}
-
-
 def build_model(kernel_cls, variant: str = "buggy") -> ProgramModel:
     """Public entry: interpret one kernel variant into a ProgramModel.
 
-    The parse (``StaticInterp.__init__``) is cached per class —
-    ``analyze`` resets all per-run state, so both variants share it.
+    The class node comes from the source model (:mod:`.source`), which
+    parses each module file once, so a fresh interpreter per call costs
+    only a walk over the top level of the class body.
     """
-    key = kernel_cls if isinstance(kernel_cls, type) else type(kernel_cls)
-    interp = _INTERP_CACHE.get(key)
-    if interp is None:
-        interp = _INTERP_CACHE[key] = StaticInterp(kernel_cls)
-    model = interp.analyze(variant)
+    model = StaticInterp(kernel_cls).analyze(variant)
     model.target = getattr(kernel_cls, "meta", None) and \
         f"{kernel_cls.meta.kernel_id} ({variant})" or variant
     return model

@@ -61,14 +61,13 @@ def test_op_vocabulary_is_closed():
                     assert op.kind in KNOWN_OP_KINDS, (kid, op.kind)
 
 
-def test_interp_parse_is_cached_per_class():
-    from repro.static.interp import _INTERP_CACHE
+def test_interpreters_share_the_class_node():
+    # Each call builds a fresh interpreter; the parse is the source
+    # model's, so both variants walk one node.
+    from repro.static.interp import StaticInterp
+    from repro.static.source import class_node
 
     kernel = get("blocking-mutex-kubernetes-abba")
-    build_model(kernel, "buggy")
-    first = _INTERP_CACHE[kernel if isinstance(kernel, type)
-                          else type(kernel)]
-    build_model(kernel, "fixed")
-    second = _INTERP_CACHE[kernel if isinstance(kernel, type)
-                           else type(kernel)]
-    assert first is second
+    first = StaticInterp(kernel).class_node
+    assert first is StaticInterp(kernel).class_node
+    assert first is class_node(kernel)
