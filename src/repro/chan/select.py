@@ -64,6 +64,10 @@ def select(rt: "Runtime", cases: Sequence[SelectCase], default: bool = False
         ready_indices = [i for i, case in enumerate(cases) if case.ready()]
         if ready_indices:
             index = ready_indices[sched.rng.randrange(len(ready_indices))]
+            if sched.pick_log is not None:
+                # The draw shares the scheduling RNG: its marker keeps
+                # each pick's log index equal to its draw position.
+                sched.pick_log.append(None)
             value, ok = cases[index].perform(me.gid)
             sched.emit(EventKind.SELECT_COMMIT, info={"chosen": index})
             return index, value, ok

@@ -2,14 +2,20 @@
 
 The explorer's schedule tree branches on raw ``randrange`` indices; to
 prune equivalent branches it must know what each choice *did*.  This
-module answers that with two inert runtime hooks:
+module answers that after the run, from two logs the run already keeps:
 
-* :attr:`Scheduler.annotate_pick` reports, for every scheduling decision,
-  the runnable goroutines offered and the index chosen — aligned to the
-  scripted choice log by position (the hook fires right after the draw).
-* a trace listener buckets the events each picked goroutine then performs
-  into that decision's *segment* and reduces them to a **footprint**: the
-  set of synchronization objects and goroutines the segment touched.
+* the scheduler's pick log (:meth:`Scheduler.record_picks`) names, for
+  every scheduling decision, the runnable goroutines offered and the
+  index chosen.  A ``select`` draw leaves a marker in it, so a pick's log
+  index is its position in the scripted choice log;
+* the trace records stamp every event with the step it ran in, so the
+  events a picked goroutine then performs — the decision's *segment* —
+  are the records of that pick's step.  A segment reduces to a
+  **footprint**: the set of synchronization objects and goroutines it
+  touched.
+
+Nothing runs per step beyond the log append: an annotation is built only
+when the explorer looks its position up.
 
 Footprints drive the sleep-set pruning rule in
 :mod:`repro.detect.systematic`: two segments on different goroutines with
@@ -41,20 +47,17 @@ never commute.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, FrozenSet, List, Optional, Tuple
+from itertools import islice
+from operator import itemgetter
+from typing import (Any, FrozenSet, Iterable, Iterator, List, Optional,
+                    Tuple)
 
-from ..runtime.trace import EventKind, TraceEvent
+from ..runtime.scheduler import PickRecord
+from ..runtime.trace import EventKind, Record, Trace
 
-__all__ = ["ChoiceAnnotator", "PickAnnotation"]
-
-#: Event kinds whose segment cannot be summarized by object tokens alone.
-_POISON_KINDS = frozenset({
-    EventKind.GO_PANIC,
-    EventKind.TIMER_FIRE,
-    EventKind.EXTERNAL_WAIT,
-    EventKind.INJECT,
-})
+__all__ = ["ChoiceAnnotator", "PickAnnotation", "PickAnnotations"]
 
 #: The shared virtual-clock token: all sleep registrations conflict with
 #: each other (wake order) but commute with channel/lock traffic.
@@ -113,109 +116,122 @@ class PickAnnotation:
     poisoned: bool
 
 
-class _Segment:
-    __slots__ = ("position", "gids", "chosen", "gid", "tokens", "poisoned")
+class PickAnnotations:
+    """The pick annotations of one run, each built when it is looked up.
 
-    def __init__(self, position: int, gids: Tuple[int, ...], chosen: int):
-        self.position = position
-        self.gids = gids
-        self.chosen = chosen
-        self.gid = gids[chosen]
-        self.tokens = {("g", self.gid)}
-        self.poisoned = False
+    The explorer reads a few positions of each run (the pick that
+    branched it and the picks it expands), so footprints are computed
+    for those alone.  Iterating yields every pick in position order.
+    """
+
+    __slots__ = ("_log", "_records", "_steps")
+
+    def __init__(self, log: List[Optional[PickRecord]],
+                 records: List[Record]):
+        self._log = log
+        self._records = records
+        #: The records' steps, to find a segment by bisection.  Records
+        #: kept after this point (run teardown) belong to no segment.
+        self._steps = list(map(itemgetter(0), records))
+
+    def get(self, position: int) -> Optional[PickAnnotation]:
+        """The pick at choice-log ``position``, or None for a select draw
+        or a position past the end of the run."""
+        if not 0 <= position < len(self._log):
+            return None
+        pick = self._log[position]
+        if pick is None:
+            return None
+        step, runnable, chosen = pick
+        steps = self._steps
+        segment = islice(self._records, bisect_left(steps, step),
+                         bisect_right(steps, step))
+        gids = tuple(g.gid for g in runnable)
+        tokens, poisoned = _footprint(gids[chosen], segment)
+        return PickAnnotation(position, gids, chosen, tokens, poisoned)
+
+    def __iter__(self) -> Iterator[PickAnnotation]:
+        for position in range(len(self._log)):
+            annotation = self.get(position)
+            if annotation is not None:
+                yield annotation
+
+
+def _footprint(gid: int, segment: Iterable[Record]
+               ) -> Tuple[FrozenSet[Tuple[str, int]], bool]:
+    """The tokens a segment run by ``gid`` touched, and whether anything
+    in it escapes the token vocabulary (see the module docstring)."""
+    tokens = {("g", gid)}
+    poisoned = False
+    for _step, _time, egid, kind, obj, info in segment:
+        if kind in _OBJ_KINDS:
+            if obj is not None:
+                tokens.add(("o", obj))
+            else:  # pragma: no cover - defensive
+                poisoned = True
+            if egid != gid:
+                # Completing a parked peer's operation touches that peer.
+                tokens.add(("g", egid))
+        elif kind in _GID_OBJ_KINDS:
+            tokens.add(("g", obj))
+        elif kind == EventKind.GO_BLOCK:
+            objs = info.get("objs")
+            if obj is not None:
+                tokens.add(("o", obj))
+            elif objs:
+                tokens.update(("o", o) for o in objs)
+            elif info.get("reason") == "time.sleep":
+                tokens.add(_TIMER_TOKEN)
+            else:
+                # External waits, nil channels: wait queue unnamed.
+                poisoned = True
+        elif kind == EventKind.SELECT_BEGIN:
+            chans = info.get("chans")
+            if chans is None:  # pragma: no cover - defensive
+                poisoned = True
+            else:
+                tokens.update(("o", o) for o in chans)
+        elif kind == EventKind.SLEEP:
+            tokens.add(_TIMER_TOKEN)
+        elif kind == EventKind.GO_END:
+            if egid == MAIN_GID:
+                # Main ending flips the run into drain mode.
+                poisoned = True
+            else:
+                tokens.add(("g", egid))
+        elif kind in _INERT_KINDS:
+            pass
+        else:
+            # Timer fires, faults, panics, net.*, unknown kinds.
+            poisoned = True
+    return frozenset(tokens), poisoned
 
 
 class ChoiceAnnotator:
-    """Observer recording pick offers and segment footprints for one run.
+    """Observer that annotates every pick of one run with its footprint.
 
     Pass in ``observers=[annotator]`` to :func:`repro.run` alongside the
-    scripted ``rng``; read :attr:`picks` afterwards.  Attaching subscribes
-    a trace listener (events are delivered even with ``keep_trace=False``)
-    and installs the ``annotate_pick`` scheduler hook.
+    scripted ``rng``; read :attr:`picks` afterwards.  Attaching asks the
+    scheduler for its pick log and the trace for its records, which it
+    keeps even in a ``keep_trace=False`` run (whose result still carries
+    no trace).  It subscribes to nothing: the run pays one log append per
+    pick and one record per event.
     """
 
     def __init__(self) -> None:
-        self.picks: List[PickAnnotation] = []
-        self._segments: List[_Segment] = []
-        self._current: Optional[_Segment] = None
-        self._rng: Any = None
+        self.picks: Optional[PickAnnotations] = None
+        self._log: Optional[List[Optional[PickRecord]]] = None
+        self._trace: Optional[Trace] = None
 
     # -- observer protocol -------------------------------------------------
 
     def attach(self, rt: Any) -> None:
         sched = rt.sched
-        self._rng = sched.rng
-        sched.annotate_pick = self._on_pick
-        sched.trace.subscribe(self._on_event)
+        self._log = sched.record_picks()
+        self._trace = sched.trace
+        self._trace.keep_records()
 
     def finish(self, result: Any) -> None:
-        self._flush()
-        self.picks = [
-            PickAnnotation(seg.position, seg.gids, seg.chosen,
-                           frozenset(seg.tokens), seg.poisoned)
-            for seg in self._segments
-        ]
-
-    # -- hooks -------------------------------------------------------------
-
-    def _on_pick(self, runnable: List[Any], idx: int) -> None:
-        # The draw just happened, so its log entry is the last one.
-        position = len(self._rng.log) - 1
-        self._flush()
-        self._current = _Segment(
-            position, tuple(g.gid for g in runnable), idx)
-
-    def _on_event(self, event: TraceEvent) -> None:
-        seg = self._current
-        if seg is None:
-            # Pre-first-pick setup (main's GO_CREATE): nothing to prune.
-            return
-        kind = event.kind
-        if kind in _OBJ_KINDS:
-            if event.obj is not None:
-                seg.tokens.add(("o", event.obj))
-            else:  # pragma: no cover - defensive
-                seg.poisoned = True
-            if event.gid != seg.gid:
-                # Completing a parked peer's operation touches that peer.
-                seg.tokens.add(("g", event.gid))
-        elif kind in _GID_OBJ_KINDS:
-            seg.tokens.add(("g", event.obj))
-        elif kind == EventKind.GO_BLOCK:
-            info = event.info or {}
-            objs = info.get("objs")
-            if event.obj is not None:
-                seg.tokens.add(("o", event.obj))
-            elif objs:
-                seg.tokens.update(("o", obj) for obj in objs)
-            elif info.get("reason") == "time.sleep":
-                seg.tokens.add(_TIMER_TOKEN)
-            else:
-                # External waits, nil channels: wait queue unnamed.
-                seg.poisoned = True
-        elif kind == EventKind.SELECT_BEGIN:
-            chans = (event.info or {}).get("chans")
-            if chans is None:  # pragma: no cover - defensive
-                seg.poisoned = True
-            else:
-                seg.tokens.update(("o", obj) for obj in chans)
-        elif kind == EventKind.SLEEP:
-            seg.tokens.add(_TIMER_TOKEN)
-        elif kind == EventKind.GO_END:
-            if event.gid == MAIN_GID:
-                # Main ending flips the run into drain mode.
-                seg.poisoned = True
-            else:
-                seg.tokens.add(("g", event.gid))
-        elif kind in _INERT_KINDS:
-            pass
-        else:
-            # Timer fires, faults, panics, net.*, unknown kinds.
-            seg.poisoned = True
-
-    # -- internals ---------------------------------------------------------
-
-    def _flush(self) -> None:
-        if self._current is not None:
-            self._segments.append(self._current)
-            self._current = None
+        assert self._log is not None and self._trace is not None
+        self.picks = PickAnnotations(self._log, self._trace.records())
+        self._log = self._trace = None

@@ -18,13 +18,13 @@ tree of schedules depth-first:
 
 Most schedules differ only in the order of *commuting* steps, so the raw
 tree is massively redundant.  **Sleep-set pruning** (``prune=True``, the
-default) shrinks the work without shrinking coverage.  The scheduler
-reports, per decision, which goroutines were offered and what the chosen
-one then touched (:mod:`repro.detect.annotate`).  After exploring a branch,
-its first transition goes to "sleep" for the sibling branches: inside a
-sibling's subtree that same transition is skipped until some dependent
-step (overlapping footprint) wakes it, because taking it sooner only
-reorders independent steps.  This is the classic sleep-set reduction
+default) shrinks the work without shrinking coverage.  Each run's pick
+log and event records tell, per decision, which goroutines were offered
+and what the chosen one then touched (:mod:`repro.detect.annotate`).
+After exploring a branch, its first transition goes to "sleep" for the
+sibling branches: inside a sibling's subtree that same transition is
+skipped until some dependent step (overlapping footprint) wakes it,
+because taking it sooner only reorders independent steps.  This is the classic sleep-set reduction
 (Godefroid): it prunes redundant *interleavings* while still visiting
 every reachable program state, so exhaustion verdicts and the set of
 reachable outcomes (deadlocks, panics, wrong values) are preserved.
@@ -44,7 +44,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime.runtime import RunResult, run
-from .annotate import ChoiceAnnotator, PickAnnotation
+from .annotate import ChoiceAnnotator, PickAnnotation, PickAnnotations
 
 
 class ScriptedChoices:
@@ -152,26 +152,31 @@ def _explore_unit(
     run_kwargs: dict,
     annotate: bool,
 ) -> Tuple[List[Tuple[int, int]], Any, bool,
-           Optional[List[PickAnnotation]], List[Tuple[int, int, int]]]:
+           Optional[Dict[int, PickAnnotation]], List[Tuple[int, int, int]]]:
     """One scheduled run of one prefix; picklable outcome for sweep workers.
 
-    Returns ``(choice log, result-or-summary, stop hit, pick annotations,
-    clamp divergences)``.  The full :class:`RunResult` cannot cross a
-    process boundary, so workers reduce it to a
-    :class:`repro.parallel.RunSummary`; ``stop_on`` is evaluated here,
-    where the rich result still exists.
+    Returns ``(choice log, result-or-summary, stop hit, pick annotations
+    by position, clamp divergences)``.  The full :class:`RunResult` cannot
+    cross a process boundary, so workers reduce it to a
+    :class:`repro.parallel.RunSummary`, and the annotations, which
+    reference the run's goroutines until looked up, to plain values;
+    ``stop_on`` is evaluated here, where the rich result still exists.
     """
     from ..parallel import summarize_result
 
     choices, result, picks = _run_scripted(program, prefix, run_kwargs,
                                            annotate)
     hit = stop_on is not None and bool(stop_on(result))
-    return (choices.log, summarize_result(result), hit, picks,
+    by_position = ({p.position: p for p in picks}
+                   if picks is not None else None)
+    return (choices.log, summarize_result(result), hit, by_position,
             choices.divergences)
 
 
 def _run_scripted(program: Callable, prefix: Sequence[int],
-                  run_kwargs: dict, annotate: bool):
+                  run_kwargs: dict, annotate: bool
+                  ) -> Tuple[ScriptedChoices, RunResult,
+                             Optional[PickAnnotations]]:
     """Run ``program`` under a scripted schedule, optionally annotated.
 
     ``run_kwargs`` may carry ``observer_factories`` — zero-argument
@@ -279,7 +284,7 @@ class _Explorer:
                 tuple(clamp) for clamp in list(clamps)[:room])
         self.max_depth = max(self.max_depth, len(log))
         self.statuses[status] = self.statuses.get(status, 0) + 1
-        picks_by_pos = {p.position: p for p in picks} if picks else {}
+        picks_by_pos = picks if picks is not None else {}
         self._report_to_node(work, picks_by_pos, diverged)
         if diverged:
             # The run did not follow the schedule it was branched from:

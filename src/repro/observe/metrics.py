@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from operator import itemgetter
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 Number = Union[int, float]
 
@@ -117,6 +120,22 @@ class Histogram:
         else:
             self.bucket_counts[-1] += 1
 
+    def observe_counts(self, counts: Mapping[int, int]) -> None:
+        """Observe each integer ``value`` ``counts[value]`` times.
+
+        The same histogram as that many :meth:`observe` calls in any
+        order: an integer sum is exact in float, so it does not depend
+        on the order it is added up in.
+        """
+        for value, n in counts.items():
+            self.count += n
+            self.sum += value * n
+            if self.min is None or value < self.min:
+                self.min = value
+            if self.max is None or value > self.max:
+                self.max = value
+            self.bucket_counts[bisect_left(self.bounds, value)] += n
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -157,6 +176,19 @@ class TimeSeries:
             self.dropped += 1
             return
         self.samples.append((step, value))
+
+    def extend(self, points: Iterable[Tuple[Number, Number]]) -> None:
+        """:meth:`sample` every ``(step, value)`` of ``points``, in order."""
+        points = list(points)
+        previous = chain((self._last,), map(itemgetter(1), points))
+        changes = [point for point, last in zip(points, previous)
+                   if point[1] != last]
+        if not changes:
+            return
+        self._last = changes[-1][1]
+        room = max(self.max_samples - len(self.samples), 0)
+        self.samples.extend(changes[:room])
+        self.dropped += max(len(changes) - room, 0)
 
     def to_dict(self) -> dict:
         return {"type": "timeseries",

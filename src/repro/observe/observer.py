@@ -1,25 +1,35 @@
 """The Observer: one attachable trace consumer that builds every view.
 
 Contract (the same one detectors follow, see DESIGN.md): the observer
-subscribes to the run's :class:`repro.runtime.trace.Trace` and two inert
-scheduler hooks (``on_step``, ``capture_sites``).  It never touches the
-RNG, the runnable set, or primitive state — attaching an observer is
-guaranteed not to change the schedule, which the determinism tests assert
-bit-for-bit.
+reads the run, it never steers it.  At attach it turns on the
+scheduler's ``capture_sites`` flag, asks for the scheduler's pick log
+(:meth:`Scheduler.record_picks`) and has the trace keep its records
+(:meth:`Trace.keep_records`, so a ``keep_trace=False`` run still records
+them while its result carries no trace).  It never touches the RNG, the
+runnable set, or primitive state — attaching an observer is guaranteed
+not to change the schedule, which the determinism tests assert
+bit-for-bit.  It installs no per-step callback and no trace listener, so
+an observed run keeps the compiled drive loop and builds no event
+objects: at ``finish`` it folds the event records, in order, into the
+profiles and metrics, and derives the step counter, switch count and
+runnable-depth histogram and series from the pick log.
 
 Everything it derives — the metrics registry, the goroutine/block/mutex
-profiles, the flamegraph stacks — is a pure function of the trace, so two
-same-seed runs produce byte-identical dumps.
+profiles, the flamegraph stacks — is a pure function of the trace and the
+pick log, so two same-seed runs produce byte-identical dumps.
 """
-
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import compress
+from operator import getitem, is_not, itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..runtime.trace import EventKind, TraceEvent
-from .metrics import MetricsRegistry
-from .profiles import GoroutineProfile, Profile, flamegraph
+from ..runtime.scheduler import PickRecord
+from ..runtime.trace import EventKind, Record, Trace
+from .metrics import Histogram, MetricsRegistry, TimeSeries
+from .profiles import GoroutineProfile, Profile, ProfileEntry, flamegraph
 
 #: Block reasons whose spans feed the mutex-contention profile.
 _LOCK_REASONS = ("mutex.lock:", "rwmutex.lock:", "rwmutex.rlock:")
@@ -59,18 +69,18 @@ _NET_LATENCY_BOUNDS = (0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1,
                        0.2, 0.5, 1.0)
 
 
-class _OpenSpan:
-    """One in-flight block: a goroutine parked since (step, time)."""
+#: Event kinds the observer tracks one by one; every other kind is only
+#: tallied.
+_TRACKED = frozenset({
+    EventKind.GO_CREATE, EventKind.GO_BLOCK, EventKind.GO_UNBLOCK,
+    EventKind.GO_END, EventKind.GO_PANIC, EventKind.CHAN_MAKE,
+    EventKind.CHAN_SEND, EventKind.CHAN_RECV, EventKind.NET_RECV,
+    EventKind.NET_DROP,
+})
 
-    __slots__ = ("reason", "site", "stack", "step", "time")
-
-    def __init__(self, reason: str, site: str, stack: Tuple[str, ...],
-                 step: int, time: float):
-        self.reason = reason
-        self.site = site
-        self.stack = stack
-        self.step = step
-        self.time = time
+#: What closing a span feeds: ``(primitive, wait steps, block profile row,
+#: mutex profile row or None)``.
+_SpanRows = Tuple[str, List[int], ProfileEntry, Optional[ProfileEntry]]
 
 
 class Observer:
@@ -106,26 +116,36 @@ class Observer:
         self._g_state: Dict[int, str] = {}
         self._g_name: Dict[int, str] = {}
         self._g_site: Dict[int, str] = {}
-        self._open: Dict[int, _OpenSpan] = {}
+        #: gid -> the ``GO_BLOCK`` record of its in-flight block.
+        self._open: Dict[int, Record] = {}
         self._flame: Dict[Tuple[str, ...], int] = {}
 
         # Channel book-keeping.
         self._chan_label: Dict[int, str] = {}
         self._chan_occ: Dict[int, int] = {}
 
-        self._last_gid: Optional[int] = None
+        # The run's logs, read at finish: the trace from its record at
+        # attach on, and the pick log.
+        self._trace: Optional[Trace] = None
+        self._first_record = 0
+        self._picks: Optional[List[Optional[PickRecord]]] = None
         self._attached = False
         self._finished = False
         self.result: Optional[Any] = None
 
-        # Hot-path instrument handles (bound once; ``_on_step`` runs every
-        # scheduler step and must not pay a registry lookup each time).
+        # Scheduler-step instruments: filled from the pick log at finish.
         self._steps_counter = self.metrics.counter("sched.steps")
         self._switch_counter = self.metrics.counter("sched.switches")
         self._depth_hist = self.metrics.histogram("sched.runnable_depth")
         self._depth_series = self.metrics.timeseries(
             "sched.runnable_depth.series", self.max_series)
-        self._tally_cache: Dict[str, Any] = {}
+        # Caches filled on first use, so a dump names only what the run
+        # did: (block reason, site) -> the rows its closed spans feed, and
+        # primitive -> the wait steps of its closed spans, observed into
+        # ``block.wait_steps[primitive]`` at finish.
+        self._span_rows: Dict[Tuple[str, str], _SpanRows] = {}
+        self._wait_steps: Dict[str, List[int]] = {}
+        self._occ_instruments: Dict[str, Tuple[Histogram, TimeSeries]] = {}
 
     # ------------------------------------------------------------------
     # Attachment (the observers=/observe= protocol)
@@ -140,128 +160,157 @@ class Observer:
         sched = rt.sched
         if self.capture_sites:
             sched.capture_sites = True
-        prev = sched.on_step
-        if prev is None:
-            sched.on_step = self._on_step
-        else:  # chain politely with an already-installed hook
-            def chained(step: int, depth: int, gid: int) -> None:
-                prev(step, depth, gid)
-                self._on_step(step, depth, gid)
-            sched.on_step = chained
-        sched.trace.subscribe(self._on_event)
+        self._picks = sched.record_picks()
+        self._trace = sched.trace
+        self._first_record = len(self._trace.records())
+        self._trace.keep_records()
 
     # ------------------------------------------------------------------
-    # Scheduler hook
+    # Scheduler steps, from the pick log
     # ------------------------------------------------------------------
 
-    def _on_step(self, step: int, depth: int, gid: int) -> None:
-        self._steps_counter.value += 1
-        self._depth_hist.observe(depth)
-        self._depth_series.sample(step, depth)
-        if self._last_gid is not None and gid != self._last_gid:
-            self._switch_counter.value += 1
-        self._last_gid = gid
+    def _count_steps(self, log: List[Optional[PickRecord]]) -> None:
+        picks = ([pick for pick in log if pick is not None]  # drop selects
+                 if None in log else log)
+        offered = list(map(itemgetter(1), picks))
+        depths = list(map(len, offered))
+        ran = list(map(getitem, offered, map(itemgetter(2), picks)))
+        self._steps_counter.value += len(picks)
+        # One goroutine object per gid, so a switch is a change of object.
+        self._switch_counter.value += sum(map(is_not, ran[1:], ran))
+        self._depth_hist.observe_counts(Counter(depths))
+        self._depth_series.extend(zip(map(itemgetter(0), picks), depths))
 
     # ------------------------------------------------------------------
     # Trace consumption
     # ------------------------------------------------------------------
 
-    def _on_event(self, e: TraceEvent) -> None:
-        kind = e.kind
-        tally = _TALLY.get(kind)
-        if tally is not None:
-            counter = self._tally_cache.get(tally)
-            if counter is None:
-                counter = self.metrics.counter(tally)
-                self._tally_cache[tally] = counter
-            counter.value += 1
-
-        if kind == EventKind.GO_CREATE:
-            gid = int(e.obj)  # type: ignore[arg-type]
-            self._g_state[gid] = "runnable"
-            self._g_name[gid] = str(e.info.get("name", f"g{gid}"))
-            self._g_site[gid] = str(e.info.get("site") or "?")
-            live = self.metrics.gauge("go.live")
-            live.add(1)
-            self.metrics.counter("go.spawned").inc()
-            if e.info.get("anonymous"):
-                self.metrics.counter("go.spawned_anonymous").inc()
-        elif kind == EventKind.GO_BLOCK:
-            reason = str(e.info.get("reason", "?"))
-            site = str(e.info.get("site", "?"))
-            stack = tuple(e.info.get("stack") or ())
-            self._g_state[e.gid] = f"blocked:{reason}"
-            self._open[e.gid] = _OpenSpan(reason, site, stack, e.step, e.time)
-            self.metrics.counter("go.blocks").inc()
-        elif kind == EventKind.GO_UNBLOCK:
-            gid = int(e.obj)  # type: ignore[arg-type]
-            self._g_state[gid] = "runnable"
-            span = self._open.pop(gid, None)
-            if span is not None:
-                self._close_span(gid, span, e.step, e.time, still_blocked=False)
-        elif kind in (EventKind.GO_END, EventKind.GO_PANIC):
-            self._g_state[e.gid] = ("done" if kind == EventKind.GO_END
-                                    else "panicked")
-            self._open.pop(e.gid, None)
-            self.metrics.gauge("go.live").add(-1)
-        elif kind == EventKind.CHAN_MAKE:
-            cid = int(e.obj)  # type: ignore[arg-type]
-            name = e.info.get("name", f"chan#{cid}")
-            self._chan_label[cid] = f"{name}#{cid}"
-            self._chan_occ[cid] = 0
-        elif kind == EventKind.CHAN_SEND:
-            if self.track_occupancy and not e.info.get("sync", False):
-                self._occupancy(int(e.obj), +1, e.step)  # type: ignore[arg-type]
-        elif kind == EventKind.CHAN_RECV:
-            if (self.track_occupancy and not e.info.get("sync", False)
-                    and "seq" in e.info):
-                self._occupancy(int(e.obj), -1, e.step)  # type: ignore[arg-type]
-        elif kind == EventKind.NET_RECV:
-            link = e.info.get("link")
-            latency = e.info.get("latency")
-            if link is not None and latency is not None:
-                self.metrics.histogram(f"net.latency_s[{link}]",
-                                       bounds=_NET_LATENCY_BOUNDS
-                                       ).observe(latency)
-        elif kind == EventKind.NET_DROP:
-            link = e.info.get("link")
-            if link is not None:
-                self.metrics.counter(f"net.drops[{link}]").inc()
+    def _consume(self, records: List[Record]) -> None:
+        """Fold the run's event records, in order, into every view."""
+        metrics = self.metrics
+        kinds = Counter(map(itemgetter(3), records))
+        for kind, n in kinds.items():
+            tally = _TALLY.get(kind)
+            if tally is not None:
+                metrics.counter(tally).inc(n)
+        if kinds[EventKind.GO_BLOCK]:
+            metrics.counter("go.blocks").inc(kinds[EventKind.GO_BLOCK])
+        if kinds[EventKind.GO_CREATE]:
+            metrics.counter("go.spawned").inc(kinds[EventKind.GO_CREATE])
+        g_state = self._g_state
+        open_spans = self._open
+        occupancy = self.track_occupancy
+        tracked = compress(records,
+                           map(_TRACKED.__contains__, map(itemgetter(3),
+                                                          records)))
+        for record in tracked:
+            step, time, gid, kind, obj, info = record
+            if kind == EventKind.GO_BLOCK:
+                # The record is the open span.  The goroutine's "blocked:"
+                # state is set at finish, for spans still open then: an
+                # unblock or end would have overwritten it.
+                open_spans[gid] = record
+            elif kind == EventKind.GO_UNBLOCK:
+                g_state[obj] = "runnable"
+                span = open_spans.pop(obj, None)
+                if span is not None:
+                    self._close_span(obj, span, step, time, 0)
+            elif kind == EventKind.CHAN_SEND:
+                if occupancy and not info.get("sync", False):
+                    self._occupancy(obj, +1, step)
+            elif kind == EventKind.CHAN_RECV:
+                if (occupancy and not info.get("sync", False)
+                        and "seq" in info):
+                    self._occupancy(obj, -1, step)
+            elif kind == EventKind.GO_CREATE:
+                g_state[obj] = "runnable"
+                self._g_name[obj] = str(info.get("name", f"g{obj}"))
+                self._g_site[obj] = str(info.get("site") or "?")
+                metrics.gauge("go.live").add(1)
+                if info.get("anonymous"):
+                    metrics.counter("go.spawned_anonymous").inc()
+            elif kind == EventKind.GO_END or kind == EventKind.GO_PANIC:
+                g_state[gid] = ("done" if kind == EventKind.GO_END
+                                else "panicked")
+                open_spans.pop(gid, None)
+                metrics.gauge("go.live").add(-1)
+            elif kind == EventKind.CHAN_MAKE:
+                name = info.get("name", f"chan#{obj}")
+                self._chan_label[obj] = f"{name}#{obj}"
+                self._chan_occ[obj] = 0
+            elif kind == EventKind.NET_RECV:
+                link = info.get("link")
+                latency = info.get("latency")
+                if link is not None and latency is not None:
+                    metrics.histogram(f"net.latency_s[{link}]",
+                                      bounds=_NET_LATENCY_BOUNDS
+                                      ).observe(latency)
+            else:  # NET_DROP
+                link = info.get("link")
+                if link is not None:
+                    metrics.counter(f"net.drops[{link}]").inc()
 
     def _occupancy(self, cid: int, delta: int, step: int) -> None:
         occ = self._chan_occ.get(cid, 0) + delta
         self._chan_occ[cid] = occ
-        label = self._chan_label.get(cid, f"chan#{cid}")
-        self.metrics.histogram(f"chan.occupancy[{label}]").observe(occ)
-        self.metrics.timeseries(f"chan.occupancy[{label}].series",
-                                self.max_series).sample(step, occ)
+        label = self._chan_label.get(cid)
+        if label is None:
+            label = f"chan#{cid}"
+        instruments = self._occ_instruments.get(label)
+        if instruments is None:
+            instruments = self._occ_instruments[label] = (
+                self.metrics.histogram(f"chan.occupancy[{label}]"),
+                self.metrics.timeseries(f"chan.occupancy[{label}].series",
+                                        self.max_series))
+        instruments[0].observe(occ)
+        instruments[1].sample(step, occ)
 
     # ------------------------------------------------------------------
 
-    def _close_span(self, gid: int, span: _OpenSpan, step: int, time: float,
-                    still_blocked: bool) -> None:
-        wait_steps = step - span.step
-        wait_seconds = time - span.time
-        primitive = span.reason.split(":", 1)[0]
-        self.block_profile.add(
-            (primitive, span.site), steps=wait_steps, seconds=wait_seconds,
-            still_blocked=1 if still_blocked else 0)
-        self.metrics.histogram(
-            f"block.wait_steps[{primitive}]").observe(wait_steps)
+    def _close_span(self, gid: int, span: Record, step: int, time: float,
+                    still_blocked: int) -> None:
+        start_step, start_time, _gid, _kind, _obj, info = span
+        # Scheduler.block's details: a str reason, and with sites captured
+        # a str site and a non-empty stack tuple.
+        reason = info.get("reason", "?")
+        site = info.get("site", "?")
+        stack = info.get("stack", ())
+        wait_steps = step - start_step
+        wait_seconds = time - start_time
+        rows = self._span_rows.get((reason, site))
+        if rows is None:
+            rows = self._rows_for(reason, site)
+        primitive, waits, block_row, mutex_row = rows
+        block_row.add(wait_steps, wait_seconds, still_blocked)
+        waits.append(wait_steps)
         if wait_seconds > 0:
             self.metrics.histogram(
                 f"block.wait_seconds[{primitive}]").observe(wait_seconds)
-        if span.reason.startswith(_LOCK_REASONS):
-            lock = span.reason.split(":", 1)[1] or "?"
-            self.mutex_profile.add(
-                (lock, span.site), steps=wait_steps, seconds=wait_seconds,
-                still_blocked=1 if still_blocked else 0)
+        if mutex_row is not None:
+            mutex_row.add(wait_steps, wait_seconds, still_blocked)
         # Flamegraph stack: outermost user frame first, reason as the leaf.
-        if span.stack:
-            frames = tuple(reversed(span.stack)) + (span.reason,)
+        if stack:
+            frames = stack[::-1] + (reason,)
         else:
-            frames = (self._g_name.get(gid, f"g{gid}"), span.reason)
+            frames = (self._g_name.get(gid, f"g{gid}"), reason)
         self._flame[frames] = self._flame.get(frames, 0) + wait_steps
+
+    def _rows_for(self, reason: str, site: str) -> _SpanRows:
+        """What a span blocked on ``reason`` at ``site`` feeds when it
+        closes: its primitive, the primitive's wait list, and its block
+        and (for a lock) mutex profile rows."""
+        primitive = reason.split(":", 1)[0]
+        waits = self._wait_steps.get(primitive)
+        if waits is None:
+            waits = self._wait_steps[primitive] = []
+        mutex_row = None
+        if reason.startswith(_LOCK_REASONS):
+            lock = reason.split(":", 1)[1] or "?"
+            mutex_row = self.mutex_profile.entry((lock, site))
+        rows = (primitive, waits, self.block_profile.entry((primitive, site)),
+                mutex_row)
+        self._span_rows[(reason, site)] = rows
+        return rows
 
     # ------------------------------------------------------------------
     # End of run
@@ -273,12 +322,23 @@ class Observer:
             return
         self._finished = True
         self.result = result
+        if self._trace is not None:
+            self._consume(self._trace.records()[self._first_record:])
+            self._trace = None
+        if self._picks is not None:
+            self._count_steps(self._picks)
+            self._picks = None
         end_step = result.steps
         end_time = result.end_time
         for gid in sorted(self._open):
             span = self._open[gid]
-            self._close_span(gid, span, end_step, end_time, still_blocked=True)
+            self._g_state[gid] = f"blocked:{span[5].get('reason', '?')}"
+            self._close_span(gid, span, end_step, end_time, 1)
         self._open.clear()
+        for primitive, waits in self._wait_steps.items():
+            self.metrics.histogram(
+                f"block.wait_steps[{primitive}]").observe_counts(
+                    Counter(waits))
         for gid in sorted(self._g_state):
             self.goroutine_profile.add(
                 gid, self._g_state[gid],

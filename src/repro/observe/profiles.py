@@ -37,6 +37,14 @@ class ProfileEntry:
         self.seconds = 0.0
         self.still_blocked = 0
 
+    def add(self, steps: int = 0, seconds: float = 0.0,
+            still_blocked: int = 0) -> None:
+        """Count one sample of this row's weight."""
+        self.count += 1
+        self.steps += steps
+        self.seconds += seconds
+        self.still_blocked += still_blocked
+
     def to_dict(self) -> dict:
         return {"key": list(self.key), "count": self.count,
                 "steps": self.steps, "seconds": self.seconds,
@@ -52,12 +60,17 @@ class Profile:
         self.columns = columns
         self.entries: Dict[Key, ProfileEntry] = {}
 
-    def add(self, key: Key, count: int = 1, steps: int = 0,
-            seconds: float = 0.0, still_blocked: int = 0) -> ProfileEntry:
+    def entry(self, key: Key) -> ProfileEntry:
+        """The row for ``key``, created empty on first use."""
         entry = self.entries.get(key)
         if entry is None:
             entry = ProfileEntry(key)
             self.entries[key] = entry
+        return entry
+
+    def add(self, key: Key, count: int = 1, steps: int = 0,
+            seconds: float = 0.0, still_blocked: int = 0) -> ProfileEntry:
+        entry = self.entry(key)
         entry.count += count
         entry.steps += steps
         entry.seconds += seconds

@@ -16,10 +16,12 @@
  *     RNG pick, continuation switch and yield bookkeeping with no Python
  *     frames in between.  A goroutine that ended goes through the Python
  *     ``_after_resume`` (dequeue, ``ended_at``, ``panicked``, its trace
- *     event), so traced runs take this loop too.  Only runs with no
- *     injector and no observe/explore hooks, structured stop conditions,
- *     and the C RNG above; anything else returns None and the pure loop
- *     takes over.
+ *     event), so traced runs take this loop too, and so do runs with a
+ *     pick log (``sched.pick_log``, read once per entry), which gets the
+ *     same ``(step, runnable snapshot, index)`` record per pick as the
+ *     pure loop writes.  Only runs with no injector, structured stop
+ *     conditions, and the C RNG above; anything else returns None and the
+ *     pure loop takes over.
  *
  * Goroutine fields are reached through slot offsets cached from the class
  * ``__slots__`` member descriptors at bind() time — an attribute read is a
@@ -367,7 +369,7 @@ static PyObject *s_runnable_attr = NULL, *s_rng = NULL, *s_stop_mode = NULL,
                 *s_panicked_attr = NULL, *s_budget = NULL, *s_budget_used = NULL,
                 *s_steps = NULL, *s_time_limit = NULL, *s_clock = NULL,
                 *s_now = NULL, *s_current = NULL, *s_after_resume = NULL,
-                *s_trace = NULL, *s_active = NULL;
+                *s_trace = NULL, *s_active = NULL, *s_pick_log = NULL;
 
 static PyObject *v_stopped = NULL, *v_timeout = NULL, *v_steps = NULL,
                 *v_idle = NULL;
@@ -482,6 +484,26 @@ attr_as_longlong(PyObject *obj, PyObject *name, int *err)
     return out;
 }
 
+/* One pick-log record: (step, tuple(runnable), idx). */
+static PyObject *
+pick_record(long long step, PyObject *runnable, uint32_t idx)
+{
+    PyObject *st = PyLong_FromLongLong(step);
+    PyObject *snap = PyList_AsTuple(runnable);
+    PyObject *ix = PyLong_FromUnsignedLong(idx);
+    PyObject *rec = (st && snap && ix) ? PyTuple_New(3) : NULL;
+    if (rec == NULL) {
+        Py_XDECREF(st);
+        Py_XDECREF(snap);
+        Py_XDECREF(ix);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(rec, 0, st);
+    PyTuple_SET_ITEM(rec, 1, snap);
+    PyTuple_SET_ITEM(rec, 2, ix);
+    return rec;
+}
+
 static PyObject *
 hl_drive(PyObject *module, PyObject *sched)
 {
@@ -492,7 +514,7 @@ hl_drive(PyObject *module, PyObject *sched)
 
     PyObject *runnable = NULL, *rng_obj = NULL, *stop_mode = NULL,
              *panicked = NULL, *clock = NULL, *now_obj = NULL,
-             *time_limit = NULL;
+             *time_limit = NULL, *picks = NULL;
     PyObject *stop_g = NULL;          /* borrowed from stop_mode */
     BatchedRandomObject *rng = NULL;
     PyObject *verdict = NULL;         /* borrowed from the v_* constants */
@@ -524,6 +546,12 @@ hl_drive(PyObject *module, PyObject *sched)
         if (stop_main && stop_g == Py_None)
             goto ineligible;
     }
+    /* The pick log: a list to append one record per pick to, or None. */
+    picks = PyObject_GetAttr(sched, s_pick_log);
+    if (picks == NULL || (picks != Py_None && !PyList_CheckExact(picks)))
+        goto ineligible;
+    if (picks == Py_None)
+        Py_CLEAR(picks);
 
     {
         int err = 0;
@@ -589,6 +617,15 @@ hl_drive(PyObject *module, PyObject *sched)
             Py_DECREF(stp);
         }
         uint32_t idx = mt_randrange32(rng, (uint32_t)nrun);
+        if (picks != NULL) {
+            PyObject *rec = pick_record(steps, runnable, idx);
+            if (rec == NULL || PyList_Append(picks, rec) < 0) {
+                Py_XDECREF(rec);
+                failed = 1;
+                break;
+            }
+            Py_DECREF(rec);
+        }
         PyObject *g = PyList_GET_ITEM(runnable, idx);
         Py_INCREF(g);
 
@@ -675,6 +712,7 @@ hl_drive(PyObject *module, PyObject *sched)
     }
 
 fail_entry:  /* an entry failure leaves verdict NULL */
+    Py_XDECREF(picks);
     Py_XDECREF(time_limit);
     Py_XDECREF(now_obj);
     Py_XDECREF(clock);
@@ -692,6 +730,7 @@ ineligible:
      * tell Python to use the pure loop (None).  Clear any attribute error
      * raised while probing. */
     PyErr_Clear();
+    Py_XDECREF(picks);
     Py_XDECREF(stop_mode);
     Py_XDECREF(rng_obj);
     Py_XDECREF(runnable);
@@ -760,6 +799,7 @@ PyInit__hotloop(void)
     INTERN(s_after_resume, "_after_resume");
     INTERN(s_trace, "trace");
     INTERN(s_active, "active");
+    INTERN(s_pick_log, "pick_log");
     INTERN(v_stopped, "stopped");
     INTERN(v_timeout, "timeout");
     INTERN(v_steps, "steps");

@@ -20,8 +20,14 @@ system's effective speed, the per-step path here is deliberately lean:
   for an event some listener subscribed to (or later, for a reader of
   ``trace.events``);
 * traced and untraced runs alike take the compiled drive loop when it
-  loads; only the fault injector and the observe/explore step hooks select
-  the interpreted loop;
+  loads; only the fault injector and a non-stock RNG (the explorer's
+  scripted choices) select the interpreted loop;
+* consumers that need every scheduling decision (the observer's step
+  metrics, the explorer's footprints) read a *pick log* after the run
+  instead of taking a call per step: :meth:`Scheduler.record_picks` turns
+  it on, and both loops append one ``(step, runnable snapshot, chosen
+  index)`` record per pick.  A run nobody asked a log of pays one check
+  per drive-loop entry;
 * ``user_stack()`` walks only happen under ``capture_sites`` (profiling).
 """
 
@@ -61,6 +67,11 @@ _internal_dirs: Optional[Tuple[str, ...]] = None
 #: OS thread per goroutine) is always available.  Both vehicles produce
 #: bit-identical schedules.
 BACKENDS = ("coroutine", "thread")
+
+#: One pick-log entry: ``(step, runnable, chosen)`` — the step the pick
+#: starts, the runnable goroutines offered (in runnable-list order) and
+#: the index drawn; ``runnable[chosen]`` ran.
+PickRecord = Tuple[int, Tuple[Goroutine, ...], int]
 
 
 def _internal_frame_dirs() -> Tuple[str, ...]:
@@ -106,7 +117,6 @@ def user_stack(limit: int = 8) -> Tuple[str, ...]:
     at the goroutine trampoline (``Goroutine._execute``), never leaking host
     ``threading`` frames into a profile.
     """
-    internal = _internal_frame_dirs()
     frames: List[str] = []
     try:
         frame = sys._getframe(1)
@@ -115,12 +125,32 @@ def user_stack(limit: int = 8) -> Tuple[str, ...]:
     while frame is not None and len(frames) < limit:
         code = frame.f_code
         filename = code.co_filename
-        if code.co_name in ("_run", "_execute") and filename.endswith("goroutine.py"):
+        kind = _frame_files.get(filename)
+        if kind is None:
+            kind = _classify_frame_file(filename)
+        internal, host_file = kind
+        if host_file and code.co_name in ("_run", "_execute"):
             break
-        if not filename.startswith(internal):
+        if not internal:
             frames.append(short_site(filename, frame.f_lineno))
         frame = frame.f_back
     return tuple(frames)
+
+
+#: Code filename -> ``(internal, goroutine.py)`` for :func:`user_stack`, so
+#: a frame costs one dict lookup instead of prefix and suffix tests.  Keyed
+#: by filename, not by code object: code objects compare by value, and two
+#: equal ones may live in different files.
+_frame_files: Dict[str, Tuple[bool, bool]] = {}
+
+
+def _classify_frame_file(filename: str) -> Tuple[bool, bool]:
+    if len(_frame_files) >= _SITE_CACHE_MAX:
+        _frame_files.clear()
+    kind = (filename.startswith(_internal_frame_dirs()),
+            filename.endswith("goroutine.py"))
+    _frame_files[filename] = kind
+    return kind
 
 
 # Every fallback that actually happened, counted per (requested -> used)
@@ -244,22 +274,29 @@ class Scheduler:
         self.injector: Optional[Any] = None
         #: Join bound handed to :meth:`Goroutine.kill` during teardown.
         self.host_join_timeout: Optional[float] = None
-        #: Observability hooks (:mod:`repro.observe`).  When ``capture_sites``
-        #: is on, every GO_BLOCK event carries the user call-site stack; the
-        #: ``on_step`` callback sees ``(step, runnable_depth, gid)`` for each
-        #: scheduling decision.  Both are inert by default: one flag test and
-        #: one None check per step when nothing is attached.
+        #: Observability flag (:mod:`repro.observe`): when on, every
+        #: GO_BLOCK event carries the user call-site stack.
         self.capture_sites = False
-        self.on_step: Optional[Callable[[int, int, int], None]] = None
-        #: Exploration hook (:mod:`repro.detect.annotate`): sees the full
-        #: runnable list and the chosen index for every scheduling decision,
-        #: so the systematic explorer can learn which goroutines each choice
-        #: point offered.  Inert by default (one None check per step).
-        self.annotate_pick: Optional[Callable[[List[Goroutine], int], None]] = None
+        #: The pick log, or None until a consumer asks for it with
+        #: :meth:`record_picks`.  One entry per ``randrange`` draw on
+        #: :attr:`rng`: a :data:`PickRecord` per scheduling decision, and
+        #: None for a ``select`` draw, so an entry's index is the draw's
+        #: position in the RNG stream (the explorer's choice-log position).
+        self.pick_log: Optional[List[Optional[PickRecord]]] = None
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    def record_picks(self) -> List[Optional[PickRecord]]:
+        """Start this run's pick log (or join it) and return it.
+
+        Consumers attach before the run starts, keep the returned list and
+        read it in ``finish``; every consumer of one run shares one log.
+        """
+        if self.pick_log is None:
+            self.pick_log = []
+        return self.pick_log
 
     @property
     def steps(self) -> int:
@@ -479,15 +516,13 @@ class Scheduler:
         direct = self._direct
         # The compiled fused loop stands in for the whole per-step body
         # below whenever nothing observable differs from the pure path: no
-        # injector, no observe/explore hooks, and the stock RNG (checked
-        # inside drive).  Traced runs qualify: drive stamps ``_steps`` per
-        # step and hands ended goroutines to ``_after_resume``.
+        # injector and the stock RNG (checked inside drive).  Traced and
+        # pick-logged runs qualify: drive stamps ``_steps`` per step, writes
+        # the pick log and hands ended goroutines to ``_after_resume``.
         hot = self._hot
         try:
             while True:
-                if (hot is not None and self.injector is None
-                        and self.on_step is None
-                        and self.annotate_pick is None):
+                if hot is not None and self.injector is None:
                     verdict = hot(self)
                     if verdict is None:
                         # Static mismatch (e.g. a scripted RNG): the pure
@@ -558,12 +593,9 @@ class Scheduler:
                 self._budget_used += 1
                 self._steps += 1
                 idx = self._randrange(len(runnable))
-                g = runnable[idx]
-                if self.annotate_pick is not None:
-                    self.annotate_pick(runnable, idx)
-                if self.on_step is not None:
-                    self.on_step(self._steps, len(runnable), g.gid)
-                return g
+                if self.pick_log is not None:
+                    self.pick_log.append((self._steps, tuple(runnable), idx))
+                return runnable[idx]
             # No runnable goroutine: only the main thread may fire timers
             # or declare the run quiescent.
             self._main_verdict = "idle"
@@ -595,8 +627,8 @@ class Scheduler:
             self._after_resume(g)
             nxt = self._advance()
         except BaseException as exc:
-            # Scheduler-context code (stop_when, injector, on_step, a
-            # scripted RNG) raised on this host: relay it to the main loop,
+            # Scheduler-context code (stop_when, injector, a scripted
+            # RNG) raised on this host: relay it to the main loop,
             # which re-raises it out of run_until_quiescent as before.
             self._loop_error = exc
             self._main_verdict = "error"
@@ -714,12 +746,12 @@ class Scheduler:
 
         Runs after :meth:`kill_all` and after the observers' ``finish``.
         Goroutines drop their scheduler, body and vehicle handles; the
-        scheduler drops its runnable list, hooks, trace listeners and
-        pending timers.  The run is then freed by reference counting as
-        soon as its :class:`RunResult` goes, instead of surviving as
-        cyclic garbage that every later collection re-scans.  A goroutine
-        whose host is stuck keeps its edges: that host may still re-enter
-        the runtime.
+        scheduler drops its runnable list, injector, pick log, trace
+        listeners and pending timers.  The run is then freed by reference
+        counting as soon as its :class:`RunResult` goes, instead of
+        surviving as cyclic garbage that every later collection re-scans.
+        A goroutine whose host is stuck keeps its edges: that host may
+        still re-enter the runtime.
         """
         for g in self.goroutines:
             if not g.stuck_host_thread:
@@ -728,8 +760,7 @@ class Scheduler:
         self._current = None
         self._hub = None
         self.injector = None
-        self.on_step = None
-        self.annotate_pick = None
+        self.pick_log = None
         self.trace.unsubscribe_all()
         self.clock.clear()
 

@@ -197,6 +197,13 @@ class Trace:
                 routes[kind] = routes.get(kind, self._every) + (listener,)
         self.active = True
 
+    def keep_records(self) -> None:
+        """Keep the event log from here on, even in a run whose result
+        will not carry the trace (``keep_trace=False``): for consumers
+        that read :meth:`records` when the run finishes."""
+        self._keep_events = True
+        self.active = True
+
     def unsubscribe_all(self) -> None:
         """Drop every listener (end-of-run teardown); kept events stay.
 

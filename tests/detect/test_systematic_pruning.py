@@ -90,3 +90,25 @@ def test_stats_expose_the_savings():
     assert stats["pruned"] == exploration.pruned > 0
     for key in ("runs", "exhausted", "divergences", "max_depth", "wall_s"):
         assert key in stats
+
+
+def test_untraced_exploration_matches_traced_over_corpus():
+    # Footprints come from the run's event records, which a
+    # ``keep_trace=False`` run does not keep for its result.  The pruning
+    # must still see every segment's footprint: an empty one would let it
+    # skip schedules that do not commute, and change the exploration.
+    moved = []
+    for kernel in CORPUS:
+        for variant in ("buggy", "fixed"):
+            outcomes = []
+            for keep_trace in (True, False):
+                kwargs = dict(kernel.run_kwargs, keep_trace=keep_trace)
+                found = explore_systematic(
+                    getattr(kernel, variant), stop_on=kernel.manifested,
+                    max_runs=60, **kwargs)
+                outcomes.append((found.runs, found.pruned, found.exhausted,
+                                 found.counterexample, found.statuses,
+                                 found.divergences, found.max_depth))
+            if outcomes[0] != outcomes[1]:
+                moved.append(f"{kernel.meta.kernel_id}[{variant}]")
+    assert not moved, f"keep_trace=False changed exploration: {moved}"

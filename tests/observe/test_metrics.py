@@ -96,6 +96,30 @@ def test_timeseries_change_compression_and_cap():
     assert ts.dropped == 1
 
 
+@pytest.mark.parametrize("cap", [0, 2, 5, 100])
+def test_timeseries_extend_equals_sampling_each_point(cap):
+    points = [(1, 3), (2, 3), (3, 1), (4, 2), (5, 2), (6, 4), (7, 1)]
+    for split in (0, 3):  # a fresh series, and one already sampled
+        one, bulk = TimeSeries("a", cap), TimeSeries("b", cap)
+        for step, value in points[:split]:
+            one.sample(step, value)
+            bulk.sample(step, value)
+        for step, value in points[split:]:
+            one.sample(step, value)
+        bulk.extend(points[split:])
+        assert (bulk.samples, bulk.dropped) == (one.samples, one.dropped)
+        assert bulk.to_dict() == one.to_dict()
+
+
+def test_histogram_observe_counts_equals_observing_each_value():
+    values = [3, 0, 7, 3, 70000, 1, 3, 16, 0]
+    one, bulk = Histogram("a"), Histogram("b")
+    for value in values:
+        one.observe(value)
+    bulk.observe_counts({value: values.count(value) for value in values})
+    assert bulk.to_dict() == one.to_dict()
+
+
 def test_registry_get_or_create_and_type_guard():
     reg = MetricsRegistry()
     c = reg.counter("a")

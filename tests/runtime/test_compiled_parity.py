@@ -12,6 +12,8 @@ pin the only thing the extension may not change — the run itself:
   every event's step, time, goroutine, kind, object and details — equal
   the pure loop's, over the whole corpus, the heavy workloads and a
   panicking program;
+* so do pick logs, record for record, traced or not, select markers
+  included;
 * a kept trace, a subscribed listener or a fault injector (which does
   force the pure loop) leaves the schedule unchanged;
 * error paths (send on closed, unlock of unlocked, select on a closed
@@ -232,6 +234,57 @@ def test_traced_run_enters_the_compiled_loop():
     assert result.status == "ok"
     assert [v for v in verdicts if v is not None]
     assert None not in verdicts
+
+
+# ---------------------------------------------------------------------------
+# The pick log: the compiled loop writes the pure loop's records
+# ---------------------------------------------------------------------------
+
+
+class _PickLogReader:
+    """Asks for the run's pick log and keeps it as plain values."""
+
+    def attach(self, rt):
+        self._log = rt.sched.record_picks()
+
+    def finish(self, result):
+        self.picks = [
+            None if pick is None
+            else (pick[0], tuple(g.gid for g in pick[1]), pick[2])
+            for pick in self._log]
+
+
+def _assert_same_pick_log(program, seed, **kwargs):
+    logs = []
+    for pure in (False, True):
+        reader = _PickLogReader()
+        if pure:
+            with force_pure():
+                result = run(program, seed=seed, observers=[reader], **kwargs)
+        else:
+            result = run(program, seed=seed, observers=[reader], **kwargs)
+        logs.append((_signature(result), reader.picks))
+    assert logs[0] == logs[1]
+    (_status, steps, _main), picks = logs[0]
+    assert [pick[0] for pick in picks if pick is not None] \
+        == list(range(1, steps + 1))
+    return picks
+
+
+@pytest.mark.parametrize("keep_trace", [False, True])
+@pytest.mark.parametrize("workload", sorted(ALL_WORKLOADS))
+def test_pick_log_compiled_vs_pure(workload, keep_trace):
+    picks = _assert_same_pick_log(ALL_WORKLOADS[workload], 3,
+                                  keep_trace=keep_trace)
+    # Select draws share the RNG and leave a marker in the log.
+    assert (None in picks) == workload.startswith("select")
+
+
+@pytest.mark.parametrize("variant", ["buggy", "fixed"])
+@pytest.mark.parametrize("kernel", _corpus_kernels(),
+                         ids=lambda k: k.meta.kernel_id)
+def test_corpus_pick_log_compiled_vs_pure(kernel, variant):
+    _assert_same_pick_log(getattr(kernel, variant), 0, **kernel.run_kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -144,20 +144,35 @@ def test_pure_python_subprocess_matches_compiled_process():
 
 
 @needs_compiled
-def test_hot_loop_disabled_by_observers_without_changing_results():
-    """Hooks force the pure loop; the schedule must not notice."""
+def test_pick_log_keeps_the_hot_loop_without_changing_results():
+    """A pick-log consumer leaves the run on the compiled loop, which
+    writes one record per step; the schedule must not notice."""
     program = WORKLOADS["spin"]
     plain = run(program, seed=4, keep_trace=False)
-    seen = []
+    drives = []
 
-    class StepHook:
+    class PickReader:
         def attach(self, rt):
-            rt.sched.on_step = lambda step, depth, gid: seen.append(gid)
+            sched = rt.sched
+            self.picks = sched.record_picks()
+            hot = sched._hot
+            assert hot is not None
 
-    hooked = run(program, seed=4, keep_trace=False, observers=[StepHook()])
-    assert hooked.status == plain.status
-    assert hooked.steps == plain.steps
-    assert len(seen) == hooked.steps
+            def counted(s):
+                drives.append(hot(s))
+                return drives[-1]
+            sched._hot = counted
+
+    reader = PickReader()
+    logged = run(program, seed=4, keep_trace=False, observers=[reader])
+    assert logged.status == plain.status
+    assert logged.steps == plain.steps
+    assert drives and None not in drives, \
+        "the pick log forced the pure loop"
+    assert [step for step, _runnable, _chosen in reader.picks] \
+        == list(range(1, logged.steps + 1))
+    assert all(0 <= chosen < len(runnable)
+               for _step, runnable, chosen in reader.picks)
 
 
 def test_compiled_field_means_the_drive_loop_was_available():
