@@ -50,7 +50,15 @@ class ChaosTarget:
     def from_program(cls, name: str, program: Callable[..., Any],
                      ok: Optional[Predicate] = None,
                      **run_kwargs: Any) -> "ChaosTarget":
-        """Wrap a plain ``main(rt)`` program (mini-app workload)."""
+        """Wrap a plain ``main(rt)`` program (mini-app workload).
+
+        Runs keep no trace unless ``run_kwargs`` sets ``keep_trace``: a
+        cell reads only status, result, fault log, steps and (with
+        ``observe``) the observer, which keeps the records it folds.  A
+        custom ``ok`` that reads ``result.trace`` passes
+        ``keep_trace=True``.
+        """
+        run_kwargs.setdefault("keep_trace", False)
 
         def runner(seed: int, plan: Optional[FaultPlan],
                    observe: Any = None) -> RunResult:
@@ -61,12 +69,19 @@ class ChaosTarget:
 
     @classmethod
     def from_kernel(cls, kernel, variant: str = "buggy") -> "ChaosTarget":
-        """Wrap a bug kernel; "healthy" means the symptom did not manifest."""
+        """Wrap a bug kernel; "healthy" means the symptom did not manifest.
+
+        Runs keep no trace unless the kernel's own ``run_kwargs`` set
+        ``keep_trace``, as :meth:`from_program` does; ``manifested``
+        reads only status, result and leaks.
+        """
         run_variant = kernel.run_buggy if variant == "buggy" else kernel.run_fixed
+        keep_trace = kernel.run_kwargs.get("keep_trace", False)
 
         def runner(seed: int, plan: Optional[FaultPlan],
                    observe: Any = None) -> RunResult:
-            return run_variant(seed=seed, inject=plan, observe=observe)
+            return run_variant(seed=seed, inject=plan, observe=observe,
+                               keep_trace=keep_trace)
 
         return cls(
             name=f"{kernel.meta.kernel_id}[{variant}]",

@@ -1,11 +1,13 @@
 """The fault injector: executes a :class:`FaultPlan` at scheduling points.
 
-The injector is pulsed by the scheduler once per loop iteration — i.e. at
-exactly the points where scheduling decisions already happen — and never
-from goroutine context.  All of its randomness (probability gates, victim
-choice) comes from one RNG seeded from ``(run seed, plan fingerprint)``, so
-a chaos run is a pure function of ``(program, seed, plan)`` and any failure
-it uncovers replays exactly.
+The injector is pulsed by the scheduler before each scheduling decision at
+which :meth:`FaultInjector.next_due` names a fault due — i.e. only at
+points where scheduling decisions already happen — and never from
+goroutine context; between due steps the run stays on the compiled drive
+loop.  All of its randomness (probability gates, victim choice) comes from
+one RNG seeded from ``(run seed, plan fingerprint)``, so a chaos run is a
+pure function of ``(program, seed, plan)`` and any failure it uncovers
+replays exactly.
 
 Fault semantics (see :data:`repro.inject.plan.ACTIONS`):
 
@@ -121,6 +123,31 @@ class FaultInjector:
                 self._consume(index, fault)
                 acted = True
         return acted
+
+    def next_due(self, sched: "Scheduler") -> Optional[int]:
+        """The first step at which :meth:`pulse` can act, or None when no
+        fault can come due before the virtual clock moves.
+
+        Mirrors :meth:`_due`: between two pulses only the step count
+        changes, since the clock moves only on the scheduler's idle path
+        and in this injector's own clock jumps.  The scheduler runs the
+        compiled loop up to the returned step and pulses only there.
+        """
+        due: Optional[int] = None
+        now = sched.clock.now
+        for index, fault in enumerate(self.plan.faults):
+            remaining = self._remaining[index]
+            if remaining is not None and remaining <= 0:
+                continue
+            if fault.every is not None:
+                step = (self._last_epoch[index] + 1) * fault.every
+            elif fault.after_time is not None and now < fault.after_time:
+                continue
+            else:
+                step = fault.at_step or 0
+            if due is None or step < due:
+                due = step
+        return due
 
     # ------------------------------------------------------------------
     # Trigger logic

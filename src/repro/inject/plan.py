@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: The fault actions the injector implements.
@@ -170,6 +171,13 @@ class FaultPlan:
 
     def fingerprint(self) -> int:
         """Stable 64-bit content hash (independent of Python hash seeds)."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> int:
+        # The plan is frozen, so one serialization serves every injector
+        # built from it; derived plans (``with_name``, ``+``) are new
+        # instances and hash their own content.
         digest = hashlib.sha256(self.to_json().encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big")
 

@@ -19,9 +19,11 @@
  *     event), so traced runs take this loop too, and so do runs with a
  *     pick log (``sched.pick_log``, read once per entry), which gets the
  *     same ``(step, runnable snapshot, index)`` record per pick as the
- *     pure loop writes.  Only runs with no injector, structured stop
- *     conditions, and the C RNG above; anything else returns None and the
- *     pure loop takes over.
+ *     pure loop writes.  Only runs with structured stop conditions and
+ *     the C RNG above; anything else returns None and the pure loop
+ *     takes over.  A run with a fault injector enters between the
+ *     injector's due steps: the scheduler clamps ``_budget`` so the loop
+ *     returns at the next one, and the pure loop pulses there.
  *
  * Goroutine fields are reached through slot offsets cached from the class
  * ``__slots__`` member descriptors at bind() time — an attribute read is a
@@ -598,9 +600,10 @@ hl_drive(PyObject *module, PyObject *sched)
         }
         if (stop) { verdict = v_stopped; break; }
         /* The virtual clock is frozen while goroutines run (timers only
-         * fire from the idle path, the injector is disabled here), so
-         * the time-limit comparison is loop-invariant: true here means
-         * the first pass stops. */
+         * fire from the idle path, and the injector pulses, clock jumps
+         * included, only outside this loop), so the time-limit
+         * comparison is loop-invariant: true here means the first pass
+         * stops. */
         if (time_exceeded) { verdict = v_timeout; break; }
         if (budget_used >= budget) { verdict = v_steps; break; }
         Py_ssize_t nrun = PyList_GET_SIZE(runnable);

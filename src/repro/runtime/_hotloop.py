@@ -12,9 +12,11 @@ of each:
   run gets never changes a schedule.
 * :func:`get_drive` — the fused per-step scheduler loop (compiled only).
   Returns ``None`` when unavailable; the scheduler then runs its pure loop.
-  The compiled loop engages, traced, pick-logged or not, when nothing
-  observable differs: no fault injector, structured stop conditions and
-  the stock RNG (see ``Scheduler.run_until_quiescent``).
+  The compiled loop engages, traced, pick-logged, faulted or not, when
+  nothing observable differs: structured stop conditions and the stock
+  RNG.  A faulted run enters it between the injector's due steps, with
+  the step budget clamped to the next one (see
+  ``Scheduler.run_until_quiescent``).
 
 Channels, select, Mutex/RWMutex and vector clocks have one implementation
 each, in pure Python.  Set ``REPRO_NO_CEXT=1`` (or use :class:`force_pure`)

@@ -390,8 +390,9 @@ class RunResult:
             loaded.  False on the thread vehicle (whose direct handoff
             never enters the loop), with ``REPRO_NO_CEXT=1``, off-platform,
             or under ``force_pure``.  Availability, not engagement: a
-            run with an injector or a step hook reports True even though
-            the pure loop ran it.
+            run with a scripted RNG reports True even though the pure
+            loop ran it, and a faulted run takes the pure loop at each
+            step where a fault is due.
         injected: records of faults the injector fired during this run
             (empty when no fault plan was attached).
         observation: the :class:`repro.observe.Observer` that watched this

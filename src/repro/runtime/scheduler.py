@@ -19,9 +19,12 @@ system's effective speed, the per-step path here is deliberately lean:
   kept log stores plain records, and a ``TraceEvent`` object is built only
   for an event some listener subscribed to (or later, for a reader of
   ``trace.events``);
-* traced and untraced runs alike take the compiled drive loop when it
-  loads; only the fault injector and a non-stock RNG (the explorer's
-  scripted choices) select the interpreted loop;
+* traced, untraced and faulted runs alike take the compiled drive loop
+  when it loads; a faulted run drives up to the step the injector names
+  as its next due one (:meth:`repro.inject.injector.FaultInjector.next_due`)
+  and pulses there in the interpreted loop.  Only a non-stock RNG (the
+  explorer's scripted choices) selects the interpreted loop for a whole
+  run;
 * consumers that need every scheduling decision (the observer's step
   metrics, the explorer's footprints) read a *pick log* after the run
   instead of taking a call per step: :meth:`Scheduler.record_picks` turns
@@ -67,6 +70,10 @@ _internal_dirs: Optional[Tuple[str, ...]] = None
 #: OS thread per goroutine) is always available.  Both vehicles produce
 #: bit-identical schedules.
 BACKENDS = ("coroutine", "thread")
+
+#: ``Scheduler._drive_to_due_step`` verdict: a fault is due at the current
+#: step, so the next iteration is the pure ``_advance``, which pulses.
+_FAULT_DUE = "fault-due"
 
 #: One pick-log entry: ``(step, runnable, chosen)`` — the step the pick
 #: starts, the runnable goroutines offered (in runnable-list order) and
@@ -268,9 +275,10 @@ class Scheduler:
         self._loop_error: Optional[BaseException] = None
         #: First goroutine to panic, if any (aborts the whole run, as in Go).
         self.panicked: Optional[Goroutine] = None
-        #: Optional fault injector (:mod:`repro.inject`): pulsed once per
-        #: scheduler-loop iteration, in scheduler context, so every injected
-        #: fault lands at an existing scheduling point.
+        #: Optional fault injector (:mod:`repro.inject`): pulsed in
+        #: scheduler context by ``_advance`` at every step where it names a
+        #: fault due, so every injected fault lands at an existing
+        #: scheduling point.
         self.injector: Optional[Any] = None
         #: Join bound handed to :meth:`Goroutine.kill` during teardown.
         self.host_join_timeout: Optional[float] = None
@@ -515,21 +523,24 @@ class Scheduler:
         self._main_verdict = None
         direct = self._direct
         # The compiled fused loop stands in for the whole per-step body
-        # below whenever nothing observable differs from the pure path: no
-        # injector and the stock RNG (checked inside drive).  Traced and
-        # pick-logged runs qualify: drive stamps ``_steps`` per step, writes
-        # the pick log and hands ended goroutines to ``_after_resume``.
+        # below whenever nothing observable differs from the pure path: the
+        # stock RNG (checked inside drive).  Traced and pick-logged runs
+        # qualify: drive stamps ``_steps`` per step, writes the pick log and
+        # hands ended goroutines to ``_after_resume``.  A faulted run drives
+        # between the injector's due steps and pulses in ``_advance``.
         hot = self._hot
+        injector = self.injector
         try:
             while True:
-                if hot is not None and self.injector is None:
-                    verdict = hot(self)
+                if hot is not None:
+                    verdict = (hot(self) if injector is None
+                               else self._drive_to_due_step(hot, injector))
                     if verdict is None:
                         # Static mismatch (e.g. a scripted RNG): the pure
                         # loop takes over for the rest of this call.
                         hot = None
                         continue
-                else:
+                if hot is None or verdict == _FAULT_DUE:
                     g = self._advance()
                     if g is not None:
                         self._current = g
@@ -558,6 +569,36 @@ class Scheduler:
         finally:
             self._stop_when = None
             self._stop_mode = None
+
+    def _drive_to_due_step(self, hot: Callable[["Scheduler"], Optional[str]],
+                           injector: Any) -> Optional[str]:
+        """Run the compiled loop until the injector's next due step.
+
+        ``drive`` checks stop, time limit and budget at the top of each
+        iteration, in the order ``_advance`` checks them before it pulses,
+        so clamping ``_budget`` to the due step makes drive return exactly
+        where the pure loop would pulse next.  The clock moves only on the
+        idle path and in the injector's own clock jump, so no
+        ``after_time`` fault comes due inside drive.  Returns drive's
+        verdict (None when ineligible), or :data:`_FAULT_DUE` when a fault
+        is due at the current step: one pure ``_advance`` iteration then
+        pulses it.
+        """
+        budget = self._budget
+        while True:
+            due = injector.next_due(self)
+            if due is None:
+                return hot(self)
+            ahead = due - self._steps
+            if ahead <= 0:
+                return _FAULT_DUE
+            self._budget = min(budget, self._budget_used + ahead)
+            try:
+                verdict = hot(self)
+            finally:
+                self._budget = budget
+            if verdict != "steps" or self._budget_used >= budget:
+                return verdict
 
     def fire_timers(self, fired) -> None:
         """Run fired timer callbacks in scheduler context (one trace event

@@ -1,14 +1,19 @@
 """The tentpole guarantee: a chaos run is a pure function of (seed, plan).
 
 Property-based: random plans drawn from the storm space, random seeds —
-re-running must reproduce the status, step count, and the exact fault log.
+re-running must reproduce the status, step count, and the exact fault log,
+and the compiled drive loop (which runs between the injector's due steps)
+must reproduce the pure loop's.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import run
+from repro.chan.cases import recv
 from repro.inject import Fault, FaultInjector, FaultPlan
+from repro.parallel import schedule_digest
+from repro.runtime._hotloop import force_pure
 
 
 def workload(rt):
@@ -97,3 +102,123 @@ def test_different_seeds_usually_diverge():
         for seed in range(8)
     }
     assert len(signatures) > 1  # chaos actually varies with the seed
+
+
+# ---------------------------------------------------------------------------
+# Compiled vs pure fault logs over mixed triggers
+# ---------------------------------------------------------------------------
+
+
+def busy_workload(rt):
+    """Named producers, a ticking consumer and timers: steps and virtual
+    time both move, so step, time and recurring triggers all come due."""
+    jobs = rt.make_chan(2, name="jobs")
+    done = rt.make_chan(0, name="done")
+
+    def producer(i):
+        for n in range(6):
+            jobs.send((i, n))
+            if n % 2:
+                rt.sleep(0.01 * (i + 1))
+        done.send(i)
+
+    for i in range(3):
+        rt.go(producer, i, name=f"prod-{i}")
+
+    got, finished = 0, 0
+    while finished < 3:
+        index, _value, _ok = rt.select(recv(jobs), recv(done))
+        if index == 0:
+            got += 1
+        else:
+            finished += 1
+        rt.sleep(0.001)
+    return got
+
+
+_mixed_actions = st.sampled_from(
+    ["wakeup", "delay", "clock_jump", "kill", "panic", "chan_fill"])
+
+
+@st.composite
+def mixed_fault(draw):
+    action = draw(_mixed_actions)
+    trigger = draw(st.sampled_from(["every", "at_step", "after_time"]))
+    kwargs = {
+        "every": {"every": draw(st.integers(min_value=2, max_value=25))},
+        "at_step": {"at_step": draw(st.integers(min_value=0, max_value=80))},
+        "after_time": {"after_time": draw(st.sampled_from(
+            [0.0, 0.005, 0.02, 0.1, 0.5]))},
+    }[trigger]
+    # An unlimited one-shot trigger stays due once reached, and a fault
+    # that keeps firing then never lets the step advance: only recurring
+    # faults run unlimited.
+    times = draw(st.sampled_from(
+        [1, 2, 3, None] if trigger == "every" else [1, 2, 3]))
+    return Fault(
+        action,
+        probability=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        times=times,
+        count=draw(st.sampled_from([1, 2, 3])),
+        value=0.01 if action in ("delay", "clock_jump") else None,
+        **kwargs,
+    )
+
+
+#: A clock jump at step 5 moves the clock past ``after_time=0.3`` (the
+#: program alone sleeps far less), so that fault comes due only through
+#: the injector's own jump.
+JUMP_THEN_AFTER_TIME = (
+    Fault("clock_jump", at_step=5, value=0.5),
+    Fault("wakeup", after_time=0.3, times=2),
+)
+#: A kill whose target never matches: due from step 3 on and never
+#: consumed, so every later step pulses.
+KILL_NOBODY = (Fault("kill", target="no-such-goroutine", at_step=3),)
+
+
+@st.composite
+def mixed_plans(draw):
+    faults = draw(st.lists(mixed_fault(), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        faults.extend(JUMP_THEN_AFTER_TIME)
+    if draw(st.booleans()):
+        faults.extend(KILL_NOBODY)
+    return FaultPlan(name="mixed", faults=tuple(draw(st.permutations(faults))))
+
+
+def _fault_log(result):
+    return (result.status, result.steps, result.end_time, result.main_result,
+            [record.to_dict() for record in result.injected],
+            schedule_digest(result))
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan=mixed_plans(), seed=st.integers(min_value=0, max_value=10_000))
+@example(plan=FaultPlan(name="pinned", faults=(
+    Fault("wakeup", every=4, probability=0.5, times=None),
+    Fault("delay", at_step=10, times=3, count=2, value=0.01),
+    *JUMP_THEN_AFTER_TIME, *KILL_NOBODY)), seed=1)
+def test_compiled_and_pure_fault_logs_match(plan, seed):
+    # A recurring chan_fill can feed the consumer forever: the step
+    # budget ends such runs, on both loops alike.
+    compiled = run(busy_workload, seed=seed, inject=plan, max_steps=3000)
+    with force_pure():
+        pure = run(busy_workload, seed=seed, inject=plan, max_steps=3000)
+    assert _fault_log(compiled) == _fault_log(pure)
+
+
+def test_jump_makes_after_time_fault_due_and_dead_kill_stays_due():
+    """The pinned example's two fixed parts behave as described: only the
+    jump brings the ``after_time`` wakeups due, and the kill never fires."""
+    assert run(busy_workload, seed=1).end_time < 0.3
+    plan = FaultPlan(name="pinned", faults=JUMP_THEN_AFTER_TIME + KILL_NOBODY)
+    result = run(busy_workload, seed=1, inject=plan)
+    fired = [(record.action, record.step) for record in result.injected]
+    assert fired[0] == ("clock_jump", 5)
+    assert [step >= 5 for action, step in fired if action == "wakeup"] \
+        == [True, True]
+    assert all(action != "kill" for action, _step in fired)
+    injector = FaultInjector(plan, seed=1)
+    run(busy_workload, seed=1, inject=injector)
+    assert injector._remaining[2] == 1  # the kill was never consumed

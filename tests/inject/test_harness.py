@@ -90,3 +90,29 @@ def test_manifestation_rate_bounds():
     assert rate == 1.0  # manifests on every seed
     fixed_rate = manifestation_rate(kernel, range(4), variant="fixed")
     assert fixed_rate == 0.0
+
+
+def test_targets_keep_no_trace_unless_asked():
+    """A cell reads no trace, so targets run untraced by default; a
+    caller whose ``ok`` reads the trace asks for it."""
+    assert ChaosTarget.from_program("toy", _ok_program).runner(0, None) \
+        .trace is None
+    traced = ChaosTarget.from_program("toy", _ok_program, keep_trace=True)
+    assert traced.runner(0, None).trace is not None
+    [kernel_target] = kernel_targets(["blocking-chan-docker-missing-close"])
+    assert kernel_target.runner(0, None).trace is None
+
+
+def test_observed_cells_do_not_depend_on_the_kept_trace():
+    """The observer keeps the records it folds itself: an untraced
+    observed sweep scores exactly as a traced one."""
+    dumps = []
+    for keep_trace in (False, True):
+        harness = ChaosHarness(seeds=range(3), observe=True)
+        harness.sweep([ChaosTarget.from_program(
+            "fragile", _fragile_program, keep_trace=keep_trace)],
+            plans=[plans.wakeup_storm(),
+                   plans.kill_goroutine("helper", at_step=2)])
+        dumps.append(harness.to_dict())
+    assert dumps[0] == dumps[1]
+    assert all(cell["metrics"]["switches"] > 0 for cell in dumps[0]["cells"])

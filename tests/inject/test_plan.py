@@ -1,5 +1,7 @@
 """FaultPlan / Fault: validation, composition, serialization, fingerprints."""
 
+import pickle
+
 import pytest
 
 from repro.inject import ACTIONS, Fault, FaultPlan
@@ -92,6 +94,48 @@ def test_fingerprint_is_content_sensitive():
     assert a.fingerprint() == plans.wakeup_storm().fingerprint()
     assert a.fingerprint() != b.fingerprint()
     assert a.fingerprint() != c.fingerprint()
+
+
+#: Every registered plan's fingerprint, recorded before the fingerprint
+#: was cached.  It seeds the injector RNG, so a moved value moves every
+#: chance draw of every chaos run under that plan.
+REGISTRY_FINGERPRINTS = {
+    "cancel-storm": 4770173574769085618,
+    "clock-skew": 7248408676100596176,
+    "crash": 12818465556935812233,
+    "crash-restart": 11591731788172160441,
+    "crash-storm": 2134007102930309405,
+    "delay-storm": 14248524427610836178,
+    "flaky-links": 16648825269814254347,
+    "partition": 5037789006737430924,
+    "perturb": 3549891686063527914,
+    "restart": 11376654615649445474,
+    "slow-links": 16347606649906784244,
+    "wakeup-storm": 3841431163791439782,
+}
+
+
+def test_registry_fingerprints_are_pinned():
+    assert sorted(plans.REGISTRY) == sorted(REGISTRY_FINGERPRINTS)
+    for name, expected in REGISTRY_FINGERPRINTS.items():
+        plan = plans.get(name)
+        assert plan.fingerprint() == expected, name
+        assert plan.fingerprint() == expected, name  # cached value
+
+
+def test_derived_plans_fingerprint_their_own_content():
+    perturb = plans.perturb()
+    assert perturb.fingerprint() == REGISTRY_FINGERPRINTS["perturb"]
+    # A cached fingerprint on the source plan must not leak into plans
+    # built from it.
+    assert perturb.with_name("renamed").fingerprint() == 16132319588077462839
+    combined = plans.wakeup_storm() + plans.crash_storm()
+    assert combined.fingerprint() == 14142682005007141298
+    clone = pickle.loads(pickle.dumps(perturb))
+    assert clone == perturb
+    assert clone.fingerprint() == REGISTRY_FINGERPRINTS["perturb"]
+    fresh = pickle.loads(pickle.dumps(plans.perturb()))
+    assert fresh.fingerprint() == REGISTRY_FINGERPRINTS["perturb"]
 
 
 def test_registry_covers_named_plans():

@@ -1,14 +1,23 @@
-"""The committed determinism ledger: what every kernel's exploration does.
+"""The committed determinism ledger: what explorations and chaos runs do.
 
-``tests/golden/ledger.json`` pins, per kernel x buggy/fixed, the
-:class:`repro.detect.systematic.Exploration` outcome at ``max_runs=60``
-(the perfbench explore-exhaust call: ``stop_on=kernel.manifested`` and
-the kernel's own run options), and one sha256 over every
-:class:`repro.detect.annotate.PickAnnotation` of every explored run.
+``tests/golden/ledger.json`` pins two slices:
+
+* per kernel x buggy/fixed, the
+  :class:`repro.detect.systematic.Exploration` outcome at ``max_runs=60``
+  (the perfbench explore-exhaust call: ``stop_on=kernel.manifested`` and
+  the kernel's own run options), and one sha256 over every
+  :class:`repro.detect.annotate.PickAnnotation` of every explored run;
+* per chaos cell and seed — the six mini-apps under no plan and under
+  every ``default_suite()`` plan, the two recovery clusters under
+  ``crash_restart()`` and ``crash_storm()``, seeds 0-1 — the run's
+  status, steps, fault count, recovery verdict, a sha256 over every
+  fired :class:`repro.inject.injector.FaultRecord` and the
+  ``schedule_digest`` of its kept trace.
+
 ``tests/test_ledger.py`` recomputes it and asserts byte equality, so a
-change that moves an exploration, or a single footprint the sleep-set
-pruning reads, fails tier-1 even when it moves the compiled and pure
-paths alike.
+change that moves an exploration, a single footprint the sleep-set
+pruning reads, or one fault of one chaos run fails tier-1 even when it
+moves the compiled and pure paths alike.
 
 Regenerate only on purpose, and say in CHANGES.md which entries moved
 and why::
@@ -23,14 +32,19 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
+from repro import run
 from repro.bugs import registry
 from repro.detect import systematic
+from repro.detect.convergence import recovery_verdict
+from repro.inject import FaultPlan, plans, scenarios
+from repro.parallel import schedule_digest
 
 LEDGER_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden", "ledger.json")
 MAX_RUNS = 60
+CHAOS_SEEDS = (0, 1)
 
 
 @contextmanager
@@ -64,8 +78,49 @@ def exploration_entry(found: systematic.Exploration) -> Dict[str, Any]:
     }
 
 
+def chaos_entry(result: Any) -> Dict[str, Any]:
+    faults = hashlib.sha256()
+    for record in result.injected:
+        faults.update(json.dumps(record.to_dict(), sort_keys=True).encode())
+        faults.update(b"\n")
+    return {
+        "status": result.status,
+        "steps": result.steps,
+        "faults": len(result.injected),
+        "verdict": recovery_verdict(result),
+        "faults_sha256": faults.hexdigest(),
+        "schedule_digest": schedule_digest(result),
+    }
+
+
+def chaos_grid() -> Iterator[Tuple[str, Callable[..., Any], Dict[str, Any],
+                                   Optional[FaultPlan]]]:
+    """``(target, program, run kwargs, plan)`` for every chaos cell."""
+    for name, program, kwargs in scenarios.all_scenarios():
+        for plan in [None, *plans.default_suite()]:
+            yield name, program, kwargs, plan
+    for name, program, kwargs in scenarios.recovery_scenarios():
+        kwargs = {k: v for k, v in kwargs.items() if k != "ok"}
+        for plan in (plans.crash_restart(), plans.crash_storm()):
+            yield name, program, kwargs, plan
+
+
+def chaos_cells() -> Dict[str, Any]:
+    """Run every chaos cell's seeds directly, traced, and key the entries
+    ``target|plan|seed``."""
+    cells: Dict[str, Any] = {}
+    for name, program, kwargs, plan in chaos_grid():
+        plan_name = "baseline" if plan is None else plan.name
+        for seed in CHAOS_SEEDS:
+            result = run(program, seed=seed, inject=plan, keep_trace=True,
+                         **kwargs)
+            cells[f"{name}|{plan_name}|{seed}"] = chaos_entry(result)
+    return cells
+
+
 def compute() -> Dict[str, Any]:
-    """Explore every kernel variant and return the ledger document."""
+    """Explore every kernel variant, run every chaos cell, and return the
+    ledger document."""
     digest = hashlib.sha256()
     explorations: Dict[str, Any] = {}
     with _hashing_picks(digest):
@@ -80,6 +135,8 @@ def compute() -> Dict[str, Any]:
         "max_runs": MAX_RUNS,
         "explorations": explorations,
         "pick_annotations_sha256": digest.hexdigest(),
+        "chaos_seeds": list(CHAOS_SEEDS),
+        "chaos": chaos_cells(),
     }
 
 

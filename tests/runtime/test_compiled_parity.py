@@ -14,8 +14,12 @@ pin the only thing the extension may not change — the run itself:
   panicking program;
 * so do pick logs, record for record, traced or not, select markers
   included;
-* a kept trace, a subscribed listener or a fault injector (which does
-  force the pure loop) leaves the schedule unchanged;
+* a kept trace, a subscribed listener or an injector with an empty plan
+  leaves the schedule unchanged;
+* faulted runs drive the compiled loop between the injector's due steps,
+  and every mini-app under the default suite and both recovery clusters
+  under both crash plans replay the pure loop's statuses, steps, fault
+  records and digests;
 * error paths (send on closed, unlock of unlocked, select on a closed
   send case) panic identically in both modes;
 * a ``REPRO_NO_CEXT=1`` subprocess — no extension at all — reproduces
@@ -574,3 +578,72 @@ def test_net_recovery_scenario_parity_compiled_vs_pure():
     assert compiled.status == pure.status
     assert compiled.steps == pure.steps
     assert schedule_digest(compiled) == schedule_digest(pure)
+
+
+# ---------------------------------------------------------------------------
+# Faulted runs: the compiled loop between due steps vs the pure loop
+# ---------------------------------------------------------------------------
+
+
+def _chaos_cells():
+    """The ledger's chaos grid, faulted cells only (baselines are the
+    mini-app parity test above)."""
+    from tests.ledger import chaos_grid
+
+    return [cell for cell in chaos_grid() if cell[3] is not None]
+
+
+def _faulted_signature(result):
+    return (result.status, result.steps, result.main_result,
+            [record.to_dict() for record in result.injected],
+            schedule_digest(result))
+
+
+@pytest.mark.parametrize("cell", _chaos_cells(),
+                         ids=lambda cell: f"{cell[0]}-{cell[3].name}")
+def test_faulted_run_parity_compiled_vs_pure(cell):
+    _, program, kwargs, plan = cell
+    for seed in (2, 3):
+        compiled = run(program, seed=seed, inject=plan, keep_trace=True,
+                       **kwargs)
+        with force_pure():
+            pure = run(program, seed=seed, inject=plan, keep_trace=True,
+                       **kwargs)
+        assert _faulted_signature(compiled) == _faulted_signature(pure)
+
+
+@needs_drive_loop
+def test_crash_restart_run_takes_its_steps_inside_drive():
+    """A faulted run leaves the compiled loop only where a fault is due:
+    a crash-restart recovery run takes nearly every step inside drive,
+    and its fault log and schedule match the pure loop's."""
+    from repro.inject import plans
+    from repro.inject.scenarios import net_etcd_recovery_scenario
+
+    drives = []
+    in_drive = []
+
+    class DriveCounter:
+        def attach(self, rt):
+            sched = rt.sched
+            hot = sched._hot
+            assert hot is not None
+
+            def counted(s):
+                before = s.steps
+                drives.append(hot(s))
+                in_drive.append(s.steps - before)
+                return drives[-1]
+            sched._hot = counted
+
+    kwargs = dict(seed=0, keep_trace=True, inject=plans.crash_restart(),
+                  max_steps=600_000)
+    result = run(net_etcd_recovery_scenario, observers=[DriveCounter()],
+                 **kwargs)
+    assert result.main_result["verdict"] == "recovered"
+    assert [record.action for record in result.injected] == ["crash_restart"]
+    assert drives and None not in drives, "the injector forced the pure loop"
+    assert sum(in_drive) >= 0.9 * result.steps
+    with force_pure():
+        pure = run(net_etcd_recovery_scenario, **kwargs)
+    assert _faulted_signature(result) == _faulted_signature(pure)

@@ -15,10 +15,11 @@ def test_ledger_recomputes_byte_identical():
     ledger = compute()
     if dumps(ledger) != committed:
         expected = json.loads(committed)
-        moved = sorted(
-            key for key, entry in ledger["explorations"].items()
-            if expected["explorations"].get(key) != entry)
-        assert not moved, f"explorations moved: {moved}"
+        for part in ("explorations", "chaos"):
+            moved = sorted(
+                key for key, entry in ledger[part].items()
+                if expected[part].get(key) != entry)
+            assert not moved, f"{part} moved: {moved}"
         assert (ledger["pick_annotations_sha256"]
                 == expected["pick_annotations_sha256"])
         assert dumps(ledger) == committed
