@@ -251,10 +251,10 @@ class FaultInjector:
     def _fire_clock_jump(self, index: int, fault: Fault,
                          sched: "Scheduler") -> bool:
         delta = fault.value if fault.value is not None else self.DEFAULT_JUMP
-        fired = sched.clock.advance(delta)
+        callbacks = sched.clock.advance(delta)
         self._record(index, fault, sched, victim=f"clock+{delta:g}s",
-                     detail={"timers_fired": len(fired)})
-        sched.fire_timers(fired)
+                     detail={"timers_fired": len(callbacks)})
+        sched.fire_timers(callbacks)
         return True
 
     def _fire_channel_fault(self, index: int, fault: Fault,

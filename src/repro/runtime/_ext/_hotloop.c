@@ -21,17 +21,20 @@
  *     same ``(step, runnable snapshot, index)`` record per pick as the
  *     pure loop writes.  Only runs with structured stop conditions and
  *     the C RNG above; anything else returns None and the pure loop
- *     takes over.  A run with a fault injector enters between the
- *     injector's due steps: the scheduler clamps ``_budget`` so the loop
- *     returns at the next one, and the pure loop pulses there.
+ *     takes over.  When no goroutine is runnable the loop fires the
+ *     due timers itself (see fire_due_timers) and returns ``"idle"`` only
+ *     once no live timer is left.  A run with a fault injector keeps the
+ *     old idle exit, and enters between the injector's due steps: the
+ *     scheduler clamps ``_budget`` so the loop returns at the next one, and
+ *     the pure loop pulses there.
  *
  * Goroutine fields are reached through slot offsets cached from the class
  * ``__slots__`` member descriptors at bind() time — an attribute read is a
  * single pointer load.  The scheduler itself is dict-backed; the loop keeps
- * its counters in C locals and writes them back on every exit path, while
- * ``_current`` (which primitives running *inside* a switched-to goroutine
- * read) is kept accurate step by step, and so is ``_steps`` in a traced
- * run (its events stamp it).
+ * its counters in C locals and writes them back on every exit path and
+ * before timer callbacks run, while ``_current`` (which primitives running
+ * *inside* a switched-to goroutine read) is kept accurate step by step,
+ * and so is ``_steps`` in a traced run (its events stamp it).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -371,7 +374,10 @@ static PyObject *s_runnable_attr = NULL, *s_rng = NULL, *s_stop_mode = NULL,
                 *s_panicked_attr = NULL, *s_budget = NULL, *s_budget_used = NULL,
                 *s_steps = NULL, *s_time_limit = NULL, *s_clock = NULL,
                 *s_now = NULL, *s_current = NULL, *s_after_resume = NULL,
-                *s_trace = NULL, *s_active = NULL, *s_pick_log = NULL;
+                *s_trace = NULL, *s_active = NULL, *s_pick_log = NULL,
+                *s_injector = NULL, *s_heap = NULL, *s_fire_timers = NULL;
+
+static PyObject *heappop_fn = NULL;         /* heapq.heappop */
 
 static PyObject *v_stopped = NULL, *v_timeout = NULL, *v_steps = NULL,
                 *v_idle = NULL;
@@ -506,6 +512,141 @@ pick_record(long long step, PyObject *runnable, uint32_t idx)
     return rec;
 }
 
+/* The timer heap holds TimerHandle entries, ``[deadline, seq, callback]``
+ * lists (repro.runtime.clock); the callback slot is None once the timer is
+ * cancelled or has fired. */
+static int
+check_timer(PyObject *entry)
+{
+    if (PyList_Check(entry) && PyList_GET_SIZE(entry) == 3)
+        return 0;
+    PyErr_SetString(PyExc_TypeError, "timer heap entry is not a TimerHandle");
+    return -1;
+}
+
+/* The idle path, with nothing runnable: VirtualClock.advance_to_next()
+ * followed by Scheduler.fire_timers().  Drops cancelled heads, moves
+ * clock.now to the earliest live deadline, pops every entry due then and
+ * empties its callback slot before any callback runs (a callback cannot
+ * cancel a timer due at the same time), and hands the callbacks to
+ * sched.fire_timers with no goroutine current.  Returns 1 when timers
+ * fired, 0 when no live timer is left, -1 on error. */
+static int
+fire_due_timers(PyObject *sched, PyObject *clock, PyObject *heap)
+{
+    PyObject *head, *now, *callbacks, *r;
+    for (;;) {
+        if (PyList_GET_SIZE(heap) == 0)
+            return 0;
+        head = PyList_GET_ITEM(heap, 0);
+        if (check_timer(head) < 0)
+            return -1;
+        if (PyList_GET_ITEM(head, 2) != Py_None)
+            break;
+        r = PyObject_CallOneArg(heappop_fn, heap);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+    }
+    now = PyObject_GetAttr(clock, s_now);
+    if (now == NULL)
+        return -1;
+    {
+        PyObject *deadline = PyList_GET_ITEM(head, 0);
+        Py_INCREF(deadline);
+        int later = PyObject_RichCompareBool(deadline, now, Py_GT);
+        if (later > 0 && PyObject_SetAttr(clock, s_now, deadline) < 0)
+            later = -1;
+        if (later < 0) {
+            Py_DECREF(deadline);
+            Py_DECREF(now);
+            return -1;
+        }
+        if (later)
+            Py_SETREF(now, deadline);
+        else
+            Py_DECREF(deadline);
+    }
+    callbacks = PyList_New(0);
+    if (callbacks == NULL) {
+        Py_DECREF(now);
+        return -1;
+    }
+    while (PyList_GET_SIZE(heap) > 0) {
+        head = PyList_GET_ITEM(heap, 0);
+        if (check_timer(head) < 0)
+            goto fail;
+        PyObject *deadline = PyList_GET_ITEM(head, 0);
+        Py_INCREF(deadline);
+        int due = PyObject_RichCompareBool(deadline, now, Py_LE);
+        Py_DECREF(deadline);
+        if (due < 0)
+            goto fail;
+        if (!due)
+            break;
+        head = PyObject_CallOneArg(heappop_fn, heap);  /* the entry above */
+        if (head == NULL)
+            goto fail;
+        PyObject *callback = PyList_GET_ITEM(head, 2);
+        if (callback != Py_None) {
+            /* Fired: empty the slot; its reference to callback is ours. */
+            Py_INCREF(Py_None);
+            PyList_SET_ITEM(head, 2, Py_None);
+            int appended = PyList_Append(callbacks, callback);
+            Py_DECREF(callback);
+            if (appended < 0) {
+                Py_DECREF(head);
+                goto fail;
+            }
+        }
+        Py_DECREF(head);
+    }
+    Py_DECREF(now);
+    if (PyObject_SetAttr(sched, s_current, Py_None) < 0) {
+        Py_DECREF(callbacks);
+        return -1;
+    }
+    r = PyObject_CallMethodOneArg(sched, s_fire_timers, callbacks);
+    Py_DECREF(callbacks);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 1;
+
+fail:
+    Py_DECREF(callbacks);
+    Py_DECREF(now);
+    return -1;
+}
+
+static int
+write_counters(PyObject *sched, long long budget_used, long long steps)
+{
+    PyObject *bu = PyLong_FromLongLong(budget_used);
+    PyObject *stp = PyLong_FromLongLong(steps);
+    int failed = (bu == NULL || stp == NULL ||
+                  PyObject_SetAttr(sched, s_budget_used, bu) < 0 ||
+                  PyObject_SetAttr(sched, s_steps, stp) < 0);
+    Py_XDECREF(bu);
+    Py_XDECREF(stp);
+    return failed ? -1 : 0;
+}
+
+/* *reached = (clock.now >= limit), the pure loop's time-limit test. */
+static int
+clock_reached(PyObject *clock, double limit, int *reached)
+{
+    PyObject *now_obj = PyObject_GetAttr(clock, s_now);
+    if (now_obj == NULL)
+        return -1;
+    double now = PyFloat_AsDouble(now_obj);
+    Py_DECREF(now_obj);
+    if (now == -1.0 && PyErr_Occurred())
+        return -1;
+    *reached = (now >= limit);
+    return 0;
+}
+
 static PyObject *
 hl_drive(PyObject *module, PyObject *sched)
 {
@@ -515,7 +656,7 @@ hl_drive(PyObject *module, PyObject *sched)
     }
 
     PyObject *runnable = NULL, *rng_obj = NULL, *stop_mode = NULL,
-             *panicked = NULL, *clock = NULL, *now_obj = NULL,
+             *panicked = NULL, *clock = NULL, *heap = NULL,
              *time_limit = NULL, *picks = NULL;
     PyObject *stop_g = NULL;          /* borrowed from stop_mode */
     BatchedRandomObject *rng = NULL;
@@ -523,6 +664,7 @@ hl_drive(PyObject *module, PyObject *sched)
     int failed = 0;
     int stop_main = 0;
     int time_exceeded = 0, traced = 0;
+    double limit = 0.0;
     long long budget = 0, budget_used = 0, steps = 0;
 
     runnable = PyObject_GetAttr(sched, s_runnable_attr);
@@ -571,19 +713,35 @@ hl_drive(PyObject *module, PyObject *sched)
     panicked = PyObject_GetAttr(sched, s_panicked_attr);
     if (panicked == NULL)
         goto fail_entry;
+    clock = PyObject_GetAttr(sched, s_clock);
+    if (clock == NULL)
+        goto fail_entry;
+    {
+        /* Timers fire inside the loop unless a fault injector is attached:
+         * a faulted run drives to the injector's next due step with the
+         * clock held still (Scheduler._drive_to_due_step), so it keeps the
+         * idle exit and fires timers in Python. */
+        PyObject *injector = PyObject_GetAttr(sched, s_injector);
+        if (injector == NULL)
+            goto fail_entry;
+        if (injector == Py_None) {
+            heap = PyObject_GetAttr(clock, s_heap);
+            if (heap == NULL)
+                goto fail_entry;
+            if (!PyList_CheckExact(heap))
+                Py_CLEAR(heap);
+        }
+        Py_DECREF(injector);
+    }
     time_limit = PyObject_GetAttr(sched, s_time_limit);
     if (time_limit == NULL)
         goto fail_entry;
     if (time_limit != Py_None) {
-        clock = PyObject_GetAttr(sched, s_clock);
-        now_obj = clock == NULL ? NULL : PyObject_GetAttr(clock, s_now);
-        if (now_obj == NULL)
+        limit = PyFloat_AsDouble(time_limit);
+        if (limit == -1.0 && PyErr_Occurred())
             goto fail_entry;
-        double now = PyFloat_AsDouble(now_obj);
-        double lim = PyFloat_AsDouble(time_limit);
-        if (PyErr_Occurred())
+        if (clock_reached(clock, limit, &time_exceeded) < 0)
             goto fail_entry;
-        time_exceeded = (now >= lim);
     }
 
     /* ---------------- the loop ---------------- */
@@ -599,15 +757,33 @@ hl_drive(PyObject *module, PyObject *sched)
             stop = (panicked != Py_None);
         }
         if (stop) { verdict = v_stopped; break; }
-        /* The virtual clock is frozen while goroutines run (timers only
-         * fire from the idle path, and the injector pulses, clock jumps
-         * included, only outside this loop), so the time-limit
-         * comparison is loop-invariant: true here means the first pass
-         * stops. */
+        /* The virtual clock is frozen while goroutines run: it moves only
+         * on the idle path below, which re-evaluates the limit, and in the
+         * injector's clock jumps, which run outside this loop. */
         if (time_exceeded) { verdict = v_timeout; break; }
         if (budget_used >= budget) { verdict = v_steps; break; }
         Py_ssize_t nrun = PyList_GET_SIZE(runnable);
-        if (nrun == 0) { verdict = v_idle; break; }
+        if (nrun == 0) {
+            if (heap == NULL) { verdict = v_idle; break; }
+            /* Timer callbacks run Python that may read the counters. */
+            if (write_counters(sched, budget_used, steps) < 0) {
+                failed = 1;
+                break;
+            }
+            int fired = fire_due_timers(sched, clock, heap);
+            if (fired < 0) { failed = 1; break; }
+            if (fired == 0) { verdict = v_idle; break; }
+            /* Re-read what a fresh drive entry would: panicked, and the
+             * time limit, now that the clock has moved. */
+            Py_SETREF(panicked, PyObject_GetAttr(sched, s_panicked_attr));
+            if (panicked == NULL) { failed = 1; break; }
+            if (time_limit != Py_None &&
+                clock_reached(clock, limit, &time_exceeded) < 0) {
+                failed = 1;
+                break;
+            }
+            continue;
+        }
         budget_used++;
         steps++;
         if (traced) {  /* events stamp the step they run in */
@@ -698,16 +874,10 @@ hl_drive(PyObject *module, PyObject *sched)
         PyObject *exc_type = NULL, *exc_val = NULL, *exc_tb = NULL;
         if (failed)
             PyErr_Fetch(&exc_type, &exc_val, &exc_tb);
-        PyObject *bu = PyLong_FromLongLong(budget_used);
-        PyObject *stp = PyLong_FromLongLong(steps);
-        int wb_failed = (bu == NULL || stp == NULL ||
-                         PyObject_SetAttr(sched, s_budget_used, bu) < 0 ||
-                         PyObject_SetAttr(sched, s_steps, stp) < 0);
+        int wb_failed = write_counters(sched, budget_used, steps) < 0;
         if (!failed && !wb_failed &&
             PyObject_SetAttr(sched, s_current, Py_None) < 0)
             wb_failed = 1;
-        Py_XDECREF(bu);
-        Py_XDECREF(stp);
         if (failed)
             PyErr_Restore(exc_type, exc_val, exc_tb);
         else if (wb_failed)
@@ -717,7 +887,7 @@ hl_drive(PyObject *module, PyObject *sched)
 fail_entry:  /* an entry failure leaves verdict NULL */
     Py_XDECREF(picks);
     Py_XDECREF(time_limit);
-    Py_XDECREF(now_obj);
+    Py_XDECREF(heap);
     Py_XDECREF(clock);
     Py_XDECREF(panicked);
     Py_XDECREF(stop_mode);
@@ -803,11 +973,26 @@ PyInit__hotloop(void)
     INTERN(s_trace, "trace");
     INTERN(s_active, "active");
     INTERN(s_pick_log, "pick_log");
+    INTERN(s_injector, "injector");
+    INTERN(s_heap, "_heap");
+    INTERN(s_fire_timers, "fire_timers");
     INTERN(v_stopped, "stopped");
     INTERN(v_timeout, "timeout");
     INTERN(v_steps, "steps");
     INTERN(v_idle, "idle");
 #undef INTERN
+
+    PyObject *heapq = PyImport_ImportModule("heapq");
+    if (heapq == NULL) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    heappop_fn = PyObject_GetAttrString(heapq, "heappop");
+    Py_DECREF(heapq);
+    if (heappop_fn == NULL) {
+        Py_DECREF(m);
+        return NULL;
+    }
 
     return m;
 }

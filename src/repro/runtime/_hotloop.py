@@ -14,8 +14,11 @@ of each:
   Returns ``None`` when unavailable; the scheduler then runs its pure loop.
   The compiled loop engages, traced, pick-logged, faulted or not, when
   nothing observable differs: structured stop conditions and the stock
-  RNG.  A faulted run enters it between the injector's due steps, with
-  the step budget clamped to the next one (see
+  RNG.  With nothing runnable it fires the due timers itself, through
+  ``Scheduler.fire_timers``, and returns ``"idle"`` only when no live
+  timer is left.  A faulted run enters it between the injector's due
+  steps, with the step budget clamped to the next one, and leaves it at
+  every idle point so the clock stays still while it drives (see
   ``Scheduler.run_until_quiescent``).
 
 Channels, select, Mutex/RWMutex and vector clocks have one implementation

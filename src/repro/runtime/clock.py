@@ -6,38 +6,53 @@ goroutine it advances the clock to the earliest deadline and fires the timer
 callbacks.  This makes every timeout-dependent bug in the corpus (Figure 1's
 ``time.After`` race, Figure 12's ``Timer(0)``, ``context.WithTimeout``)
 deterministic and instantaneous.
+
+A timer is one heap entry: the :class:`TimerHandle` itself, a three-item
+list ``[deadline, seq, callback]``.  Lists compare item by item in C, so the
+heap pops in ``(deadline, seq)`` order — creation order among equal
+deadlines — without a wrapper tuple or a Python ``__lt__``; ``seq`` is
+unique, so the callback is never compared.  The compiled drive loop
+(``_ext/_hotloop.c``) reads the same three slots when it fires timers
+itself.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Callable, List, Tuple
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import Callable, List
+
+Callback = Callable[[], None]
 
 
-class TimerHandle:
+class TimerHandle(list):
     """A cancellable entry in the virtual-clock timer heap.
 
-    A handle drops its callback once it is cancelled or has fired: the
+    ``[deadline, seq, callback]``, built by :meth:`VirtualClock.call_at`
+    through ``list``'s own constructor (no Python ``__init__`` frame).  The
+    callback slot is None once the timer is cancelled or has fired: the
     callback is usually a bound method of the object that holds the handle
     (a ``Timer``, ``Ticker`` or timeout context), and keeping it would tie
     the two into a reference cycle.
     """
 
-    __slots__ = ("deadline", "callback", "cancelled", "seq")
+    __slots__ = ()
 
-    def __init__(self, deadline: float, seq: int, callback: Callable[[], None]):
-        self.deadline = deadline
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
+    deadline = property(itemgetter(0), doc="Virtual time the timer fires at.")
+    callback = property(itemgetter(2),
+                        doc="What fires, or None once fired or cancelled.")
+
+    @property
+    def cancelled(self) -> bool:
+        """True once the timer was cancelled or has fired."""
+        return self[2] is None
 
     def cancel(self) -> bool:
         """Cancel the timer.  Returns True if it had not fired/cancelled yet."""
-        if self.cancelled:
+        if self[2] is None:
             return False
-        self.cancelled = True
-        self.callback = None
+        self[2] = None
         return True
 
 
@@ -47,61 +62,69 @@ class VirtualClock:
     def __init__(self, start: float = 0.0):
         #: Current virtual time in seconds.  A plain attribute because every
         #: send, receive and ``rt.now()`` reads it; only this class's own
-        #: methods write it.
+        #: methods and the compiled drive loop write it.
         self.now = float(start)
-        self._heap: List[Tuple[float, int, TimerHandle]] = []
+        self._heap: List[TimerHandle] = []
         self._seq = itertools.count()
 
-    def call_at(self, deadline: float, callback: Callable[[], None]) -> TimerHandle:
+    def call_at(self, deadline: float, callback: Callback) -> TimerHandle:
         """Schedule ``callback`` to run when the clock reaches ``deadline``.
 
-        Deadlines in the past fire on the next scheduler idle point.
+        Deadlines in the past fire on the next scheduler idle point.  A NaN
+        deadline raises ``ValueError``: it compares false against every
+        time, so at the heap head it would stop the clock for good.
         """
-        handle = TimerHandle(max(deadline, self.now), next(self._seq), callback)
-        heapq.heappush(self._heap, (handle.deadline, handle.seq, handle))
+        if deadline != deadline:
+            raise ValueError("timer deadline is NaN")
+        handle = TimerHandle((max(deadline, self.now), next(self._seq),
+                              callback))
+        heappush(self._heap, handle)
         return handle
 
-    def call_after(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
+    def call_after(self, delay: float, callback: Callback) -> TimerHandle:
         """Schedule ``callback`` ``delay`` seconds from now."""
         return self.call_at(self.now + max(delay, 0.0), callback)
 
-    def advance_to_next(self) -> List[TimerHandle]:
+    def advance_to_next(self) -> List[Callback]:
         """Jump to the earliest deadline and pop every timer due at it.
 
-        Returns the fired handles, or ``[]`` when nothing is pending
-        (callbacks are *not* run here; the scheduler runs them so it can
-        interleave wakeups correctly).  One pass: cancelled heads are
+        Returns the callbacks of the fired timers, or ``[]`` when nothing is
+        pending (callbacks are *not* run here; the scheduler runs them so it
+        can interleave wakeups correctly).  One pass: cancelled heads are
         dropped on the way to the first live deadline.
         """
         heap = self._heap
         while heap:
-            deadline, _, head = heap[0]
-            if head.cancelled:
-                heapq.heappop(heap)
+            head = heap[0]
+            if head[2] is None:
+                heappop(heap)
                 continue
-            if deadline > self.now:
-                self.now = deadline
+            if head[0] > self.now:
+                self.now = head[0]
             return self._pop_due()
         return []
 
-    def advance(self, delta: float) -> List[TimerHandle]:
+    def advance(self, delta: float) -> List[Callback]:
         """Advance the clock by ``delta`` and pop every timer now due."""
         self.now += max(delta, 0.0)
         return self._pop_due()
 
     def clear(self) -> None:
         """Drop every pending timer and its callback (end-of-run teardown)."""
-        for _, _, handle in self._heap:
-            handle.cancelled = True
-            handle.callback = None
+        for handle in self._heap:
+            handle[2] = None
         self._heap.clear()
 
-    def _pop_due(self) -> List[TimerHandle]:
-        due: List[TimerHandle] = []
+    def _pop_due(self) -> List[Callback]:
+        """Pop every entry due now and mark each fired (callback slot None)
+        before any callback runs, so a callback cannot cancel a timer due
+        at the same time."""
+        due: List[Callback] = []
         heap, now = self._heap, self.now
         while heap and heap[0][0] <= now:
-            _, _, handle = heapq.heappop(heap)
-            if not handle.cancelled:
-                handle.cancelled = True  # a fired timer cannot be cancelled
-                due.append(handle)
+            handle = heappop(heap)
+            callback = handle[2]
+            if callback is not None:
+                handle[2] = None
+                due.append(callback)
         return due

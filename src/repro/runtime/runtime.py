@@ -25,6 +25,7 @@ Example::
 from __future__ import annotations
 
 import sys
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DeadlockError, GoPanic, StepLimitExceeded
@@ -158,14 +159,10 @@ class Runtime:
         if duration <= 0:
             sched.schedule_point()
             return
-        woke = [False]
-
-        def wake() -> None:
-            woke[0] = True
-            sched.ready(g)
-
-        sched.clock.call_after(duration, wake)
-        while not woke[0]:
+        # The handle's callback slot empties when the timer fires; until
+        # then a wakeup is spurious (an injected one) and the sleep goes on.
+        timer = sched.clock.call_after(duration, partial(sched.ready, g))
+        while timer.callback is not None:
             sched.block("time.sleep")
 
     def external_wait(self, what: str, duration: Optional[float] = None) -> None:
@@ -176,22 +173,17 @@ class Runtime:
         ``duration`` the wait completes on the virtual clock; without one the
         goroutine waits forever.
         """
-        g = self.sched.current
-        if self.sched.trace.active:
-            self.sched.emit(EventKind.EXTERNAL_WAIT, info={"what": what})
+        sched = self.sched
+        g = sched.current
+        if sched.trace.active:
+            sched.emit(EventKind.EXTERNAL_WAIT, info={"what": what})
         if duration is None:
             while True:
-                self.sched.block(f"external:{what}", external=True)
+                sched.block(f"external:{what}", external=True)
             return
-        woke = [False]
-
-        def wake() -> None:
-            woke[0] = True
-            self.sched.ready(g)
-
-        self.sched.clock.call_after(duration, wake)
-        while not woke[0]:
-            self.sched.block(f"external:{what}", external=True)
+        timer = sched.clock.call_after(duration, partial(sched.ready, g))
+        while timer.callback is not None:
+            sched.block(f"external:{what}", external=True)
 
     # ------------------------------------------------------------------
     # Channels and select

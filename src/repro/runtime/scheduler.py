@@ -25,6 +25,12 @@ system's effective speed, the per-step path here is deliberately lean:
   and pulses there in the interpreted loop.  Only a non-stock RNG (the
   explorer's scripted choices) selects the interpreted loop for a whole
   run;
+* timers fire inside the compiled loop: with nothing runnable it moves
+  the virtual clock to the next deadline and calls :meth:`fire_timers`
+  itself, so a run with thousands of timers enters it once per
+  :meth:`run_until_quiescent` call.  A faulted run keeps the idle exit
+  and fires timers here, so the clock never moves while it drives to a
+  due step;
 * consumers that need every scheduling decision (the observer's step
   metrics, the explorer's footprints) read a *pick log* after the run
   instead of taking a call per step: :meth:`Scheduler.record_picks` turns
@@ -41,6 +47,7 @@ import random
 import sys
 import threading
 import time as _time
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .clock import VirtualClock
@@ -504,6 +511,9 @@ class Scheduler:
         done).  Tasklet vehicle: every yield switches straight back into
         this loop, which does the bookkeeping itself — switches are
         userspace-cheap and the whole simulation shares one OS thread.
+        The compiled loop fires due timers itself and reports ``"idle"``
+        only when no live timer is left, unless an injector is attached;
+        the idle branch below fires them for every other path.
         """
         kind, stop_g = stop_mode
         if kind == "main":
@@ -555,9 +565,12 @@ class Scheduler:
                     verdict = self._main_verdict
                     self._main_verdict = None
                 if verdict == "idle":
-                    fired = self.clock.advance_to_next()
-                    if fired:
-                        self.fire_timers(fired)
+                    # The compiled loop returns "idle" only with no live
+                    # timer left (or with an injector attached); the pure
+                    # loop and the thread vehicle fire timers here.
+                    callbacks = self.clock.advance_to_next()
+                    if callbacks:
+                        self.fire_timers(callbacks)
                         continue
                     return "quiescent"
                 if verdict == "error":
@@ -577,9 +590,11 @@ class Scheduler:
         ``drive`` checks stop, time limit and budget at the top of each
         iteration, in the order ``_advance`` checks them before it pulses,
         so clamping ``_budget`` to the due step makes drive return exactly
-        where the pure loop would pulse next.  The clock moves only on the
-        idle path and in the injector's own clock jump, so no
-        ``after_time`` fault comes due inside drive.  Returns drive's
+        where the pure loop would pulse next.  With an injector attached,
+        drive leaves at every idle point instead of firing timers, so the
+        clock moves only in ``run_until_quiescent``'s idle branch and in
+        the injector's own clock jump, and no ``after_time`` fault comes
+        due inside drive.  Returns drive's
         verdict (None when ineligible), or :data:`_FAULT_DUE` when a fault
         is due at the current step: one pure ``_advance`` iteration then
         pulses it.
@@ -600,14 +615,15 @@ class Scheduler:
             if verdict != "steps" or self._budget_used >= budget:
                 return verdict
 
-    def fire_timers(self, fired) -> None:
+    def fire_timers(self, callbacks: List[Callable[[], None]]) -> None:
         """Run fired timer callbacks in scheduler context (one trace event
-        each), shared by the main loop and the fault injector's clock jumps."""
+        each).  The one place timers fire: the compiled drive loop's idle
+        path, the pure loop's idle verdict and the fault injector's clock
+        jumps all call it with the callbacks the clock popped."""
         trace = self.trace
-        for handle in fired:
+        for callback in callbacks:
             if trace.active:
                 self.emit(EventKind.TIMER_FIRE, gid=0)
-            callback, handle.callback = handle.callback, None
             callback()
 
     def _advance(self) -> Optional[Goroutine]:
@@ -722,13 +738,15 @@ class Scheduler:
         self._runnable.remove(g)
         g.state = GState.BLOCKED
         g.block_reason = "inject.delay"
-
-        def wake() -> None:
-            g.block_reason = None
-            self.ready(g)
-
-        self.clock.call_after(max(duration, 0.0), wake)
+        self.clock.call_after(max(duration, 0.0), partial(self._end_delay, g))
         return True
+
+    def _end_delay(self, g: Goroutine) -> None:
+        """Timer callback of :meth:`inject_delay`.  The delayed goroutine
+        resumes at a schedule point, not in :meth:`block`, so nothing else
+        clears its block reason."""
+        g.block_reason = None
+        self.ready(g)
 
     def inject_kill(self, g: Goroutine) -> bool:
         """Mark a goroutine dead: it unwinds (state ``KILLED``) at its next

@@ -1,7 +1,12 @@
-"""The committed determinism ledger: what explorations and chaos runs do.
+"""The committed determinism ledger: kernel runs, explorations, chaos runs.
 
-``tests/golden/ledger.json`` pins two slices:
+``tests/golden/ledger.json`` pins three slices:
 
+* per kernel x buggy/fixed x seeds 0-2, one traced run with the kernel's
+  own run options under the race and lock-order detectors: its status,
+  steps, virtual ``end_time``, ``schedule_digest``, the race, lock-order,
+  built-in deadlock and leak verdicts, and whether the kernel's symptom
+  ``manifested``;
 * per kernel x buggy/fixed, the
   :class:`repro.detect.systematic.Exploration` outcome at ``max_runs=60``
   (the perfbench explore-exhaust call: ``stop_on=kernel.manifested`` and
@@ -15,9 +20,9 @@
   ``schedule_digest`` of its kept trace.
 
 ``tests/test_ledger.py`` recomputes it and asserts byte equality, so a
-change that moves an exploration, a single footprint the sleep-set
-pruning reads, or one fault of one chaos run fails tier-1 even when it
-moves the compiled and pure paths alike.
+change that moves a kernel run, an exploration, a single footprint the
+sleep-set pruning reads, or one fault of one chaos run fails tier-1 even
+when it moves the compiled and pure paths alike.
 
 Regenerate only on purpose, and say in CHANGES.md which entries moved
 and why::
@@ -36,7 +41,8 @@ from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro import run
 from repro.bugs import registry
-from repro.detect import systematic
+from repro.detect import (BuiltinDeadlockDetector, GoroutineLeakDetector,
+                          LockOrderDetector, RaceDetector, systematic)
 from repro.detect.convergence import recovery_verdict
 from repro.inject import FaultPlan, plans, scenarios
 from repro.parallel import schedule_digest
@@ -44,6 +50,7 @@ from repro.parallel import schedule_digest
 LEDGER_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden", "ledger.json")
 MAX_RUNS = 60
+KERNEL_SEEDS = (0, 1, 2)
 CHAOS_SEEDS = (0, 1)
 
 
@@ -66,6 +73,31 @@ def _hashing_picks(digest: Any) -> Iterator[None]:
         yield
     finally:
         systematic._run_scripted = real
+
+
+def kernel_runs() -> Dict[str, Any]:
+    """Run every kernel variant's seeds, traced under the race and
+    lock-order detectors, and key the entries ``kernel[variant]|seed``."""
+    deadlock, leak = BuiltinDeadlockDetector(), GoroutineLeakDetector()
+    runs: Dict[str, Any] = {}
+    for kernel in registry.all_kernels():
+        for variant in ("buggy", "fixed"):
+            for seed in KERNEL_SEEDS:
+                race, lockorder = RaceDetector(), LockOrderDetector()
+                result = run(getattr(kernel, variant), seed=seed,
+                             observers=[race, lockorder], **kernel.run_kwargs)
+                runs[f"{kernel.meta.kernel_id}[{variant}]|{seed}"] = {
+                    "status": result.status,
+                    "steps": result.steps,
+                    "end_time": result.end_time,
+                    "schedule_digest": schedule_digest(result),
+                    "race": race.detected,
+                    "lockorder": lockorder.detected,
+                    "deadlock": deadlock.classify(result),
+                    "leak": leak.classify(result),
+                    "manifested": kernel.manifested(result),
+                }
+    return runs
 
 
 def exploration_entry(found: systematic.Exploration) -> Dict[str, Any]:
@@ -119,8 +151,8 @@ def chaos_cells() -> Dict[str, Any]:
 
 
 def compute() -> Dict[str, Any]:
-    """Explore every kernel variant, run every chaos cell, and return the
-    ledger document."""
+    """Run and explore every kernel variant, run every chaos cell, and
+    return the ledger document."""
     digest = hashlib.sha256()
     explorations: Dict[str, Any] = {}
     with _hashing_picks(digest):
@@ -132,6 +164,8 @@ def compute() -> Dict[str, Any]:
                 explorations[f"{kernel.meta.kernel_id}[{variant}]"] = \
                     exploration_entry(found)
     return {
+        "kernel_seeds": list(KERNEL_SEEDS),
+        "kernel_runs": kernel_runs(),
         "max_runs": MAX_RUNS,
         "explorations": explorations,
         "pick_annotations_sha256": digest.hexdigest(),

@@ -20,6 +20,12 @@ pin the only thing the extension may not change — the run itself:
   and every mini-app under the default suite and both recovery clusters
   under both crash plans replay the pure loop's statuses, steps, fault
   records and digests;
+* timers fire inside the compiled loop with the pure loop's event log
+  and end time: across a ``time_limit``, from a raising callback, with a
+  callback cancelling a sibling, through ``Timer``/``Ticker``/
+  ``with_timeout`` and over random timer programs; an untraced load run
+  enters drive at most a few times, and a faulted run still leaves it
+  at every idle point;
 * error paths (send on closed, unlock of unlocked, select on a closed
   send case) panic identically in both modes;
 * a ``REPRO_NO_CEXT=1`` subprocess — no extension at all — reproduces
@@ -36,9 +42,11 @@ import os
 import subprocess
 import sys
 import textwrap
+from contextlib import nullcontext
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import run
 from tests.workloads import WORKLOADS
@@ -647,3 +655,221 @@ def test_crash_restart_run_takes_its_steps_inside_drive():
     with force_pure():
         pure = run(net_etcd_recovery_scenario, **kwargs)
     assert _faulted_signature(result) == _faulted_signature(pure)
+
+
+# ---------------------------------------------------------------------------
+# Timers: the compiled loop fires them itself when nothing is runnable
+# ---------------------------------------------------------------------------
+
+
+def _timer_signature(result):
+    return (_signature(result), result.end_time, _event_log(result))
+
+
+def _assert_same_timer_run(program, seed=1, **kwargs):
+    compiled = run(program, seed=seed, keep_trace=True, **kwargs)
+    with force_pure():
+        pure = run(program, seed=seed, keep_trace=True, **kwargs)
+    assert _timer_signature(compiled) == _timer_signature(pure)
+    return compiled
+
+
+class _DriveCounter:
+    """Counts the run's drive entries and keeps their verdicts."""
+
+    def __init__(self):
+        self.verdicts = []
+
+    def attach(self, rt):
+        self.sched = rt.sched
+        hot = rt.sched._hot
+        if hot is None:
+            return
+
+        def counted(sched):
+            self.verdicts.append(hot(sched))
+            return self.verdicts[-1]
+
+        rt.sched._hot = counted
+
+
+def _heartbeat(rt):
+    """A background heartbeat and a main that sleeps past the window."""
+    def beat():
+        while True:
+            rt.sleep(0.3)
+
+    rt.go(beat)
+    for _ in range(10):
+        rt.sleep(1.0)
+
+
+@pytest.mark.parametrize("limit", [2.5, 3.0, 3.05])
+def test_timer_fire_crossing_the_time_limit(limit):
+    result = _assert_same_timer_run(_heartbeat, time_limit=limit)
+    assert result.status == "timeout"
+    assert result.end_time >= limit
+
+
+def test_raising_timer_callback_identically():
+    """A callback that raises escapes the run from inside drive with the
+    same exception and the same counters as the pure loop's."""
+    def program(rt):
+        def boom():
+            raise RuntimeError("timer callback failed")
+
+        rt.sched.clock.call_after(0.5, boom)
+        for _ in range(3):
+            rt.sleep(0.2)
+
+    seen = []
+    for pure in (False, True):
+        counter = _DriveCounter()
+        with (force_pure() if pure else nullcontext()):
+            with pytest.raises(RuntimeError, match="timer callback failed"):
+                run(program, seed=2, keep_trace=False, observers=[counter])
+        sched = counter.sched
+        seen.append((sched.steps, sched._budget_used, sched.clock.now))
+    assert seen[0] == seen[1]
+
+
+def test_callback_cancelling_a_timer_due_at_the_same_deadline():
+    """Every timer due at one deadline is marked fired before any callback
+    runs, so cancelling a sibling from a callback fails and it fires."""
+    def program(rt):
+        clock, log = rt.sched.clock, []
+        sibling = []
+        clock.call_after(1.0, lambda: log.append(("cancel", sibling[0].cancel())))
+        sibling.append(clock.call_after(1.0, lambda: log.append("sibling")))
+        later = clock.call_after(2.0, lambda: log.append("later"))
+        clock.call_after(1.0, lambda: log.append(("cancel later", later.cancel())))
+        rt.sleep(3.0)
+        return log
+
+    result = _assert_same_timer_run(program)
+    assert result.main_result == [("cancel", False), "sibling",
+                                  ("cancel later", True)]
+
+
+def test_timer_stop_reset_ticker_and_timeout_identically():
+    from repro.chan import recv as recv_case
+
+    def program(rt):
+        log = []
+        timer = rt.new_timer(1.0)
+        log.append(("stop", timer.stop(), rt.now()))
+        log.append(("reset", timer.reset(0.5), rt.now()))
+        log.append(("fired", timer.c.recv(), rt.now()))
+        log.append(("reset fired", timer.reset(0.25)))
+        ticker = rt.new_ticker(0.2)
+        for _ in range(3):
+            log.append(("tick", ticker.c.recv()))
+        ticker.reset(0.5)
+        log.append(("tick after reset", ticker.c.recv()))
+        ticker.stop()
+        ctx, cancel = rt.with_timeout(rt.background(), 0.7)
+        index, _, _ = rt.select(recv_case(ctx.done()),
+                                recv_case(rt.after(2.0)))
+        log.append(("timeout", index, str(ctx.err()), rt.now()))
+        ctx2, cancel2 = rt.with_timeout(rt.background(), 5.0)
+        cancel2()
+        rt.sleep(6.0)
+        log.append(("cancelled", str(ctx2.err()), rt.now()))
+        cancel()
+        return log
+
+    result = _assert_same_timer_run(program)
+    assert result.status == "ok"
+    assert result.main_result[0] == ("stop", True, 0.0)
+    assert result.main_result[2] == ("fired", 0.5, 0.5)
+
+
+@st.composite
+def _timer_programs(draw):
+    """Goroutines that arm, stop, reset and wait on timers, plus raw clock
+    callbacks that record their own firing and cancel one another."""
+    op = st.tuples(st.sampled_from(("sleep", "timer", "stop", "reset",
+                                    "wait", "callback", "cancel")),
+                   st.integers(0, 5))
+    return (draw(st.lists(st.lists(op, min_size=1, max_size=6),
+                          min_size=1, max_size=4)),
+            draw(st.sampled_from((None, 0.75, 1.5))))
+
+
+def _run_timer_program(goroutines, rt):
+    from repro.chan import recv as recv_case
+
+    clock, fired = rt.sched.clock, []
+    handles = []
+
+    def body(label, ops):
+        timers = []
+        for name, k in ops:
+            delay = k * 0.25
+            if name == "sleep":
+                rt.sleep(delay)
+            elif name == "timer":
+                timers.append(rt.new_timer(delay))
+            elif name == "stop" and timers:
+                fired.append((label, "stop", timers[k % len(timers)].stop()))
+            elif name == "reset" and timers:
+                fired.append((label, "reset", timers[-1].reset(delay)))
+            elif name == "wait" and timers:
+                index, _, _ = rt.select(recv_case(timers[k % len(timers)].c),
+                                        recv_case(rt.after(delay)))
+                fired.append((label, "wait", index, rt.now()))
+            elif name == "callback":
+                handles.append(clock.call_after(
+                    delay, partial(fired.append, (label, "callback", k))))
+            elif name == "cancel" and handles:
+                fired.append((label, "cancel",
+                              handles[k % len(handles)].cancel()))
+
+    done = rt.make_chan(len(goroutines))
+    for label, ops in enumerate(goroutines):
+        rt.go(lambda label=label, ops=ops: (body(label, ops),
+                                            done.send(label)))
+    for _ in goroutines:
+        done.recv()
+    return fired
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=_timer_programs(), seed=st.integers(0, 50))
+def test_random_timer_programs_compiled_vs_pure(program, seed):
+    goroutines, time_limit = program
+    _assert_same_timer_run(partial(_run_timer_program, goroutines),
+                           seed=seed, time_limit=time_limit,
+                           max_steps=5_000)
+
+
+@needs_drive_loop
+def test_untraced_loadgen_run_enters_drive_at_most_a_few_times():
+    """Thousands of timers fire inside drive: an untraced echo load run
+    enters it once for the main phase and once for the drain."""
+    from repro.net.demo import echo_load_program
+
+    counter = _DriveCounter()
+    program = partial(echo_load_program, clients=4, requests=40)
+    result = run(program, seed=4, keep_trace=False, observers=[counter])
+    assert result.status == "ok"
+    assert 1 <= len(counter.verdicts) <= 3
+    assert None not in counter.verdicts
+    with force_pure():
+        pure = run(program, seed=4, keep_trace=False)
+    assert (_signature(result), result.end_time) \
+        == (_signature(pure), pure.end_time)
+
+
+@needs_drive_loop
+def test_faulted_run_still_exits_drive_at_idle():
+    """With an injector attached the clock must not move inside drive
+    (the due-step clamp relies on it): every timer fire leaves drive."""
+    counter = _DriveCounter()
+    result = run(_heartbeat, seed=1, keep_trace=False, time_limit=2.5,
+                 inject=FaultPlan(name="noop"), observers=[counter])
+    assert result.status == "timeout"
+    assert counter.verdicts.count("idle") >= 8
+    plain = run(_heartbeat, seed=1, keep_trace=False, time_limit=2.5)
+    assert (_signature(result), result.end_time) \
+        == (_signature(plain), plain.end_time)

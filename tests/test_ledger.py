@@ -15,7 +15,7 @@ def test_ledger_recomputes_byte_identical():
     ledger = compute()
     if dumps(ledger) != committed:
         expected = json.loads(committed)
-        for part in ("explorations", "chaos"):
+        for part in ("kernel_runs", "explorations", "chaos"):
             moved = sorted(
                 key for key, entry in ledger[part].items()
                 if expected[part].get(key) != entry)
