@@ -214,8 +214,8 @@ class ChoiceAnnotator:
     scripted ``rng``; read :attr:`picks` afterwards.  Attaching asks the
     scheduler for its pick log and the trace for its records, which it
     keeps even in a ``keep_trace=False`` run (whose result still carries
-    no trace).  It subscribes to nothing: the run pays one log append per
-    pick and one record per event.
+    no trace).  It takes no call during the run: the run pays one log
+    append per pick and one record per event.
     """
 
     def __init__(self) -> None:

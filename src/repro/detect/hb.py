@@ -1,11 +1,12 @@
 """The happens-before engine: one set of vector-clock rules, two orders.
 
-Every analysis that orders events of one run uses this engine: the live
-:class:`repro.detect.race.RaceDetector` (``strict``, fed event by event
-through :meth:`HBEngine.observe`) and the offline predictors of
-:mod:`repro.predict` (``strict`` or ``weak``, stamping every event of a
-recorded :class:`~repro.predict.model.SyncTrace` through
-:meth:`HBEngine.step`).
+Every analysis that orders events of one run uses this engine, and every
+one reads the run's recorded events: the
+:class:`repro.detect.race.RaceDetector` (``strict``, replaying the kept
+records one by one through :meth:`HBEngine.observe` when the run
+finishes) and the predictors of :mod:`repro.predict` (``strict`` or
+``weak``, stamping every event of a
+:class:`~repro.predict.model.SyncTrace` through :meth:`HBEngine.step`).
 
 The rules are stated once, in one per-event-kind edge table: an incoming
 *join*, applied before the event is stamped, and an outgoing *effect*,
@@ -122,9 +123,8 @@ _FAMILIES = ("close", "lock", "readers", "wg", "once", "cond", "atomic")
 class HBEngine:
     """Builds the happens-before closure of one run, event by event.
 
-    Events are :class:`~repro.runtime.trace.TraceEvent` objects or their
-    attribute-compatible offline twins
-    (:class:`~repro.predict.model.SyncEvent`).
+    Events are :class:`~repro.runtime.trace.TraceEvent` objects, replayed
+    from a run's kept records or parsed from its exported sync events.
     """
 
     def __init__(self, mode: str = "strict"):
@@ -324,5 +324,5 @@ def weak_stamps(trace: Any) -> List[Stamp]:
 
 
 def strict_stamps(trace: Any) -> List[Stamp]:
-    """The recorded-order closure, identical to the live race detector's."""
+    """The recorded-order closure, identical to the dynamic race detector's."""
     return HBEngine(mode="strict").process(trace)

@@ -1,4 +1,4 @@
-"""Lock-order (potential-deadlock) analysis, live and offline.
+"""Lock-order (potential-deadlock) analysis, plain and predictive.
 
 Implication 4 of the paper: "future research should focus on building
 novel blocking bug detection techniques, for example, with a combination
@@ -8,29 +8,32 @@ edge ``A -> B`` whenever some goroutine requests ``B`` while holding
 ``A`` (:func:`ordered_before`) — whose every cycle is a *potential*
 deadlock, even in runs where the timing never lined up.
 
-:class:`LockOrderDetector` builds the graph live and reports every cycle:
-on the AB/BA kernel the built-in detector needs the deadlock to
-*happen*; this one flags the inversion on every schedule.
-:func:`predict_lock_cycles` builds it from one recorded run and keeps a
-cycle only when its witnessing requests can overlap — distinct
-goroutines, pairwise concurrent under the weak happens-before order.  A
-pipeline that takes ``A -> B`` in one stage and ``B -> A`` in a later
-stage the first one *starts* shows a textual cycle but can never
-interleave into a deadlock.
+:class:`LockOrderDetector` reports every cycle of one run's graph, built
+from the run's recorded lock events when it finishes: on the AB/BA
+kernel the built-in detector needs the deadlock to *happen*; this one
+flags the inversion on every schedule.  :func:`predict_lock_cycles`
+builds the same graph and keeps a cycle only when its witnessing
+requests can overlap — distinct goroutines, pairwise concurrent under
+the weak happens-before order.  A pipeline that takes ``A -> B`` in one
+stage and ``B -> A`` in a later stage the first one *starts* shows a
+textual cycle but can never interleave into a deadlock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional,
+                    Set, Tuple)
 
-from ..runtime.trace import EventKind, TraceEvent
+from ..runtime.trace import EventKind, Trace, TraceEvent
 from .hb import EXCLUSIVE, LOCK_KINDS, HeldLocks, Stamp, track_held
 
 if TYPE_CHECKING:
     from ..predict.model import SyncTrace
 
 _REQUEST = frozenset((EventKind.MU_REQUEST, EventKind.RW_REQUEST))
+#: The kinds :meth:`LockOrderDetector.on_event` acts on.
+_READS = _REQUEST | LOCK_KINDS
 
 Witness = Tuple[int, int, int]   # (requesting gid, held lock, wanted lock)
 
@@ -85,15 +88,24 @@ class LockOrderDetector:
         self._held: HeldLocks = {}
         self.violations: List[LockOrderViolation] = []
         self._finalized = False
+        #: The attached run's trace and its length at ``attach``, until
+        #: ``finish`` replays the records emitted since.
+        self._trace: Optional[Trace] = None
+        self._start = 0
 
     # ------------------------------------------------------------------
     # Observer protocol
     # ------------------------------------------------------------------
 
     def attach(self, rt) -> None:
-        rt.sched.trace.subscribe(self.on_event, kinds=_REQUEST | LOCK_KINDS)
+        self._trace = rt.sched.trace
+        self._start = len(self._trace)
+        self._trace.keep_records()
 
     def finish(self, result) -> None:
+        if self._trace is not None:
+            self._trace.replay(self._start, _READS, self.on_event)
+            self._trace = None
         self.analyze()
         setattr(result, "lock_order_violations", list(self.violations))
 

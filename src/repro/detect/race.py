@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..runtime.trace import EventKind, TraceEvent
+from ..runtime.trace import EventKind, Trace, TraceEvent
 from .hb import STRICT_EDGES, HBEngine
 from .report import Access, RaceReport
 from .vectorclock import VectorClock
@@ -63,17 +63,26 @@ class RaceDetector:
         self._engine = HBEngine()
         self._shadows: Dict[int, Deque[_Shadow]] = {}
         self._reported_vars: Dict[int, int] = {}
+        #: The attached run's trace and its length at ``attach``, until
+        #: ``finish`` replays the records emitted since.
+        self._trace: Optional[Trace] = None
+        self._start = 0
 
     # ------------------------------------------------------------------
     # Observer protocol
     # ------------------------------------------------------------------
 
     def attach(self, rt) -> None:
-        # The strict edge table names every kind this detector acts on
-        # (accesses included); the trace routes no other kind here.
-        rt.sched.trace.subscribe(self.on_event, kinds=STRICT_EDGES)
+        self._trace = rt.sched.trace
+        self._start = len(self._trace)
+        self._trace.keep_records()
 
     def finish(self, result) -> None:
+        # The strict edge table names every kind this detector acts on
+        # (accesses included); no other kind is replayed.
+        if self._trace is not None:
+            self._trace.replay(self._start, STRICT_EDGES, self.on_event)
+            self._trace = None
         # Expose reports on the result for convenience.
         setattr(result, "races", list(self.reports))
 

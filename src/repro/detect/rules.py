@@ -44,7 +44,7 @@ class ChannelRuleChecker:
         self.violations: List[RuleViolation] = []
 
     def attach(self, rt) -> None:
-        """Nothing to subscribe to: every rule is read off the result."""
+        """Nothing to keep: every rule is read off the result."""
 
     def finish(self, result: RunResult) -> None:
         self._check_panic(result)

@@ -8,9 +8,9 @@ scheduler's ``capture_sites`` flag, asks for the scheduler's pick log
 them while its result carries no trace).  It never touches the RNG, the
 runnable set, or primitive state — attaching an observer is guaranteed
 not to change the schedule, which the determinism tests assert
-bit-for-bit.  It installs no per-step callback and no trace listener, so
-an observed run keeps the compiled drive loop and builds no event
-objects: at ``finish`` it folds the event records, in order, into the
+bit-for-bit.  It installs no per-step or per-event callback, so an
+observed run keeps the compiled drive loop and builds no event objects:
+at ``finish`` it folds the event records, in order, into the
 profiles and metrics, and derives the step counter, switch count and
 runnable-depth histogram and series from the pick log.
 

@@ -14,7 +14,7 @@ and ``Pool.map`` preserves submission order.  The equivalence tests in
 ``tests/parallel`` assert this for every sweep consumer.
 
 What parallelism cannot preserve: in-process side effects.  A shared
-Observer, a subscribed detector accumulating across seeds, or a program
+Observer, an attached detector accumulating across seeds, or a program
 mutating parent-process globals will not see worker writes (children are
 forked copies).  Sweep-level predicates run *worker-side* against the full
 :class:`RunResult` (``RunSummary.manifested``), which covers the common

@@ -7,7 +7,7 @@ systematic explorer): consume *one* recorded run — live
 and report bugs reachable in schedules that were never executed:
 
 * predicted data races (:mod:`repro.predict.race`),
-* feasible lock-order cycles: the live detector's order graph plus a
+* feasible lock-order cycles: the dynamic detector's order graph plus a
   feasibility gate (:func:`repro.detect.lockorder.predict_lock_cycles`),
 * lost-signal / send-on-closed / WaitGroup-misuse candidates
   (:mod:`repro.predict.comm`).
@@ -36,7 +36,7 @@ from ..detect.hb import HBEngine, Stamp, strict_stamps, weak_stamps
 from ..detect.lockorder import predict_lock_cycles
 from .confirm import ConfirmOutcome, confirm_predictions, predicate_for
 from .engine import as_sync_trace, observed_predictions, predict, predict_kernel
-from .model import BlockedGoroutine, SyncEvent, SyncTrace
+from .model import BlockedGoroutine, SyncTrace
 from .race import predict_races
 from .comm import predict_comm
 from .report import (
@@ -58,7 +58,6 @@ __all__ = [
     "PredictScorecardRow",
     "Prediction",
     "Stamp",
-    "SyncEvent",
     "SyncTrace",
     "TriageVerdict",
     "as_sync_trace",

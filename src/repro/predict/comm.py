@@ -38,8 +38,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..detect.hb import Stamp
-from ..runtime.trace import EventKind
-from .model import SyncEvent, SyncTrace
+from ..runtime.trace import EventKind, TraceEvent
+from .model import SyncTrace
 from .report import Prediction
 
 _SIGNALS = (EventKind.COND_SIGNAL, EventKind.COND_BROADCAST)
@@ -231,7 +231,7 @@ def _abandoned_senders(stamps: List[Stamp]) -> List[Prediction]:
 
 
 def _governing_select(mine: List[Stamp], idx: int,
-                      obj: int) -> Optional[SyncEvent]:
+                      obj: int) -> Optional[TraceEvent]:
     """The SELECT_BEGIN whose commit performed the receive at ``idx``.
 
     Fast path: ``SELECT_BEGIN, CHAN_RECV, SELECT_COMMIT``.  Parked path:

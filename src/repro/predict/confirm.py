@@ -63,7 +63,7 @@ def _race_on_var(var_name: str, result: Any) -> bool:
 
 def _fresh_race_detector() -> RaceDetector:
     # Unlimited history: the predicted pair must not be lost to the
-    # 4-shadow-word eviction the live detector models.
+    # 4-shadow-word eviction the dynamic detector models.
     return RaceDetector(shadow_words=None)
 
 

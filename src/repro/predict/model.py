@@ -15,34 +15,7 @@ import json
 from typing import Any, Dict, List, Optional, Union
 
 from ..observe.export import SYNC_EVENT_KINDS, sync_events
-from ..runtime.trace import EventKind
-
-_NO_INFO: Dict[str, Any] = {}
-
-
-class SyncEvent:
-    """One synchronization-relevant action, mirroring ``TraceEvent``.
-
-    Attribute-compatible with :class:`~repro.runtime.trace.TraceEvent`
-    (``step``/``time``/``gid``/``kind``/``obj``/``info``) so detector
-    logic written against live traces runs unchanged over the export.
-    """
-
-    __slots__ = ("step", "time", "gid", "kind", "obj", "info")
-
-    def __init__(self, step: int, time: float, gid: int, kind: str,
-                 obj: Optional[int] = None,
-                 info: Optional[Dict[str, Any]] = None):
-        self.step = step
-        self.time = time
-        self.gid = gid
-        self.kind = kind
-        self.obj = obj
-        self.info = _NO_INFO if not info else info
-
-    def __repr__(self) -> str:
-        extra = f" obj={self.obj}" if self.obj is not None else ""
-        return f"<sync {self.step} g{self.gid} {self.kind}{extra}>"
+from ..runtime.trace import EventKind, TraceEvent
 
 
 class BlockedGoroutine:
@@ -69,7 +42,7 @@ class BlockedGoroutine:
 class SyncTrace:
     """A single recorded run, reduced to its synchronization record."""
 
-    def __init__(self, events: List[SyncEvent], seed: Optional[int] = None,
+    def __init__(self, events: List[TraceEvent], seed: Optional[int] = None,
                  status: str = "ok", steps: int = 0,
                  goroutine_names: Optional[Dict[int, str]] = None):
         self.events = events
@@ -86,8 +59,8 @@ class SyncTrace:
     def from_result(cls, result: Any) -> "SyncTrace":
         """Build from a live run (``keep_trace=True``)."""
         events = [
-            SyncEvent(e.step, e.time, e.gid, e.kind, e.obj,
-                      dict(e.info) if e.info else None)
+            TraceEvent(e.step, e.time, e.gid, e.kind, e.obj,
+                       dict(e.info) if e.info else None)
             for e in result.trace if e.kind in SYNC_EVENT_KINDS
         ]
         return cls(events, seed=result.seed, status=result.status,
@@ -101,9 +74,9 @@ class SyncTrace:
         if isinstance(doc, str):
             doc = json.loads(doc)
         events = [
-            SyncEvent(int(e["step"]), float(e["time"]), int(e["gid"]),
-                      str(e["kind"]), e.get("obj"),
-                      _restore_info(e.get("info")))
+            TraceEvent(int(e["step"]), float(e["time"]), int(e["gid"]),
+                       str(e["kind"]), e.get("obj"),
+                       _restore_info(e.get("info")))
             for e in doc["events"]
         ]
         return cls(events, seed=doc.get("seed"),
@@ -125,7 +98,7 @@ class SyncTrace:
     # Queries
     # ------------------------------------------------------------------
 
-    def of_kind(self, *kinds: str) -> List[SyncEvent]:
+    def of_kind(self, *kinds: str) -> List[TraceEvent]:
         wanted = set(kinds)
         return [e for e in self.events if e.kind in wanted]
 
@@ -144,7 +117,7 @@ class SyncTrace:
         (``time.sleep``) are excluded: a goroutine parked on the clock
         would progress, it is not leaked.
         """
-        last: Dict[int, SyncEvent] = {}
+        last: Dict[int, TraceEvent] = {}
         ended = set()
         for e in self.events:
             if e.gid > 0:

@@ -1,6 +1,6 @@
 """Predicted data races: conflicting accesses unordered by the weak HB.
 
-The live detector (Section 6.3's ``-race``) only flags a race when the
+The dynamic detector (Section 6.3's ``-race``) only flags a race when the
 recorded schedule brings two conflicting accesses close enough together
 (4 shadow words) and leaves them unordered.  The predictive version asks
 a weaker question of the *same single run*: could any feasible
@@ -17,7 +17,7 @@ Two accesses are reported when they
   exclusion permits either order but never overlap, so a common lock is
   the one relaxation the reordering cannot break).
 
-Unlike the live detector there is no shadow-word window: the whole
+Unlike the dynamic detector there is no shadow-word window: the whole
 access history participates, so races the paper's Table 12 blames on
 history eviction are still predicted.
 """

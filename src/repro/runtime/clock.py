@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
+from math import isfinite
 from operator import itemgetter
 from typing import Callable, List
 
@@ -70,12 +71,13 @@ class VirtualClock:
     def call_at(self, deadline: float, callback: Callback) -> TimerHandle:
         """Schedule ``callback`` to run when the clock reaches ``deadline``.
 
-        Deadlines in the past fire on the next scheduler idle point.  A NaN
-        deadline raises ``ValueError``: it compares false against every
-        time, so at the heap head it would stop the clock for good.
+        Deadlines in the past fire on the next scheduler idle point.  A
+        non-finite deadline raises ``ValueError``: a NaN compares false
+        against every time, so at the heap head it would stop the clock
+        for good, and an infinite one would jump the clock to ``inf``.
         """
-        if deadline != deadline:
-            raise ValueError("timer deadline is NaN")
+        if not isfinite(deadline):
+            raise ValueError(f"timer deadline is not finite: {deadline!r}")
         handle = TimerHandle((max(deadline, self.now), next(self._seq),
                               callback))
         heappush(self._heap, handle)

@@ -14,11 +14,11 @@ system's effective speed, the per-step path here is deliberately lean:
 * scheduling randomness comes from :class:`repro.runtime.fastrand.BatchedRandom`
   (bit-identical to ``random.Random``, a fraction of the call overhead);
 * trace events are only *recorded* when someone will see them — a kept
-  trace or a subscribed listener (``Trace.active``); a ``keep_trace=False``
-  run with no detectors pays one attribute check per would-be event.  The
-  kept log stores plain records, and a ``TraceEvent`` object is built only
-  for an event some listener subscribed to (or later, for a reader of
-  ``trace.events``);
+  trace, or a detector or observer that asked for the records
+  (``Trace.active``); a ``keep_trace=False`` run with no detectors pays
+  one attribute check per would-be event.  The kept log stores plain
+  records, read when the run finishes, and a ``TraceEvent`` object is
+  built only for a reader that asks for one;
 * traced, untraced and faulted runs alike take the compiled drive loop
   when it loads; a faulted run drives up to the step the injector names
   as its next due one (:meth:`repro.inject.injector.FaultInjector.next_due`)
@@ -369,10 +369,9 @@ class Scheduler:
         """Record a trace event attributed to the running goroutine.
 
         Fast path: when nobody consumes events (``keep_trace=False`` and no
-        subscribed detector/observer) nothing is recorded.  Otherwise the
-        fields go positionally to ``Trace.emit``, which appends them to the
-        kept log as one record and builds an event object only for the
-        listeners of its kind.
+        detector/observer asked for the records) nothing is recorded.
+        Otherwise the fields go positionally to ``Trace.emit``, which
+        appends them to the kept log as one record.
         """
         trace = self.trace
         if not trace.active:
@@ -805,10 +804,10 @@ class Scheduler:
 
         Runs after :meth:`kill_all` and after the observers' ``finish``.
         Goroutines drop their scheduler, body and vehicle handles; the
-        scheduler drops its runnable list, injector, pick log, trace
-        listeners and pending timers.  The run is then freed by reference
-        counting as soon as its :class:`RunResult` goes, instead of
-        surviving as cyclic garbage that every later collection re-scans.
+        scheduler drops its runnable list, injector, pick log and pending
+        timers.  The run is then freed by reference counting as soon as its
+        :class:`RunResult` goes, instead of surviving as cyclic garbage
+        that every later collection re-scans.
         A goroutine whose host is stuck keeps its edges: that host may
         still re-enter the runtime.
         """
@@ -820,7 +819,6 @@ class Scheduler:
         self._hub = None
         self.injector = None
         self.pick_log = None
-        self.trace.unsubscribe_all()
         self.clock.clear()
 
     def check_step_limit(self) -> None:

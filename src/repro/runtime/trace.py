@@ -6,26 +6,23 @@ single integration point between the runtime and the detectors
 into scheduler internals.
 
 The kept log is a list of plain records, ``(step, time, gid, kind, obj,
-info)`` tuples.  :class:`TraceEvent` objects are built only for the
-consumers that read them: once per emitted event that some listener wants
-(all of that event's listeners share the one object), and lazily, once, for
-post-hoc readers of :attr:`Trace.events`.  ``len()`` and ``kinds()`` read the
+info)`` tuples, and appending one is the trace's only write path.  Every
+consumer reads the records when the run finishes: a detector or observer
+calls :meth:`Trace.keep_records` in ``attach`` (so a ``keep_trace=False``
+run still records) and replays the records emitted since then in
+``finish``.  :class:`TraceEvent` objects are built only for readers that
+want them: lazily, once, for :attr:`Trace.events`, or one per replayed
+record by a detector's handler.  ``len()`` and ``kinds()`` read the
 records and build nothing.
-
-A listener may subscribe to a subset of event kinds.  The trace routes each
-event only to the listeners that asked for its kind (plus every listener
-that asked for all kinds), so a detector that reads a handful of kinds does
-not pay a call, or an event object, for each of the sleep, block and timer
-events that dominate long runs.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, islice
+from operator import itemgetter
 from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
                     Optional, Tuple)
 
-Listener = Callable[["TraceEvent"], None]
 #: One kept event: ``(step, time, gid, kind, obj, info)``.
 Record = Tuple[int, float, int, str, Optional[int], Dict[str, object]]
 
@@ -128,8 +125,8 @@ class TraceEvent:
         self.info = _NO_INFO if not info else info
 
     def __eq__(self, other: object) -> bool:
-        # A listener's event and a reader's event are separate objects
-        # built from the same record, so events compare by value.
+        # Two readers of one record (``Trace.events`` and a detector's
+        # replay) build separate objects, so events compare by value.
         if not isinstance(other, TraceEvent):
             return NotImplemented
         return (self.step == other.step and self.time == other.time
@@ -145,93 +142,41 @@ class TraceEvent:
 
 
 class Trace:
-    """An append-only event log with optional live listeners.
+    """An append-only event log, read when the run finishes.
 
     The log keeps plain records; :class:`TraceEvent` objects exist only
-    where something reads them (see the module docstring).  Listeners
-    (detectors) are invoked synchronously as events are emitted so they
-    observe the exact interleaving order.  Within one event, listeners run
-    in subscription order.
+    where something reads them (see the module docstring).
     """
 
     # Slotted: ``active`` is read at every event site, so a slot read
     # beats a dict lookup.
-    __slots__ = ("_records", "_events", "_routes", "_every", "_keep_events",
-                 "active")
+    __slots__ = ("_records", "_events", "active")
 
     def __init__(self, keep_events: bool = True):
         self._records: List[Record] = []
         #: Events built from ``_records`` so far, for post-hoc readers.
         self._events: List[TraceEvent] = []
-        #: Event kind -> the listeners that want it, for every kind some
-        #: listener named.
-        self._routes: Dict[str, Tuple[Listener, ...]] = {}
-        #: The listeners of every other kind: those subscribed to all.
-        self._every: Tuple[Listener, ...] = ()
-        self._keep_events = keep_events
-        #: True when emitting an event has any consumer (the kept log or a
-        #: listener).  The scheduler checks this before emitting, so an
+        #: True when events are kept: a ``keep_trace=True`` run, or one
+        #: some consumer asked for the records of.  Every event site (and
+        #: the compiled drive loop) checks this before emitting, so an
         #: unobserved ``keep_trace=False`` run skips the whole trace layer
         #: at the cost of one attribute read per event site.
         self.active = keep_events
-
-    def subscribe(self, listener: Listener,
-                  kinds: Optional[Collection[str]] = None) -> None:
-        """Register a callback for subsequent events.
-
-        With ``kinds`` the callback sees only events of those kinds, in
-        emission order; without it, every event.  Subscribing extends the
-        routing table in place: the listener joins the route of each kind
-        it names (a new route starts from the all-kinds listeners), or,
-        without ``kinds``, the all-kinds listeners and every existing
-        route.  Emitting an event then costs one dict lookup however many
-        listeners there are.
-        """
-        routes = self._routes
-        if kinds is None:
-            self._every += (listener,)
-            for kind in routes:
-                routes[kind] += (listener,)
-        else:
-            for kind in set(kinds):
-                routes[kind] = routes.get(kind, self._every) + (listener,)
-        self.active = True
 
     def keep_records(self) -> None:
         """Keep the event log from here on, even in a run whose result
         will not carry the trace (``keep_trace=False``): for consumers
         that read :meth:`records` when the run finishes."""
-        self._keep_events = True
         self.active = True
-
-    def unsubscribe_all(self) -> None:
-        """Drop every listener (end-of-run teardown); kept events stay.
-
-        A listener is usually a bound method of a detector that may hold
-        the runtime, which holds this trace: a reference cycle.
-        """
-        self._routes = {}
-        self._every = ()
-        self.active = self._keep_events
 
     def emit(self, step: int, time: float, gid: int, kind: str,
              obj: Optional[int] = None,
              info: Optional[Dict[str, object]] = None) -> None:
-        """Append one event record and route it to its listeners.
+        """Append one event record to the kept log, as a plain tuple.
 
-        The record goes to the kept log as a plain tuple.  A
-        :class:`TraceEvent` is built only when the event's kind has a
-        listener, and all of them receive that one object.
+        Callers check :attr:`active` first.
         """
-        if not info:
-            info = _NO_INFO
-        if self._keep_events:
-            self._records.append((step, time, gid, kind, obj, info))
-        listeners = self._routes.get(kind, self._every)
-        if listeners:
-            event = TraceEvent(step, time, gid, kind, obj, info)
-            for listener in listeners:
-                listener(event)
+        self._records.append((step, time, gid, kind, obj, info or _NO_INFO))
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -253,6 +198,17 @@ class Trace:
         digests and fingerprints): they need no event objects.
         """
         return self._records
+
+    def replay(self, start: int, kinds: Collection[str],
+               handler: Callable[[TraceEvent], None]) -> None:
+        """Call ``handler``, in order, with an event built from each kept
+        record from index ``start`` on whose kind is in ``kinds``."""
+        records = self._records[start:] if start else self._records
+        # The kind filter runs in C: most records are of kinds no
+        # detector reads (sleeps, blocks, timer fires).
+        for record in compress(records, map(kinds.__contains__,
+                                            map(itemgetter(3), records))):
+            handler(TraceEvent(*record))
 
     def __len__(self) -> int:
         return len(self._records)

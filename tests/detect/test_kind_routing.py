@@ -1,13 +1,13 @@
-"""Kind-routed detectors see the same run as unrouted ones.
+"""Detectors that replay only their kinds see the same run as full replays.
 
-``RaceDetector`` subscribes to the kinds of the strict edge table and
-``LockOrderDetector`` to its request and lock kinds, so the trace calls
-them only for those events.  Every other kind is one their handlers
-ignore, so the verdicts must equal those of the same detectors fed every
-event.  Each run here carries both forms at once: a routed and an
-unrouted copy of each detector see one and the same event stream.  A new
-edge-table row or lock kind that the subscription misses shows up as a
-difference in clocks, reports or edges.
+``RaceDetector`` replays the records of the strict edge table's kinds and
+``LockOrderDetector`` those of its request and lock kinds when the run
+finishes.  Every other kind is one their handlers ignore, so the verdicts
+must equal those of the same detectors fed every record.  Each run here
+carries both forms at once: a kind-filtered and a full-replay copy of
+each detector read one and the same recorded stream.  A new edge-table
+row or lock kind that the filter misses shows up as a difference in
+clocks, reports or edges.
 """
 
 import pytest
@@ -15,19 +15,23 @@ import pytest
 from repro import run
 from repro.bugs import registry
 from repro.detect import LockOrderDetector, RaceDetector
+from repro.runtime.trace import TraceEvent
 
 
-class _Unrouted:
-    """Attaches a detector's handler to every event kind."""
+class _EveryKind:
+    """Replays every record of the run to a detector's handler."""
 
     def __init__(self, detector):
         self.detector = detector
 
     def attach(self, rt):
-        rt.sched.trace.subscribe(self.detector.on_event)
+        self.trace = rt.sched.trace
+        self.trace.keep_records()
 
     def finish(self, result):
-        pass
+        for record in self.trace.records():
+            self.detector.on_event(TraceEvent(*record))
+        self.trace = None
 
 
 def _kernels():
@@ -37,12 +41,12 @@ def _kernels():
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("variant", ["buggy", "fixed"])
 @pytest.mark.parametrize("kernel", _kernels(), ids=lambda k: k.meta.kernel_id)
-def test_routed_detectors_match_unrouted(kernel, variant, seed):
+def test_kind_filtered_replay_matches_full_replay(kernel, variant, seed):
     race, lockorder = RaceDetector(), LockOrderDetector()
     race_all, lockorder_all = RaceDetector(), LockOrderDetector()
     run(getattr(kernel, variant), seed=seed, keep_trace=False,
-        observers=[race, lockorder, _Unrouted(race_all),
-                   _Unrouted(lockorder_all)],
+        observers=[race, lockorder, _EveryKind(race_all),
+                   _EveryKind(lockorder_all)],
         **kernel.run_kwargs)
     assert race.reports == race_all.reports
     assert race.final_clocks() == race_all.final_clocks()

@@ -150,47 +150,53 @@ def test_callback_cannot_cancel_a_timer_due_at_the_same_time():
     assert fired == [False, "second"]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("arm", [
-    lambda clock: clock.call_at(float("nan"), lambda: None),
-    lambda clock: clock.call_after(float("nan"), lambda: None),
+    lambda clock, value: clock.call_at(value, lambda: None),
+    lambda clock, value: clock.call_after(value, lambda: None),
 ])
-def test_nan_deadline_is_rejected(arm):
+def test_nan_deadline_is_rejected(arm, value):
     clock = VirtualClock()
     live = clock.call_after(1.0, lambda: None)
     with pytest.raises(ValueError):
-        arm(clock)
+        arm(clock, value)
     assert clock._heap == [live]
     assert len(clock.advance_to_next()) == 1
     assert clock.now == 1.0
 
 
-def _sleep_nan(rt):
+def _sleep_nan(rt, value):
     done = rt.make_chan()
 
     def sleeper():
         rt.sleep(1.0)
         done.send(True)
 
-    rt.go(rt.sleep, float("nan"))
+    rt.go(rt.sleep, value)
     rt.go(sleeper)
     return done.recv()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("pure", [False, True])
-def test_nan_sleep_does_not_wedge_the_clock(pure):
+def test_nan_sleep_does_not_wedge_the_clock(pure, value):
     """A NaN deadline at the heap head used to stop the clock: the run
-    ended as a deadlock at time 0 with a live 1 s timer pending."""
+    ended as a deadlock at time 0 with a live 1 s timer pending.  An
+    infinite one let the drain jump the clock to ``inf``: the run ended
+    ``ok`` with ``end_time=inf``."""
     if pure:
         with force_pure():
-            result = run(_sleep_nan, seed=0)
+            result = run(_sleep_nan, args=(value,), seed=0)
     else:
-        result = run(_sleep_nan, seed=0)
+        result = run(_sleep_nan, args=(value,), seed=0)
     assert result.status == "panic"
     assert isinstance(result.panic_value, ValueError)
 
 
 @pytest.mark.parametrize("program", [
     lambda rt: rt.after(float("nan")),
+    lambda rt: rt.after(float("inf")),
+    lambda rt: rt.sleep(float("inf")),
     lambda rt: Timer(rt, float("nan")),
     lambda rt: Ticker(rt, float("nan")),
     lambda rt: context.with_timeout(rt, context.background(rt), float("nan")),

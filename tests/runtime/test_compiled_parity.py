@@ -14,8 +14,8 @@ pin the only thing the extension may not change — the run itself:
   panicking program;
 * so do pick logs, record for record, traced or not, select markers
   included;
-* a kept trace, a subscribed listener or an injector with an empty plan
-  leaves the schedule unchanged;
+* a kept trace, attached race and lock-order detectors or an injector
+  with an empty plan leave the schedule unchanged;
 * faulted runs drive the compiled loop between the injector's due steps,
   and every mini-app under the default suite and both recovery clusters
   under both crash plans replay the pure loop's statuses, steps, fault
@@ -50,6 +50,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import run
 from tests.workloads import WORKLOADS
+from repro.detect import LockOrderDetector, RaceDetector
 from repro.inject import FaultPlan
 from repro.parallel import schedule_digest
 from repro.runtime._hotloop import force_pure, get_drive
@@ -224,8 +225,8 @@ def test_panic_event_log_compiled_vs_pure():
 
 @needs_drive_loop
 def test_traced_run_enters_the_compiled_loop():
-    """A kept trace plus a listener no longer selects the pure loop: the
-    run's drive calls return verdicts (None would mean 'ineligible')."""
+    """A kept trace no longer selects the pure loop: the run's drive
+    calls return verdicts (None would mean 'ineligible')."""
     verdicts = []
 
     class DriveCounter:
@@ -239,7 +240,6 @@ def test_traced_run_enters_the_compiled_loop():
                 return verdict
 
             sched._hot = counted
-            sched.trace.subscribe(lambda e: None)
 
     result = run(HEAVY_WORKLOADS["pingpong_heavy"], seed=1,
                  keep_trace=True, observers=[DriveCounter()])
@@ -300,7 +300,7 @@ def test_corpus_pick_log_compiled_vs_pure(kernel, variant):
 
 
 # ---------------------------------------------------------------------------
-# Inertness: kept traces, listeners and injectors leave the schedule alone
+# Inertness: kept traces, detectors and injectors leave the schedule alone
 # ---------------------------------------------------------------------------
 
 
@@ -314,20 +314,17 @@ def test_kept_trace_does_not_change_the_schedule(workload):
 
 
 @pytest.mark.parametrize("workload", sorted(HEAVY_WORKLOADS))
-def test_subscribed_listener_does_not_change_the_schedule(workload):
-    """keep_trace=False but a live listener: the observed run must still
-    match the unobserved run."""
-    seen = []
-
-    class Listener:
-        def attach(self, rt):
-            rt.sched.trace.subscribe(seen.append)
-
+def test_attached_detectors_do_not_change_the_schedule(workload):
+    """keep_trace=False but race and lock-order detectors attached, which
+    keep the run's records: the observed run must still match the
+    unobserved run."""
+    race, lockorder = RaceDetector(), LockOrderDetector()
     program = HEAVY_WORKLOADS[workload]
-    hooked = run(program, seed=1, keep_trace=False, observers=[Listener()])
-    assert seen, "listener saw no events"
+    detected = run(program, seed=1, keep_trace=False,
+                   observers=[race, lockorder])
+    assert race.final_clocks(), "race detector replayed no events"
     plain = run(program, seed=1, keep_trace=False)
-    assert _signature(hooked) == _signature(plain)
+    assert _signature(detected) == _signature(plain)
 
 
 @pytest.mark.parametrize("workload", sorted(HEAVY_WORKLOADS))

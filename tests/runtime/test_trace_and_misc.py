@@ -5,7 +5,6 @@ import pytest
 from repro import EventKind, GoPanic, run
 from repro.runtime.errors import SchedulerStateError
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.trace import Trace, TraceEvent
 
 
 def test_trace_records_ordered_steps():
@@ -55,84 +54,6 @@ def test_send_events_carry_sequence_and_sync_info():
 def test_keep_trace_false_skips_recording():
     result = run(lambda rt: rt.make_chan(1).send(1), keep_trace=False)
     assert result.trace is None
-
-
-def test_trace_listener_sees_live_events():
-    seen = []
-    trace = Trace()
-    trace.subscribe(seen.append)
-    event = TraceEvent(step=1, time=0.0, gid=1, kind="x")
-    _emit(trace, event)
-    assert seen == [event]
-
-
-def _events(*kinds):
-    return [TraceEvent(i, 0.0, 1, kind) for i, kind in enumerate(kinds)]
-
-
-def _emit(trace, event):
-    """Emit ``event``'s fields; listeners and readers get equal copies."""
-    trace.emit(event.step, event.time, event.gid, event.kind, event.obj,
-               event.info)
-
-
-def test_kind_listener_receives_only_its_kinds_in_order():
-    events = _events("a", "b", "c", "a", "d", "b")
-    seen = []
-    trace = Trace()
-    trace.subscribe(seen.append, kinds=("a", "b"))
-    for event in events:
-        _emit(trace, event)
-    assert seen == [e for e in events if e.kind in ("a", "b")]
-    assert trace.events == events
-
-
-def test_listener_without_kinds_receives_every_event():
-    events = _events("a", "b", "c", "z")
-    seen = []
-    trace = Trace(keep_events=False)
-    trace.subscribe(lambda e: None, kinds=("a",))
-    trace.subscribe(seen.append)
-    for event in events:
-        _emit(trace, event)
-    assert seen == events
-    assert trace.events == []
-
-
-def test_mixed_listeners_run_in_subscription_order_per_event():
-    calls = []
-    trace = Trace()
-    trace.subscribe(lambda e: calls.append(("all-1", e.kind)))
-    trace.subscribe(lambda e: calls.append(("a", e.kind)), kinds={"a"})
-    trace.subscribe(lambda e: calls.append(("all-2", e.kind)))
-    trace.subscribe(lambda e: calls.append(("ab", e.kind)), kinds=["a", "b"])
-    for event in _events("a", "b", "c"):
-        _emit(trace, event)
-    assert calls == [
-        ("all-1", "a"), ("a", "a"), ("all-2", "a"), ("ab", "a"),
-        ("all-1", "b"), ("all-2", "b"), ("ab", "b"),
-        ("all-1", "c"), ("all-2", "c"),
-    ]
-
-
-def test_trace_active_and_unsubscribe_all():
-    kept = Trace()
-    assert kept.active
-    bare = Trace(keep_events=False)
-    assert not bare.active
-    seen = []
-    bare.subscribe(seen.append, kinds=("a",))
-    assert bare.active
-    bare.unsubscribe_all()
-    assert not bare.active
-    bare.emit(1, 0.0, 1, "a")
-    assert seen == [] and bare.events == []
-    kept.subscribe(seen.append)
-    kept.emit(1, 0.0, 1, "a")
-    kept.unsubscribe_all()
-    assert kept.active
-    kept.emit(2, 0.0, 1, "a")
-    assert len(seen) == 1 and len(kept) == 2
 
 
 def test_scheduler_current_outside_run_raises():
