@@ -59,9 +59,10 @@ class SyncTrace:
     def from_result(cls, result: Any) -> "SyncTrace":
         """Build from a live run (``keep_trace=True``)."""
         events = [
-            TraceEvent(e.step, e.time, e.gid, e.kind, e.obj,
-                       dict(e.info) if e.info else None)
-            for e in result.trace if e.kind in SYNC_EVENT_KINDS
+            TraceEvent(step, time, gid, kind, obj,
+                       dict(info) if info else None)
+            for step, time, gid, kind, obj, info in result.trace.records()
+            if kind in SYNC_EVENT_KINDS
         ]
         return cls(events, seed=result.seed, status=result.status,
                    steps=result.steps,

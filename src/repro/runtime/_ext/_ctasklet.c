@@ -32,11 +32,21 @@
  * and finally swaps %rsp.  All switches stay on one OS thread holding the
  * GIL throughout, so no locking is involved anywhere.
  *
- * A continuation that runs to completion pops all its Python frames, which
- * frees its datastack chunks; its C stack is recycled through a small
- * free list.  A continuation abandoned while suspended (user code swallowed
- * the Killed signal -- the "stuck host" case) leaks its stack by design,
- * mirroring the abandoned-OS-thread behaviour of the thread backend.
+ * Memory a continuation leaves behind
+ * -----------------------------------
+ * A continuation that runs to completion has popped all its Python frames,
+ * but CPython never frees a thread's *root* datastack chunk: the 16 KiB
+ * chunk the first frame push allocated.  So before its dying switch a
+ * finished continuation parks that root chunk on a small free list (any
+ * other chunk left on its chain is freed through the arena allocator), and
+ * the next fresh continuation starts on the parked chunk instead of
+ * allocating one.  Its C stack goes back to a second free list when the
+ * Tasklet object is released.  Both lists are per OS thread and hold at
+ * most TK_FREELIST_MAX entries.  A continuation abandoned while
+ * suspended (user code swallowed the Killed signal -- the "stuck host"
+ * case) still owns live frames on both, so it keeps its stack and its
+ * chunks by design, mirroring the abandoned-OS-thread behaviour of the
+ * thread backend.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -45,6 +55,15 @@
 #include <stdint.h>
 #include <string.h>
 #include <sys/mman.h>
+
+/* AddressSanitizer builds (CI's ASan leg) must be told about the stack
+ * switches: which stack is about to run, and that a released stack's
+ * redzone poison is stale. */
+#if defined(__SANITIZE_ADDRESS__)
+#define TK_ASAN 1
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 #if !defined(__x86_64__) || !defined(__linux__)
 #error "_ctasklet only supports x86-64 Linux"
@@ -130,6 +149,12 @@ typedef struct TaskletObject {
     PyObject *pend_value;
 
     int state;
+#ifdef TK_ASAN
+    /* The usable C stack, for the sanitizer's fiber switch; main's is
+     * learned the first time control leaves it. */
+    const void *stack_bottom;
+    size_t stack_size;
+#endif
 } TaskletObject;
 
 static PyTypeObject Tasklet_Type;
@@ -153,6 +178,13 @@ static size_t tk_stack_size = 512 * 1024;
 #define TK_FREELIST_MAX 64
 static __thread void *tk_freelist[TK_FREELIST_MAX];
 static __thread int tk_freelist_len = 0;
+
+/* Recycled root datastack chunks, CPython's default chunk size (its
+ * DATA_STACK_CHUNK_SIZE).  A root chunk that a huge first frame made
+ * bigger is freed instead. */
+#define TK_CHUNK_SIZE (16 * 1024)
+static __thread _PyStackChunk *tk_chunk_freelist[TK_FREELIST_MAX];
+static __thread int tk_chunk_freelist_len = 0;
 
 /* ------------------------------------------------------------------ */
 /* PyThreadState slice save/restore                                    */
@@ -189,19 +221,57 @@ tk_restore_py_state(TaskletObject *t, PyThreadState *ts)
 static void
 tk_fresh_py_state(PyThreadState *ts)
 {
-    /* What a brand-new logical coroutine starts from: the root cframe, no
-     * datastack chunks yet (CPython allocates on first frame push), an
-     * empty except stack, and the recursion allowance it inherits. */
+    /* What a brand-new logical coroutine starts from: the root cframe, a
+     * parked root chunk if there is one (else none: CPython allocates on
+     * first frame push), an empty except stack, and the recursion
+     * allowance it inherits. */
     ts->cframe = &ts->root_cframe;
-    ts->datastack_chunk = NULL;
-    ts->datastack_top = NULL;
-    ts->datastack_limit = NULL;
+    if (tk_chunk_freelist_len > 0) {
+        /* Installed the way CPython's push_chunk installs a root: frames
+         * start at data[1], so _PyThreadState_PopFrame never frees it. */
+        _PyStackChunk *chunk = tk_chunk_freelist[--tk_chunk_freelist_len];
+        chunk->previous = NULL;
+        chunk->top = 0;
+        ts->datastack_chunk = chunk;
+        ts->datastack_top = &chunk->data[1];
+        ts->datastack_limit = (PyObject **)((char *)chunk + chunk->size);
+    }
+    else {
+        ts->datastack_chunk = NULL;
+        ts->datastack_top = NULL;
+        ts->datastack_limit = NULL;
+    }
     ts->exc_state.exc_value = NULL;
     ts->exc_state.previous_item = NULL;
     ts->exc_info = &ts->exc_state;
     ts->trash_delete_nesting = 0;
     ts->trash_delete_later = NULL;
     /* recursion_remaining: inherited (left untouched). */
+}
+
+/* Hand a finished continuation's datastack chunks on: park the root chunk
+ * for the next fresh continuation, free the rest the way CPython's
+ * _PyObject_VirtualFree does.  Its frames are all popped by now. */
+static void
+tk_retire_datastack(PyThreadState *ts)
+{
+    _PyStackChunk *chunk = ts->datastack_chunk;
+    while (chunk != NULL) {
+        _PyStackChunk *previous = chunk->previous;
+        if (previous == NULL && chunk->size == TK_CHUNK_SIZE
+                && tk_chunk_freelist_len < TK_FREELIST_MAX) {
+            tk_chunk_freelist[tk_chunk_freelist_len++] = chunk;
+        }
+        else {
+            PyObjectArenaAllocator arena;
+            PyObject_GetArenaAllocator(&arena);
+            arena.free(arena.ctx, chunk, chunk->size);
+        }
+        chunk = previous;
+    }
+    ts->datastack_chunk = NULL;
+    ts->datastack_top = NULL;
+    ts->datastack_limit = NULL;
 }
 
 /* ------------------------------------------------------------------ */
@@ -234,6 +304,13 @@ tk_release_stack(void *base, size_t map_size)
 {
     if (base == NULL)
         return;
+#ifdef TK_ASAN
+    /* A continuation that never returned left redzone poison on its
+     * frames; the stack's next user (or the next mapping there) must not
+     * inherit it. */
+    __asan_unpoison_memory_region((char *)base + TK_GUARD_SIZE,
+                                  map_size - TK_GUARD_SIZE);
+#endif
     if (tk_freelist_len < TK_FREELIST_MAX && map_size == tk_stack_size + TK_GUARD_SIZE) {
         tk_freelist[tk_freelist_len++] = base;
         return;
@@ -299,6 +376,23 @@ tk_arrived(void)
     return 0;
 }
 
+#ifdef TK_ASAN
+/* The sanitizer's half of a switch on the arriving side: restore this
+ * stack's fake frames and learn the bounds of the stack just left, which
+ * is how main's become known. */
+static void
+tk_finish_switch(void *fake_stack)
+{
+    const void *bottom;
+    size_t size;
+    __sanitizer_finish_switch_fiber(fake_stack, &bottom, &size);
+    if (tk_handover != NULL && tk_handover->stack_mem == NULL) {
+        tk_handover->stack_bottom = bottom;
+        tk_handover->stack_size = size;
+    }
+}
+#endif
+
 /* Switch from ``cur`` (the running continuation) to ``target``.
  * Returns -1 with an exception set when, on resumption, a thrown exception
  * is pending for ``cur``.  ``dying`` marks the terminal switch out of a
@@ -307,6 +401,9 @@ static int
 tk_transfer(TaskletObject *cur, TaskletObject *target, int dying)
 {
     PyThreadState *ts = cur->tstate;
+#ifdef TK_ASAN
+    void *fake_stack = NULL;
+#endif
 
     if (!dying)
         tk_save_py_state(cur, ts);
@@ -316,6 +413,11 @@ tk_transfer(TaskletObject *cur, TaskletObject *target, int dying)
     tk_current = target;
     tk_handover = cur;
 
+#ifdef TK_ASAN
+    /* A dying continuation passes NULL: its fake frames die with it. */
+    __sanitizer_start_switch_fiber(dying ? NULL : &fake_stack,
+                                   target->stack_bottom, target->stack_size);
+#endif
     if (target->state == TK_NEW) {
         int recursion = ts->recursion_remaining;
         tk_fresh_py_state(ts);
@@ -330,6 +432,9 @@ tk_transfer(TaskletObject *cur, TaskletObject *target, int dying)
     }
     /* Someone switched back into ``cur``: its PyThreadState slice was
      * restored by that switcher; finish the protocol on this side. */
+#ifdef TK_ASAN
+    tk_finish_switch(fake_stack);
+#endif
     return tk_arrived();
 }
 
@@ -338,6 +443,9 @@ tk_entry(void)
 {
     TaskletObject *self = tk_boot;
     tk_boot = NULL;
+#ifdef TK_ASAN
+    tk_finish_switch(NULL);
+#endif
     if (tk_arrived() < 0) {
         /* A throw was delivered before the target ever ran; the Python
          * layer treats this as killed-before-start.  Nothing to unwind. */
@@ -358,6 +466,9 @@ tk_entry(void)
     Py_CLEAR(self->pend_type);
     Py_CLEAR(self->pend_value);
     self->state = TK_DEAD;
+    /* After the clears above: a __del__ they run pushes its frames on this
+     * continuation's chunks. */
+    tk_retire_datastack(self->tstate);
 
     TaskletObject *parent = self->parent;
     while (parent != NULL && parent->state == TK_DEAD)
@@ -388,6 +499,10 @@ tk_new_object(void)
     t->pend_value = NULL;
     t->state = TK_NEW;
     memset(&t->exc_state, 0, sizeof(t->exc_state));
+#ifdef TK_ASAN
+    t->stack_bottom = NULL;
+    t->stack_size = 0;
+#endif
     return t;
 }
 
@@ -437,6 +552,10 @@ tasklet_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         Py_DECREF(t);
         return NULL;
     }
+#ifdef TK_ASAN
+    t->stack_bottom = (char *)t->stack_mem + TK_GUARD_SIZE;
+    t->stack_size = t->stack_map_size - TK_GUARD_SIZE;
+#endif
     Py_INCREF(target);
     t->target = target;
     Py_INCREF(parent);

@@ -20,9 +20,10 @@ from repro import run
 from repro.bugs import registry
 from repro.detect import LockOrderDetector, RaceDetector
 from repro.detect.lockorder import request_edges
-from repro.observe import sync_events_json
+from repro.observe import SYNC_EVENT_KINDS, sync_events_json
 from repro.predict import (HBEngine, SyncTrace, predict_races, strict_stamps,
                            weak_stamps)
+from repro.runtime.trace import TraceEvent
 from tests.detect.test_lockorder import PROGRAMS as LOCK_PROGRAMS
 
 KERNELS = [k.meta.kernel_id for k in registry.all_kernels()]
@@ -109,3 +110,37 @@ def test_from_json_equals_from_result():
     assert parsed.seed == result.seed
     assert parsed.status == result.status
     assert parsed.goroutine_names == direct.goroutine_names
+
+
+def _sync_events_from_event_view(result):
+    """The sync events as read through the trace's cached event objects."""
+    return [TraceEvent(e.step, e.time, e.gid, e.kind, e.obj,
+                       dict(e.info) if e.info else None)
+            for e in result.trace if e.kind in SYNC_EVENT_KINDS]
+
+
+@pytest.mark.parametrize("kernel_id", KERNELS)
+def test_from_result_matches_the_event_view(kernel_id):
+    kernel = registry.get(kernel_id)
+    for program in (kernel.buggy, kernel.fixed):
+        result = run(program, seed=0, **dict(kernel.run_kwargs))
+        events = SyncTrace.from_result(result).events
+        assert events == _sync_events_from_event_view(result), kernel_id
+
+
+def test_from_result_builds_one_event_per_sync_record(monkeypatch):
+    kernel = registry.get("blocking-mutex-kubernetes-abba")
+    result = run(kernel.buggy, seed=0, **dict(kernel.run_kwargs))
+    sync = [r for r in result.trace.records() if r[3] in SYNC_EVENT_KINDS]
+    assert 0 < len(sync) < len(result.trace)
+    built = []
+    init = TraceEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[3] if len(args) > 3 else kwargs["kind"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceEvent, "__init__", counting_init)
+    trace = SyncTrace.from_result(result)
+    assert built == [r[3] for r in sync]
+    assert len(trace.events) == len(sync)

@@ -14,6 +14,10 @@ from repro import run
 from repro.parallel import schedule_digest
 from repro.runtime import scheduler as scheduler_mod
 from repro.runtime.scheduler import BACKENDS, backend_fallbacks, resolve_backend
+from tests.memprobe import has_proc_status, sanitized, ten_senders, vm_growth
+from tests.runtime.test_compiled_parity import HEAVY_WORKLOADS
+
+MODULE = "tests.runtime.test_backends"
 
 
 def _program(rt):
@@ -108,3 +112,35 @@ def test_backends_tuple_names_every_vehicle():
     # The concrete vehicle name is reported, never accepted.
     with pytest.raises(ValueError, match="unknown goroutine backend"):
         resolve_backend("tasklet")
+
+
+@pytest.mark.parametrize("workload", sorted(HEAVY_WORKLOADS))
+def test_heavy_workload_schedules_match_across_vehicles(workload):
+    program = HEAVY_WORKLOADS[workload]
+    digests = {b: schedule_digest(run(program, seed=4, backend=b))
+               for b in BACKENDS}
+    assert digests["coroutine"] == digests["thread"]
+
+
+def ten_goroutines_tasklet(seed):
+    run(ten_senders, seed=seed, backend="coroutine")
+
+
+def ten_goroutines_thread(seed):
+    run(ten_senders, seed=seed, backend="thread")
+
+
+@pytest.mark.skipif(
+    resolve_backend("coroutine") != "tasklet" or not has_proc_status()
+    or sanitized(),
+    reason="the tasklet vehicle (_ctasklet) or /proc is unavailable here, "
+           "or a sanitizer's allocator holds freed memory resident")
+def test_tasklet_runs_hold_no_more_memory_than_thread_runs():
+    """A goroutine's continuation gives its stack and frame memory back
+    when it ends, as an OS thread does: over the same runs, the tasklet
+    vehicle grows the process's resident set no more than threads do."""
+    runs = 400
+    growth = {vehicle: vm_growth(f"{MODULE}:ten_goroutines_{vehicle}",
+                                 runs, warmup=100)["VmRSS"]
+              for vehicle in ("tasklet", "thread")}
+    assert growth["tasklet"] <= growth["thread"] + 256 * runs, growth
