@@ -42,7 +42,11 @@
  * the next fresh continuation starts on the parked chunk instead of
  * allocating one.  Its C stack goes back to a second free list when the
  * Tasklet object is released.  Both lists are per OS thread and hold at
- * most TK_FREELIST_MAX entries.  A continuation abandoned while
+ * most TK_FREELIST_MAX entries; when the thread exits, a pthread key
+ * destructor unmaps the parked stacks and frees the parked chunks (see
+ * tk_thread_exit).  The thread's main tasklet object stays: it is a
+ * Python object, and the exiting thread no longer holds the GIL to
+ * release it.  A continuation abandoned while
  * suspended (user code swallowed the Killed signal -- the "stuck host"
  * case) still owns live frames on both, so it keeps its stack and its
  * chunks by design, mirroring the abandoned-OS-thread behaviour of the
@@ -52,6 +56,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <pthread.h>
 #include <stdint.h>
 #include <string.h>
 #include <sys/mman.h>
@@ -177,6 +182,7 @@ static size_t tk_stack_size = 512 * 1024;
  * mmap/munmap path. */
 #define TK_FREELIST_MAX 64
 static __thread void *tk_freelist[TK_FREELIST_MAX];
+static __thread size_t tk_freelist_size[TK_FREELIST_MAX];  /* map sizes */
 static __thread int tk_freelist_len = 0;
 
 /* Recycled root datastack chunks, CPython's default chunk size (its
@@ -185,6 +191,56 @@ static __thread int tk_freelist_len = 0;
 #define TK_CHUNK_SIZE (16 * 1024)
 static __thread _PyStackChunk *tk_chunk_freelist[TK_FREELIST_MAX];
 static __thread int tk_chunk_freelist_len = 0;
+
+/* Frees a chunk the way CPython's _PyObject_VirtualFree does. */
+static void
+tk_free_chunk(_PyStackChunk *chunk)
+{
+    PyObjectArenaAllocator arena;
+    PyObject_GetArenaAllocator(&arena);
+    arena.free(arena.ctx, chunk, chunk->size);
+}
+
+/* Thread exit: both free lists are thread locals, so an OS thread that
+ * drove tasklet runs and then ends would leak whatever it parked.  The
+ * key's destructor runs in the exiting thread, after its Python thread
+ * state is gone; unmapping a stack and the default arena allocator's
+ * free (an munmap) need no GIL. */
+static pthread_key_t tk_exit_key;
+static pthread_once_t tk_exit_once = PTHREAD_ONCE_INIT;
+static int tk_exit_key_made = 0;
+static __thread int tk_exit_armed = 0;
+
+static void
+tk_thread_exit(void *unused)
+{
+    (void)unused;
+    while (tk_freelist_len > 0) {
+        tk_freelist_len--;
+        munmap(tk_freelist[tk_freelist_len], tk_freelist_size[tk_freelist_len]);
+    }
+    while (tk_chunk_freelist_len > 0)
+        tk_free_chunk(tk_chunk_freelist[--tk_chunk_freelist_len]);
+    tk_exit_armed = 0;
+}
+
+static void
+tk_make_exit_key(void)
+{
+    tk_exit_key_made = pthread_key_create(&tk_exit_key, tk_thread_exit) == 0;
+}
+
+/* Called before parking anything: makes sure this thread's exit runs
+ * tk_thread_exit (a key's destructor runs only for a non-NULL value). */
+static void
+tk_arm_thread_exit(void)
+{
+    if (tk_exit_armed)
+        return;
+    pthread_once(&tk_exit_once, tk_make_exit_key);
+    if (tk_exit_key_made && pthread_setspecific(tk_exit_key, &tk_exit_armed) == 0)
+        tk_exit_armed = 1;
+}
 
 /* ------------------------------------------------------------------ */
 /* PyThreadState slice save/restore                                    */
@@ -260,12 +316,11 @@ tk_retire_datastack(PyThreadState *ts)
         _PyStackChunk *previous = chunk->previous;
         if (previous == NULL && chunk->size == TK_CHUNK_SIZE
                 && tk_chunk_freelist_len < TK_FREELIST_MAX) {
+            tk_arm_thread_exit();
             tk_chunk_freelist[tk_chunk_freelist_len++] = chunk;
         }
         else {
-            PyObjectArenaAllocator arena;
-            PyObject_GetArenaAllocator(&arena);
-            arena.free(arena.ctx, chunk, chunk->size);
+            tk_free_chunk(chunk);
         }
         chunk = previous;
     }
@@ -284,8 +339,9 @@ tk_alloc_stack(size_t *map_size_out)
     size_t map_size = tk_stack_size + TK_GUARD_SIZE;
     void *base;
     if (tk_freelist_len > 0) {
-        base = tk_freelist[--tk_freelist_len];
-        *map_size_out = map_size;
+        tk_freelist_len--;
+        base = tk_freelist[tk_freelist_len];
+        *map_size_out = tk_freelist_size[tk_freelist_len];
         return base;
     }
     base = mmap(NULL, map_size, PROT_READ | PROT_WRITE,
@@ -312,7 +368,9 @@ tk_release_stack(void *base, size_t map_size)
                                   map_size - TK_GUARD_SIZE);
 #endif
     if (tk_freelist_len < TK_FREELIST_MAX && map_size == tk_stack_size + TK_GUARD_SIZE) {
-        tk_freelist[tk_freelist_len++] = base;
+        tk_arm_thread_exit();
+        tk_freelist[tk_freelist_len] = base;
+        tk_freelist_size[tk_freelist_len++] = map_size;
         return;
     }
     munmap(base, map_size);

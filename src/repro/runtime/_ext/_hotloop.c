@@ -23,10 +23,14 @@
  *     the C RNG above; anything else returns None and the pure loop
  *     takes over.  When no goroutine is runnable the loop fires the
  *     due timers itself (see fire_due_timers) and returns ``"idle"`` only
- *     once no live timer is left.  A run with a fault injector keeps the
- *     old idle exit, and enters between the injector's due steps: the
- *     scheduler clamps ``_budget`` so the loop returns at the next one, and
- *     the pure loop pulses there.
+ *     once no live timer is left.  A sleeper's timer holds the goroutine,
+ *     which the loop readies with no Python call, writing the trace
+ *     records Scheduler.ready would; every other callback goes to
+ *     ``Scheduler.fire_timers``.  A fire that leaves nothing runnable
+ *     counts one against the step budget, as in the pure loop.  A run
+ *     with a fault injector keeps the old idle exit, and enters between
+ *     the injector's due steps: the scheduler clamps ``_budget`` so the
+ *     loop returns at the next one, and the pure loop pulses there.
  *
  * Goroutine fields are reached through slot offsets cached from the class
  * ``__slots__`` member descriptors at bind() time — an attribute read is a
@@ -34,7 +38,9 @@
  * its counters in C locals and writes them back on every exit path and
  * before timer callbacks run, while ``_current`` (which primitives running
  * *inside* a switched-to goroutine read) is kept accurate step by step,
- * and so is ``_steps`` in a traced run (its events stamp it).
+ * and so is ``_steps`` in a traced run (its events stamp it).  The
+ * trace's ``_records`` and ``active`` are slots of Trace too, reached the
+ * same way.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -364,11 +370,22 @@ static int hl_bound = 0;
 
 static PyTypeObject *tk_go_type = NULL;     /* TaskletGoroutine */
 static Py_ssize_t off_state = -1;           /* Goroutine.state */
+static Py_ssize_t off_gid = -1;             /* Goroutine.gid */
 static Py_ssize_t off_tk = -1;              /* TaskletGoroutine._tk */
 static PyObject *switch_meth = NULL;        /* unbound Tasklet.switch */
 
-static PyObject *st_running = NULL, *st_runnable = NULL, *st_done = NULL,
-                *st_panicked = NULL, *st_killed = NULL, *terminal_set = NULL;
+static PyObject *st_running = NULL, *st_runnable = NULL, *st_blocked = NULL,
+                *st_done = NULL, *st_panicked = NULL, *st_killed = NULL,
+                *terminal_set = NULL;
+
+/* The trace a sleeper's wake writes to: Trace's slots, the two event
+ * kinds and the shared empty info mapping, all from the runtime's own
+ * classes. */
+static PyTypeObject *trace_type = NULL;     /* Trace */
+static Py_ssize_t off_records = -1;         /* Trace._records */
+static Py_ssize_t off_active = -1;          /* Trace.active */
+static PyObject *ev_timer_fire = NULL, *ev_go_unblock = NULL,
+                *no_info = NULL, *int_zero = NULL;
 
 static PyObject *s_runnable_attr = NULL, *s_rng = NULL, *s_stop_mode = NULL,
                 *s_panicked_attr = NULL, *s_budget = NULL, *s_budget_used = NULL,
@@ -402,34 +419,50 @@ member_offset(PyObject *cls, const char *name, Py_ssize_t *out)
 static PyObject *
 hl_bind(PyObject *module, PyObject *args)
 {
-    PyObject *goro_cls, *tk_goro_cls, *gstate_cls, *tasklet_cls;
-    if (!PyArg_ParseTuple(args, "OOOO",
-                          &goro_cls, &tk_goro_cls, &gstate_cls, &tasklet_cls))
+    PyObject *goro_cls, *tk_goro_cls, *gstate_cls, *tasklet_cls,
+             *trace_cls, *kind_cls, *empty_info;
+    if (!PyArg_ParseTuple(args, "OOOOOOO", &goro_cls, &tk_goro_cls,
+                          &gstate_cls, &tasklet_cls, &trace_cls, &kind_cls,
+                          &empty_info))
         return NULL;
     if (member_offset(goro_cls, "state", &off_state) < 0)
         return NULL;
+    if (member_offset(goro_cls, "gid", &off_gid) < 0)
+        return NULL;
     if (member_offset(tk_goro_cls, "_tk", &off_tk) < 0)
         return NULL;
-    if (!PyType_Check(tk_goro_cls)) {
-        PyErr_SetString(PyExc_TypeError, "expected TaskletGoroutine class");
+    if (member_offset(trace_cls, "_records", &off_records) < 0)
+        return NULL;
+    if (member_offset(trace_cls, "active", &off_active) < 0)
+        return NULL;
+    if (!PyType_Check(tk_goro_cls) || !PyType_Check(trace_cls)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "expected the TaskletGoroutine and Trace classes");
         return NULL;
     }
     Py_INCREF(tk_goro_cls);
     Py_XSETREF(tk_go_type, (PyTypeObject *)tk_goro_cls);
+    Py_INCREF(trace_cls);
+    Py_XSETREF(trace_type, (PyTypeObject *)trace_cls);
+    Py_INCREF(empty_info);
+    Py_XSETREF(no_info, empty_info);
 
-#define FETCH(dst, name)                                            \
+#define FETCH(dst, cls, name)                                       \
     do {                                                            \
-        PyObject *v = PyObject_GetAttrString(gstate_cls, name);     \
+        PyObject *v = PyObject_GetAttrString(cls, name);            \
         if (v == NULL)                                              \
             return NULL;                                            \
         Py_XSETREF(dst, v);                                         \
     } while (0)
-    FETCH(st_running, "RUNNING");
-    FETCH(st_runnable, "RUNNABLE");
-    FETCH(st_done, "DONE");
-    FETCH(st_panicked, "PANICKED");
-    FETCH(st_killed, "KILLED");
-    FETCH(terminal_set, "TERMINAL");
+    FETCH(st_running, gstate_cls, "RUNNING");
+    FETCH(st_runnable, gstate_cls, "RUNNABLE");
+    FETCH(st_blocked, gstate_cls, "BLOCKED");
+    FETCH(st_done, gstate_cls, "DONE");
+    FETCH(st_panicked, gstate_cls, "PANICKED");
+    FETCH(st_killed, gstate_cls, "KILLED");
+    FETCH(terminal_set, gstate_cls, "TERMINAL");
+    FETCH(ev_timer_fire, kind_cls, "TIMER_FIRE");
+    FETCH(ev_go_unblock, kind_cls, "GO_UNBLOCK");
 #undef FETCH
 
     if (tasklet_cls != Py_None) {
@@ -524,17 +557,115 @@ check_timer(PyObject *entry)
     return -1;
 }
 
+/* Append one scheduler-context record, ``(steps, now, 0, kind, obj,
+ * _NO_INFO)``, to the trace's kept log: what Scheduler.emit appends for
+ * ``timer.fire`` and ``go.unblock`` with no goroutine current. */
+static int
+append_record(PyObject *records, PyObject *steps, PyObject *now,
+              PyObject *kind, PyObject *obj)
+{
+    PyObject *rec = PyTuple_New(6);
+    if (rec == NULL)
+        return -1;
+    Py_INCREF(steps);
+    PyTuple_SET_ITEM(rec, 0, steps);
+    Py_INCREF(now);
+    PyTuple_SET_ITEM(rec, 1, now);
+    Py_INCREF(int_zero);
+    PyTuple_SET_ITEM(rec, 2, int_zero);
+    Py_INCREF(kind);
+    PyTuple_SET_ITEM(rec, 3, kind);
+    Py_INCREF(obj);
+    PyTuple_SET_ITEM(rec, 4, obj);
+    Py_INCREF(no_info);
+    PyTuple_SET_ITEM(rec, 5, no_info);
+    int rc = PyList_Append(records, rec);
+    Py_DECREF(rec);
+    return rc;
+}
+
+/* A sleeper's wake entry (Runtime.sleep, Runtime.external_wait): what
+ * Scheduler.fire_timers does for a goroutine entry, with no Python call.
+ * The ``timer.fire`` record, then Scheduler.ready: only a BLOCKED
+ * goroutine becomes RUNNABLE, joins ``_runnable`` and gets a
+ * ``go.unblock`` record (an earlier callback of the batch, or an
+ * injected wakeup, may have readied it already). */
+static int
+wake_sleeper(PyObject *g, PyObject *runnable, PyObject *trace,
+             PyObject *steps, PyObject *now)
+{
+    /* The kept log while the trace records (Trace.active), else NULL. */
+    PyObject *flag = slot_get(trace, off_active);
+    int active = flag == NULL ? -1 : PyObject_IsTrue(flag);
+    PyObject *records = active > 0 ? slot_get(trace, off_records) : NULL;
+    if (active < 0 || (active && (records == NULL || !PyList_Check(records)))) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "trace is not recordable");
+        return -1;
+    }
+    if (records != NULL &&
+        append_record(records, steps, now, ev_timer_fire, Py_None) < 0)
+        return -1;
+    PyObject *st = slot_get(g, off_state);
+    int blocked = st == NULL ? 0
+                             : PyObject_RichCompareBool(st, st_blocked, Py_EQ);
+    if (blocked <= 0)
+        return blocked;
+    slot_set(g, off_state, st_runnable);
+    if (PyList_Append(runnable, g) < 0)
+        return -1;
+    if (records == NULL)
+        return 0;
+    PyObject *gid = slot_get(g, off_gid);
+    if (gid == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "goroutine has no gid");
+        return -1;
+    }
+    return append_record(records, steps, now, ev_go_unblock, gid);
+}
+
+/* Hand callbacks[start:stop] to sched.fire_timers with no goroutine
+ * current; the whole list itself when that is all of it. */
+static int
+fire_in_python(PyObject *sched, PyObject *callbacks, Py_ssize_t start,
+               Py_ssize_t stop)
+{
+    PyObject *batch;
+    if (start == 0 && stop == PyList_GET_SIZE(callbacks)) {
+        batch = callbacks;
+        Py_INCREF(batch);
+    }
+    else {
+        batch = PyList_GetSlice(callbacks, start, stop);
+        if (batch == NULL)
+            return -1;
+    }
+    PyObject *r = NULL;
+    if (PyObject_SetAttr(sched, s_current, Py_None) == 0)
+        r = PyObject_CallMethodOneArg(sched, s_fire_timers, batch);
+    Py_DECREF(batch);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
 /* The idle path, with nothing runnable: VirtualClock.advance_to_next()
  * followed by Scheduler.fire_timers().  Drops cancelled heads, moves
  * clock.now to the earliest live deadline, pops every entry due then and
  * empties its callback slot before any callback runs (a callback cannot
- * cancel a timer due at the same time), and hands the callbacks to
- * sched.fire_timers with no goroutine current.  Returns 1 when timers
- * fired, 0 when no live timer is left, -1 on error. */
+ * cancel a timer due at the same time).  Then it walks the popped
+ * callbacks in order: a sleeper's wake entry (the goroutine itself, see
+ * wake_sleeper) is readied here, and each maximal run of other callbacks
+ * goes to sched.fire_timers in one call, so a batch of wakes calls no
+ * Python at all.  ``trace`` is NULL when the scheduler's trace is not a
+ * Trace; every entry then goes to sched.fire_timers.  Returns 1 when
+ * timers fired, 0 when no live timer is left, -1 on error. */
 static int
-fire_due_timers(PyObject *sched, PyObject *clock, PyObject *heap)
+fire_due_timers(PyObject *sched, PyObject *clock, PyObject *heap,
+                PyObject *runnable, PyObject *trace, long long steps)
 {
-    PyObject *head, *now, *callbacks, *r;
+    PyObject *head, *now, *callbacks, *r, *steps_obj = NULL;
     for (;;) {
         if (PyList_GET_SIZE(heap) == 0)
             return 0;
@@ -601,21 +732,38 @@ fire_due_timers(PyObject *sched, PyObject *clock, PyObject *heap)
         }
         Py_DECREF(head);
     }
-    Py_DECREF(now);
-    if (PyObject_SetAttr(sched, s_current, Py_None) < 0) {
-        Py_DECREF(callbacks);
-        return -1;
+
+    Py_ssize_t n = PyList_GET_SIZE(callbacks), start = 0;
+    for (Py_ssize_t i = 0; trace != NULL && i < n; i++) {
+        PyObject *g = PyList_GET_ITEM(callbacks, i);
+        if (Py_TYPE(g) != tk_go_type)
+            continue;
+        if (start < i) {
+            if (fire_in_python(sched, callbacks, start, i) < 0)
+                goto fail;
+            /* Its records read the clock as the callbacks left it. */
+            Py_SETREF(now, PyObject_GetAttr(clock, s_now));
+            if (now == NULL)
+                goto fail;
+        }
+        start = i + 1;
+        if (steps_obj == NULL &&
+            (steps_obj = PyLong_FromLongLong(steps)) == NULL)
+            goto fail;
+        if (wake_sleeper(g, runnable, trace, steps_obj, now) < 0)
+            goto fail;
     }
-    r = PyObject_CallMethodOneArg(sched, s_fire_timers, callbacks);
+    if (start < n && fire_in_python(sched, callbacks, start, n) < 0)
+        goto fail;
+    Py_XDECREF(steps_obj);
     Py_DECREF(callbacks);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
+    Py_DECREF(now);
     return 1;
 
 fail:
+    Py_XDECREF(steps_obj);
     Py_DECREF(callbacks);
-    Py_DECREF(now);
+    Py_XDECREF(now);
     return -1;
 }
 
@@ -657,7 +805,7 @@ hl_drive(PyObject *module, PyObject *sched)
 
     PyObject *runnable = NULL, *rng_obj = NULL, *stop_mode = NULL,
              *panicked = NULL, *clock = NULL, *heap = NULL,
-             *time_limit = NULL, *picks = NULL;
+             *time_limit = NULL, *picks = NULL, *trace = NULL;
     PyObject *stop_g = NULL;          /* borrowed from stop_mode */
     BatchedRandomObject *rng = NULL;
     PyObject *verdict = NULL;         /* borrowed from the v_* constants */
@@ -703,12 +851,14 @@ hl_drive(PyObject *module, PyObject *sched)
         budget_used = attr_as_longlong(sched, s_budget_used, &err);
         steps = attr_as_longlong(sched, s_steps, &err);
         /* Only trace events read ``_steps`` while a goroutine runs. */
-        PyObject *trace = err ? NULL : PyObject_GetAttr(sched, s_trace);
+        trace = err ? NULL : PyObject_GetAttr(sched, s_trace);
         traced = trace != NULL && attr_as_longlong(trace, s_active, &err);
         err |= trace == NULL;
-        Py_XDECREF(trace);
         if (err)
             goto fail_entry;
+        /* Sleepers wake in C only into the runtime's own Trace. */
+        if (Py_TYPE(trace) != trace_type)
+            Py_CLEAR(trace);
     }
     panicked = PyObject_GetAttr(sched, s_panicked_attr);
     if (panicked == NULL)
@@ -770,9 +920,15 @@ hl_drive(PyObject *module, PyObject *sched)
                 failed = 1;
                 break;
             }
-            int fired = fire_due_timers(sched, clock, heap);
+            int fired = fire_due_timers(sched, clock, heap, runnable, trace,
+                                        steps);
             if (fired < 0) { failed = 1; break; }
             if (fired == 0) { verdict = v_idle; break; }
+            /* A fire that woke nobody takes no step, so it counts against
+             * the budget (as in Scheduler.run_until_quiescent): a ticker
+             * nobody reads cannot keep the run alive. */
+            if (PyList_GET_SIZE(runnable) == 0)
+                budget_used++;
             /* Re-read what a fresh drive entry would: panicked, and the
              * time limit, now that the clock has moved. */
             Py_SETREF(panicked, PyObject_GetAttr(sched, s_panicked_attr));
@@ -885,6 +1041,7 @@ hl_drive(PyObject *module, PyObject *sched)
     }
 
 fail_entry:  /* an entry failure leaves verdict NULL */
+    Py_XDECREF(trace);
     Py_XDECREF(picks);
     Py_XDECREF(time_limit);
     Py_XDECREF(heap);
@@ -916,8 +1073,9 @@ ineligible:
 
 static PyMethodDef hl_methods[] = {
     {"bind", hl_bind, METH_VARARGS,
-     "bind(Goroutine, TaskletGoroutine, GState, TaskletOrNone): cache slot "
-     "offsets, state constants and the continuation switch."},
+     "bind(Goroutine, TaskletGoroutine, GState, TaskletOrNone, Trace, "
+     "EventKind, NO_INFO): cache slot offsets, state constants, the "
+     "continuation switch and what a sleeper's wake records."},
     {"drive", hl_drive, METH_O,
      "drive(scheduler) -> verdict str, or None when the compiled loop "
      "cannot run this scheduler (pure loop takes over)."},
@@ -981,6 +1139,11 @@ PyInit__hotloop(void)
     INTERN(v_steps, "steps");
     INTERN(v_idle, "idle");
 #undef INTERN
+    int_zero = PyLong_FromLong(0);
+    if (int_zero == NULL) {
+        Py_DECREF(m);
+        return NULL;
+    }
 
     PyObject *heapq = PyImport_ImportModule("heapq");
     if (heapq == NULL) {

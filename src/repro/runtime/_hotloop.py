@@ -14,12 +14,13 @@ of each:
   Returns ``None`` when unavailable; the scheduler then runs its pure loop.
   The compiled loop engages, traced, pick-logged, faulted or not, when
   nothing observable differs: structured stop conditions and the stock
-  RNG.  With nothing runnable it fires the due timers itself, through
-  ``Scheduler.fire_timers``, and returns ``"idle"`` only when no live
-  timer is left.  A faulted run enters it between the injector's due
-  steps, with the step budget clamped to the next one, and leaves it at
-  every idle point so the clock stays still while it drives (see
-  ``Scheduler.run_until_quiescent``).
+  RNG.  With nothing runnable it fires the due timers itself and returns
+  ``"idle"`` only when no live timer is left: it readies a sleeper (a
+  timer whose callback slot holds the goroutine) in C and hands the
+  other callbacks to ``Scheduler.fire_timers``.  A faulted run enters it
+  between the injector's due steps, with the step budget clamped to the
+  next one, and leaves it at every idle point so the clock stays still
+  while it drives (see ``Scheduler.run_until_quiescent``).
 
 Channels, select, Mutex/RWMutex and vector clocks have one implementation
 each, in pure Python.  Set ``REPRO_NO_CEXT=1`` (or use :class:`force_pure`)
@@ -72,10 +73,12 @@ def get_drive() -> Optional[Callable[[Any], Optional[str]]]:
                     TaskletGoroutine,
                     tasklet_module,
                 )
+                from .trace import _NO_INFO, EventKind, Trace
 
                 mod = tasklet_module()
                 _c.bind(Goroutine, TaskletGoroutine, GState,
-                        mod.Tasklet if mod is not None else None)
+                        mod.Tasklet if mod is not None else None,
+                        Trace, EventKind, _NO_INFO)
                 _drive = _c.drive
             except Exception:  # pragma: no cover - defensive: stay pure
                 _drive = None

@@ -14,6 +14,13 @@ deadlines — without a wrapper tuple or a Python ``__lt__``; ``seq`` is
 unique, so the callback is never compared.  The compiled drive loop
 (``_ext/_hotloop.c``) reads the same three slots when it fires timers
 itself.
+
+The callback slot holds what fires: a zero-argument callable, or, for a
+sleeper (``Runtime.sleep``, ``Runtime.external_wait`` with a duration),
+the sleeping goroutine itself.  The clock never looks inside it; the
+scheduler readies a goroutine and calls anything else
+(``Scheduler.fire_timers``), and the compiled drive loop wakes a sleeper
+with no Python call.
 """
 
 from __future__ import annotations
@@ -22,9 +29,13 @@ import itertools
 from heapq import heappop, heappush
 from math import isfinite
 from operator import itemgetter
-from typing import Callable, List
+from typing import Any, Callable, List
 
 Callback = Callable[[], None]
+
+#: What a timer's callback slot holds: a :data:`Callback`, or a sleeping
+#: goroutine for the scheduler to ready.
+Entry = Any
 
 
 class TimerHandle(list):
@@ -32,10 +43,11 @@ class TimerHandle(list):
 
     ``[deadline, seq, callback]``, built by :meth:`VirtualClock.call_at`
     through ``list``'s own constructor (no Python ``__init__`` frame).  The
-    callback slot is None once the timer is cancelled or has fired: the
-    callback is usually a bound method of the object that holds the handle
-    (a ``Timer``, ``Ticker`` or timeout context), and keeping it would tie
-    the two into a reference cycle.
+    callback slot holds a callable, or the sleeping goroutine of a
+    sleeper's wake entry.  It is None once the timer is cancelled or has
+    fired: the callback is usually a bound method of the object that holds
+    the handle (a ``Timer``, ``Ticker`` or timeout context), and keeping it
+    would tie the two into a reference cycle.
     """
 
     __slots__ = ()
@@ -68,8 +80,8 @@ class VirtualClock:
         self._heap: List[TimerHandle] = []
         self._seq = itertools.count()
 
-    def call_at(self, deadline: float, callback: Callback) -> TimerHandle:
-        """Schedule ``callback`` to run when the clock reaches ``deadline``.
+    def call_at(self, deadline: float, callback: Entry) -> TimerHandle:
+        """Schedule ``callback`` to fire when the clock reaches ``deadline``.
 
         Deadlines in the past fire on the next scheduler idle point.  A
         non-finite deadline raises ``ValueError``: a NaN compares false
@@ -83,11 +95,11 @@ class VirtualClock:
         heappush(self._heap, handle)
         return handle
 
-    def call_after(self, delay: float, callback: Callback) -> TimerHandle:
-        """Schedule ``callback`` ``delay`` seconds from now."""
+    def call_after(self, delay: float, callback: Entry) -> TimerHandle:
+        """Schedule ``callback`` to fire ``delay`` seconds from now."""
         return self.call_at(self.now + max(delay, 0.0), callback)
 
-    def advance_to_next(self) -> List[Callback]:
+    def advance_to_next(self) -> List[Entry]:
         """Jump to the earliest deadline and pop every timer due at it.
 
         Returns the callbacks of the fired timers, or ``[]`` when nothing is
@@ -106,7 +118,7 @@ class VirtualClock:
             return self._pop_due()
         return []
 
-    def advance(self, delta: float) -> List[Callback]:
+    def advance(self, delta: float) -> List[Entry]:
         """Advance the clock by ``delta`` and pop every timer now due."""
         self.now += max(delta, 0.0)
         return self._pop_due()
@@ -117,11 +129,11 @@ class VirtualClock:
             handle[2] = None
         self._heap.clear()
 
-    def _pop_due(self) -> List[Callback]:
+    def _pop_due(self) -> List[Entry]:
         """Pop every entry due now and mark each fired (callback slot None)
         before any callback runs, so a callback cannot cancel a timer due
         at the same time."""
-        due: List[Callback] = []
+        due: List[Entry] = []
         heap, now = self._heap, self.now
         while heap and heap[0][0] <= now:
             handle = heappop(heap)

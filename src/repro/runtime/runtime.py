@@ -25,7 +25,6 @@ Example::
 from __future__ import annotations
 
 import sys
-from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DeadlockError, GoPanic, StepLimitExceeded
@@ -159,9 +158,12 @@ class Runtime:
         if duration <= 0:
             sched.schedule_point()
             return
-        # The handle's callback slot empties when the timer fires; until
-        # then a wakeup is spurious (an injected one) and the sleep goes on.
-        timer = sched.clock.call_after(duration, partial(sched.ready, g))
+        # The timer's callback slot holds the sleeper itself: firing it
+        # readies ``g`` (Scheduler.fire_timers, or the compiled drive loop
+        # with no Python call).  The slot empties when the timer fires;
+        # until then a wakeup is spurious (an injected one) and the sleep
+        # goes on.
+        timer = sched.clock.call_after(duration, g)
         while timer.callback is not None:
             sched.block("time.sleep")
 
@@ -181,7 +183,7 @@ class Runtime:
             while True:
                 sched.block(f"external:{what}", external=True)
             return
-        timer = sched.clock.call_after(duration, partial(sched.ready, g))
+        timer = sched.clock.call_after(duration, g)  # a wake entry, as in sleep
         while timer.callback is not None:
             sched.block(f"external:{what}", external=True)
 
@@ -509,14 +511,19 @@ def run(
     Args:
         main: program entry point; receives the :class:`Runtime`.
         seed: scheduler RNG seed.  Same seed, same trace.
-        max_steps: livelock backstop on total scheduling steps.
+        max_steps: livelock backstop on total scheduling steps.  A timer
+            fire that leaves no goroutine runnable takes no step but
+            counts one against this budget (and against
+            ``drain_budget``), so a ticker nobody reads cannot keep a
+            blocked run alive: the run ends with status ``"steps"``.
         preempt: make every primitive op a preemption point (richer
             interleavings) instead of only blocking ops.
         drain: after main returns, keep running remaining goroutines (clock
             included) until quiescence so leak classification is precise:
             whatever is still blocked then is blocked forever.  Go itself
             exits immediately; disable to match that exactly.
-        drain_budget: step cap for the drain phase.
+        drain_budget: step cap for the drain phase, charged the same
+            way as ``max_steps``.
         keep_trace: record the event trace on the result.
         observers: objects with an ``attach(runtime)`` method (detectors);
             ``finish(result)`` is called on them at the end when present.

@@ -26,11 +26,14 @@ system's effective speed, the per-step path here is deliberately lean:
   explorer's scripted choices) selects the interpreted loop for a whole
   run;
 * timers fire inside the compiled loop: with nothing runnable it moves
-  the virtual clock to the next deadline and calls :meth:`fire_timers`
-  itself, so a run with thousands of timers enters it once per
-  :meth:`run_until_quiescent` call.  A faulted run keeps the idle exit
-  and fires timers here, so the clock never moves while it drives to a
-  due step;
+  the virtual clock to the next deadline and fires what is due, so a run
+  with thousands of timers enters it once per :meth:`run_until_quiescent`
+  call.  A sleeper's timer holds the goroutine itself, and the loop
+  readies it in C with the records :meth:`ready` would write; only the
+  other callbacks go to :meth:`fire_timers`.  A faulted run keeps the
+  idle exit and fires timers here, so the clock never moves while it
+  drives to a due step.  A fire that wakes nobody counts one against the
+  step budget, so a ticker nobody reads cannot keep a run alive;
 * consumers that need every scheduling decision (the observer's step
   metrics, the explorer's footprints) read a *pick log* after the run
   instead of taking a call per step: :meth:`Scheduler.record_picks` turns
@@ -498,7 +501,8 @@ class Scheduler:
           * ``"stopped"``   — the stop condition became true (e.g. main
             exited, or a goroutine panicked),
           * ``"quiescent"`` — no goroutine runnable and no timer armed,
-          * ``"steps"``     — the step budget ran out (livelock backstop),
+          * ``"steps"``     — the step budget ran out (livelock backstop;
+            a timer fire that leaves nothing runnable counts one),
           * ``"timeout"``   — the virtual clock passed ``time_limit`` (the
             observation-window cutoff for programs that run forever).
 
@@ -570,6 +574,11 @@ class Scheduler:
                     callbacks = self.clock.advance_to_next()
                     if callbacks:
                         self.fire_timers(callbacks)
+                        if not self._runnable:
+                            # A fire that woke nobody takes no step, so
+                            # it counts against the budget: a ticker
+                            # nobody reads cannot keep the run alive.
+                            self._budget_used += 1
                         continue
                     return "quiescent"
                 if verdict == "error":
@@ -614,16 +623,25 @@ class Scheduler:
             if verdict != "steps" or self._budget_used >= budget:
                 return verdict
 
-    def fire_timers(self, callbacks: List[Callable[[], None]]) -> None:
-        """Run fired timer callbacks in scheduler context (one trace event
-        each).  The one place timers fire: the compiled drive loop's idle
-        path, the pure loop's idle verdict and the fault injector's clock
-        jumps all call it with the callbacks the clock popped."""
+    def fire_timers(self, callbacks: List[Any]) -> None:
+        """Fire popped timers in scheduler context, one ``timer.fire``
+        event each.  An entry that is a goroutine is a sleeper's wake
+        entry (``Runtime.sleep``, ``Runtime.external_wait``): it is
+        readied.  Any other entry is called.
+
+        The pure loop's idle verdict, the thread vehicle and the fault
+        injector's clock jumps call this with every timer the clock
+        popped.  The compiled drive loop wakes sleepers itself, with the
+        same records, and calls this only with each run of the other
+        entries."""
         trace = self.trace
         for callback in callbacks:
             if trace.active:
                 self.emit(EventKind.TIMER_FIRE, gid=0)
-            callback()
+            if isinstance(callback, Goroutine):
+                self.ready(callback)
+            else:
+                callback()
 
     def _advance(self) -> Optional[Goroutine]:
         """One scheduler-loop decision, in scheduler context on whichever

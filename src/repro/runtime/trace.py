@@ -6,7 +6,11 @@ single integration point between the runtime and the detectors
 into scheduler internals.
 
 The kept log is a list of plain records, ``(step, time, gid, kind, obj,
-info)`` tuples, and appending one is the trace's only write path.  Every
+info)`` tuples, and appending one is the only way to write it.
+:meth:`Trace.emit` appends for every event site; the compiled drive loop
+(``_ext/_hotloop.c``) also appends the ``timer.fire`` and ``go.unblock``
+records of a sleeper it wakes straight to ``_records``, the same tuples
+``Scheduler.emit`` would build, while :attr:`Trace.active` is set.  Every
 consumer reads the records when the run finishes: a detector or observer
 calls :meth:`Trace.keep_records` in ``attach`` (so a ``keep_trace=False``
 run still records) and replays the records emitted since then in

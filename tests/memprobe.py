@@ -40,6 +40,44 @@ _SCRIPT = textwrap.dedent("""
 """)
 
 
+_THREAD_SCRIPT = textwrap.dedent("""
+    import json, os, sys, threading, time
+    from repro import run
+    from tests.memprobe import ten_senders, vm_bytes
+
+    warmup, threads, runs = map(int, sys.argv[1:4])
+    tasks = len(os.listdir("/proc/self/task"))
+    errors = []
+    threading.excepthook = errors.append
+
+    def work():
+        for seed in range(runs):
+            assert run(ten_senders, seed=seed).main_result == 45
+
+    def one_thread():
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive(), "a probe thread did not finish"
+        # join() returns before the OS thread is gone.  Wait for that, so
+        # the next thread reuses its C stack and malloc arena instead of
+        # mapping new ones.
+        deadline = time.monotonic() + 60
+        while len(os.listdir("/proc/self/task")) > tasks:
+            assert time.monotonic() < deadline, "a probe thread did not exit"
+            time.sleep(0.001)
+
+    for _ in range(warmup):
+        one_thread()
+    before = vm_bytes()
+    for _ in range(threads):
+        one_thread()
+    after = vm_bytes()
+    assert not errors, errors[0].exc_value
+    print(json.dumps({k: after[k] - before[k] for k in before}))
+""")
+
+
 def ten_senders(rt) -> int:
     """The probe program: main and ten goroutines that each send once."""
     ch = rt.make_chan()
@@ -95,4 +133,15 @@ def vm_growth(work: str, runs: int, warmup: int = 200, **env: str
     """Growth of :data:`FIELDS` over ``runs`` calls of ``work``
     (``"module:function"``), after ``warmup`` calls, in a child process."""
     out = run_child(_SCRIPT, work, str(warmup), str(runs), **env)
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def thread_exit_growth(threads: int = 20, runs: int = 20, warmup: int = 3,
+                       **env: str) -> Dict[str, int]:
+    """Growth of :data:`FIELDS` over ``threads`` OS threads, started and
+    joined one after another, each driving ``runs`` runs of
+    :func:`ten_senders`, after ``warmup`` such threads, in a child
+    process.  What a thread leaves behind when it exits shows here."""
+    out = run_child(_THREAD_SCRIPT, str(warmup), str(threads), str(runs),
+                    **env)
     return json.loads(out.strip().splitlines()[-1])

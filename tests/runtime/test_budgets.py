@@ -4,9 +4,15 @@ These are the runner's backstops — each maps one kind of runaway program to
 a distinct RunResult classification instead of wedging the harness.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro import run
+from repro.runtime._hotloop import force_pure
 from repro.runtime.errors import StepLimitExceeded
 
 
@@ -134,3 +140,63 @@ def test_budget_statuses_survive_to_dict():
     data = result.to_dict()
     assert data["status"] == "steps"
     assert data["steps"] >= 300
+
+
+# A ticker nobody reads fires forever while main blocks for good.  Timer
+# fires take no scheduling step, so a fire that wakes nobody counts one
+# against the step budget instead.  Each case runs in a child process so
+# a hang fails the test instead of wedging the suite.
+_IDLE_TICKER = textwrap.dedent("""
+    import sys
+    from repro import run
+    from repro.runtime._hotloop import force_pure
+
+    interval, loop = float(sys.argv[1]), sys.argv[2]
+
+    def main(rt):
+        rt.sleep(1.0)
+        rt.new_ticker(interval)
+        rt.make_chan().recv()
+
+    kwargs = {"backend": "thread"} if loop == "thread" else {}
+    if loop == "pure":
+        with force_pure():
+            result = run(main, max_steps=1000)
+    else:
+        result = run(main, max_steps=1000, **kwargs)
+    print(result.status, result.steps)
+""")
+
+
+@pytest.mark.parametrize("loop", ["compiled", "pure", "thread"])
+@pytest.mark.parametrize("interval", [1.0, 1e-300])
+def test_an_unread_ticker_cannot_keep_a_blocked_run_alive(loop, interval):
+    # 1e-300 does not even move the clock: 1.0 + 1e-300 == 1.0.
+    proc = subprocess.run(
+        [sys.executable, "-c", _IDLE_TICKER, repr(interval), loop],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["steps", "3"]
+
+
+def _read_ticks(rt):
+    ticker = rt.new_ticker(0.5)
+    for _ in range(400):
+        ticker.c.recv()
+    ticker.stop()
+    return rt.now()
+
+
+@pytest.mark.parametrize("loop", ["compiled", "pure", "thread"])
+def test_a_read_ticker_is_not_charged(loop):
+    """Every tick wakes the reader, so no fire counts against the budget:
+    400 ticks fit in a 1,000-step budget with main's 400 steps."""
+    kwargs = {"backend": "thread"} if loop == "thread" else {}
+    if loop == "pure":
+        with force_pure():
+            result = run(_read_ticks, max_steps=1000)
+    else:
+        result = run(_read_ticks, max_steps=1000, **kwargs)
+    assert (result.status, result.main_result) == ("ok", 200.0)
+    assert result.steps < 1000

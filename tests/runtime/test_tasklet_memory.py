@@ -8,7 +8,11 @@ spawns.  Both are mmaps, which ``gc``, ``tracemalloc`` and LeakSanitizer
 cannot see, so the soak reads ``VmSize`` and ``VmRSS`` from
 ``/proc/self/status`` in a fresh process (see :mod:`tests.memprobe`).
 
-A second soak bounds what those tools do see: the Python objects and the
+The free lists are thread locals.  A third probe starts and joins OS
+threads that each drive runs: when a thread exits, what it parked goes
+back to the system with it.
+
+A last soak bounds what those tools do see: the Python objects and the
 traced heap that thousands of observed runs leave behind.
 """
 
@@ -22,7 +26,7 @@ from repro.detect import LockOrderDetector, RaceDetector
 from repro.observe import Observer
 from repro.runtime.scheduler import resolve_backend
 from tests.memprobe import (has_proc_status, measured_fields, run_child,
-                             ten_senders, vm_growth)
+                             ten_senders, thread_exit_growth, vm_growth)
 
 pytestmark = pytest.mark.skipif(
     resolve_backend("coroutine") != "tasklet" or not has_proc_status(),
@@ -60,6 +64,19 @@ def test_runs_leave_the_process_size_flat(work):
     for field in measured_fields():
         assert growth[field] <= BOUND_PER_RUN * RUNS, (
             f"{work}: {field} grew {growth[field] / RUNS:.0f} B per run")
+
+
+#: Threads started and joined by the thread-exit probe, and the VmSize
+#: each may leave.  A thread that kept its parked stacks (516 KiB each)
+#: and chunks left several MiB.
+THREADS = 20
+BOUND_PER_THREAD = 64 * 1024
+
+
+def test_an_exiting_thread_returns_its_parked_memory():
+    growth = thread_exit_growth(threads=THREADS, runs=20, warmup=3)
+    assert growth["VmSize"] <= BOUND_PER_THREAD * THREADS, (
+        f"VmSize grew {growth['VmSize'] / THREADS:.0f} B per thread")
 
 
 _OBJECTS_SCRIPT = textwrap.dedent(f"""
