@@ -35,7 +35,7 @@ what the predictors consume.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..runtime.trace import EventKind, TraceEvent
 from .vectorclock import VectorClock
@@ -44,6 +44,19 @@ from .vectorclock import VectorClock
 #: ``"r"`` shared (RWMutex read lock).
 EXCLUSIVE = "x"
 SHARED = "r"
+
+
+def common_exclusive_lock(a: Iterable[Tuple[int, str]],
+                          b: Iterable[Tuple[int, str]]) -> Optional[int]:
+    """A lock held in both ``(lock, mode)`` lists with at least one
+    exclusive holder, if any."""
+    mine = {obj: mode for obj, mode in a}
+    for obj, mode in b:
+        held = mine.get(obj)
+        if held is not None and (held == EXCLUSIVE or mode == EXCLUSIVE):
+            return obj
+    return None
+
 
 #: gid -> the ``(lock, mode)`` pairs that goroutine holds, oldest first.
 HeldLocks = Dict[int, List[Tuple[int, str]]]
@@ -98,15 +111,6 @@ class Stamp:
             return False
         return not self.ordered_before(other) \
             and not other.ordered_before(self)
-
-    def common_exclusive_lock(self, other: "Stamp") -> Optional[int]:
-        """A lock both hold with at least one exclusive holder, if any."""
-        mine = {obj: mode for obj, mode in self.locks}
-        for obj, mode in other.locks:
-            held = mine.get(obj)
-            if held is not None and (held == EXCLUSIVE or mode == EXCLUSIVE):
-                return obj
-        return None
 
     def __repr__(self) -> str:
         return (f"<stamp {self.event.kind}@{self.event.step} "

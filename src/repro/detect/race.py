@@ -1,20 +1,31 @@
-"""The happens-before data race detector.
+"""The happens-before data race rule, and its two callers.
 
 A reimplementation of the detector the paper evaluates in Section 6.3: Go's
 ``-race`` mode, which "uses the same happen-before algorithm as
 ThreadSanitizer" and keeps **up to four shadow words per memory object**.
-Both properties are reproduced:
+:class:`RaceRule` states the race rule once.  It sees each access of one
+run in stream order, walks the variable's earlier accesses oldest first,
+and reports a pair unless
 
-* Happens-before edges come from the strict
-  :class:`~repro.detect.hb.HBEngine`, the same engine the offline
-  predictors replay: goroutine creation, channel send/recv/close (with
-  the bidirectional rendezvous edge for unbuffered channels), mutex and
-  RWMutex transfer, WaitGroup Add/Done→Wait, Once execution→return, Cond
-  signal, and atomic operations.
-* Each :class:`~repro.sync.shared.SharedVar` keeps at most
-  ``shadow_words`` recent accesses; older ones are evicted, so long
+* both come from the same goroutine,
+* both are reads,
+* the clock at the later access already covers the earlier one (the pair
+  is ordered), or
+* both hold a lock and at least one holds it exclusively.
+
+Its two callers differ only in what they feed it:
+
+* :class:`RaceDetector` feeds it the live clock of the strict
+  :class:`~repro.detect.hb.HBEngine` (the engine the offline predictors
+  replay) and keeps at most ``shadow_words`` recent accesses per
+  :class:`~repro.sync.shared.SharedVar`: older ones are evicted, so long
   histories can hide races — the paper's third miss cause in Table 12.
-  Pass ``shadow_words=None`` for the unlimited-history ablation.
+  Pass ``shadow_words=None`` for the unlimited-history ablation.  It
+  passes no locks: in the strict order a common exclusive lock already
+  orders the pair.
+* :func:`predict_races` feeds it stamps with their locksets, over the
+  whole history.  The weak order drops the lock edges, and the lockset
+  check restores mutual exclusion: either order, never overlap.
 
 Usage::
 
@@ -26,31 +37,80 @@ Usage::
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..runtime.trace import EventKind, Trace, TraceEvent
-from .hb import STRICT_EDGES, HBEngine
+from .hb import STRICT_EDGES, HBEngine, Stamp, common_exclusive_lock
 from .report import Access, RaceReport
 from .vectorclock import VectorClock
 
+#: The kinds :meth:`RaceRule.check` is fed.
+ACCESS_KINDS = frozenset((EventKind.MEM_READ, EventKind.MEM_WRITE))
 
-class _Shadow:
-    """One shadow word: a stamped access to a memory object."""
+Locks = Tuple[Tuple[int, str], ...]
+#: One remembered access: (gid, own clock component, is write, step, locks).
+_Past = Tuple[int, int, bool, int, Locks]
+_KIND = {False: "read", True: "write"}
 
-    __slots__ = ("gid", "epoch", "is_write", "step")
 
-    def __init__(self, gid: int, epoch: Tuple[int, int], is_write: bool, step: int):
-        self.gid = gid
-        self.epoch = epoch
-        self.is_write = is_write
-        self.step = step
+class RaceRule:
+    """The race rule over one run's accesses, fed one access at a time.
+
+    ``window`` bounds how many earlier accesses per variable are kept
+    (FIFO, as TSan's shadow cells; ``None``: all of them), and
+    ``max_reports_per_var`` how many races one variable reports.
+    """
+
+    def __init__(self, window: Optional[int] = None,
+                 max_reports_per_var: int = 1):
+        self.window = window
+        self.max_reports_per_var = max_reports_per_var
+        self.reports: List[RaceReport] = []
+        self._past: Dict[int, Deque[_Past]] = {}
+        self._reported: Dict[int, int] = {}
+
+    def check(self, event: TraceEvent, clock: VectorClock,
+              locks: Locks = ()) -> None:
+        """Check one access against the variable's earlier ones, then
+        remember it.  ``clock`` is the accessor's clock at the access and
+        ``locks`` the ``(lock, mode)`` pairs it holds."""
+        obj = int(event.obj)  # type: ignore[arg-type]
+        found = self._reported.get(obj, 0)
+        if found >= self.max_reports_per_var:
+            return  # nothing more this variable can report
+        gid = event.gid
+        is_write = event.kind == EventKind.MEM_WRITE
+        past = self._past.get(obj)
+        if past is None:
+            past = self._past[obj] = deque(maxlen=self.window)
+        for first_gid, first_count, first_write, first_step, first_locks \
+                in past:
+            if first_gid == gid or not (is_write or first_write):
+                continue
+            if clock.get(first_gid) >= first_count:
+                continue  # ordered by happens-before
+            if first_locks and locks and \
+                    common_exclusive_lock(first_locks, locks) is not None:
+                continue
+            name = str(event.info.get("name", f"var#{obj}"))
+            self.reports.append(RaceReport(
+                var_id=obj, var_name=name,
+                first=Access(first_gid, _KIND[first_write], first_step, name),
+                second=Access(gid, _KIND[is_write], event.step, name)))
+            found += 1
+            self._reported[obj] = found
+            if found >= self.max_reports_per_var:
+                return
+        past.append((gid, clock.get(gid), is_write, event.step, locks))
 
 
 class RaceDetector:
     """Vector-clock data race detector (observer for :func:`repro.run`).
 
-    The strict :class:`~repro.detect.hb.HBEngine` orders the events; this
-    class adds only the shadow-word policy on top of it.
+    The strict :class:`~repro.detect.hb.HBEngine` orders the run's
+    events; a :class:`RaceRule` with a ``shadow_words`` window checks its
+    accesses.  Both are built afresh for each attached run.
     """
 
     name = "go-race-detector"
@@ -59,20 +119,22 @@ class RaceDetector:
                  max_reports_per_var: int = 1):
         self.shadow_words = shadow_words
         self.max_reports_per_var = max_reports_per_var
-        self.reports: List[RaceReport] = []
-        self._engine = HBEngine()
-        self._shadows: Dict[int, Deque[_Shadow]] = {}
-        self._reported_vars: Dict[int, int] = {}
+        self._reset()
         #: The attached run's trace and its length at ``attach``, until
         #: ``finish`` replays the records emitted since.
         self._trace: Optional[Trace] = None
         self._start = 0
+
+    def _reset(self) -> None:
+        self._engine = HBEngine()
+        self._rule = RaceRule(self.shadow_words, self.max_reports_per_var)
 
     # ------------------------------------------------------------------
     # Observer protocol
     # ------------------------------------------------------------------
 
     def attach(self, rt) -> None:
+        self._reset()
         self._trace = rt.sched.trace
         self._start = len(self._trace)
         self._trace.keep_records()
@@ -85,6 +147,10 @@ class RaceDetector:
             self._trace = None
         # Expose reports on the result for convenience.
         setattr(result, "races", list(self.reports))
+
+    @property
+    def reports(self) -> List[RaceReport]:
+        return self._rule.reports
 
     @property
     def detected(self) -> bool:
@@ -101,68 +167,26 @@ class RaceDetector:
         return self._engine.final_clocks()
 
     def on_event(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind == EventKind.MEM_READ or kind == EventKind.MEM_WRITE:
-            self._check_access(event)
+        # The rule reads the accessor's clock before the engine applies
+        # the access; the engine's own tick then makes later accesses by
+        # the same goroutine distinguishable.
+        if event.kind in ACCESS_KINDS:
+            self._rule.check(event, self._engine.clock(event.gid))
         self._engine.observe(event)
 
-    # ------------------------------------------------------------------
-    # Shadow-word race checking
-    # ------------------------------------------------------------------
 
-    def _check_access(self, event: TraceEvent) -> None:
-        """Check one access against its object's shadow words, then record it.
+def predict_races(stamps: Iterable[Stamp],
+                  max_reports_per_var: int = 1) -> List[RaceReport]:
+    """Predicted races over the stamps of one trace, at most
+    ``max_reports_per_var`` per variable, ordered by variable.
 
-        Runs before the engine applies the access, so ``clock`` is the
-        accessor's clock at the access; the engine's own epoch tick then
-        makes later accesses by the same goroutine distinguishable.
-        """
-        gid = event.gid
-        obj = int(event.obj)  # type: ignore[arg-type]
-        is_write = event.kind == EventKind.MEM_WRITE
-        name = str(event.info.get("name", f"var#{obj}"))
-        clock = self._engine.clock(gid)
-
-        shadows = self._shadows.get(obj)
-        if shadows is None:
-            shadows = deque()
-            self._shadows[obj] = shadows
-
-        for shadow in shadows:
-            if shadow.gid == gid:
-                continue
-            if not (is_write or shadow.is_write):
-                continue  # two reads never race
-            if clock.dominates_epoch(shadow.epoch):
-                continue  # ordered by happens-before
-            self._report(obj, name, shadow, event, is_write)
-
-        shadows.append(
-            _Shadow(gid, clock.epoch(gid), is_write, event.step)
-        )
-        if self.shadow_words is not None:
-            # TSan keeps a small fixed shadow per object and evicts old
-            # cells; FIFO eviction keeps the simulator deterministic.
-            while len(shadows) > self.shadow_words:
-                shadows.popleft()
-
-    def _report(self, obj: int, name: str, shadow: _Shadow,
-                event: TraceEvent, is_write: bool) -> None:
-        count = self._reported_vars.get(obj, 0)
-        if count >= self.max_reports_per_var:
-            return
-        self._reported_vars[obj] = count + 1
-        first = Access(
-            gid=shadow.gid,
-            kind="write" if shadow.is_write else "read",
-            step=shadow.step,
-            var_name=name,
-        )
-        second = Access(
-            gid=event.gid,
-            kind="write" if is_write else "read",
-            step=event.step,
-            var_name=name,
-        )
-        self.reports.append(RaceReport(var_id=obj, var_name=name,
-                                       first=first, second=second))
+    With :func:`~repro.detect.hb.weak_stamps` these are the races some
+    feasible reordering of the run makes concurrent; with
+    :func:`~repro.detect.hb.strict_stamps` they are exactly what an
+    unlimited-history :class:`RaceDetector` reports on the same run.
+    """
+    rule = RaceRule(None, max_reports_per_var)
+    for stamp in stamps:
+        if stamp.event.kind in ACCESS_KINDS:
+            rule.check(stamp.event, stamp.clock, stamp.locks)
+    return sorted(rule.reports, key=attrgetter("var_id"))

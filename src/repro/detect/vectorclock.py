@@ -1,8 +1,9 @@
 """Vector clocks for happens-before reasoning.
 
 Used by the happens-before engine :class:`repro.detect.hb.HBEngine` and the
-race detector built on it.  Epoch pairs ``(gid, count)`` give
-FastTrack-style O(1) ordered-with-current checks.
+race rule built on it.  An access is ordered before a clock when the
+clock's component for the accessing goroutine has reached the access's
+own count: one ``get``, FastTrack-style.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ class VectorClock:
     out from 1), so a list indexed by gid beats a sparse dict on every hot
     operation: ``get`` is one index, ``join`` is an elementwise max with no
     hashing.  The API — and every observable result, including nonzero-
-    filtered equality — is identical to the historical dict-backed clock;
-    epoch pairs ``(gid, count)`` keep the FastTrack-style O(1)
-    ordered-with-current checks.
+    filtered equality — is identical to the historical dict-backed clock.
     """
 
     __slots__ = ("_v",)
@@ -61,15 +60,6 @@ class VectorClock:
 
     def copy(self) -> "VectorClock":
         return VectorClock(self._v)
-
-    def epoch(self, gid: int) -> Tuple[int, int]:
-        """The ``(gid, count)`` epoch of this clock's own component."""
-        return gid, self.get(gid)
-
-    def dominates_epoch(self, epoch: Tuple[int, int]) -> bool:
-        """True when the access stamped ``epoch`` happens-before this clock."""
-        gid, count = epoch
-        return self.get(gid) >= count
 
     def __le__(self, other: "VectorClock") -> bool:
         v, o = self._v, other._v

@@ -6,7 +6,9 @@ systematic explorer): consume *one* recorded run — live
 :func:`repro.observe.sync_events_json` — relax its happens-before order,
 and report bugs reachable in schedules that were never executed:
 
-* predicted data races (:mod:`repro.predict.race`),
+* predicted data races: the dynamic detector's race rule over the whole
+  access history, with a lockset check
+  (:func:`repro.detect.race.predict_races`),
 * feasible lock-order cycles: the dynamic detector's order graph plus a
   feasibility gate (:func:`repro.detect.lockorder.predict_lock_cycles`),
 * lost-signal / send-on-closed / WaitGroup-misuse candidates
@@ -34,10 +36,10 @@ relaxation rules, and the soundness caveats.
 
 from ..detect.hb import HBEngine, Stamp, strict_stamps, weak_stamps
 from ..detect.lockorder import predict_lock_cycles
+from ..detect.race import predict_races
 from .confirm import ConfirmOutcome, confirm_predictions, predicate_for
 from .engine import as_sync_trace, observed_predictions, predict, predict_kernel
 from .model import BlockedGoroutine, SyncTrace
-from .race import predict_races
 from .comm import predict_comm
 from .report import (
     PredictReport,

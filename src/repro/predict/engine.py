@@ -4,7 +4,7 @@
 :class:`~repro.predict.model.SyncTrace`, stamp it with the weak
 happens-before closure, and run every predictor family:
 
-* ``race`` — :mod:`repro.predict.race`,
+* ``race`` — :func:`repro.detect.race.predict_races`,
 * ``lockorder`` — :func:`repro.detect.lockorder.predict_lock_cycles`,
 * ``comm`` — :mod:`repro.predict.comm`,
 * ``blocking`` — goroutines observed stuck at end of trace (and recorded
@@ -22,9 +22,9 @@ from typing import Any, List, Optional, Tuple, Union
 
 from ..detect.hb import weak_stamps
 from ..detect.lockorder import predict_lock_cycles
+from ..detect.race import predict_races
 from .comm import predict_comm
 from .model import SyncTrace
-from .race import predict_races
 from .report import Prediction, PredictReport
 
 
@@ -48,7 +48,7 @@ def predict(source: Union[SyncTrace, Any], target: str = "trace",
     stamps = weak_stamps(trace)
 
     predictions: List[Prediction] = []
-    for report in predict_races(trace, stamps, max_reports_per_var):
+    for report in predict_races(stamps, max_reports_per_var):
         predictions.append(Prediction(
             family="race", rule="data-race",
             detail=(f"{report.var_name}: {report.first.kind} by "

@@ -4,14 +4,18 @@
 ``finish`` replays the records emitted since then to the detector's
 handler and drops the trace.  These tests pin that a second ``finish``
 changes nothing, that records emitted before ``attach`` are not
-replayed, and that a finished detector no longer holds the run's trace.
+replayed, that a finished detector no longer holds the run's trace, and
+that a handler wrapped on the instance (as a profiler counting
+``on_event`` calls does) sees every replayed record.
 """
 
 import sys
 from types import SimpleNamespace
 
 from repro import EventKind, run
+from repro.bugs import registry
 from repro.detect import LockOrderDetector, RaceDetector
+from repro.detect.hb import STRICT_EDGES
 from repro.runtime.trace import Trace
 
 
@@ -91,3 +95,31 @@ def test_finished_detectors_hold_no_trace():
     # The only references left: ``trace`` here and getrefcount's argument.
     assert sys.getrefcount(trace) == 2
     assert race.detected and lockorder.detected
+
+
+def test_a_wrapped_on_event_sees_every_strict_edge_record():
+    """``finish`` looks ``on_event`` up on the instance, so a counting
+    wrapper put there sees each kept record of a strict-edge kind, in
+    order, and the detector reports what an unwrapped one does."""
+    programs = [(racy_ab_ba, {})] + [
+        (getattr(kernel, variant), kernel.run_kwargs)
+        for kernel in registry.all_kernels()[::9]
+        for variant in ("buggy", "fixed")]
+    for program, run_kwargs in programs:
+        wrapped, plain = RaceDetector(), RaceDetector()
+        seen = []
+        handler = wrapped.on_event
+
+        def counting(event, handler=handler, seen=seen):
+            seen.append(event)
+            handler(event)
+
+        wrapped.on_event = counting
+        result = run(program, seed=0, observers=[wrapped, plain],
+                     **run_kwargs)
+        kept = [r for r in result.trace.records() if r[3] in STRICT_EDGES]
+        assert kept
+        assert [(e.step, e.gid, e.kind, e.obj) for e in seen] == [
+            (r[0], r[2], r[3], r[4]) for r in kept]
+        assert wrapped.reports == plain.reports
+        assert wrapped.final_clocks() == plain.final_clocks()

@@ -225,3 +225,30 @@ def test_max_reports_per_var_caps_noise():
     det = RaceDetector(max_reports_per_var=1)
     run(main, seed=1, observers=[det])
     assert len(det.reports) <= 1
+
+
+def test_reused_detector_reports_only_the_attached_run():
+    """A detector attached to a second run (``explore_systematic`` hands
+    one observer list to every run it explores) reports that run alone:
+    its clocks, shadow words and report caps start afresh."""
+
+    def racy(rt):
+        v = rt.shared("v", 0)
+        rt.go(lambda: v.store(1))
+        rt.go(lambda: v.store(2))
+        rt.sleep(0.1)
+
+    def ordered(rt):
+        v = rt.shared("v", 0)
+        v.store(1)
+        rt.go(lambda: v.load())
+        rt.sleep(0.1)
+
+    for programs in ((racy, ordered), (ordered, racy), (racy, racy)):
+        reused = RaceDetector()
+        for seed, program in enumerate(programs):
+            fresh = RaceDetector()
+            result = run(program, seed=seed, observers=[reused, fresh])
+            assert reused.reports == fresh.reports
+            assert result.races == fresh.reports
+            assert reused.final_clocks() == fresh.final_clocks()

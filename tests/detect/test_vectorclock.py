@@ -6,7 +6,6 @@ from repro.detect import VectorClock
 def test_fresh_clock_is_zero():
     vc = VectorClock()
     assert vc.get(1) == 0
-    assert vc.epoch(3) == (3, 0)
 
 
 def test_increment_and_get():
@@ -52,14 +51,6 @@ def test_copy_is_independent():
     b = a.copy()
     b.increment(1)
     assert a.get(1) == 1 and b.get(1) == 2
-
-
-def test_dominates_epoch():
-    vc = VectorClock({4: 7})
-    assert vc.dominates_epoch((4, 7))
-    assert vc.dominates_epoch((4, 3))
-    assert not vc.dominates_epoch((4, 8))
-    assert not vc.dominates_epoch((9, 1))
 
 
 def test_equality_ignores_zero_components():

@@ -65,13 +65,6 @@ def test_increment_strictly_increases(a, gid):
     assert not (vc <= before)
 
 
-@given(a=clock_dicts, gid=st.integers(min_value=1, max_value=6))
-def test_epoch_dominance_matches_components(a, gid):
-    vc = VectorClock(a)
-    assert vc.dominates_epoch(vc.epoch(gid))
-    assert not vc.dominates_epoch((gid, vc.get(gid) + 1))
-
-
 @given(a=clock_dicts, b=clock_dicts)
 def test_concurrency_is_symmetric_and_irreflexive(a, b):
     va, vb = VectorClock(a), VectorClock(b)
