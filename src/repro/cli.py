@@ -104,18 +104,13 @@ def _cmd_run_kernel(args: argparse.Namespace) -> int:
     program = kernel.run_fixed if args.fixed else kernel.run_buggy
     variant = "fixed" if args.fixed else "buggy"
     if args.sweep:
-        if args.jobs > 1:
-            from .parallel import sweep_seeds
+        from .parallel import sweep_seeds
 
-            variant_fn = kernel.fixed if args.fixed else kernel.buggy
-            summaries = sweep_seeds(variant_fn, range(args.sweep),
-                                    jobs=args.jobs,
-                                    predicate=kernel.manifested,
-                                    **dict(kernel.run_kwargs))
-            hits = [s.seed for s in summaries if s.manifested]
-        else:
-            hits = [seed for seed in range(args.sweep)
-                    if kernel.manifested(program(seed=seed))]
+        variant_fn = kernel.fixed if args.fixed else kernel.buggy
+        summaries = sweep_seeds(variant_fn, range(args.sweep),
+                                jobs=args.jobs, predicate=kernel.manifested,
+                                **kernel.run_kwargs)
+        hits = [s.seed for s in summaries if s.manifested]
         if args.json:
             print(json.dumps({
                 "kernel": args.kernel_id,

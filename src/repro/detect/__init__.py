@@ -22,7 +22,7 @@ from .convergence import (
     recovery_verdict,
 )
 from .deadlock import BuiltinDeadlockDetector, GoroutineLeakDetector
-from .leak import leak_reports, leaks_under_any_seed, manifestation_rate
+from .leak import leak_reports
 from .lockorder import LockOrderDetector, LockOrderViolation
 from .race import RaceDetector
 from .report import (
@@ -60,8 +60,6 @@ __all__ = [
     "VectorClock",
     "explore_systematic",
     "leak_reports",
-    "leaks_under_any_seed",
-    "manifestation_rate",
     "replay_schedule",
     "await_recovery",
     "classify",

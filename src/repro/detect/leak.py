@@ -1,17 +1,19 @@
-"""Leak reporting helpers.
+"""Leak reporting.
 
 Turns a finished :class:`~repro.runtime.runtime.RunResult` into structured
-:class:`~repro.detect.report.LeakReport` records, and sweeps seeds to
-estimate how often a nondeterministic leak manifests (the simulator's
-analogue of the paper's "run the buggy program a lot of times").
+:class:`~repro.detect.report.LeakReport` records.  Seed sweeps that
+estimate how often a nondeterministic leak manifests (the paper's "run
+the buggy program a lot of times") go through
+:func:`repro.parallel.sweep_seeds` with :func:`~repro.runtime.runtime.is_stuck` or
+a kernel's ``manifested`` as the predicate.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Sequence
+from typing import List, Sequence
 
 from ..runtime.goroutine import Goroutine
-from ..runtime.runtime import RunResult, is_stuck, run
+from ..runtime.runtime import RunResult
 from .report import LeakReport
 
 
@@ -32,51 +34,3 @@ def leak_reports(result: RunResult) -> List[LeakReport]:
         )
         for g in stuck
     ]
-
-
-def manifestation_rate(
-    program: Callable,
-    seeds: Iterable[int],
-    manifests: Callable[[RunResult], bool],
-    jobs: int = 1,
-    **run_kwargs: Any,
-) -> float:
-    """Fraction of seeds under which ``manifests(result)`` is true.
-
-    ``jobs > 1`` fans the sweep across worker processes
-    (:mod:`repro.parallel`); the predicate runs worker-side against each
-    full result, and the rate is identical to a serial sweep.
-    """
-    seed_list = list(seeds)
-    if not seed_list:
-        raise ValueError("manifestation_rate needs at least one seed")
-    if jobs > 1:
-        from ..parallel import sweep_seeds
-
-        summaries = sweep_seeds(program, seed_list, jobs=jobs,
-                                predicate=manifests, **run_kwargs)
-        hits = sum(1 for s in summaries if s.manifested)
-    else:
-        hits = sum(1 for seed in seed_list
-                   if manifests(run(program, seed=seed, **run_kwargs)))
-    return hits / len(seed_list)
-
-
-def leaks_under_any_seed(program: Callable, seeds: Iterable[int],
-                         jobs: int = 1, **run_kwargs: Any) -> bool:
-    """True when some seed makes the program leak or deadlock.
-
-    Serial sweeps stop at the first hit; with ``jobs > 1`` every seed runs
-    (speculatively, in parallel) and the verdicts are OR-ed — same answer,
-    different wall-clock trade-off.
-    """
-    if jobs > 1:
-        from ..parallel import sweep_seeds
-
-        summaries = sweep_seeds(program, seeds, jobs=jobs,
-                                predicate=is_stuck, **run_kwargs)
-        return any(s.manifested for s in summaries)
-    for seed in seeds:
-        if is_stuck(run(program, seed=seed, **run_kwargs)):
-            return True
-    return False

@@ -67,6 +67,9 @@ class LockOrderViolation:
 class LockOrderDetector:
     """Observer building the acquisition-order graph for one run.
 
+    Each ``attach`` starts a fresh graph, so a detector reused across runs
+    reports only the run it is attached to.
+
     Attach to :func:`repro.run` like the other detectors::
 
         detector = LockOrderDetector()
@@ -82,22 +85,26 @@ class LockOrderDetector:
     name = "lock-order-detector"
 
     def __init__(self) -> None:
+        self._reset()
+        #: The attached run's trace and its length at ``attach``, until
+        #: ``finish`` replays the records emitted since.
+        self._trace: Optional[Trace] = None
+        self._start = 0
+
+    def _reset(self) -> None:
         #: edges[(a, b)] -> first witness (gid, a, b) of "b requested
         #: holding a", in the order the edges were first seen.
         self.edges: Dict[Tuple[int, int], Witness] = {}
         self._held: HeldLocks = {}
         self.violations: List[LockOrderViolation] = []
         self._finalized = False
-        #: The attached run's trace and its length at ``attach``, until
-        #: ``finish`` replays the records emitted since.
-        self._trace: Optional[Trace] = None
-        self._start = 0
 
     # ------------------------------------------------------------------
     # Observer protocol
     # ------------------------------------------------------------------
 
     def attach(self, rt) -> None:
+        self._reset()
         self._trace = rt.sched.trace
         self._start = len(self._trace)
         self._trace.keep_records()

@@ -36,7 +36,12 @@ _PANIC_RULES = {
 
 
 class ChannelRuleChecker:
-    """Observer producing rule-violation diagnostics for one run."""
+    """Observer producing rule-violation diagnostics for one run.
+
+    ``finish`` builds the list afresh from the result, so a checker
+    reused across runs reports only the run it last finished, and a
+    second ``finish`` of one run changes nothing.
+    """
 
     name = "channel-rule-checker"
 
@@ -47,6 +52,7 @@ class ChannelRuleChecker:
         """Nothing to keep: every rule is read off the result."""
 
     def finish(self, result: RunResult) -> None:
+        self.violations = []
         self._check_panic(result)
         self._check_stuck(result)
         setattr(result, "rule_violations", list(self.violations))

@@ -43,8 +43,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..parallel import map_units, summarize_result
 from ..runtime.runtime import RunResult, run
-from .annotate import ChoiceAnnotator, PickAnnotation, PickAnnotations
+from .annotate import ChoiceAnnotator, PickAnnotations
 
 
 class ScriptedChoices:
@@ -151,26 +152,27 @@ def _explore_unit(
     stop_on: Optional[Callable[[RunResult], bool]],
     run_kwargs: dict,
     annotate: bool,
-) -> Tuple[List[Tuple[int, int]], Any, bool,
-           Optional[Dict[int, PickAnnotation]], List[Tuple[int, int, int]]]:
-    """One scheduled run of one prefix; picklable outcome for sweep workers.
+    reduce: bool,
+) -> Tuple[List[Tuple[int, int]], Any, bool, Any,
+           List[Tuple[int, int, int]]]:
+    """One scheduled run of one prefix.
 
-    Returns ``(choice log, result-or-summary, stop hit, pick annotations
-    by position, clamp divergences)``.  The full :class:`RunResult` cannot
-    cross a process boundary, so workers reduce it to a
-    :class:`repro.parallel.RunSummary`, and the annotations, which
-    reference the run's goroutines until looked up, to plain values;
-    ``stop_on`` is evaluated here, where the rich result still exists.
+    Returns ``(choice log, result, stop hit, pick annotations, clamp
+    divergences)``; ``stop_on`` is evaluated here, where the rich result
+    still exists.  With ``reduce`` (``jobs > 1``: the unit may run in a
+    worker process) the outcome is made picklable: the full :class:`RunResult` cannot cross a process
+    boundary, so it becomes a :class:`repro.parallel.RunSummary`, and the
+    annotations, which reference the run's goroutines until looked up,
+    become plain values by position.
     """
-    from ..parallel import summarize_result
-
     choices, result, picks = _run_scripted(program, prefix, run_kwargs,
                                            annotate)
     hit = stop_on is not None and bool(stop_on(result))
-    by_position = ({p.position: p for p in picks}
-                   if picks is not None else None)
-    return (choices.log, summarize_result(result), hit, by_position,
-            choices.divergences)
+    if reduce:
+        result = summarize_result(result)
+        if picks is not None:
+            picks = {p.position: p for p in picks}
+    return choices.log, result, hit, picks, choices.divergences
 
 
 def _run_scripted(program: Callable, prefix: Sequence[int],
@@ -180,9 +182,10 @@ def _run_scripted(program: Callable, prefix: Sequence[int],
     """Run ``program`` under a scripted schedule, optionally annotated.
 
     ``run_kwargs`` may carry ``observer_factories`` — zero-argument
-    callables building a *fresh* observer per run (detectors are
-    stateful, so a shared instance would bleed reports across the
-    exploration).  This is the hook :mod:`repro.predict.confirm` uses to
+    callables building a *fresh* observer per run, in the process that
+    runs it (an instance in ``observers`` is shared by every run, and
+    with ``jobs > 1`` each worker updates only its own copy).  This is
+    the hook :mod:`repro.predict.confirm` uses to
     let ``stop_on`` predicates see detector verdicts (e.g.
     ``result.races``) during systematic search.
     """
@@ -245,7 +248,7 @@ class _Work:
 
 
 class _Explorer:
-    """Shared driver for the serial and parallel exploration loops."""
+    """State of one exploration: the work stack and its accounting."""
 
     def __init__(self, max_runs, max_branch_depth, prune):
         self.max_runs = max_runs
@@ -261,29 +264,28 @@ class _Explorer:
 
     # -- outcome processing --------------------------------------------
 
-    def diverged(self, work: _Work, choices: ScriptedChoices) -> bool:
-        """Did the replay follow the recorded schedule it branched from?"""
-        log = choices.log
-        if choices.diverged or len(log) < len(work.prefix):
-            return True
-        return any(n != expected
-                   for (n, _taken), expected in zip(log, work.expected))
-
     def counterexample_from(self, work: _Work, log) -> List[int]:
         return [taken for _n, taken in log[:len(work.prefix)]] \
             or list(work.prefix)
 
-    def process(self, work: _Work, log, status: str, hit: bool,
-                picks, diverged: bool,
-                clamps: Sequence[Tuple[int, int, int]] = ()) -> None:
-        """Account one visited run and expand its branches (unless it
-        produced the counterexample — the caller returns before this)."""
+    def process(self, work: _Work, log, status: str, hit: bool, picks,
+                clamps: Sequence[Tuple[int, int, int]]) -> None:
+        """Account one visited run and, unless it is the counterexample
+        (``hit``: the caller ends the exploration), expand its branches.
+
+        ``picks`` looks pick annotations up by position: the run's lazy
+        :class:`PickAnnotations`, a dict from a sweep worker, or None when
+        pruning is off."""
+        self.runs += 1
+        self.max_depth = max(self.max_depth, len(log))
+        self.statuses[status] = self.statuses.get(status, 0) + 1
+        if hit:
+            return
         if clamps and len(self.divergence_events) < _MAX_DIVERGENCE_EVENTS:
             room = _MAX_DIVERGENCE_EVENTS - len(self.divergence_events)
             self.divergence_events.extend(
                 tuple(clamp) for clamp in list(clamps)[:room])
-        self.max_depth = max(self.max_depth, len(log))
-        self.statuses[status] = self.statuses.get(status, 0) + 1
+        diverged = bool(clamps) or _log_mismatch(work, log)
         picks_by_pos = picks if picks is not None else {}
         self._report_to_node(work, picks_by_pos, diverged)
         if diverged:
@@ -341,29 +343,16 @@ class _Explorer:
                 continue
             gid_taken = ann.gids[ann.chosen]
             sleeping = {gid for gid, _ in cur}
-            if gid_taken in sleeping:
-                # The run's own continuation took a sleeping transition:
-                # everything *below* reorders schedules already covered.
-                # The state at q itself is still new, though — classic
-                # sleep-set search explores enabled-minus-sleeping at every
-                # state, so the non-sleeping alternatives get their own
-                # runs.  (Their sleep sets inherit the taken transition's
-                # entry through ``cur`` itself.)
+            # When the run's own continuation takes a sleeping transition,
+            # everything *below* reorders schedules already covered.  The
+            # state at q itself is still new, though — classic sleep-set
+            # search explores enabled-minus-sleeping at every state, so the
+            # non-sleeping alternatives still get their own runs.  (Their
+            # sleep sets inherit the taken transition's entry through
+            # ``cur`` itself; it gives them no entry of its own.)
+            asleep = gid_taken in sleeping
+            if asleep:
                 self.pruned += 1
-                if branchable and n > 1:
-                    pending = []
-                    for alternative in range(n - 1, -1, -1):
-                        if alternative == taken:
-                            continue
-                        if ann.gids[alternative] in sleeping:
-                            self.pruned += 1
-                            continue
-                        pending.append(alternative)
-                    if pending:
-                        node = _Node(takens[:q], q, tuple(cur), pending,
-                                     None, tuple(ns[:q + 1]))
-                        self._push_next(node)
-                return
             if branchable and n > 1:
                 pending = []
                 for alternative in range(n - 1, -1, -1):
@@ -374,11 +363,13 @@ class _Explorer:
                         continue
                     pending.append(alternative)
                 if pending:
-                    first = None if ann.poisoned \
+                    first = None if asleep or ann.poisoned \
                         else (gid_taken, ann.tokens)
                     node = _Node(takens[:q], q, tuple(cur), pending, first,
                                  tuple(ns[:q + 1]))
                     self._push_next(node)
+            if asleep:
+                return
             governing_sleep = tuple(cur)
             governing_pos = q
             if ann.poisoned:
@@ -422,16 +413,19 @@ def explore_systematic(
         max_runs: total run budget.
         max_branch_depth: only branch on the first N decision points of
             each run (bounds the tree; later choices stay at the default).
-        jobs: worker processes (:mod:`repro.parallel`).  With ``jobs > 1``
-            up to ``jobs`` frontier prefixes run concurrently per round and
-            their branches merge in submission order.  Schedule *coverage*
-            is unchanged — pruning decisions depend only on each branch
+        jobs: worker processes (:mod:`repro.parallel`).  One loop serves
+            every value: each round pops up to ``jobs`` frontier prefixes
+            (one at ``jobs=1``), runs them through
+            :func:`repro.parallel.map_units` and merges their branches in
+            submission order.  Schedule *coverage* does not depend on
+            ``jobs`` — pruning decisions depend only on each branch
             point's own runs, in a fixed sibling order — so exploration to
             exhaustion visits exactly the same tree; only the visiting
             order (and, with ``stop_on``, which counterexample is found
-            first) can differ.  The parallel counterexample result is a
-            :class:`repro.parallel.RunSummary` rather than a full
-            :class:`RunResult`.
+            first) can differ.  With ``jobs > 1`` each run is reduced to
+            cross the process boundary, so the counterexample result is a
+            :class:`repro.parallel.RunSummary`; at ``jobs=1`` it is the
+            full :class:`RunResult`.
         prune: sleep-set equivalence pruning (see the module docstring).
             Coverage of reachable outcomes is preserved; schedules visited
             shrink.  Disabled automatically when a fault injector is
@@ -448,54 +442,25 @@ def explore_systematic(
         return explorer.exploration(wall_s=time.perf_counter() - t0,
                                     **overrides)
 
-    if jobs > 1:
-        from ..parallel import map_units
-
-        while explorer.stack and explorer.runs < explorer.max_runs:
-            width = min(jobs, len(explorer.stack),
-                        explorer.max_runs - explorer.runs)
-            batch = [explorer.stack.pop() for _ in range(width)]
-            outcomes = map_units(
-                [partial(_explore_unit, program, work.prefix, stop_on,
-                         run_kwargs, explorer.prune) for work in batch],
-                jobs=jobs,
-            )
-            for work, (log, summary, hit, picks, clamps) in zip(batch,
-                                                                outcomes):
-                diverged = bool(clamps) or _log_mismatch(work, log)
-                explorer.runs += 1
-                if hit:
-                    # First hit in submission order wins; the rest of this
-                    # speculative batch is discarded uncounted.
-                    explorer.statuses[summary.status] = \
-                        explorer.statuses.get(summary.status, 0) + 1
-                    explorer.max_depth = max(explorer.max_depth, len(log))
-                    return finish(
-                        counterexample=explorer.counterexample_from(work, log),
-                        counterexample_result=summary,
-                    )
-                explorer.process(work, log, summary.status, hit, picks,
-                                 diverged, clamps)
-        return finish(exhausted=not explorer.stack)
-
+    reduce = jobs > 1
     while explorer.stack and explorer.runs < explorer.max_runs:
-        work = explorer.stack.pop()
-        choices, result, picks = _run_scripted(program, work.prefix,
-                                               run_kwargs, explorer.prune)
-        explorer.runs += 1
-        diverged = explorer.diverged(work, choices)
-        hit = stop_on is not None and bool(stop_on(result))
-        if hit:
-            explorer.statuses[result.status] = \
-                explorer.statuses.get(result.status, 0) + 1
-            explorer.max_depth = max(explorer.max_depth, len(choices.log))
-            return finish(
-                counterexample=explorer.counterexample_from(work, choices.log),
-                counterexample_result=result,
-            )
-        explorer.process(work, choices.log, result.status, hit, picks,
-                         diverged, choices.divergences)
-
+        width = min(max(jobs, 1), len(explorer.stack),
+                    explorer.max_runs - explorer.runs)
+        batch = [explorer.stack.pop() for _ in range(width)]
+        outcomes = map_units(
+            [partial(_explore_unit, program, work.prefix, stop_on,
+                     run_kwargs, explorer.prune, reduce) for work in batch],
+            jobs=jobs,
+        )
+        for work, (log, result, hit, picks, clamps) in zip(batch, outcomes):
+            explorer.process(work, log, result.status, hit, picks, clamps)
+            if hit:
+                # First hit in submission order wins; the rest of a
+                # speculative batch is discarded uncounted.
+                return finish(
+                    counterexample=explorer.counterexample_from(work, log),
+                    counterexample_result=result,
+                )
     return finish(exhausted=not explorer.stack)
 
 

@@ -31,6 +31,9 @@ from ..runtime.trace import EventKind, Record, Trace
 from .metrics import Histogram, MetricsRegistry, TimeSeries
 from .profiles import GoroutineProfile, Profile, ProfileEntry, flamegraph
 
+#: Samples kept per time series (runnable depth, channel occupancy).
+_MAX_SERIES = 4096
+
 #: Block reasons whose spans feed the mutex-contention profile.
 _LOCK_REASONS = ("mutex.lock:", "rwmutex.lock:", "rwmutex.rlock:")
 
@@ -97,14 +100,12 @@ class Observer:
     Args:
         capture_sites: record user call-site stacks on every block (the
             pprof-style attribution); off saves the frame walk.
-        max_series: cap per time series (runnable depth, occupancy).
         track_occupancy: per-channel occupancy histograms + series.
     """
 
-    def __init__(self, capture_sites: bool = True, max_series: int = 4096,
+    def __init__(self, capture_sites: bool = True,
                  track_occupancy: bool = True):
         self.capture_sites = capture_sites
-        self.max_series = max_series
         self.track_occupancy = track_occupancy
 
         self.metrics = MetricsRegistry()
@@ -138,7 +139,7 @@ class Observer:
         self._switch_counter = self.metrics.counter("sched.switches")
         self._depth_hist = self.metrics.histogram("sched.runnable_depth")
         self._depth_series = self.metrics.timeseries(
-            "sched.runnable_depth.series", self.max_series)
+            "sched.runnable_depth.series", _MAX_SERIES)
         # Caches filled on first use, so a dump names only what the run
         # did: (block reason, site) -> the rows its closed spans feed, and
         # primitive -> the wait steps of its closed spans, observed into
@@ -261,7 +262,7 @@ class Observer:
             instruments = self._occ_instruments[label] = (
                 self.metrics.histogram(f"chan.occupancy[{label}]"),
                 self.metrics.timeseries(f"chan.occupancy[{label}].series",
-                                        self.max_series))
+                                        _MAX_SERIES))
         instruments[0].observe(occ)
         instruments[1].sample(step, occ)
 

@@ -61,15 +61,6 @@ def _owner(model: ProgramModel, op_needle: Op) -> Optional[ThreadModel]:
     return None
 
 
-def _ancestors(model: ProgramModel, t: ThreadModel) -> List[str]:
-    chain = []
-    cur = t
-    while cur is not None and cur.parent_key is not None:
-        chain.append(cur.parent_key)
-        cur = model.thread(cur.parent_key)
-    return chain
-
-
 def _done_chan_live(model: ProgramModel, chan: AbstractObj) -> bool:
     """Can this ctx.done() channel ever fire?"""
     for ctx in model.objects_of_kind("ctx"):

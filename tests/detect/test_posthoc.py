@@ -6,15 +6,19 @@ handler and drops the trace.  These tests pin that a second ``finish``
 changes nothing, that records emitted before ``attach`` are not
 replayed, that a finished detector no longer holds the run's trace, and
 that a handler wrapped on the instance (as a profiler counting
-``on_event`` calls does) sees every replayed record.
+``on_event`` calls does) sees every replayed record.  A detector reused
+across runs (``explore_systematic`` hands one observer list to every run
+it explores) reports the attached run alone.
 """
 
 import sys
 from types import SimpleNamespace
 
+import pytest
+
 from repro import EventKind, run
 from repro.bugs import registry
-from repro.detect import LockOrderDetector, RaceDetector
+from repro.detect import ChannelRuleChecker, LockOrderDetector, RaceDetector
 from repro.detect.hb import STRICT_EDGES
 from repro.runtime.trace import Trace
 
@@ -58,6 +62,64 @@ def test_second_finish_changes_nothing():
     assert lockorder.edges == edges
     assert result.races == races
     assert result.lock_order_violations == violations
+
+
+def inverted_and_leaky(rt):
+    """``racy_ab_ba``'s lock inversion, plus a sender nobody receives
+    from: a lock-order violation and a channel-rule violation."""
+    racy_ab_ba(rt)
+    ch = rt.make_chan()
+    rt.go(lambda: ch.send(1))
+    rt.sleep(1.0)
+
+
+def quiet(rt):
+    """No locks, no channels: nothing for either detector to report."""
+    rt.go(lambda: None)
+    rt.sleep(1.0)
+
+
+def _lock_order_verdict(detector, result):
+    return (detector.edges, detector.violations,
+            result.lock_order_violations)
+
+
+def _rule_verdict(checker, result):
+    return checker.violations, result.rule_violations
+
+
+REUSABLE = pytest.mark.parametrize(
+    "make, verdict", [(LockOrderDetector, _lock_order_verdict),
+                      (ChannelRuleChecker, _rule_verdict)],
+    ids=["lock-order", "channel-rules"])
+
+
+@REUSABLE
+def test_reused_detector_reports_only_the_attached_run(make, verdict):
+    for programs in ((inverted_and_leaky, quiet),
+                     (quiet, inverted_and_leaky),
+                     (inverted_and_leaky, inverted_and_leaky)):
+        reused = make()
+        for seed, program in enumerate(programs):
+            fresh = make()
+            result = run(program, seed=seed, observers=[reused, fresh])
+            assert verdict(reused, result) == verdict(fresh, result)
+            reused.finish(result)
+            assert verdict(reused, result) == verdict(fresh, result)
+    # The last run found something, so the comparisons were not vacuous.
+    assert verdict(fresh, result)[0]
+
+
+@REUSABLE
+def test_reused_detector_matches_a_fresh_one_over_the_corpus(make, verdict):
+    reused = make()
+    for kernel in registry.all_kernels():
+        for variant in ("buggy", "fixed"):
+            fresh = make()
+            result = run(getattr(kernel, variant), seed=0,
+                         observers=[reused, fresh], **kernel.run_kwargs)
+            assert verdict(reused, result) == verdict(fresh, result), \
+                f"{kernel.meta.kernel_id}[{variant}]"
 
 
 def _attach_after(*events):

@@ -2,7 +2,7 @@
 
 The parallel engine's contract is that parallelism is invisible in the
 output: same summaries, same order, same JSON, for the seed sweep, the
-explorer, the detectors' sweeps, and the chaos harness.  These tests pin
+explorer, the kernels' manifestation sweeps, and the chaos harness.  These tests pin
 that contract with a worker count above 1 regardless of how many cores the
 CI machine has (forking 4 workers on 1 core is slower, never different).
 """
@@ -13,11 +13,12 @@ import time
 import pytest
 
 from repro import explore, run
-from repro.bugs.registry import get
-from repro.detect.systematic import explore_systematic
+from repro.bugs.registry import all_kernels, get
+from repro.detect.systematic import explore_systematic, replay_schedule
 from repro.inject.harness import ChaosHarness, ChaosTarget, manifestation_rate
 from repro.inject.plans import default_suite
-from repro.parallel import schedule_digest, sweep_seeds
+from repro.parallel import RunSummary, schedule_digest, sweep_seeds
+from repro.runtime.runtime import RunResult
 
 JOBS = 4
 
@@ -95,14 +96,58 @@ def test_chaos_manifestation_rate_identical():
         manifestation_rate(KERNEL, seeds, jobs=JOBS)
 
 
+def _coverage(exploration):
+    return (exploration.exhausted, exploration.runs, exploration.pruned,
+            exploration.divergences, exploration.max_depth,
+            exploration.statuses)
+
+
 def test_systematic_exploration_coverage_identical():
     serial = explore_systematic(_tiny, max_runs=4000)
     parallel = explore_systematic(_tiny, max_runs=4000, jobs=JOBS)
     # Exhaustion visits exactly the same bounded tree regardless of the
     # visiting order, so the totals agree.
-    assert serial.exhausted and parallel.exhausted
-    assert serial.runs == parallel.runs
-    assert serial.statuses == parallel.statuses
+    assert serial.exhausted
+    assert _coverage(serial) == _coverage(parallel)
+
+
+def test_corpus_exploration_coverage_identical():
+    """Every corpus variant whose tree exhausts within 80 runs covers the
+    same tree, with the same pruning, at any ``jobs``."""
+    exhausted = []
+    for kernel in all_kernels():
+        for variant in ("buggy", "fixed"):
+            program = getattr(kernel, variant)
+            serial = explore_systematic(program, max_runs=80,
+                                        **kernel.run_kwargs)
+            if not serial.exhausted:
+                continue
+            parallel = explore_systematic(program, max_runs=80, jobs=JOBS,
+                                          **kernel.run_kwargs)
+            name = f"{kernel.meta.kernel_id}[{variant}]"
+            assert _coverage(serial) == _coverage(parallel), name
+            exhausted.append(name)
+    # More than half of the 108 variants exhaust (59 when written).
+    assert len(exhausted) > 54
+
+
+def test_counterexample_result_is_full_only_in_process():
+    """At ``jobs=1`` the counterexample is the run's own ``RunResult``;
+    across workers it is reduced to a ``RunSummary``.  Both schedules
+    replay to a manifesting run."""
+    kernel = get("blocking-mutex-boltdb-392")
+    serial = explore_systematic(kernel.buggy, stop_on=kernel.manifested,
+                                **kernel.run_kwargs)
+    parallel = explore_systematic(kernel.buggy, stop_on=kernel.manifested,
+                                  jobs=2, **kernel.run_kwargs)
+    assert isinstance(serial.counterexample_result, RunResult)
+    assert serial.counterexample_result.trace is not None
+    assert kernel.manifested(serial.counterexample_result)
+    assert isinstance(parallel.counterexample_result, RunSummary)
+    for exploration in (serial, parallel):
+        replayed = replay_schedule(kernel.buggy, exploration.counterexample,
+                                   **kernel.run_kwargs)
+        assert kernel.manifested(replayed)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """CLI behavior (invoked in-process via cli.main)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -39,6 +41,21 @@ def test_run_kernel_sweep(capsys):
                  "--sweep", "10"]) == 0
     out = capsys.readouterr().out
     assert "manifested on" in out and "/10 seeds" in out
+
+
+@pytest.mark.parametrize("variant", [[], ["--fixed"]],
+                         ids=["buggy", "fixed"])
+def test_run_kernel_sweep_json_is_the_same_at_any_jobs(capsys, variant):
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["run-kernel", "blocking-chan-kubernetes-5316",
+                     "--sweep", "10", "--json", "--jobs", jobs]
+                    + variant) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    data = json.loads(outputs[0])
+    assert data["variant"] == ("fixed" if variant else "buggy")
+    assert data["sweep"] == 10
 
 
 def test_detect_runs_all_detectors(capsys):
