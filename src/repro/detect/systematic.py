@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..parallel import map_units, summarize_result
+from ..parallel import engine, map_units, summarize_result
 from ..runtime.runtime import RunResult, run
 from .annotate import ChoiceAnnotator, PickAnnotations
 
@@ -152,23 +152,23 @@ def _explore_unit(
     stop_on: Optional[Callable[[RunResult], bool]],
     run_kwargs: dict,
     annotate: bool,
-    reduce: bool,
 ) -> Tuple[List[Tuple[int, int]], Any, bool, Any,
            List[Tuple[int, int, int]]]:
     """One scheduled run of one prefix.
 
     Returns ``(choice log, result, stop hit, pick annotations, clamp
     divergences)``; ``stop_on`` is evaluated here, where the rich result
-    still exists.  With ``reduce`` (``jobs > 1``: the unit may run in a
-    worker process) the outcome is made picklable: the full :class:`RunResult` cannot cross a process
-    boundary, so it becomes a :class:`repro.parallel.RunSummary`, and the
-    annotations, which reference the run's goroutines until looked up,
-    become plain values by position.
+    still exists.  Inside a pool worker the outcome is made picklable:
+    the full :class:`RunResult` cannot cross a process boundary, so it
+    becomes a :class:`repro.parallel.RunSummary`, and the annotations,
+    which reference the run's goroutines until looked up, become plain
+    values by position.  A unit that ``map_units`` runs in-process (any
+    ``jobs=1`` round, and a serial cutover) returns both as they are.
     """
     choices, result, picks = _run_scripted(program, prefix, run_kwargs,
                                            annotate)
     hit = stop_on is not None and bool(stop_on(result))
-    if reduce:
+    if engine._IN_WORKER:
         result = summarize_result(result)
         if picks is not None:
             picks = {p.position: p for p in picks}
@@ -422,10 +422,11 @@ def explore_systematic(
             point's own runs, in a fixed sibling order — so exploration to
             exhaustion visits exactly the same tree; only the visiting
             order (and, with ``stop_on``, which counterexample is found
-            first) can differ.  With ``jobs > 1`` each run is reduced to
-            cross the process boundary, so the counterexample result is a
-            :class:`repro.parallel.RunSummary`; at ``jobs=1`` it is the
-            full :class:`RunResult`.
+            first) can differ.  A run dispatched to a worker process is
+            reduced to cross the process boundary, so its counterexample
+            result is a :class:`repro.parallel.RunSummary`; a run that
+            ran in-process (every run at ``jobs=1``, and any batch
+            ``map_units`` keeps serial) gives the full :class:`RunResult`.
         prune: sleep-set equivalence pruning (see the module docstring).
             Coverage of reachable outcomes is preserved; schedules visited
             shrink.  Disabled automatically when a fault injector is
@@ -442,14 +443,13 @@ def explore_systematic(
         return explorer.exploration(wall_s=time.perf_counter() - t0,
                                     **overrides)
 
-    reduce = jobs > 1
     while explorer.stack and explorer.runs < explorer.max_runs:
         width = min(max(jobs, 1), len(explorer.stack),
                     explorer.max_runs - explorer.runs)
         batch = [explorer.stack.pop() for _ in range(width)]
         outcomes = map_units(
             [partial(_explore_unit, program, work.prefix, stop_on,
-                     run_kwargs, explorer.prune, reduce) for work in batch],
+                     run_kwargs, explorer.prune) for work in batch],
             jobs=jobs,
         )
         for work, (log, result, hit, picks, clamps) in zip(batch, outcomes):

@@ -19,18 +19,21 @@
  *     event), so traced runs take this loop too, and so do runs with a
  *     pick log (``sched.pick_log``, read once per entry), which gets the
  *     same ``(step, runnable snapshot, index)`` record per pick as the
- *     pure loop writes.  Only runs with structured stop conditions and
- *     the C RNG above; anything else returns None and the pure loop
- *     takes over.  When no goroutine is runnable the loop fires the
- *     due timers itself (see fire_due_timers) and returns ``"idle"`` only
- *     once no live timer is left.  A sleeper's timer holds the goroutine,
- *     which the loop readies with no Python call, writing the trace
- *     records Scheduler.ready would; every other callback goes to
- *     ``Scheduler.fire_timers``.  A fire that leaves nothing runnable
- *     counts one against the step budget, as in the pure loop.  A run
- *     with a fault injector keeps the old idle exit, and enters between
- *     the injector's due steps: the scheduler clamps ``_budget`` so the
- *     loop returns at the next one, and the pure loop pulses there.
+ *     pure loop writes.  The C RNG above is drawn from inline; any
+ *     other RNG (the explorer's scripted choices) through its bound
+ *     ``randrange``, called once per pick (draw_in_python).  Only runs
+ *     with structured stop conditions qualify; anything else returns
+ *     None and the pure loop takes over.  When no goroutine is runnable
+ *     the loop fires the due timers itself (see fire_due_timers) and
+ *     returns ``"idle"`` only once no live timer is left.  A sleeper's
+ *     timer holds the goroutine, which the loop readies with no Python
+ *     call, writing the trace records Scheduler.ready would; every other
+ *     callback goes to ``Scheduler.fire_timers``.  A fire that leaves
+ *     nothing runnable counts one against the step budget, as in the
+ *     pure loop.  A run with a fault injector keeps the old idle exit,
+ *     and enters between the injector's due steps: the scheduler clamps
+ *     ``_budget`` so the loop returns at the next one, and the pure loop
+ *     pulses there.
  *
  * Goroutine fields are reached through slot offsets cached from the class
  * ``__slots__`` member descriptors at bind() time — an attribute read is a
@@ -392,7 +395,8 @@ static PyObject *s_runnable_attr = NULL, *s_rng = NULL, *s_stop_mode = NULL,
                 *s_steps = NULL, *s_time_limit = NULL, *s_clock = NULL,
                 *s_now = NULL, *s_current = NULL, *s_after_resume = NULL,
                 *s_trace = NULL, *s_active = NULL, *s_pick_log = NULL,
-                *s_injector = NULL, *s_heap = NULL, *s_fire_timers = NULL;
+                *s_injector = NULL, *s_heap = NULL, *s_fire_timers = NULL,
+                *s_randrange = NULL;
 
 static PyObject *heappop_fn = NULL;         /* heapq.heappop */
 
@@ -525,24 +529,49 @@ attr_as_longlong(PyObject *obj, PyObject *name, int *err)
     return out;
 }
 
-/* One pick-log record: (step, tuple(runnable), idx). */
-static PyObject *
-pick_record(long long step, PyObject *runnable, uint32_t idx)
+/* Append one pick-log record, (step, tuple(runnable), idx), to picks. */
+static int
+log_pick(PyObject *picks, long long step, PyObject *runnable, PyObject *ix)
 {
     PyObject *st = PyLong_FromLongLong(step);
     PyObject *snap = PyList_AsTuple(runnable);
-    PyObject *ix = PyLong_FromUnsignedLong(idx);
-    PyObject *rec = (st && snap && ix) ? PyTuple_New(3) : NULL;
+    PyObject *rec = (st && snap) ? PyTuple_New(3) : NULL;
     if (rec == NULL) {
         Py_XDECREF(st);
         Py_XDECREF(snap);
-        Py_XDECREF(ix);
-        return NULL;
+        return -1;
     }
     PyTuple_SET_ITEM(rec, 0, st);
     PyTuple_SET_ITEM(rec, 1, snap);
+    Py_INCREF(ix);
     PyTuple_SET_ITEM(rec, 2, ix);
-    return rec;
+    int rc = PyList_Append(picks, rec);
+    Py_DECREF(rec);
+    return rc;
+}
+
+/* A pick drawn from any other RNG (the explorer's scripted choices): what
+ * Scheduler._advance does.  Call ``randrange(len(runnable))``, log the
+ * drawn value, then take ``runnable[idx]``, so a drawn value the list
+ * rejects raises there as in the pure loop, and a negative one counts
+ * from the end.  Out of line, so the BatchedRandom path of the loop keeps
+ * its inline draw.  Returns a new reference, or NULL with an error set. */
+static Py_NO_INLINE PyObject *
+draw_in_python(PyObject *randrange, PyObject *runnable, long long step,
+               PyObject *picks)
+{
+    PyObject *n = PyLong_FromSsize_t(PyList_GET_SIZE(runnable));
+    if (n == NULL)
+        return NULL;
+    PyObject *ix = PyObject_CallOneArg(randrange, n);
+    Py_DECREF(n);
+    if (ix == NULL)
+        return NULL;
+    PyObject *g = NULL;
+    if (picks == NULL || log_pick(picks, step, runnable, ix) == 0)
+        g = PyObject_GetItem(runnable, ix);
+    Py_DECREF(ix);
+    return g;
 }
 
 /* The timer heap holds TimerHandle entries, ``[deadline, seq, callback]``
@@ -807,7 +836,8 @@ hl_drive(PyObject *module, PyObject *sched)
              *panicked = NULL, *clock = NULL, *heap = NULL,
              *time_limit = NULL, *picks = NULL, *trace = NULL;
     PyObject *stop_g = NULL;          /* borrowed from stop_mode */
-    BatchedRandomObject *rng = NULL;
+    BatchedRandomObject *rng = NULL;  /* the C RNG, drawn from inline */
+    PyObject *randrange = NULL;       /* any other RNG's bound randrange */
     PyObject *verdict = NULL;         /* borrowed from the v_* constants */
     int failed = 0;
     int stop_main = 0;
@@ -819,9 +849,8 @@ hl_drive(PyObject *module, PyObject *sched)
     if (runnable == NULL || !PyList_CheckExact(runnable))
         goto ineligible;
     rng_obj = PyObject_GetAttr(sched, s_rng);
-    if (rng_obj == NULL || Py_TYPE(rng_obj) != &BatchedRandom_Type)
+    if (rng_obj == NULL)
         goto ineligible;
-    rng = (BatchedRandomObject *)rng_obj;
     stop_mode = PyObject_GetAttr(sched, s_stop_mode);
     if (stop_mode == NULL || !PyTuple_Check(stop_mode) ||
         PyTuple_GET_SIZE(stop_mode) != 2)
@@ -860,6 +889,10 @@ hl_drive(PyObject *module, PyObject *sched)
         if (Py_TYPE(trace) != trace_type)
             Py_CLEAR(trace);
     }
+    if (Py_TYPE(rng_obj) == &BatchedRandom_Type)
+        rng = (BatchedRandomObject *)rng_obj;
+    else if ((randrange = PyObject_GetAttr(rng_obj, s_randrange)) == NULL)
+        goto fail_entry;
     panicked = PyObject_GetAttr(sched, s_panicked_attr);
     if (panicked == NULL)
         goto fail_entry;
@@ -951,18 +984,26 @@ hl_drive(PyObject *module, PyObject *sched)
             }
             Py_DECREF(stp);
         }
-        uint32_t idx = mt_randrange32(rng, (uint32_t)nrun);
-        if (picks != NULL) {
-            PyObject *rec = pick_record(steps, runnable, idx);
-            if (rec == NULL || PyList_Append(picks, rec) < 0) {
-                Py_XDECREF(rec);
-                failed = 1;
-                break;
+        PyObject *g;
+        if (rng != NULL) {
+            uint32_t idx = mt_randrange32(rng, (uint32_t)nrun);
+            if (picks != NULL) {
+                PyObject *ix = PyLong_FromUnsignedLong(idx);
+                int rc = ix == NULL ? -1 : log_pick(picks, steps, runnable, ix);
+                Py_XDECREF(ix);
+                if (rc < 0) {
+                    failed = 1;
+                    break;
+                }
             }
-            Py_DECREF(rec);
+            g = PyList_GET_ITEM(runnable, idx);
+            Py_INCREF(g);
         }
-        PyObject *g = PyList_GET_ITEM(runnable, idx);
-        Py_INCREF(g);
+        else if ((g = draw_in_python(randrange, runnable, steps,
+                                     picks)) == NULL) {
+            failed = 1;
+            break;
+        }
 
         if (Py_TYPE(g) != tk_go_type || switch_meth == NULL) {
             /* drive() runs only on the tasklet vehicle, where every
@@ -1041,6 +1082,7 @@ hl_drive(PyObject *module, PyObject *sched)
     }
 
 fail_entry:  /* an entry failure leaves verdict NULL */
+    Py_XDECREF(randrange);
     Py_XDECREF(trace);
     Py_XDECREF(picks);
     Py_XDECREF(time_limit);
@@ -1134,6 +1176,7 @@ PyInit__hotloop(void)
     INTERN(s_injector, "injector");
     INTERN(s_heap, "_heap");
     INTERN(s_fire_timers, "fire_timers");
+    INTERN(s_randrange, "randrange");
     INTERN(v_stopped, "stopped");
     INTERN(v_timeout, "timeout");
     INTERN(v_steps, "steps");

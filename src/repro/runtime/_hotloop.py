@@ -12,15 +12,18 @@ of each:
   run gets never changes a schedule.
 * :func:`get_drive` — the fused per-step scheduler loop (compiled only).
   Returns ``None`` when unavailable; the scheduler then runs its pure loop.
-  The compiled loop engages, traced, pick-logged, faulted or not, when
-  nothing observable differs: structured stop conditions and the stock
-  RNG.  With nothing runnable it fires the due timers itself and returns
-  ``"idle"`` only when no live timer is left: it readies a sleeper (a
-  timer whose callback slot holds the goroutine) in C and hands the
-  other callbacks to ``Scheduler.fire_timers``.  A faulted run enters it
-  between the injector's due steps, with the step budget clamped to the
-  next one, and leaves it at every idle point so the clock stays still
-  while it drives (see ``Scheduler.run_until_quiescent``).
+  The compiled loop engages, traced, pick-logged, explored, faulted or
+  not, for structured stop conditions and any RNG with a ``randrange``:
+  it draws inline from the compiled ``BatchedRandom`` and calls any
+  other source's ``randrange`` (the explorer's scripted choices) once
+  per pick, as the pure loop does.  With nothing runnable it fires the
+  due timers itself and returns ``"idle"`` only when no live timer is
+  left: it readies a sleeper (a timer whose callback slot holds the
+  goroutine) in C and hands the other callbacks to
+  ``Scheduler.fire_timers``.  A faulted run enters it between the
+  injector's due steps, with the step budget clamped to the next one,
+  and leaves it at every idle point so the clock stays still while it
+  drives (see ``Scheduler.run_until_quiescent``).
 
 Channels, select, Mutex/RWMutex and vector clocks have one implementation
 each, in pure Python.  Set ``REPRO_NO_CEXT=1`` (or use :class:`force_pure`)

@@ -384,9 +384,11 @@ class RunResult:
             loaded.  False on the thread vehicle (whose direct handoff
             never enters the loop), with ``REPRO_NO_CEXT=1``, off-platform,
             or under ``force_pure``.  Availability, not engagement: a
-            run with a scripted RNG reports True even though the pure
-            loop ran it, and a faulted run takes the pure loop at each
-            step where a fault is due.
+            faulted run takes the pure loop at each step where a fault is
+            due; ``drive_steps`` says how many steps the loop took.
+        drive_steps: steps taken inside the compiled drive loop, 0 when
+            it was unavailable; ``steps`` minus this ran on the pure loop.
+            Not part of :meth:`to_dict`.
         injected: records of faults the injector fired during this run
             (empty when no fault plan was attached).
         observation: the :class:`repro.observe.Observer` that watched this
@@ -414,6 +416,7 @@ class RunResult:
         observation: Optional[Any] = None,
         backend: Optional[str] = None,
         compiled: Optional[bool] = None,
+        drive_steps: int = 0,
     ):
         self.status = status
         self.seed = seed
@@ -432,6 +435,7 @@ class RunResult:
         self.observation = observation
         self.backend = backend
         self.compiled = compiled
+        self.drive_steps = drive_steps
 
     @property
     def completed(self) -> bool:
@@ -665,6 +669,7 @@ def run(
         observation=observation,
         backend=sched.backend,
         compiled=sched._hot is not None,
+        drive_steps=sched.drive_steps,
     )
     if observation is not None:
         observation.finish(result)

@@ -19,12 +19,13 @@ system's effective speed, the per-step path here is deliberately lean:
   one attribute check per would-be event.  The kept log stores plain
   records, read when the run finishes, and a ``TraceEvent`` object is
   built only for a reader that asks for one;
-* traced, untraced and faulted runs alike take the compiled drive loop
-  when it loads; a faulted run drives up to the step the injector names
-  as its next due one (:meth:`repro.inject.injector.FaultInjector.next_due`)
-  and pulses there in the interpreted loop.  Only a non-stock RNG (the
-  explorer's scripted choices) selects the interpreted loop for a whole
-  run;
+* traced, untraced, explored and faulted runs alike take the compiled
+  drive loop when it loads; it draws inline from the stock RNG and calls
+  any other one's ``randrange`` (the explorer's scripted choices) once
+  per pick.  A faulted run drives up to the step the injector names as
+  its next due one (:meth:`repro.inject.injector.FaultInjector.next_due`)
+  and pulses there in the interpreted loop.  :attr:`Scheduler.drive_steps`
+  counts the steps the compiled loop took;
 * timers fire inside the compiled loop: with nothing runnable it moves
   the virtual clock to the next deadline and fires what is due, so a run
   with thousands of timers enters it once per :meth:`run_until_quiescent`
@@ -301,6 +302,10 @@ class Scheduler:
         #: None for a ``select`` draw, so an entry's index is the draw's
         #: position in the RNG stream (the explorer's choice-log position).
         self.pick_log: Optional[List[Optional[PickRecord]]] = None
+        #: Steps taken inside the compiled drive loop, counted per entry
+        #: from the ``_steps`` delta around it; the rest of :attr:`steps`
+        #: ran on the pure loop.
+        self.drive_steps = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -536,21 +541,26 @@ class Scheduler:
         self._main_verdict = None
         direct = self._direct
         # The compiled fused loop stands in for the whole per-step body
-        # below whenever nothing observable differs from the pure path: the
-        # stock RNG (checked inside drive).  Traced and pick-logged runs
-        # qualify: drive stamps ``_steps`` per step, writes the pick log and
-        # hands ended goroutines to ``_after_resume``.  A faulted run drives
-        # between the injector's due steps and pulses in ``_advance``.
+        # below.  Traced, pick-logged and explored runs qualify: drive
+        # stamps ``_steps`` per step, writes the pick log, calls a
+        # non-stock RNG's ``randrange`` and hands ended goroutines to
+        # ``_after_resume``.  A faulted run drives between the injector's
+        # due steps and pulses in ``_advance``.
         hot = self._hot
         injector = self.injector
         try:
             while True:
                 if hot is not None:
+                    # _drive_to_due_step steps only inside hot, so the
+                    # delta around it is the steps drive took.
+                    start = self._steps
                     verdict = (hot(self) if injector is None
                                else self._drive_to_due_step(hot, injector))
+                    self.drive_steps += self._steps - start
                     if verdict is None:
-                        # Static mismatch (e.g. a scripted RNG): the pure
-                        # loop takes over for the rest of this call.
+                        # Static mismatch (a runnable list, stop mode or
+                        # pick log drive cannot read): the pure loop takes
+                        # over for the rest of this call.
                         hot = None
                         continue
                 if hot is None or verdict == _FAULT_DUE:

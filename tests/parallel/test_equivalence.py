@@ -18,6 +18,8 @@ from repro.detect.systematic import explore_systematic, replay_schedule
 from repro.inject.harness import ChaosHarness, ChaosTarget, manifestation_rate
 from repro.inject.plans import default_suite
 from repro.parallel import RunSummary, schedule_digest, sweep_seeds
+from repro.parallel import engine as engine_mod
+from repro.parallel.engine import pool_stats
 from repro.runtime.runtime import RunResult
 
 JOBS = 4
@@ -131,23 +133,43 @@ def test_corpus_exploration_coverage_identical():
     assert len(exhausted) > 54
 
 
-def test_counterexample_result_is_full_only_in_process():
-    """At ``jobs=1`` the counterexample is the run's own ``RunResult``;
-    across workers it is reduced to a ``RunSummary``.  Both schedules
-    replay to a manifesting run."""
-    kernel = get("blocking-mutex-boltdb-392")
-    serial = explore_systematic(kernel.buggy, stop_on=kernel.manifested,
-                                **kernel.run_kwargs)
-    parallel = explore_systematic(kernel.buggy, stop_on=kernel.manifested,
-                                  jobs=2, **kernel.run_kwargs)
+def _explore_to_counterexample(kernel, jobs):
+    before = pool_stats()
+    exploration = explore_systematic(kernel.buggy, stop_on=kernel.manifested,
+                                     jobs=jobs, **kernel.run_kwargs)
+    after = pool_stats()
+    assert exploration.found and exploration.runs > 1
+    replayed = replay_schedule(kernel.buggy, exploration.counterexample,
+                               **kernel.run_kwargs)
+    assert kernel.manifested(replayed)
+    return exploration, {key: after[key] - before[key]
+                         for key in ("dispatches", "serial_cutovers")}
+
+
+def test_counterexample_result_is_full_only_in_process(monkeypatch):
+    """A hit that ran in-process gives the run's own ``RunResult``: at
+    ``jobs=1``, and at ``jobs=2`` when the serial cutover keeps every
+    batch in the parent.  A hit dispatched to a worker gives a
+    ``RunSummary``.  Every schedule replays to a manifesting run."""
+    kernel = get("nonblocking-chan-grpc-send-on-closed")
+    serial, counts = _explore_to_counterexample(kernel, jobs=1)
     assert isinstance(serial.counterexample_result, RunResult)
     assert serial.counterexample_result.trace is not None
     assert kernel.manifested(serial.counterexample_result)
-    assert isinstance(parallel.counterexample_result, RunSummary)
-    for exploration in (serial, parallel):
-        replayed = replay_schedule(kernel.buggy, exploration.counterexample,
-                                   **kernel.run_kwargs)
-        assert kernel.manifested(replayed)
+    assert counts == {"dispatches": 0, "serial_cutovers": 0}
+
+    monkeypatch.setattr(engine_mod, "MIN_PARALLEL_COST_S", float("inf"))
+    cutover, counts = _explore_to_counterexample(kernel, jobs=2)
+    assert isinstance(cutover.counterexample_result, RunResult)
+    assert kernel.manifested(cutover.counterexample_result)
+    assert counts["dispatches"] == 0 and counts["serial_cutovers"] > 0
+
+    # No probe and no cost floor: every batch of two goes to the pool.
+    monkeypatch.setattr(engine_mod, "MIN_PARALLEL_COST_S", 0.0)
+    monkeypatch.setattr(engine_mod, "PROBE_UNITS", 0)
+    dispatched, counts = _explore_to_counterexample(kernel, jobs=2)
+    assert isinstance(dispatched.counterexample_result, RunSummary)
+    assert counts["dispatches"] > 0 and counts["serial_cutovers"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,11 @@ pin the only thing the extension may not change — the run itself:
   ``with_timeout`` and over random timer programs; an untraced load run
   enters drive at most a few times, and a faulted run still leaves it
   at every idle point;
+* explored runs (a scripted RNG, which drive calls once per pick) keep
+  the pure loop's choice log, clamp divergences, pick log and trace
+  records, clamped prefixes included, and take every step inside drive;
+  a draw that raises, a draw of ``n`` and a draw of ``-1`` behave as
+  ``runnable[idx]`` in the pure loop does;
 * error paths (send on closed, unlock of unlocked, select on a closed
   send case) panic identically in both modes;
 * a ``REPRO_NO_CEXT=1`` subprocess — no extension at all — reproduces
@@ -870,3 +875,168 @@ def test_faulted_run_still_exits_drive_at_idle():
     plain = run(_heartbeat, seed=1, keep_trace=False, time_limit=2.5)
     assert (_signature(result), result.end_time) \
         == (_signature(plain), plain.end_time)
+
+
+# ---------------------------------------------------------------------------
+# Explored runs: the compiled loop calls a non-stock RNG's randrange
+# ---------------------------------------------------------------------------
+
+
+#: Scripted prefixes: the default schedule, a short branch, and one whose
+#: entries exceed most live ranges, so its draws are clamped (diverge).
+_PREFIXES = [(), (1, 0, 1), (9,) * 8]
+
+
+def _explored(program, prefix, pure=False, **kwargs):
+    from repro.detect.systematic import ScriptedChoices
+
+    choices = ScriptedChoices(prefix)
+    reader = _PickLogReader()
+    with force_pure() if pure else nullcontext():
+        result = run(program, rng=choices, keep_trace=True,
+                     observers=[reader], **kwargs)
+    return (_signature(result), choices.log, choices.divergences,
+            reader.picks, _event_log(result)), result
+
+
+def _explored_kernels():
+    # Every third kernel: blocking and non-blocking, channel, lock and
+    # library bugs alike.
+    return _corpus_kernels()[::3]
+
+
+@pytest.mark.parametrize("prefix", _PREFIXES, ids=["default", "branch",
+                                                   "clamped"])
+@pytest.mark.parametrize("variant", ["buggy", "fixed"])
+@pytest.mark.parametrize("kernel", _explored_kernels(),
+                         ids=lambda k: k.meta.kernel_id)
+def test_explored_run_compiled_vs_pure(kernel, variant, prefix):
+    """Choice log, clamp divergences, pick log and kept trace records of
+    a scripted run are the same on both loops."""
+    program = getattr(kernel, variant)
+    compiled, _ = _explored(program, prefix, **kernel.run_kwargs)
+    pure, _ = _explored(program, prefix, pure=True, **kernel.run_kwargs)
+    assert compiled == pure
+
+
+def test_clamped_prefixes_diverge_somewhere():
+    """The clamped prefix above really takes the divergence path."""
+    diverged = [kernel.meta.kernel_id for kernel in _explored_kernels()
+                if _explored(kernel.buggy, _PREFIXES[-1],
+                             **kernel.run_kwargs)[0][2]]
+    assert len(diverged) >= 5
+
+
+@needs_drive_loop
+@pytest.mark.parametrize("workload", sorted(ALL_WORKLOADS))
+def test_explored_run_takes_every_step_inside_drive(workload):
+    """An explored tasklet run steps only inside drive; under
+    ``force_pure`` and on the thread vehicle it takes none there."""
+    program = ALL_WORKLOADS[workload]
+    _, compiled = _explored(program, (1, 2, 0, 1))
+    assert compiled.compiled is True
+    assert compiled.drive_steps == compiled.steps > 0
+    _, pure = _explored(program, (1, 2, 0, 1), pure=True)
+    assert pure.drive_steps == 0
+    _, thread = _explored(program, (1, 2, 0, 1), backend="thread")
+    assert thread.drive_steps == 0
+    assert _signature(compiled) == _signature(pure) == _signature(thread)
+
+
+def _three_workers(rt):
+    """Three workers sending on one buffered channel, main receiving:
+    several goroutines are runnable at most picks, and nothing selects,
+    so every draw is a scheduling pick."""
+    ch = rt.make_chan(2)
+
+    def worker(i):
+        for j in range(4):
+            ch.send((i, j))
+
+    for i in range(3):
+        rt.go(worker, i)
+    return [ch.recv() for _ in range(12)]
+
+
+class _FaultyRNG:
+    """Draws index 0 except at ``at`` (1-based call count), where it
+    returns ``value(n)``, raises ``value`` if it is an exception, or
+    notes which Python frame called it."""
+
+    def __init__(self, at, value):
+        self.at = at
+        self.value = value
+        self.calls = 0
+        self.caller = None
+
+    def randrange(self, n):
+        import sys
+
+        self.calls += 1
+        if self.calls != self.at:
+            return 0
+        self.caller = sys._getframe(1).f_code.co_name
+        if isinstance(self.value, BaseException):
+            raise self.value
+        return self.value(n)
+
+
+class _SchedGrabber:
+    def attach(self, rt):
+        self.sched = rt.sched
+
+
+def _faulty_run(rng, pure):
+    grab = _SchedGrabber()
+    reader = _PickLogReader()
+    with force_pure() if pure else nullcontext():
+        try:
+            result = run(_three_workers, rng=rng, keep_trace=True,
+                         observers=[grab, reader])
+        except Exception as exc:  # noqa: BLE001 - compared below
+            sched = grab.sched
+            picks = [(pick[0], tuple(g.gid for g in pick[1]), pick[2])
+                     for pick in sched.pick_log]
+            return ("raised", type(exc), str(exc), sched._steps,
+                    sched._budget_used, picks), rng.caller
+    return ("ok", _signature(result), reader.picks,
+            _event_log(result)), rng.caller
+
+
+def _assert_faulty_draw_matches(at, value):
+    compiled, compiled_caller = _faulty_run(_FaultyRNG(at, value), False)
+    pure, pure_caller = _faulty_run(_FaultyRNG(at, value), True)
+    assert compiled == pure
+    # The pure loop draws in _advance; the compiled one calls randrange
+    # straight from drive, whose caller is run_until_quiescent.
+    assert pure_caller == "_advance"
+    if get_drive() is not None and resolve_backend("coroutine") == "tasklet":
+        assert compiled_caller == "run_until_quiescent"
+    return compiled
+
+
+@pytest.mark.parametrize("at", [1, 6, 15])
+def test_raising_randrange_raises_identically(at):
+    """A draw that raises leaves run() with the same exception and the
+    same ``_steps``/``_budget_used`` on both loops."""
+    outcome = _assert_faulty_draw_matches(at, KeyError("scripted failure"))
+    assert outcome[:3] == ("raised", KeyError, "'scripted failure'")
+    assert outcome[3] == outcome[4] == at
+
+
+@pytest.mark.parametrize("at", [1, 6, 15])
+def test_out_of_range_draw_raises_like_list_indexing(at):
+    """A draw of ``n`` fails as ``runnable[n]`` does, after its pick
+    record is logged."""
+    outcome = _assert_faulty_draw_matches(at, lambda n: n)
+    assert outcome[:3] == ("raised", IndexError, "list index out of range")
+    step, runnable, index = outcome[5][-1]
+    assert step == at and index == len(runnable)
+
+
+@pytest.mark.parametrize("at", [1, 6, 15])
+def test_negative_draw_counts_from_the_end(at):
+    """A draw of ``-1`` runs ``runnable[-1]`` and logs ``-1``."""
+    outcome = _assert_faulty_draw_matches(at, lambda n: -1)
+    assert outcome[0] == "ok"
+    assert [pick for pick in outcome[2] if pick[2] == -1][0][0] == at
