@@ -32,7 +32,6 @@ from .runtime import (
     RunResult,
     Runtime,
     SimulatorError,
-    StepLimitExceeded,
     Trace,
     TraceEvent,
     explore,
@@ -78,7 +77,6 @@ __all__ = [
     "Runtime",
     "SharedVar",
     "SimulatorError",
-    "StepLimitExceeded",
     "Trace",
     "TraceEvent",
     "WaitGroup",

@@ -65,7 +65,6 @@ _TIMER_TOKEN = ("t", 0)
 
 #: Event kinds that carry no cross-goroutine information at all.
 _INERT_KINDS = frozenset({
-    EventKind.GO_START,
     EventKind.SELECT_COMMIT,
 })
 

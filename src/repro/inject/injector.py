@@ -128,24 +128,16 @@ class FaultInjector:
         """The first step at which :meth:`pulse` can act, or None when no
         fault can come due before the virtual clock moves.
 
-        Mirrors :meth:`_due`: between two pulses only the step count
-        changes, since the clock moves only on the scheduler's idle path
-        and in this injector's own clock jumps.  The scheduler runs the
-        compiled loop up to the returned step and pulses only there.
+        Between two pulses only the step count changes, since the clock
+        moves only on the scheduler's idle path and in this injector's own
+        clock jumps.  The scheduler runs the compiled loop up to the
+        returned step and pulses only there.
         """
-        due: Optional[int] = None
         now = sched.clock.now
+        due: Optional[int] = None
         for index, fault in enumerate(self.plan.faults):
-            remaining = self._remaining[index]
-            if remaining is not None and remaining <= 0:
-                continue
-            if fault.every is not None:
-                step = (self._last_epoch[index] + 1) * fault.every
-            elif fault.after_time is not None and now < fault.after_time:
-                continue
-            else:
-                step = fault.at_step or 0
-            if due is None or step < due:
+            step = self._due_step(index, fault, now)
+            if step is not None and (due is None or step < due):
                 due = step
         return due
 
@@ -153,20 +145,29 @@ class FaultInjector:
     # Trigger logic
     # ------------------------------------------------------------------
 
-    def _due(self, index: int, fault: Fault, sched: "Scheduler") -> bool:
+    def _due_step(self, index: int, fault: Fault,
+                  now: float) -> Optional[int]:
+        """The step from which fault ``index`` is due at clock ``now``, or
+        None when it cannot come due before the clock moves: its budget is
+        spent, or its ``after_time`` is still ahead.  A recurring fault is
+        due from the first step of the epoch after the last one it came
+        due in."""
         remaining = self._remaining[index]
         if remaining is not None and remaining <= 0:
+            return None
+        if fault.every is not None:
+            return (self._last_epoch[index] + 1) * fault.every
+        if fault.after_time is not None and now < fault.after_time:
+            return None
+        return fault.at_step or 0
+
+    def _due(self, index: int, fault: Fault, sched: "Scheduler") -> bool:
+        step = self._due_step(index, fault, sched.clock.now)
+        steps = sched.steps
+        if step is None or steps < step:
             return False
         if fault.every is not None:
-            epoch = sched.steps // fault.every
-            if epoch <= self._last_epoch[index]:
-                return False
-            self._last_epoch[index] = epoch
-            return True
-        if fault.at_step is not None and sched.steps < fault.at_step:
-            return False
-        if fault.after_time is not None and sched.clock.now < fault.after_time:
-            return False
+            self._last_epoch[index] = steps // fault.every
         return True
 
     def _consume(self, index: int, fault: Fault) -> None:

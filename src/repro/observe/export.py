@@ -35,7 +35,6 @@ _INSTANT = {
     EventKind.TIMER_FIRE: "timer",
     EventKind.INJECT: "inject",
     EventKind.GO_CREATE: "go",
-    EventKind.GO_START: "go.start",
     EventKind.GO_END: "go.end",
     EventKind.WG_ADD: "wg.add",
     EventKind.WG_DONE: "wg.done",
@@ -182,8 +181,7 @@ def chrome_trace(result: Any, observation: Any = None,
                 inst = _base(e, "i", kind, "mem")
                 inst["s"] = "t"
                 events.append(inst)
-        elif kind in (EventKind.GO_CREATE, EventKind.GO_START,
-                      EventKind.GO_END):
+        elif kind in (EventKind.GO_CREATE, EventKind.GO_END):
             inst = _base(e, "i", f"{_INSTANT[kind]}"
                          + (f" #{e.obj}" if e.obj is not None else ""),
                          "go")
@@ -271,8 +269,8 @@ def metrics_json(observation: Any, indent: Optional[int] = None) -> str:
 #: commits, every lock/waitgroup/once/cond/atomic transition, and the raw
 #: memory accesses the race predictor reasons about.
 SYNC_EVENT_KINDS = frozenset({
-    EventKind.GO_CREATE, EventKind.GO_START, EventKind.GO_END,
-    EventKind.GO_PANIC, EventKind.GO_BLOCK, EventKind.GO_UNBLOCK,
+    EventKind.GO_CREATE, EventKind.GO_END, EventKind.GO_PANIC,
+    EventKind.GO_BLOCK, EventKind.GO_UNBLOCK,
     EventKind.CHAN_MAKE, EventKind.CHAN_SEND, EventKind.CHAN_RECV,
     EventKind.CHAN_CLOSE, EventKind.SELECT_BEGIN, EventKind.SELECT_COMMIT,
     EventKind.MU_REQUEST, EventKind.MU_LOCK, EventKind.MU_UNLOCK,

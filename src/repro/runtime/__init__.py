@@ -7,7 +7,6 @@ from .errors import (
     Killed,
     SchedulerStateError,
     SimulatorError,
-    StepLimitExceeded,
 )
 from .goroutine import Goroutine, GState
 from .runtime import Runtime, RunResult, explore, run
@@ -26,7 +25,6 @@ __all__ = [
     "Scheduler",
     "SchedulerStateError",
     "SimulatorError",
-    "StepLimitExceeded",
     "TimerHandle",
     "Trace",
     "TraceEvent",

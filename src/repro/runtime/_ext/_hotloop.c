@@ -21,19 +21,19 @@
  *     same ``(step, runnable snapshot, index)`` record per pick as the
  *     pure loop writes.  The C RNG above is drawn from inline; any
  *     other RNG (the explorer's scripted choices) through its bound
- *     ``randrange``, called once per pick (draw_in_python).  Only runs
- *     with structured stop conditions qualify; anything else returns
- *     None and the pure loop takes over.  When no goroutine is runnable
- *     the loop fires the due timers itself (see fire_due_timers) and
- *     returns ``"idle"`` only once no live timer is left.  A sleeper's
- *     timer holds the goroutine, which the loop readies with no Python
- *     call, writing the trace records Scheduler.ready would; every other
- *     callback goes to ``Scheduler.fire_timers``.  A fire that leaves
- *     nothing runnable counts one against the step budget, as in the
- *     pure loop.  A run with a fault injector keeps the old idle exit,
- *     and enters between the injector's due steps: the scheduler clamps
- *     ``_budget`` so the loop returns at the next one, and the pure loop
- *     pulses there.
+ *     ``randrange``, called once per pick (draw_in_python).  A scheduler
+ *     whose runnable list, stop mode, pick log, trace or timer heap is
+ *     not of the type Scheduler builds raises TypeError.  When no
+ *     goroutine is runnable the loop fires the due timers itself (see
+ *     fire_due_timers) and returns ``"idle"`` only once no live timer is
+ *     left.  A sleeper's timer holds the goroutine, which the loop
+ *     readies with no Python call, writing the trace records
+ *     Scheduler.ready would; every other callback goes to
+ *     ``Scheduler.fire_timers``.  A fire that leaves nothing runnable
+ *     counts one against the step budget, as in the pure loop.  A run
+ *     with a fault injector keeps the old idle exit, and enters between
+ *     the injector's due steps: the scheduler clamps ``_budget`` so the
+ *     loop returns at the next one, and the pure loop pulses there.
  *
  * Goroutine fields are reached through slot offsets cached from the class
  * ``__slots__`` member descriptors at bind() time — an attribute read is a
@@ -551,15 +551,27 @@ log_pick(PyObject *picks, long long step, PyObject *runnable, PyObject *ix)
 }
 
 /* A pick drawn from any other RNG (the explorer's scripted choices): what
- * Scheduler._advance does.  Call ``randrange(len(runnable))``, log the
- * drawn value, then take ``runnable[idx]``, so a drawn value the list
- * rejects raises there as in the pure loop, and a negative one counts
- * from the end.  Out of line, so the BatchedRandom path of the loop keeps
- * its inline draw.  Returns a new reference, or NULL with an error set. */
+ * Scheduler._advance does.  The RNG sees the scheduler as the pure loop
+ * leaves it: ``_steps`` already counts this pick (a traced run has
+ * written it) and no goroutine is current.  Call
+ * ``randrange(len(runnable))``, log the drawn value, then take
+ * ``runnable[idx]``, so a drawn value the list rejects raises there as in
+ * the pure loop, and a negative one counts from the end.  Out of line, so
+ * the BatchedRandom path of the loop keeps its inline draw.  Returns a new
+ * reference, or NULL with an error set. */
 static Py_NO_INLINE PyObject *
-draw_in_python(PyObject *randrange, PyObject *runnable, long long step,
-               PyObject *picks)
+draw_in_python(PyObject *sched, PyObject *randrange, PyObject *runnable,
+               long long step, int traced, PyObject *picks)
 {
+    if (!traced) {
+        PyObject *stp = PyLong_FromLongLong(step);
+        int rc = stp == NULL ? -1 : PyObject_SetAttr(sched, s_steps, stp);
+        Py_XDECREF(stp);
+        if (rc < 0)
+            return NULL;
+    }
+    if (PyObject_SetAttr(sched, s_current, Py_None) < 0)
+        return NULL;
     PyObject *n = PyLong_FromSsize_t(PyList_GET_SIZE(runnable));
     if (n == NULL)
         return NULL;
@@ -687,9 +699,8 @@ fire_in_python(PyObject *sched, PyObject *callbacks, Py_ssize_t start,
  * callbacks in order: a sleeper's wake entry (the goroutine itself, see
  * wake_sleeper) is readied here, and each maximal run of other callbacks
  * goes to sched.fire_timers in one call, so a batch of wakes calls no
- * Python at all.  ``trace`` is NULL when the scheduler's trace is not a
- * Trace; every entry then goes to sched.fire_timers.  Returns 1 when
- * timers fired, 0 when no live timer is left, -1 on error. */
+ * Python at all.  Returns 1 when timers fired, 0 when no live timer is
+ * left, -1 on error. */
 static int
 fire_due_timers(PyObject *sched, PyObject *clock, PyObject *heap,
                 PyObject *runnable, PyObject *trace, long long steps)
@@ -763,7 +774,7 @@ fire_due_timers(PyObject *sched, PyObject *clock, PyObject *heap,
     }
 
     Py_ssize_t n = PyList_GET_SIZE(callbacks), start = 0;
-    for (Py_ssize_t i = 0; trace != NULL && i < n; i++) {
+    for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *g = PyList_GET_ITEM(callbacks, i);
         if (Py_TYPE(g) != tk_go_type)
             continue;
@@ -835,69 +846,22 @@ hl_drive(PyObject *module, PyObject *sched)
     PyObject *runnable = NULL, *rng_obj = NULL, *stop_mode = NULL,
              *panicked = NULL, *clock = NULL, *heap = NULL,
              *time_limit = NULL, *picks = NULL, *trace = NULL;
-    PyObject *stop_g = NULL;          /* borrowed from stop_mode */
+    PyObject *stop_g = NULL;          /* borrowed from stop_mode; None
+                                       * under ("panic", None) */
     BatchedRandomObject *rng = NULL;  /* the C RNG, drawn from inline */
     PyObject *randrange = NULL;       /* any other RNG's bound randrange */
     PyObject *verdict = NULL;         /* borrowed from the v_* constants */
     int failed = 0;
-    int stop_main = 0;
     int time_exceeded = 0, traced = 0;
     double limit = 0.0;
     long long budget = 0, budget_used = 0, steps = 0;
 
-    runnable = PyObject_GetAttr(sched, s_runnable_attr);
-    if (runnable == NULL || !PyList_CheckExact(runnable))
-        goto ineligible;
-    rng_obj = PyObject_GetAttr(sched, s_rng);
-    if (rng_obj == NULL)
-        goto ineligible;
-    stop_mode = PyObject_GetAttr(sched, s_stop_mode);
-    if (stop_mode == NULL || !PyTuple_Check(stop_mode) ||
-        PyTuple_GET_SIZE(stop_mode) != 2)
-        goto ineligible;
-    {
-        PyObject *kind = PyTuple_GET_ITEM(stop_mode, 0);
-        stop_g = PyTuple_GET_ITEM(stop_mode, 1);
-        if (PyUnicode_CompareWithASCIIString(kind, "main") == 0)
-            stop_main = 1;
-        else if (PyUnicode_CompareWithASCIIString(kind, "panic") == 0)
-            stop_main = 0;
-        else
-            goto ineligible;
-        if (stop_main && stop_g == Py_None)
-            goto ineligible;
-    }
-    /* The pick log: a list to append one record per pick to, or None. */
-    picks = PyObject_GetAttr(sched, s_pick_log);
-    if (picks == NULL || (picks != Py_None && !PyList_CheckExact(picks)))
-        goto ineligible;
-    if (picks == Py_None)
-        Py_CLEAR(picks);
-
-    {
-        int err = 0;
-        budget = attr_as_longlong(sched, s_budget, &err);
-        budget_used = attr_as_longlong(sched, s_budget_used, &err);
-        steps = attr_as_longlong(sched, s_steps, &err);
-        /* Only trace events read ``_steps`` while a goroutine runs. */
-        trace = err ? NULL : PyObject_GetAttr(sched, s_trace);
-        traced = trace != NULL && attr_as_longlong(trace, s_active, &err);
-        err |= trace == NULL;
-        if (err)
-            goto fail_entry;
-        /* Sleepers wake in C only into the runtime's own Trace. */
-        if (Py_TYPE(trace) != trace_type)
-            Py_CLEAR(trace);
-    }
-    if (Py_TYPE(rng_obj) == &BatchedRandom_Type)
-        rng = (BatchedRandomObject *)rng_obj;
-    else if ((randrange = PyObject_GetAttr(rng_obj, s_randrange)) == NULL)
-        goto fail_entry;
-    panicked = PyObject_GetAttr(sched, s_panicked_attr);
-    if (panicked == NULL)
-        goto fail_entry;
-    clock = PyObject_GetAttr(sched, s_clock);
-    if (clock == NULL)
+    if ((runnable = PyObject_GetAttr(sched, s_runnable_attr)) == NULL ||
+        (rng_obj = PyObject_GetAttr(sched, s_rng)) == NULL ||
+        (stop_mode = PyObject_GetAttr(sched, s_stop_mode)) == NULL ||
+        (picks = PyObject_GetAttr(sched, s_pick_log)) == NULL ||
+        (trace = PyObject_GetAttr(sched, s_trace)) == NULL ||
+        (clock = PyObject_GetAttr(sched, s_clock)) == NULL)
         goto fail_entry;
     {
         /* Timers fire inside the loop unless a fault injector is attached:
@@ -907,15 +871,45 @@ hl_drive(PyObject *module, PyObject *sched)
         PyObject *injector = PyObject_GetAttr(sched, s_injector);
         if (injector == NULL)
             goto fail_entry;
-        if (injector == Py_None) {
-            heap = PyObject_GetAttr(clock, s_heap);
-            if (heap == NULL)
-                goto fail_entry;
-            if (!PyList_CheckExact(heap))
-                Py_CLEAR(heap);
-        }
+        int idle_exit = injector != Py_None;
         Py_DECREF(injector);
+        if (!idle_exit && (heap = PyObject_GetAttr(clock, s_heap)) == NULL)
+            goto fail_entry;
     }
+    /* The loop reads these through PyList_GET_* and slot offsets, so each
+     * must be what Scheduler builds. */
+    if (!PyList_CheckExact(runnable) || !PyTuple_CheckExact(stop_mode) ||
+        PyTuple_GET_SIZE(stop_mode) != 2 ||
+        ((stop_g = PyTuple_GET_ITEM(stop_mode, 1)) != Py_None &&
+         Py_TYPE(stop_g) != tk_go_type) ||
+        (picks != Py_None && !PyList_CheckExact(picks)) ||
+        Py_TYPE(trace) != trace_type ||
+        (heap != NULL && !PyList_CheckExact(heap))) {
+        PyErr_SetString(PyExc_TypeError,
+                        "drive() needs a Scheduler's runnable list, stop "
+                        "mode, pick log, Trace and timer heap");
+        goto fail_entry;
+    }
+    if (picks == Py_None)
+        Py_CLEAR(picks);
+
+    {
+        int err = 0;
+        budget = attr_as_longlong(sched, s_budget, &err);
+        budget_used = attr_as_longlong(sched, s_budget_used, &err);
+        steps = attr_as_longlong(sched, s_steps, &err);
+        /* Only trace events read ``_steps`` while a goroutine runs. */
+        traced = !err && attr_as_longlong(trace, s_active, &err);
+        if (err)
+            goto fail_entry;
+    }
+    if (Py_TYPE(rng_obj) == &BatchedRandom_Type)
+        rng = (BatchedRandomObject *)rng_obj;
+    else if ((randrange = PyObject_GetAttr(rng_obj, s_randrange)) == NULL)
+        goto fail_entry;
+    panicked = PyObject_GetAttr(sched, s_panicked_attr);
+    if (panicked == NULL)
+        goto fail_entry;
     time_limit = PyObject_GetAttr(sched, s_time_limit);
     if (time_limit == NULL)
         goto fail_entry;
@@ -930,16 +924,13 @@ hl_drive(PyObject *module, PyObject *sched)
     /* ---------------- the loop ---------------- */
     for (;;) {
         /* Stop check — same order as the pure _advance. */
-        int stop;
-        if (stop_main) {
-            PyObject *st = slot_get(stop_g, off_state);
-            stop = (st != NULL && state_is_terminal(st)) ||
-                   (panicked != Py_None);
+        PyObject *stop_st = stop_g == Py_None ? NULL
+                                              : slot_get(stop_g, off_state);
+        if (panicked != Py_None ||
+            (stop_st != NULL && state_is_terminal(stop_st))) {
+            verdict = v_stopped;
+            break;
         }
-        else {
-            stop = (panicked != Py_None);
-        }
-        if (stop) { verdict = v_stopped; break; }
         /* The virtual clock is frozen while goroutines run: it moves only
          * on the idle path below, which re-evaluates the limit, and in the
          * injector's clock jumps, which run outside this loop. */
@@ -999,8 +990,8 @@ hl_drive(PyObject *module, PyObject *sched)
             g = PyList_GET_ITEM(runnable, idx);
             Py_INCREF(g);
         }
-        else if ((g = draw_in_python(randrange, runnable, steps,
-                                     picks)) == NULL) {
+        else if ((g = draw_in_python(sched, randrange, runnable, steps,
+                                     traced, picks)) == NULL) {
             failed = 1;
             break;
         }
@@ -1065,16 +1056,15 @@ hl_drive(PyObject *module, PyObject *sched)
         Py_DECREF(g);
     }
 
-    /* Write the loop-local counters back and clear _current (the pure
-     * centralized loop leaves _current None between decisions too). */
+    /* Write the loop-local counters back and clear _current, on the
+     * failure exit too (the pure centralized loop leaves _current None
+     * between decisions, and so after a draw that raised). */
     {
         PyObject *exc_type = NULL, *exc_val = NULL, *exc_tb = NULL;
         if (failed)
             PyErr_Fetch(&exc_type, &exc_val, &exc_tb);
-        int wb_failed = write_counters(sched, budget_used, steps) < 0;
-        if (!failed && !wb_failed &&
-            PyObject_SetAttr(sched, s_current, Py_None) < 0)
-            wb_failed = 1;
+        int wb_failed = write_counters(sched, budget_used, steps) < 0 ||
+                        PyObject_SetAttr(sched, s_current, Py_None) < 0;
         if (failed)
             PyErr_Restore(exc_type, exc_val, exc_tb);
         else if (wb_failed)
@@ -1096,17 +1086,6 @@ fail_entry:  /* an entry failure leaves verdict NULL */
         return NULL;
     Py_INCREF(verdict);
     return verdict;
-
-ineligible:
-    /* Static conditions for the compiled loop don't hold for this run:
-     * tell Python to use the pure loop (None).  Clear any attribute error
-     * raised while probing. */
-    PyErr_Clear();
-    Py_XDECREF(picks);
-    Py_XDECREF(stop_mode);
-    Py_XDECREF(rng_obj);
-    Py_XDECREF(runnable);
-    Py_RETURN_NONE;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1119,8 +1098,7 @@ static PyMethodDef hl_methods[] = {
      "EventKind, NO_INFO): cache slot offsets, state constants, the "
      "continuation switch and what a sleeper's wake records."},
     {"drive", hl_drive, METH_O,
-     "drive(scheduler) -> verdict str, or None when the compiled loop "
-     "cannot run this scheduler (pure loop takes over)."},
+     "drive(scheduler) -> verdict str."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -12,15 +12,15 @@ of each:
   run gets never changes a schedule.
 * :func:`get_drive` — the fused per-step scheduler loop (compiled only).
   Returns ``None`` when unavailable; the scheduler then runs its pure loop.
-  The compiled loop engages, traced, pick-logged, explored, faulted or
-  not, for structured stop conditions and any RNG with a ``randrange``:
-  it draws inline from the compiled ``BatchedRandom`` and calls any
-  other source's ``randrange`` (the explorer's scripted choices) once
-  per pick, as the pure loop does.  With nothing runnable it fires the
-  due timers itself and returns ``"idle"`` only when no live timer is
-  left: it readies a sleeper (a timer whose callback slot holds the
-  goroutine) in C and hands the other callbacks to
-  ``Scheduler.fire_timers``.  A faulted run enters it between the
+  The compiled loop runs every tasklet-vehicle run, traced, pick-logged,
+  explored, faulted or not: it draws inline from the compiled
+  ``BatchedRandom`` and calls any other source's ``randrange`` (the
+  explorer's scripted choices) once per pick, as the pure loop does.  A
+  scheduler it cannot read makes it raise ``TypeError``.  With nothing
+  runnable it fires the due timers itself and returns ``"idle"`` only
+  when no live timer is left: it readies a sleeper (a timer whose
+  callback slot holds the goroutine) in C and hands the other callbacks
+  to ``Scheduler.fire_timers``.  A faulted run enters it between the
   injector's due steps, with the step budget clamped to the next one,
   and leaves it at every idle point so the clock stays still while it
   drives (see ``Scheduler.run_until_quiescent``).
@@ -47,7 +47,7 @@ HAS_COMPILED = _c is not None
 #: The scheduling RNG class every Scheduler instantiates by default.
 BatchedRandom: Any = _c.BatchedRandom if _c is not None else PyBatchedRandom
 
-_drive: Optional[Callable[[Any], Optional[str]]] = None
+_drive: Optional[Callable[[Any], str]] = None
 _drive_resolved = False
 
 #: When True every accessor below reports "not compiled" even though the
@@ -56,7 +56,7 @@ _drive_resolved = False
 _force_pure = False
 
 
-def get_drive() -> Optional[Callable[[Any], Optional[str]]]:
+def get_drive() -> Optional[Callable[[Any], str]]:
     """The compiled ``drive(scheduler)`` step loop, or None without it.
 
     First call binds the extension to the runtime classes (slot offsets,

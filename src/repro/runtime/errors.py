@@ -53,11 +53,3 @@ class Killed(BaseException):
 
 class SchedulerStateError(SimulatorError):
     """An operation was attempted outside a running goroutine context."""
-
-
-class StepLimitExceeded(SimulatorError):
-    """The run exceeded its configured scheduling-step budget.
-
-    Used as a livelock backstop: a purely spinning program never deadlocks,
-    so the scheduler bounds total steps instead of hanging the host.
-    """

@@ -27,7 +27,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DeadlockError, GoPanic, StepLimitExceeded
+from .errors import DeadlockError, GoPanic
 from .goroutine import Goroutine, GState
 from .scheduler import Scheduler, short_site
 from .trace import EventKind, Trace
@@ -599,8 +599,7 @@ def run(
     try:
         # Structured stop condition ("main is terminal or anything
         # panicked") so the compiled hot loop can check it without a
-        # Python call per step; the scheduler synthesizes the equivalent
-        # closure for the pure paths.
+        # Python call per step; the pure loop reads the same tuple.
         outcome = sched.run_until_quiescent(stop_mode=("main", main_g),
                                             time_limit=time_limit)
         if sched.panicked is not None:
@@ -686,7 +685,6 @@ def explore(
     seeds: Iterable[int],
     *,
     jobs: int = 1,
-    summaries: bool = False,
     **kwargs: Any,
 ) -> List[Any]:
     """Run ``main`` under every seed; the seed-sweep analogue of rerunning a
@@ -695,15 +693,12 @@ def explore(
     Args:
         jobs: worker processes for the sweep (:mod:`repro.parallel`).  The
             default of 1 runs in-process and returns full
-            :class:`RunResult` objects, exactly as before.  With ``jobs > 1``
-            (or ``summaries=True``) every run is reduced to a picklable
-            :class:`repro.parallel.RunSummary`; the list is merged in seed
-            order and is byte-identical to what ``jobs=1, summaries=True``
-            produces.
-        summaries: force the summary representation even in-process —
-            useful to compare serial and parallel sweeps bit-for-bit.
+            :class:`RunResult` objects.  With ``jobs > 1`` every run is
+            reduced to a picklable :class:`repro.parallel.RunSummary`; the
+            list is merged in seed order and is byte-identical to what
+            ``sweep_seeds(main, seeds, jobs=1)`` returns.
     """
-    if jobs <= 1 and not summaries:
+    if jobs <= 1:
         return [run(main, seed=seed, **kwargs) for seed in seeds]
     from ..parallel import sweep_seeds
 

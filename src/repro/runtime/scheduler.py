@@ -55,7 +55,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .clock import VirtualClock
-from .errors import Killed, SchedulerStateError, StepLimitExceeded
+from .errors import Killed, SchedulerStateError
 from ._hotloop import BatchedRandom, get_drive
 from .goroutine import (
     Goroutine,
@@ -265,14 +265,13 @@ class Scheduler:
         #: The compiled fused step loop (``repro.runtime._ext._hotloop``),
         #: or None.  Only the centralized (tasklet) loop can use it; the
         #: thread vehicle's direct handoff never goes through here.
-        self._hot: Optional[Callable[["Scheduler"], Optional[str]]] = (
+        self._hot: Optional[Callable[["Scheduler"], str]] = (
             None if self._direct else get_drive())
         # Per-call loop state, shared with the inline continuations that
         # goroutine hosts run in ``_handback`` (all token-serialized).
-        self._stop_when: Optional[Callable[[], bool]] = None
-        #: Structured stop condition (``("main", g)`` / ``("panic", None)``)
-        #: that ``_stop_when`` mirrors; lets the compiled loop evaluate the
-        #: stop check without a Python call per step.
+        #: The stop condition of the current :meth:`run_until_quiescent`
+        #: call, ``("main", g)`` or ``("panic", None)``.  Both loops stop
+        #: when a goroutine panicked or when its goroutine, if any, ended.
         self._stop_mode: Optional[Tuple[str, Optional[Goroutine]]] = None
         self._time_limit: Optional[float] = None
         self._budget = 0
@@ -496,11 +495,11 @@ class Scheduler:
         """Drive goroutines until nothing can run, firing timers when idle.
 
         ``stop_mode`` names one of the two standard stop conditions —
-        ``("main", g)`` (stop when ``g`` is terminal or any goroutine
-        panicked) and ``("panic", None)`` (stop only on panic).  It is
-        structured rather than a closure so the compiled hot loop can
-        evaluate it without calling into Python; this method synthesizes
-        the equivalent closure for the pure paths.
+        ``("main", g)`` (stop when goroutine ``g`` is terminal or any
+        goroutine panicked) and ``("panic", None)`` (stop only on panic);
+        anything else is a ``ValueError``.  It is structured rather than a
+        closure so the compiled hot loop can evaluate it without calling
+        into Python.
 
         Returns one of:
           * ``"stopped"``   — the stop condition became true (e.g. main
@@ -524,17 +523,10 @@ class Scheduler:
         the idle branch below fires them for every other path.
         """
         kind, stop_g = stop_mode
-        if kind == "main":
-            def stop_when() -> bool:
-                return (stop_g.state in GState.TERMINAL
-                        or self.panicked is not None)
-        elif kind == "panic":
-            def stop_when() -> bool:
-                return self.panicked is not None
-        else:
-            raise ValueError(f"unknown stop mode {kind!r}")
-        self._stop_when = stop_when
-        self._stop_mode = stop_mode
+        if not ((kind == "main" and isinstance(stop_g, Goroutine))
+                or (kind == "panic" and stop_g is None)):
+            raise ValueError(f"unknown stop mode {stop_mode!r}")
+        self._stop_mode = (kind, stop_g)
         self._time_limit = time_limit
         self._budget = self.max_steps if step_budget is None else step_budget
         self._budget_used = 0
@@ -557,12 +549,6 @@ class Scheduler:
                     verdict = (hot(self) if injector is None
                                else self._drive_to_due_step(hot, injector))
                     self.drive_steps += self._steps - start
-                    if verdict is None:
-                        # Static mismatch (a runnable list, stop mode or
-                        # pick log drive cannot read): the pure loop takes
-                        # over for the rest of this call.
-                        hot = None
-                        continue
                 if hot is None or verdict == _FAULT_DUE:
                     g = self._advance()
                     if g is not None:
@@ -598,11 +584,10 @@ class Scheduler:
                     raise error
                 return verdict
         finally:
-            self._stop_when = None
             self._stop_mode = None
 
-    def _drive_to_due_step(self, hot: Callable[["Scheduler"], Optional[str]],
-                           injector: Any) -> Optional[str]:
+    def _drive_to_due_step(self, hot: Callable[["Scheduler"], str],
+                           injector: Any) -> str:
         """Run the compiled loop until the injector's next due step.
 
         ``drive`` checks stop, time limit and budget at the top of each
@@ -612,10 +597,9 @@ class Scheduler:
         drive leaves at every idle point instead of firing timers, so the
         clock moves only in ``run_until_quiescent``'s idle branch and in
         the injector's own clock jump, and no ``after_time`` fault comes
-        due inside drive.  Returns drive's
-        verdict (None when ineligible), or :data:`_FAULT_DUE` when a fault
-        is due at the current step: one pure ``_advance`` iteration then
-        pulses it.
+        due inside drive.  Returns drive's verdict, or :data:`_FAULT_DUE`
+        when a fault is due at the current step: one pure ``_advance``
+        iteration then pulses it.
         """
         budget = self._budget
         while True:
@@ -657,8 +641,10 @@ class Scheduler:
         """One scheduler-loop decision, in scheduler context on whichever
         host holds the token.  Returns the goroutine to run next, or ``None``
         after stashing the reason in ``_main_verdict``."""
+        stop_g = self._stop_mode[1]
         while True:
-            if self._stop_when is not None and self._stop_when():
+            if self.panicked is not None or (
+                    stop_g is not None and stop_g.state in GState.TERMINAL):
                 self._main_verdict = "stopped"
                 return None
             if self._time_limit is not None and self.clock.now >= self._time_limit:
@@ -711,8 +697,8 @@ class Scheduler:
             self._after_resume(g)
             nxt = self._advance()
         except BaseException as exc:
-            # Scheduler-context code (stop_when, injector, a scripted
-            # RNG) raised on this host: relay it to the main loop,
+            # Scheduler-context code (the injector, a scripted RNG)
+            # raised on this host: relay it to the main loop,
             # which re-raises it out of run_until_quiescent as before.
             self._loop_error = exc
             self._main_verdict = "error"
@@ -848,9 +834,3 @@ class Scheduler:
         self.injector = None
         self.pick_log = None
         self.clock.clear()
-
-    def check_step_limit(self) -> None:
-        if self._steps > self.max_steps:
-            raise StepLimitExceeded(
-                f"exceeded {self.max_steps} scheduling steps (seed={self.seed})"
-            )

@@ -44,9 +44,9 @@ _LABELS = {
 }
 
 #: Kinds too noisy for the timeline.
-_SKIP = {EventKind.GO_UNBLOCK, EventKind.GO_START, EventKind.CHAN_MAKE,
-         EventKind.SELECT_BEGIN, EventKind.MU_REQUEST, EventKind.RW_REQUEST,
-         EventKind.ATOMIC_OP, EventKind.TIMER_FIRE}
+_SKIP = {EventKind.GO_UNBLOCK, EventKind.CHAN_MAKE, EventKind.SELECT_BEGIN,
+         EventKind.MU_REQUEST, EventKind.RW_REQUEST, EventKind.ATOMIC_OP,
+         EventKind.TIMER_FIRE}
 
 
 def timeline(result: RunResult, max_width: int = 100,

@@ -36,7 +36,6 @@ class EventKind:
 
     # Goroutine lifecycle
     GO_CREATE = "go.create"          # info: child gid, anonymous flag
-    GO_START = "go.start"
     GO_END = "go.end"
     GO_PANIC = "go.panic"
     GO_BLOCK = "go.block"            # info: reason

@@ -1,10 +1,14 @@
 """Injector semantics: each fault action observable from inside a program."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import run
 from repro.inject import Fault, FaultPlan
 from repro.inject import plans
+from repro.inject.injector import FaultInjector
 from repro.runtime.errors import GoPanic
 from repro.runtime.trace import EventKind
 
@@ -265,3 +269,83 @@ def test_attach_only_plan_that_never_fires_keeps_base_schedule():
         assert chaotic.main_result == bare.main_result
         assert chaotic.steps == bare.steps
         assert not chaotic.injected
+
+
+# ----------------------------------------------------------------------
+# The due rule: next_due and pulse agree
+# ----------------------------------------------------------------------
+
+
+def _oracle_due(injector, index, fault, sched):
+    """The due test as it stood before ``next_due`` and ``_due`` shared
+    one rule: a recurring fault is due once per new ``steps // every``
+    epoch; any other fault once ``at_step`` and ``after_time`` are
+    reached."""
+    remaining = injector._remaining[index]
+    if remaining is not None and remaining <= 0:
+        return False
+    if fault.every is not None:
+        epoch = sched.steps // fault.every
+        if epoch <= injector._last_epoch[index]:
+            return False
+        injector._last_epoch[index] = epoch
+        return True
+    if fault.at_step is not None and sched.steps < fault.at_step:
+        return False
+    if fault.after_time is not None and sched.clock.now < fault.after_time:
+        return False
+    return True
+
+
+@st.composite
+def _injector_states(draw):
+    """Faults with every trigger mix, each with a remaining budget and a
+    last epoch, and the scheduler's step count and clock."""
+    faults, remaining, epochs = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        triggers = draw(st.fixed_dictionaries({
+            "at_step": st.none() | st.integers(0, 60),
+            "after_time": st.none() | st.floats(0.0, 3.0),
+            "every": st.none() | st.integers(1, 12),
+            "times": st.none() | st.integers(1, 3),
+        }).filter(lambda t: (t["at_step"], t["after_time"], t["every"])
+                  != (None, None, None)))
+        faults.append(Fault(action="wakeup", **triggers))
+        times = triggers["times"]
+        remaining.append(None if times is None
+                         else draw(st.integers(0, times)))
+        epochs.append(draw(st.integers(-1, 8)))
+    steps = draw(st.integers(0, 80))
+    now = draw(st.floats(0.0, 3.0))
+    return faults, remaining, epochs, steps, now
+
+
+def _injector_at(faults, remaining, epochs):
+    injector = FaultInjector(_plan(*faults))
+    injector._remaining = list(remaining)
+    injector._last_epoch = list(epochs)
+    return injector
+
+
+@settings(max_examples=400, deadline=None)
+@given(state=_injector_states())
+def test_pulse_fires_exactly_from_the_next_due_step(state):
+    """``pulse`` acts exactly when ``next_due(sched) <= sched.steps``, and
+    ``_due`` agrees with the old due test, epochs included."""
+    faults, remaining, epochs, steps, now = state
+    sched = SimpleNamespace(steps=steps, clock=SimpleNamespace(now=now))
+
+    oracle = _injector_at(faults, remaining, epochs)
+    expected = [_oracle_due(oracle, i, f, sched)
+                for i, f in enumerate(faults)]
+    shared = _injector_at(faults, remaining, epochs)
+    assert [shared._due(i, f, sched) for i, f in enumerate(faults)] \
+        == expected
+    assert shared._last_epoch == oracle._last_epoch
+
+    injector = _injector_at(faults, remaining, epochs)
+    due = injector.next_due(sched)
+    fired = []
+    injector._fire = lambda index, fault, sched: fired.append(index) or True
+    assert injector.pulse(sched) == (due is not None and due <= steps)
+    assert fired == [i for i, hit in enumerate(expected) if hit]

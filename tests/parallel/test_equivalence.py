@@ -66,8 +66,8 @@ def test_sweep_seeds_byte_identical():
 
 
 def test_explore_summaries_identical():
-    assert explore(_racy, range(8), jobs=1, summaries=True) == \
-        explore(_racy, range(8), jobs=JOBS, summaries=True)
+    assert sweep_seeds(_racy, range(8), jobs=1) == \
+        explore(_racy, range(8), jobs=JOBS)
 
 
 def test_schedule_digest_stable_across_runs():

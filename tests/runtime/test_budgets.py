@@ -13,7 +13,6 @@ import pytest
 
 from repro import run
 from repro.runtime._hotloop import force_pure
-from repro.runtime.errors import StepLimitExceeded
 
 
 def _livelock(rt):
@@ -124,15 +123,6 @@ def test_drain_disabled_reports_blocked_goroutines_at_exit():
     assert drained.status == "leak"
     assert not_drained.status == "leak"
     assert "waiter" in [g.name for g in not_drained.leaked]
-
-
-def test_step_limit_exceeded_raises_from_check():
-    from repro.runtime.scheduler import Scheduler
-
-    sched = Scheduler(seed=0, max_steps=10)
-    sched._steps = 11
-    with pytest.raises(StepLimitExceeded, match="seed=0"):
-        sched.check_step_limit()
 
 
 def test_budget_statuses_survive_to_dict():

@@ -29,8 +29,12 @@ pin the only thing the extension may not change — the run itself:
 * explored runs (a scripted RNG, which drive calls once per pick) keep
   the pure loop's choice log, clamp divergences, pick log and trace
   records, clamped prefixes included, and take every step inside drive;
-  a draw that raises, a draw of ``n`` and a draw of ``-1`` behave as
+  the RNG sees the pure loop's ``_steps`` and no current goroutine; a
+  draw that raises, a draw of ``n`` and a draw of ``-1`` behave as
   ``runnable[idx]`` in the pure loop does;
+* drive raises ``TypeError`` for a scheduler it cannot read instead of
+  handing the run to the pure loop, and both loops reject an unknown
+  stop mode with ``ValueError``;
 * error paths (send on closed, unlock of unlocked, select on a closed
   send case) panic identically in both modes;
 * a ``REPRO_NO_CEXT=1`` subprocess — no extension at all — reproduces
@@ -44,9 +48,11 @@ parity tests still pass trivially (pure vs pure).
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from collections import deque
 from contextlib import nullcontext
 from functools import partial
 
@@ -59,7 +65,7 @@ from repro.detect import LockOrderDetector, RaceDetector
 from repro.inject import FaultPlan
 from repro.parallel import schedule_digest
 from repro.runtime._hotloop import force_pure, get_drive
-from repro.runtime.scheduler import resolve_backend
+from repro.runtime.scheduler import Scheduler, resolve_backend
 
 needs_drive_loop = pytest.mark.skipif(
     get_drive() is None or resolve_backend("coroutine") != "tasklet",
@@ -230,8 +236,8 @@ def test_panic_event_log_compiled_vs_pure():
 
 @needs_drive_loop
 def test_traced_run_enters_the_compiled_loop():
-    """A kept trace no longer selects the pure loop: the run's drive
-    calls return verdicts (None would mean 'ineligible')."""
+    """A kept trace does not select the pure loop: the run's steps are
+    taken in drive calls, each returning a verdict."""
     verdicts = []
 
     class DriveCounter:
@@ -998,7 +1004,8 @@ def _faulty_run(rng, pure):
             picks = [(pick[0], tuple(g.gid for g in pick[1]), pick[2])
                      for pick in sched.pick_log]
             return ("raised", type(exc), str(exc), sched._steps,
-                    sched._budget_used, picks), rng.caller
+                    sched._budget_used, picks,
+                    sched._current is None), rng.caller
     return ("ok", _signature(result), reader.picks,
             _event_log(result)), rng.caller
 
@@ -1017,11 +1024,13 @@ def _assert_faulty_draw_matches(at, value):
 
 @pytest.mark.parametrize("at", [1, 6, 15])
 def test_raising_randrange_raises_identically(at):
-    """A draw that raises leaves run() with the same exception and the
-    same ``_steps``/``_budget_used`` on both loops."""
+    """A draw that raises leaves run() with the same exception, the
+    same ``_steps``/``_budget_used`` and no current goroutine on both
+    loops."""
     outcome = _assert_faulty_draw_matches(at, KeyError("scripted failure"))
     assert outcome[:3] == ("raised", KeyError, "'scripted failure'")
     assert outcome[3] == outcome[4] == at
+    assert outcome[6] is True
 
 
 @pytest.mark.parametrize("at", [1, 6, 15])
@@ -1040,3 +1049,80 @@ def test_negative_draw_counts_from_the_end(at):
     outcome = _assert_faulty_draw_matches(at, lambda n: -1)
     assert outcome[0] == "ok"
     assert [pick for pick in outcome[2] if pick[2] == -1][0][0] == at
+
+
+class _StateRecordingRNG:
+    """A seeded RNG that records ``(sched._steps, sched.current_gid)``, the
+    scheduler as it shows at each draw."""
+
+    def __init__(self):
+        self.rng = random.Random(7)
+        self.seen = []
+
+    def attach(self, rt):
+        self.sched = rt.sched
+
+    def randrange(self, n):
+        self.seen.append((self.sched._steps, self.sched.current_gid))
+        return self.rng.randrange(n)
+
+
+@pytest.mark.parametrize("keep_trace", [False, True])
+def test_scripted_rng_sees_the_pure_loops_scheduler_state(keep_trace):
+    """At each draw ``_steps`` already counts the pick and no goroutine is
+    current, on both loops, traced or not."""
+    seen = []
+    for pure in (False, True):
+        rng = _StateRecordingRNG()
+        with force_pure() if pure else nullcontext():
+            result = run(_three_workers, rng=rng, keep_trace=keep_trace,
+                         observers=[rng])
+        assert result.status == "ok"
+        seen.append(rng.seen)
+    assert seen[0] == seen[1]
+    assert seen[0] == [(step, 0) for step in range(1, len(seen[0]) + 1)]
+
+
+# ---------------------------------------------------------------------------
+# The loop contract: one stop rule, no silent switch to the pure loop
+# ---------------------------------------------------------------------------
+
+
+class _NotExactList(list):
+    """A list the pure loop and ``heapq`` accept but drive must reject."""
+
+
+class _Malform:
+    def __init__(self, change):
+        self.change = change
+
+    def attach(self, rt):
+        self.sched = rt.sched
+        self.change(rt.sched)
+
+
+@needs_drive_loop
+@pytest.mark.parametrize("change", [
+    lambda sched: setattr(sched, "_runnable", deque(sched._runnable)),
+    lambda sched: setattr(sched, "pick_log", ()),
+    lambda sched: setattr(sched.clock, "_heap",
+                          _NotExactList(sched.clock._heap)),
+], ids=["deque-runnable", "tuple-pick-log", "list-subclass-heap"])
+def test_drive_rejects_a_malformed_scheduler(change):
+    """drive reads these objects through ``PyList_GET_*``: a scheduler
+    that does not hold exact lists is a TypeError, and no step runs on
+    the pure loop instead."""
+    malform = _Malform(change)
+    with pytest.raises(TypeError, match="drive\\(\\) needs"):
+        run(_three_workers, seed=1, observers=[malform])
+    assert malform.sched.steps == 0
+
+
+@pytest.mark.parametrize("stop_mode", [("bogus", None), ("main", None)],
+                         ids=["bogus", "main-without-goroutine"])
+@pytest.mark.parametrize("pure", [False, True], ids=["compiled", "pure"])
+def test_unknown_stop_mode_is_a_value_error(stop_mode, pure):
+    with force_pure() if pure else nullcontext():
+        sched = Scheduler(seed=0)
+    with pytest.raises(ValueError, match="unknown stop mode"):
+        sched.run_until_quiescent(stop_mode)

@@ -84,9 +84,9 @@ def test_scheduler_uses_the_compiled_rng_by_default():
 def test_traceless_run_matches_traced_run(workload):
     """Compiled loop (traceless) vs pure loop (trace on), in-process.
 
-    A live trace no longer disqualifies the compiled loop, so the traced
-    run takes the pure loop under ``force_pure``; steps, status, and the
-    main result must agree.
+    A live trace does not select the pure loop, so the traced run takes
+    it under ``force_pure``; steps, status, and the main result must
+    agree.
     """
     program = WORKLOADS[workload]
     hot = run(program, seed=11, keep_trace=False)
