@@ -32,7 +32,7 @@ from .fabric import NetError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.runtime import Runtime
-    from .fabric import Network
+    from .fabric import Link, Network
 
 
 class ConnReset(NetError):
@@ -44,9 +44,10 @@ class _Pipe:
     """One direction of a connection: src node -> dst node."""
 
     __slots__ = ("src", "dst", "name", "obj", "queue", "waiters", "closed",
-                 "aborted", "in_flight", "last_deliver", "_sched")
+                 "aborted", "in_flight", "last_deliver", "link", "landing",
+                 "_net", "_sched")
 
-    def __init__(self, rt: "Runtime", src: str, dst: str):
+    def __init__(self, rt: "Runtime", net: "Network", src: str, dst: str):
         self.src = src
         self.dst = dst
         self.name = f"{src}->{dst}"       # the link name in events and logs
@@ -57,7 +58,49 @@ class _Pipe:
         self.aborted = False              # receiver closed (discard arrivals)
         self.in_flight = 0
         self.last_deliver = 0.0           # FIFO watermark for the fabric
+        #: The fabric's ``Link`` for ``src -> dst``, looked up at the
+        #: first send (so a ``default_latency`` set before it applies).
+        self.link: Optional["Link"] = None
+        #: In-order messages in flight, ``(seq, payload, sent_at)`` in
+        #: send order.  Each has a :meth:`land` timer; the watermark keeps
+        #: their deadlines non-decreasing and the clock fires equal
+        #: deadlines in creation order, so each timer lands the head.
+        self.landing: deque = deque()
+        self._net = net
         self._sched = rt.sched
+
+    def land(self, msg: Optional[Tuple[int, Any, float]] = None) -> None:
+        """Timer callback (scheduler context): land or drop one message.
+
+        With no argument, the head of :attr:`landing`; a reorder-jittered
+        copy, which may overtake it, passes its own message."""
+        if msg is None:
+            msg = self.landing.popleft()
+        self.in_flight -= 1
+        net = self._net
+        if net._partitions and not net.reachable(self.src, self.dst):
+            net.stats["dropped"] += 1
+            if self._sched.trace.active:
+                self._sched.emit(EventKind.NET_DROP, gid=0, obj=self.obj,
+                                 info={"link": self.name, "seq": msg[0],
+                                       "reason": "partition"})
+            if net.log_messages:
+                net._log_line(f"DROP {self.name} #{msg[0]} partition")
+        elif self.aborted:
+            # Receiver already closed its end; silently discard, like
+            # packets arriving for a closed socket.
+            net.stats["dropped"] += 1
+            if net.log_messages:
+                net._log_line(f"DROP {self.name} #{msg[0]} closed")
+        else:
+            net.stats["delivered"] += 1
+            self.queue.append(msg)
+            if net.log_messages:
+                net._log_line(f"RECV {self.name} #{msg[0]}")
+        # Wake receivers either way: a dropped final message may complete
+        # an EOF condition (sender closed and nothing left in flight).
+        if self.waiters:
+            self.wake_all()
 
     def wake_all(self) -> None:
         while self.waiters:
@@ -83,8 +126,8 @@ class Conn:
     def pair(cls, rt: "Runtime", net: "Network", a: str, b: str
              ) -> Tuple["Conn", "Conn"]:
         """Two connected endpoints: (conn at ``a``, conn at ``b``)."""
-        ab = _Pipe(rt, a, b)
-        ba = _Pipe(rt, b, a)
+        ab = _Pipe(rt, net, a, b)
+        ba = _Pipe(rt, net, b, a)
         return (cls(rt, net, a, b, out=ab, in_=ba),
                 cls(rt, net, b, a, out=ba, in_=ab))
 

@@ -231,12 +231,19 @@ class Network:
     def transmit(self, pipe: "_Pipe", payload: Any) -> None:
         """Schedule delivery of one message on a pipe (sender context).
 
-        Trace payloads and log lines are built only when someone reads
-        them (``trace.active`` / ``log_messages``): an untraced, unlogged
-        send does the fabric's own work and nothing else.
+        Draws, in this order: drop, then duplicate, then reorder for each
+        copy.  An in-order copy joins the pipe's ``landing`` queue and its
+        timer fires the pipe's bound ``land``, so it costs no callback
+        object; a reorder-jittered copy may overtake, so its timer carries
+        the message itself.  Trace payloads and log lines are built only
+        when someone reads them (``trace.active`` / ``log_messages``): an
+        untraced, unlogged send does the fabric's own work and nothing
+        else.
         """
         sched = self._sched
-        link = self.link(pipe.src, pipe.dst)
+        link = pipe.link
+        if link is None:
+            link = pipe.link = self.link(pipe.src, pipe.dst)
         if self._rules:
             drop, dup, reorder, extra = self._effective(link)
         else:
@@ -244,8 +251,9 @@ class Network:
             reorder, extra = link.reorder, link.extra_delay
         now = sched.clock.now
         seq = self._next_msg
-        self._next_msg += 1
-        self.stats["sent"] += 1
+        self._next_msg = seq + 1
+        stats = self.stats
+        stats["sent"] += 1
         traced = sched.trace.active
         logged = self.log_messages
         if traced:
@@ -257,7 +265,7 @@ class Network:
 
         rng = self._rng
         if drop and rng.random() < drop:
-            self.stats["dropped"] += 1
+            stats["dropped"] += 1
             if traced:
                 sched.emit(EventKind.NET_DROP, gid=0, obj=pipe.obj,
                            info={"link": pipe.name, "seq": seq,
@@ -266,55 +274,32 @@ class Network:
                 self._log_line(f"DROP {pipe.name} #{seq} loss")
             return
 
-        copies = 1
+        msg = (seq, payload, now)
+        deliver_at = now + link.latency + extra
         if dup and rng.random() < dup:
-            copies = 2
-            self.stats["duplicated"] += 1
+            stats["duplicated"] += 1
             if logged:
                 self._log_line(f"DUP  {pipe.name} #{seq}")
+            self._launch(pipe, link, msg, deliver_at, reorder)
+        self._launch(pipe, link, msg, deliver_at, reorder)
 
-        base = now + link.latency + extra
-        deliver = partial(self._deliver, pipe, seq, payload, now)
-        for _ in range(copies):
-            deliver_at = base
-            if reorder and rng.random() < reorder:
-                jitter = link.jitter or 2.0 * (link.latency or 0.001)
-                deliver_at += rng.uniform(0.0, jitter)
-            else:
-                # FIFO per pipe: a message never overtakes its predecessor
-                # unless the reorder fault explicitly jitters it.
-                if deliver_at < pipe.last_deliver:
-                    deliver_at = pipe.last_deliver
-                pipe.last_deliver = deliver_at
-            pipe.in_flight += 1
-            sched.clock.call_at(deliver_at, deliver)
-
-    def _deliver(self, pipe: "_Pipe", seq: int, payload: Any,
-                 sent_at: float) -> None:
-        """Timer callback (scheduler context): land or drop one message."""
-        pipe.in_flight -= 1
-        if self._partitions and not self.reachable(pipe.src, pipe.dst):
-            self.stats["dropped"] += 1
-            if self._sched.trace.active:
-                self._sched.emit(EventKind.NET_DROP, gid=0, obj=pipe.obj,
-                                 info={"link": pipe.name, "seq": seq,
-                                       "reason": "partition"})
-            if self.log_messages:
-                self._log_line(f"DROP {pipe.name} #{seq} partition")
-        elif pipe.aborted:
-            # Receiver already closed its end; silently discard, like
-            # packets arriving for a closed socket.
-            self.stats["dropped"] += 1
-            if self.log_messages:
-                self._log_line(f"DROP {pipe.name} #{seq} closed")
-        else:
-            self.stats["delivered"] += 1
-            pipe.queue.append((seq, payload, sent_at))
-            if self.log_messages:
-                self._log_line(f"RECV {pipe.name} #{seq}")
-        # Wake receivers either way: a dropped final message may complete
-        # an EOF condition (sender closed and nothing left in flight).
-        pipe.wake_all()
+    def _launch(self, pipe: "_Pipe", link: Link, msg: Tuple[int, Any, float],
+                deliver_at: float, reorder: float) -> None:
+        """Arm the landing timer of one copy of ``msg``."""
+        rng = self._rng
+        pipe.in_flight += 1
+        if reorder and rng.random() < reorder:
+            jitter = link.jitter or 2.0 * (link.latency or 0.001)
+            self._sched.clock.call_at(deliver_at + rng.uniform(0.0, jitter),
+                                      partial(pipe.land, msg))
+            return
+        # FIFO per pipe: a message never overtakes its predecessor unless
+        # the reorder fault explicitly jitters it.
+        if deliver_at < pipe.last_deliver:
+            deliver_at = pipe.last_deliver
+        pipe.last_deliver = deliver_at
+        pipe.landing.append(msg)
+        self._sched.clock.call_at(deliver_at, pipe.land)
 
     # ------------------------------------------------------------------
     # Listener registry (bound/unbound by repro.net.conn)
@@ -345,7 +330,7 @@ class Network:
     # ------------------------------------------------------------------
 
     def _log_line(self, text: str) -> None:
-        # Hot paths (transmit, _deliver) test ``log_messages`` before
+        # Hot paths (transmit, _Pipe.land) test ``log_messages`` before
         # formatting ``text``; the check here covers the cold callers.
         if self.log_messages:
             self._log.append(f"{self._sched.clock.now:.6f} {text}")

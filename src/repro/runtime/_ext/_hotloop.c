@@ -28,12 +28,14 @@
  *     fire_due_timers) and returns ``"idle"`` only once no live timer is
  *     left.  A sleeper's timer holds the goroutine, which the loop
  *     readies with no Python call, writing the trace records
- *     Scheduler.ready would; every other callback goes to
- *     ``Scheduler.fire_timers``.  A fire that leaves nothing runnable
- *     counts one against the step budget, as in the pure loop.  A run
- *     with a fault injector keeps the old idle exit, and enters between
- *     the injector's due steps: the scheduler clamps ``_budget`` so the
- *     loop returns at the next one, and the pure loop pulses there.
+ *     Scheduler.ready would; it calls every other callback itself,
+ *     after the ``timer.fire`` record Scheduler.fire_timers would
+ *     write, with no goroutine current.  A fire that leaves nothing
+ *     runnable counts one against the step budget, as in the pure
+ *     loop.  A run with a fault injector keeps the old idle exit, and
+ *     enters between the injector's due steps: the scheduler clamps
+ *     ``_budget`` so the loop returns at the next one, and the pure
+ *     loop pulses there.
  *
  * Goroutine fields are reached through slot offsets cached from the class
  * ``__slots__`` member descriptors at bind() time — an attribute read is a
@@ -395,8 +397,7 @@ static PyObject *s_runnable_attr = NULL, *s_rng = NULL, *s_stop_mode = NULL,
                 *s_steps = NULL, *s_time_limit = NULL, *s_clock = NULL,
                 *s_now = NULL, *s_current = NULL, *s_after_resume = NULL,
                 *s_trace = NULL, *s_active = NULL, *s_pick_log = NULL,
-                *s_injector = NULL, *s_heap = NULL, *s_fire_timers = NULL,
-                *s_randrange = NULL;
+                *s_injector = NULL, *s_heap = NULL, *s_randrange = NULL;
 
 static PyObject *heappop_fn = NULL;         /* heapq.heappop */
 
@@ -625,6 +626,27 @@ append_record(PyObject *records, PyObject *steps, PyObject *now,
     return rc;
 }
 
+/* The ``timer.fire`` record Scheduler.fire_timers writes for every
+ * entry, when the trace records (Trace.active); *records is then its
+ * kept log, else NULL. */
+static int
+record_fire(PyObject *trace, PyObject *steps, PyObject *now,
+            PyObject **records)
+{
+    PyObject *flag = slot_get(trace, off_active);
+    int active = flag == NULL ? -1 : PyObject_IsTrue(flag);
+    *records = active > 0 ? slot_get(trace, off_records) : NULL;
+    if (active < 0 || (active && (*records == NULL ||
+                                  !PyList_Check(*records)))) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "trace is not recordable");
+        return -1;
+    }
+    if (*records == NULL)
+        return 0;
+    return append_record(*records, steps, now, ev_timer_fire, Py_None);
+}
+
 /* A sleeper's wake entry (Runtime.sleep, Runtime.external_wait): what
  * Scheduler.fire_timers does for a goroutine entry, with no Python call.
  * The ``timer.fire`` record, then Scheduler.ready: only a BLOCKED
@@ -635,17 +657,8 @@ static int
 wake_sleeper(PyObject *g, PyObject *runnable, PyObject *trace,
              PyObject *steps, PyObject *now)
 {
-    /* The kept log while the trace records (Trace.active), else NULL. */
-    PyObject *flag = slot_get(trace, off_active);
-    int active = flag == NULL ? -1 : PyObject_IsTrue(flag);
-    PyObject *records = active > 0 ? slot_get(trace, off_records) : NULL;
-    if (active < 0 || (active && (records == NULL || !PyList_Check(records)))) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "trace is not recordable");
-        return -1;
-    }
-    if (records != NULL &&
-        append_record(records, steps, now, ev_timer_fire, Py_None) < 0)
+    PyObject *records;
+    if (record_fire(trace, steps, now, &records) < 0)
         return -1;
     PyObject *st = slot_get(g, off_state);
     int blocked = st == NULL ? 0
@@ -665,47 +678,21 @@ wake_sleeper(PyObject *g, PyObject *runnable, PyObject *trace,
     return append_record(records, steps, now, ev_go_unblock, gid);
 }
 
-/* Hand callbacks[start:stop] to sched.fire_timers with no goroutine
- * current; the whole list itself when that is all of it. */
-static int
-fire_in_python(PyObject *sched, PyObject *callbacks, Py_ssize_t start,
-               Py_ssize_t stop)
-{
-    PyObject *batch;
-    if (start == 0 && stop == PyList_GET_SIZE(callbacks)) {
-        batch = callbacks;
-        Py_INCREF(batch);
-    }
-    else {
-        batch = PyList_GetSlice(callbacks, start, stop);
-        if (batch == NULL)
-            return -1;
-    }
-    PyObject *r = NULL;
-    if (PyObject_SetAttr(sched, s_current, Py_None) == 0)
-        r = PyObject_CallMethodOneArg(sched, s_fire_timers, batch);
-    Py_DECREF(batch);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
 /* The idle path, with nothing runnable: VirtualClock.advance_to_next()
  * followed by Scheduler.fire_timers().  Drops cancelled heads, moves
  * clock.now to the earliest live deadline, pops every entry due then and
  * empties its callback slot before any callback runs (a callback cannot
- * cancel a timer due at the same time).  Then it walks the popped
- * callbacks in order: a sleeper's wake entry (the goroutine itself, see
- * wake_sleeper) is readied here, and each maximal run of other callbacks
- * goes to sched.fire_timers in one call, so a batch of wakes calls no
- * Python at all.  Returns 1 when timers fired, 0 when no live timer is
- * left, -1 on error. */
+ * cancel a timer due at the same time).  Then it fires the popped
+ * entries in order: a sleeper's wake entry (the goroutine itself, see
+ * wake_sleeper) is readied here, and any other callback is called here,
+ * after its ``timer.fire`` record and with no goroutine current, so no
+ * entry goes through Python's fire_timers.  Returns 1 when timers fired,
+ * 0 when no live timer is left, -1 on error. */
 static int
 fire_due_timers(PyObject *sched, PyObject *clock, PyObject *heap,
                 PyObject *runnable, PyObject *trace, long long steps)
 {
-    PyObject *head, *now, *callbacks, *r, *steps_obj = NULL;
+    PyObject *head, *now, *callbacks, *r, *records, *steps_obj = NULL;
     for (;;) {
         if (PyList_GET_SIZE(heap) == 0)
             return 0;
@@ -773,29 +760,26 @@ fire_due_timers(PyObject *sched, PyObject *clock, PyObject *heap,
         Py_DECREF(head);
     }
 
-    Py_ssize_t n = PyList_GET_SIZE(callbacks), start = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *g = PyList_GET_ITEM(callbacks, i);
-        if (Py_TYPE(g) != tk_go_type)
+    if ((steps_obj = PyLong_FromLongLong(steps)) == NULL)
+        goto fail;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(callbacks); i++) {
+        PyObject *callback = PyList_GET_ITEM(callbacks, i);
+        if (Py_TYPE(callback) == tk_go_type) {
+            if (wake_sleeper(callback, runnable, trace, steps_obj, now) < 0)
+                goto fail;
             continue;
-        if (start < i) {
-            if (fire_in_python(sched, callbacks, start, i) < 0)
-                goto fail;
-            /* Its records read the clock as the callbacks left it. */
-            Py_SETREF(now, PyObject_GetAttr(clock, s_now));
-            if (now == NULL)
-                goto fail;
         }
-        start = i + 1;
-        if (steps_obj == NULL &&
-            (steps_obj = PyLong_FromLongLong(steps)) == NULL)
+        if (record_fire(trace, steps_obj, now, &records) < 0 ||
+            PyObject_SetAttr(sched, s_current, Py_None) < 0 ||
+            (r = PyObject_CallNoArgs(callback)) == NULL)
             goto fail;
-        if (wake_sleeper(g, runnable, trace, steps_obj, now) < 0)
+        Py_DECREF(r);
+        /* Later records read the clock as the callback left it. */
+        Py_SETREF(now, PyObject_GetAttr(clock, s_now));
+        if (now == NULL)
             goto fail;
     }
-    if (start < n && fire_in_python(sched, callbacks, start, n) < 0)
-        goto fail;
-    Py_XDECREF(steps_obj);
+    Py_DECREF(steps_obj);
     Py_DECREF(callbacks);
     Py_DECREF(now);
     return 1;
@@ -1153,7 +1137,6 @@ PyInit__hotloop(void)
     INTERN(s_pick_log, "pick_log");
     INTERN(s_injector, "injector");
     INTERN(s_heap, "_heap");
-    INTERN(s_fire_timers, "fire_timers");
     INTERN(s_randrange, "randrange");
     INTERN(v_stopped, "stopped");
     INTERN(v_timeout, "timeout");

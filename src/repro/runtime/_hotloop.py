@@ -19,8 +19,8 @@ of each:
   scheduler it cannot read makes it raise ``TypeError``.  With nothing
   runnable it fires the due timers itself and returns ``"idle"`` only
   when no live timer is left: it readies a sleeper (a timer whose
-  callback slot holds the goroutine) in C and hands the other callbacks
-  to ``Scheduler.fire_timers``.  A faulted run enters it between the
+  callback slot holds the goroutine) in C and calls the other callbacks
+  itself.  A faulted run enters it between the
   injector's due steps, with the step budget clamped to the next one,
   and leaves it at every idle point so the clock stays still while it
   drives (see ``Scheduler.run_until_quiescent``).

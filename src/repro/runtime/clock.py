@@ -19,8 +19,9 @@ The callback slot holds what fires: a zero-argument callable, or, for a
 sleeper (``Runtime.sleep``, ``Runtime.external_wait`` with a duration),
 the sleeping goroutine itself.  The clock never looks inside it; the
 scheduler readies a goroutine and calls anything else
-(``Scheduler.fire_timers``), and the compiled drive loop wakes a sleeper
-with no Python call.
+(``Scheduler.fire_timers``), and the compiled drive loop does the same
+in C: it wakes a sleeper with no Python call and calls any other
+callback directly.
 """
 
 from __future__ import annotations
@@ -90,14 +91,20 @@ class VirtualClock:
         """
         if not isfinite(deadline):
             raise ValueError(f"timer deadline is not finite: {deadline!r}")
-        handle = TimerHandle((max(deadline, self.now), next(self._seq),
-                              callback))
+        # A compare, not ``max()``: this runs once per timer armed.
+        now = self.now
+        if deadline < now:
+            deadline = now
+        handle = TimerHandle((deadline, next(self._seq), callback))
         heappush(self._heap, handle)
         return handle
 
     def call_after(self, delay: float, callback: Entry) -> TimerHandle:
-        """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        return self.call_at(self.now + max(delay, 0.0), callback)
+        """Schedule ``callback`` to fire ``delay`` seconds from now (a
+        negative delay fires it now)."""
+        if delay < 0.0:
+            delay = 0.0
+        return self.call_at(self.now + delay, callback)
 
     def advance_to_next(self) -> List[Entry]:
         """Jump to the earliest deadline and pop every timer due at it.

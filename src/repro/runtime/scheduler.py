@@ -30,10 +30,10 @@ system's effective speed, the per-step path here is deliberately lean:
   the virtual clock to the next deadline and fires what is due, so a run
   with thousands of timers enters it once per :meth:`run_until_quiescent`
   call.  A sleeper's timer holds the goroutine itself, and the loop
-  readies it in C with the records :meth:`ready` would write; only the
-  other callbacks go to :meth:`fire_timers`.  A faulted run keeps the
-  idle exit and fires timers here, so the clock never moves while it
-  drives to a due step.  A fire that wakes nobody counts one against the
+  readies it in C with the records :meth:`ready` would write; it calls
+  every other callback itself, with the record :meth:`fire_timers`
+  would write.  A faulted run keeps the idle exit and fires timers
+  here, so the clock never moves while it drives to a due step.  A fire that wakes nobody counts one against the
   step budget, so a ticker nobody reads cannot keep a run alive;
 * consumers that need every scheduling decision (the observer's step
   metrics, the explorer's footprints) read a *pick log* after the run
@@ -597,25 +597,27 @@ class Scheduler:
         drive leaves at every idle point instead of firing timers, so the
         clock moves only in ``run_until_quiescent``'s idle branch and in
         the injector's own clock jump, and no ``after_time`` fault comes
-        due inside drive.  Returns drive's verdict, or :data:`_FAULT_DUE`
-        when a fault is due at the current step: one pure ``_advance``
-        iteration then pulses it.
+        due inside drive.  For the same reason drive takes one step per
+        budget unit, so when it stops at the clamped budget it stands at
+        the due step, and the fault is due without asking again.  Returns
+        drive's verdict, or :data:`_FAULT_DUE` when a fault is due at the
+        current step: one pure ``_advance`` iteration then pulses it.
         """
+        due = injector.next_due(self)
+        if due is None:
+            return hot(self)
+        ahead = due - self._steps
+        if ahead <= 0:
+            return _FAULT_DUE
         budget = self._budget
-        while True:
-            due = injector.next_due(self)
-            if due is None:
-                return hot(self)
-            ahead = due - self._steps
-            if ahead <= 0:
-                return _FAULT_DUE
-            self._budget = min(budget, self._budget_used + ahead)
-            try:
-                verdict = hot(self)
-            finally:
-                self._budget = budget
-            if verdict != "steps" or self._budget_used >= budget:
-                return verdict
+        self._budget = min(budget, self._budget_used + ahead)
+        try:
+            verdict = hot(self)
+        finally:
+            self._budget = budget
+        if verdict != "steps" or self._budget_used >= budget:
+            return verdict
+        return _FAULT_DUE
 
     def fire_timers(self, callbacks: List[Any]) -> None:
         """Fire popped timers in scheduler context, one ``timer.fire``
@@ -625,9 +627,9 @@ class Scheduler:
 
         The pure loop's idle verdict, the thread vehicle and the fault
         injector's clock jumps call this with every timer the clock
-        popped.  The compiled drive loop wakes sleepers itself, with the
-        same records, and calls this only with each run of the other
-        entries."""
+        popped.  The compiled drive loop never calls it: it readies
+        sleepers and calls the other entries itself, with the same
+        records."""
         trace = self.trace
         for callback in callbacks:
             if trace.active:
@@ -751,7 +753,7 @@ class Scheduler:
         self._runnable.remove(g)
         g.state = GState.BLOCKED
         g.block_reason = "inject.delay"
-        self.clock.call_after(max(duration, 0.0), partial(self._end_delay, g))
+        self.clock.call_after(duration, partial(self._end_delay, g))
         return True
 
     def _end_delay(self, g: Goroutine) -> None:

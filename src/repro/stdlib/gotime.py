@@ -28,7 +28,7 @@ class Timer:
         self._handle = self._arm(duration)
 
     def _arm(self, duration: float):
-        return self._sched.clock.call_after(max(duration, 0.0), self._fire)
+        return self._sched.clock.call_after(duration, self._fire)
 
     def _fire(self) -> None:
         self._fired = True

@@ -6,6 +6,7 @@ and the compiled drive loop (which runs between the injector's due steps)
 must reproduce the pure loop's.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,8 @@ from repro import run
 from repro.chan.cases import recv
 from repro.inject import Fault, FaultInjector, FaultPlan
 from repro.parallel import schedule_digest
-from repro.runtime._hotloop import force_pure
+from repro.runtime._hotloop import force_pure, get_drive
+from repro.runtime.scheduler import Scheduler, resolve_backend
 
 
 def workload(rt):
@@ -222,3 +224,39 @@ def test_jump_makes_after_time_fault_due_and_dead_kill_stays_due():
     injector = FaultInjector(plan, seed=1)
     run(busy_workload, seed=1, inject=injector)
     assert injector._remaining[2] == 1  # the kill was never consumed
+
+
+@pytest.mark.skipif(
+    get_drive() is None or resolve_backend("coroutine") != "tasklet",
+    reason="compiled drive loop unavailable on this host")
+@pytest.mark.parametrize("faults", [
+    (Fault("wakeup", every=4, probability=0.5, times=None),),
+    (Fault("delay", at_step=10, times=3, count=2, value=0.01),
+     *JUMP_THEN_AFTER_TIME, Fault("kill", at_step=40)),
+], ids=["recurring", "one-shots"])
+def test_no_due_step_is_asked_for_twice(monkeypatch, faults):
+    """Once drive stops at the due step ``next_due`` named, the fault is
+    due there: the same drive-to-due call does not ask again."""
+    injector = FaultInjector(FaultPlan(name="count", faults=faults), seed=2)
+    next_due = injector.next_due
+    drive_to_due_step = Scheduler._drive_to_due_step
+    calls, repeats, last = [], [], [None]
+
+    def counted_next_due(sched):
+        due = next_due(sched)
+        if last[0] is not None and sched.steps == last[0]:
+            repeats.append(sched.steps)
+        calls.append(due)
+        last[0] = due
+        return due
+
+    def counted_drive_to_due_step(sched, hot, injector):
+        last[0] = None
+        return drive_to_due_step(sched, hot, injector)
+
+    injector.next_due = counted_next_due
+    monkeypatch.setattr(Scheduler, "_drive_to_due_step",
+                        counted_drive_to_due_step)
+    result = run(busy_workload, seed=2, inject=injector)
+    assert result.injected and len(calls) > 1
+    assert repeats == []

@@ -10,6 +10,7 @@ them changes nothing anyone can observe.
 * Untraced, traced and pure-Python runs of ``loadgen_summary`` agree.
 """
 
+import contextlib
 import hashlib
 import sys
 from functools import partial
@@ -21,8 +22,8 @@ from repro.net import Conn
 from repro.net import demo
 from repro.net.demo import cluster_demo, loadgen_summary
 from repro.net.load import echo_load_program
-from repro.runtime._hotloop import force_pure
-from repro.runtime.scheduler import Scheduler
+from repro.runtime._hotloop import force_pure, get_drive
+from repro.runtime.scheduler import Scheduler, resolve_backend
 
 
 def _faulty_fabric(rt):
@@ -130,7 +131,7 @@ def test_faulty_fabric_covers_every_drop_branch():
 
 
 # Functions on the untraced hot path that must not call ``emit``.
-_GUARDED = ("transmit", "_deliver", "recv_ok", "try_recv", "sleep",
+_GUARDED = ("transmit", "land", "recv_ok", "try_recv", "sleep",
             "fire_timers", "ready")
 
 
@@ -155,13 +156,22 @@ def test_untraced_loadgen_never_emits_from_hot_paths(monkeypatch):
     assert {name: calls[name] for name in _GUARDED if name in calls} == {}
 
 
-def test_traced_run_emits_from_hot_paths(monkeypatch):
+@pytest.mark.parametrize("pure", [False, True])
+def test_traced_run_emits_from_hot_paths(monkeypatch, pure):
     # The counter above sees these callers when a trace is kept, so its
-    # empty result means "guarded", not "never reached".
-    calls = _count_emits(monkeypatch, lambda: run(
-        partial(echo_load_program, clients=3, requests=20), seed=4))
-    for name in ("transmit", "recv_ok", "sleep", "fire_timers", "ready"):
+    # empty result means "guarded", not "never reached".  Only the pure
+    # loop fires timers through ``fire_timers``; the compiled one writes
+    # their records in C.
+    def body():
+        with force_pure() if pure else contextlib.nullcontext():
+            run(partial(echo_load_program, clients=3, requests=20), seed=4)
+
+    calls = _count_emits(monkeypatch, body)
+    for name in ("transmit", "recv_ok", "sleep", "ready"):
         assert calls.get(name, 0) > 0, name
+    compiled = get_drive() is not None and \
+        resolve_backend("coroutine") == "tasklet"
+    assert (calls.get("fire_timers", 0) > 0) == (pure or not compiled)
 
 
 def test_loadgen_summary_same_untraced_traced_and_pure(monkeypatch):

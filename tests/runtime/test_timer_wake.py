@@ -4,11 +4,12 @@
 timer whose callback slot holds the sleeping goroutine itself (a *wake
 entry*).  The pure loop, the thread vehicle and the injector's clock jump
 fire it through ``Scheduler.fire_timers``, which readies the goroutine.
-The compiled drive loop readies it in C and hands only the other entries
-to ``Scheduler.fire_timers``, one call per run of them.  Both must write
-the same records, leave the same runnable order and take the same
-schedule.
+The compiled drive loop readies it in C and calls every other entry
+itself, with no ``Scheduler.fire_timers`` call.  Both must write the same
+records, leave the same runnable order and take the same schedule.
 """
+
+from functools import partial
 
 import pytest
 
@@ -195,15 +196,90 @@ def test_a_sleep_only_run_calls_no_python_to_fire(fire_calls):
 
 
 @needs_drive_loop
-def test_each_run_of_other_entries_is_one_call(fire_calls):
+def test_other_entries_are_called_in_heap_order_without_fire_timers(
+        fire_calls):
     compiled = run(mixed_batch, seed=1, preempt=False)
     assert compiled.main_result == ["first", "second", "third"]
-    assert fire_calls == [["first", "second"], ["third"]]
-    del fire_calls[:]
+    assert fire_calls == []
     with force_pure():
         pure = run(mixed_batch, seed=1, preempt=False)
     assert fire_calls == [["wake"],
                           ["first", "second", "wake", "third", "wake"]]
+    # The records interleave each call's ``timer.fire`` with the wakes'.
+    assert pure.trace.records() == compiled.trace.records()
+
+
+class _KeepScheduler:
+    def attach(self, rt):
+        self.sched = rt.sched
+
+
+def raising_callback(seen, rt):
+    """A callback due at t=1.0 raises, beside a sleeper woken in the same
+    batch; it appends the goroutine current when it ran to ``seen``."""
+    sched = rt.sched
+
+    def boom():
+        seen.append(sched._current)
+        raise RuntimeError("boom")
+
+    rt.go(rt.sleep, 1.0)
+    sched.clock.call_at(1.0, boom)
+    rt.sleep(2.0)
+
+
+@needs_drive_loop
+def test_a_raising_callback_leaves_both_loops_alike():
+    states = []
+    for loop in ("compiled", "pure"):
+        keeper, seen = _KeepScheduler(), []
+        with pytest.raises(RuntimeError, match="boom"):
+            _run(partial(raising_callback, seen), loop, seed=3,
+                 observers=[keeper])
+        sched = keeper.sched
+        assert seen == [None]
+        assert sched._current is None
+        states.append((sched._steps, sched._budget_used))
+    assert states[0] == states[1]
+
+
+def arms_a_timer_due_now(rt):
+    """``first`` arms ``second`` at the current time, after its batch was
+    popped.  At t=1.0 main's wake shares the batch; at t=1.5 ``first`` is
+    alone and wakes nobody."""
+    clock = rt.sched.clock
+    log = []
+
+    def second():
+        log.append("second")
+
+    def first():
+        log.append("first")
+        clock.call_at(clock.now, second)
+
+    clock.call_at(1.0, first)
+    clock.call_at(1.5, first)
+    rt.sleep(1.0)
+    log.append("main")
+    rt.sleep(1.0)
+    return log
+
+
+@needs_drive_loop
+def test_a_timer_armed_due_now_fires_in_the_next_batch(fire_calls):
+    keeper = _KeepScheduler()
+    compiled = run(arms_a_timer_due_now, seed=2, observers=[keeper])
+    budget = keeper.sched._budget_used
+    # At t=1.0 main runs before ``second``'s batch.
+    assert compiled.main_result == ["first", "main", "second", "first",
+                                    "second"]
+    assert fire_calls == []
+    with force_pure():
+        pure = run(arms_a_timer_due_now, seed=2, observers=[keeper])
+    assert fire_calls == [["first", "wake"], ["second"], ["first"],
+                          ["second"], ["wake"]]
+    assert (pure.main_result, pure.steps, keeper.sched._budget_used) == (
+        compiled.main_result, compiled.steps, budget)
     assert pure.trace.records() == compiled.trace.records()
 
 
