@@ -15,7 +15,9 @@ module answers that after the run, from two logs the run already keeps:
   touched.
 
 Nothing runs per step beyond the log append: an annotation is built only
-when the explorer looks its position up.
+when the explorer looks its position up, and it looks up only the picks a
+pruning decision reads.  Elsewhere it asks whether a position is a pick
+at all (``position in annotations``), which reads the pick log alone.
 
 Footprints drive the sleep-set pruning rule in
 :mod:`repro.detect.systematic`: two segments on different goroutines with
@@ -119,8 +121,10 @@ class PickAnnotations:
     """The pick annotations of one run, each built when it is looked up.
 
     The explorer reads a few positions of each run (the pick that
-    branched it and the picks it expands), so footprints are computed
-    for those alone.  Iterating yields every pick in position order.
+    branched it, and the picks it expands where a sleep set is live or a
+    branch is possible), so footprints are computed for those alone.
+    ``position in annotations`` tells a pick from a select draw without
+    building anything.  Iterating yields every pick in position order.
     """
 
     __slots__ = ("_log", "_records", "_steps")
@@ -132,6 +136,12 @@ class PickAnnotations:
         #: The records' steps, to find a segment by bisection.  Records
         #: kept after this point (run teardown) belong to no segment.
         self._steps = list(map(itemgetter(0), records))
+
+    def __contains__(self, position: int) -> bool:
+        """True when choice-log ``position`` is a scheduling pick (not a
+        select draw, and within the run)."""
+        return 0 <= position < len(self._log) and \
+            self._log[position] is not None
 
     def get(self, position: int) -> Optional[PickAnnotation]:
         """The pick at choice-log ``position``, or None for a select draw

@@ -275,7 +275,8 @@ class _Explorer:
 
         ``picks`` looks pick annotations up by position: the run's lazy
         :class:`PickAnnotations`, a dict from a sweep worker, or None when
-        pruning is off."""
+        pruning is off.  Either answers ``position in picks`` without
+        building an annotation."""
         self.runs += 1
         self.max_depth = max(self.max_depth, len(log))
         self.statuses[status] = self.statuses.get(status, 0) + 1
@@ -326,13 +327,21 @@ class _Explorer:
         governing_pos = work.filter_from
         for q in range(work.filter_from, limit):
             n, taken = log[q]
+            branches = n > 1 and q >= len(prefix)
+            if not cur and not branches:
+                # Nothing asleep and nothing to branch: a pick here only
+                # becomes the governing one (its footprint would filter an
+                # empty sleep set), so its annotation is never built.
+                if q in picks_by_pos:
+                    governing_sleep = ()
+                    governing_pos = q
+                continue
             ann = picks_by_pos.get(q)
-            branchable = q >= len(prefix)
             if ann is None:
                 # A select draw (or pruning is off): expand eagerly.  The
                 # child diverges inside the governing pick's segment, so it
                 # inherits the pre-pick sleep set and re-filters from there.
-                if branchable and n > 1:
+                if branches:
                     base = takens[:q]
                     expected = tuple(ns[:q + 1])
                     for alternative in range(n - 1, -1, -1):
@@ -353,7 +362,7 @@ class _Explorer:
             asleep = gid_taken in sleeping
             if asleep:
                 self.pruned += 1
-            if branchable and n > 1:
+            if branches:
                 pending = []
                 for alternative in range(n - 1, -1, -1):
                     if alternative == taken:

@@ -17,11 +17,13 @@ itself.
 
 The callback slot holds what fires: a zero-argument callable, or, for a
 sleeper (``Runtime.sleep``, ``Runtime.external_wait`` with a duration),
-the sleeping goroutine itself.  The clock never looks inside it; the
-scheduler readies a goroutine and calls anything else
-(``Scheduler.fire_timers``), and the compiled drive loop does the same
-in C: it wakes a sleeper with no Python call and calls any other
-callback directly.
+the sleeping goroutine itself.  ``Scheduler.park_timer`` arms a sleeper's
+entry with one :meth:`VirtualClock.call_at` (its delay clamped at zero as
+:meth:`VirtualClock.call_after` would) in the same frame that records the
+park and yields.  The clock never looks inside the slot; the scheduler
+readies a goroutine and calls anything else (``Scheduler.fire_timers``),
+and the compiled drive loop does the same in C: it wakes a sleeper with
+no Python call and calls any other callback directly.
 """
 
 from __future__ import annotations

@@ -173,8 +173,9 @@ class Goroutine:
         #: The owning scheduler: yields run its continuation inline
         #: (``_handback``), and ``kill`` pairs with its main-loop handoff lock.
         self._sched = scheduler
-        self._my_lock = threading.Lock()
-        self._my_lock.acquire()  # created held: the host parks on it
+        #: The host's private lock, created by :meth:`start` (thread
+        #: vehicle only; a tasklet never parks on a lock).
+        self._my_lock: Any = None
         self._killed = False
         self._thread: Optional[threading.Thread] = None
 
@@ -184,6 +185,8 @@ class Goroutine:
 
     def start(self) -> None:
         """Create the host thread; it immediately parks waiting for the token."""
+        self._my_lock = threading.Lock()
+        self._my_lock.acquire()  # created held: the host parks on it
         self._thread = threading.Thread(
             target=self._run, name=f"goroutine-{self.gid}-{self.name}", daemon=True
         )

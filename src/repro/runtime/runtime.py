@@ -152,20 +152,19 @@ class Runtime:
     def sleep(self, duration: float) -> None:
         """Sleep on the virtual clock, like ``time.Sleep``."""
         sched = self.sched
-        g = sched.current
-        if sched.trace.active:
-            sched.emit(EventKind.SLEEP, info={"duration": duration})
         if duration <= 0:
+            # No timer: a schedule point after the same record.
+            gid = sched.current.gid  # raises outside a goroutine
+            if sched.trace.active:
+                sched.emit(EventKind.SLEEP, info={"duration": duration},
+                           gid=gid)
             sched.schedule_point()
             return
-        # The timer's callback slot holds the sleeper itself: firing it
-        # readies ``g`` (Scheduler.fire_timers, or the compiled drive loop
-        # with no Python call).  The slot empties when the timer fires;
-        # until then a wakeup is spurious (an injected one) and the sleep
-        # goes on.
-        timer = sched.clock.call_after(duration, g)
-        while timer.callback is not None:
-            sched.block("time.sleep")
+        # One frame parks: the ``time.sleep`` and ``go.block`` records, a
+        # timer whose callback slot holds the sleeper itself (firing it
+        # readies the goroutine, in C on the drive loop), and the yield.
+        sched.park_timer(duration, "time.sleep", False, EventKind.SLEEP,
+                         {"duration": duration})
 
     def external_wait(self, what: str, duration: Optional[float] = None) -> None:
         """Block on a modelled external resource (network, disk, subprocess).
@@ -176,15 +175,15 @@ class Runtime:
         goroutine waits forever.
         """
         sched = self.sched
-        g = sched.current
-        if sched.trace.active:
-            sched.emit(EventKind.EXTERNAL_WAIT, info={"what": what})
-        if duration is None:
-            while True:
-                sched.block(f"external:{what}", external=True)
+        if duration is not None:
+            # A wake entry, parked as in sleep.
+            sched.park_timer(duration, f"external:{what}", True,
+                             EventKind.EXTERNAL_WAIT, {"what": what})
             return
-        timer = sched.clock.call_after(duration, g)  # a wake entry, as in sleep
-        while timer.callback is not None:
+        gid = sched.current.gid  # raises outside a goroutine
+        if sched.trace.active:
+            sched.emit(EventKind.EXTERNAL_WAIT, info={"what": what}, gid=gid)
+        while True:
             sched.block(f"external:{what}", external=True)
 
     # ------------------------------------------------------------------

@@ -252,10 +252,13 @@ class Scheduler:
         self._runnable: List[Goroutine] = []
         self._current: Optional[Goroutine] = None
         self._steps = 0
-        #: Scheduler-owned half of the token handoff (thread vehicle):
-        #: created held; goroutines release it when handing the token back.
-        self._handoff = threading.Lock()
-        self._handoff.acquire()
+        #: Scheduler-owned half of the token handoff (thread vehicle
+        #: only): created held; goroutines release it when handing the
+        #: token back.
+        self._handoff: Any = None
+        if self._direct:
+            self._handoff = threading.Lock()
+            self._handoff.acquire()
         self._next_gid = 1
         self._shutting_down = False
         #: The goroutine currently being unwound by :meth:`kill_all`, so a
@@ -472,6 +475,58 @@ class Scheduler:
         g.yield_to_scheduler()
         g.block_reason = None
         g.external = False
+
+    def park_timer(self, delay: float, reason: str, external: bool,
+                   kind: str, info: dict) -> None:
+        """Park the running goroutine on a wake entry ``delay`` virtual
+        seconds out (``Runtime.sleep``, ``Runtime.external_wait`` with a
+        duration).
+
+        One frame, on the sleeper's hot path: it writes the records
+        :meth:`emit` and :meth:`block` would (``kind`` with ``info``, then
+        a ``go.block`` per park), arms the entry with one ``call_at``
+        (``delay`` clamped at zero, as ``call_after`` clamps it) and
+        yields.  The timer's callback slot holds the goroutine itself,
+        and firing it (:meth:`fire_timers`, or the drive loop in C)
+        readies it and empties the slot; a wakeup while the slot is full
+        is spurious (an injected one) and the goroutine parks again.  A
+        non-finite ``delay`` raises ``ValueError`` from ``call_at`` after
+        the first record, before the goroutine parks.
+        """
+        g = self._current
+        if g is None:
+            g = self.current  # raises, or parks a dying host
+        clock = self.clock
+        trace = self.trace
+        if trace.active:
+            # The record ``emit`` would pass to ``Trace.emit``, appended
+            # here without either frame (as the drive loop does in C).
+            trace._records.append((self._steps, clock.now, g.gid, kind,
+                                   None, info))
+        if delay < 0.0:
+            delay = 0.0
+        timer = clock.call_at(clock.now + delay, g)
+        runnable = self._runnable
+        while True:
+            g.state = GState.BLOCKED
+            g.block_reason = reason
+            g.external = external
+            if trace.active:
+                block_info: dict = {"reason": reason}
+                if self.capture_sites:
+                    stack = user_stack()
+                    if stack:
+                        block_info["site"] = stack[0]
+                        block_info["stack"] = stack
+                trace._records.append((self._steps, clock.now, g.gid,
+                                       EventKind.GO_BLOCK, None, block_info))
+            if g in runnable:
+                runnable.remove(g)
+            g.yield_to_scheduler()
+            g.block_reason = None
+            g.external = False
+            if timer[2] is None:
+                return
 
     def ready(self, g: Goroutine) -> None:
         """Move a blocked goroutine back to the runnable set."""

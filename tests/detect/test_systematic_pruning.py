@@ -11,7 +11,10 @@ stays in tier-1 time; the deeper 800-run comparison lives in
 import pytest
 
 from repro.bugs import registry
+from repro.detect import systematic
+from repro.detect.annotate import PickAnnotations
 from repro.detect.systematic import explore_systematic
+from repro.parallel import engine
 
 CORPUS = list(registry.all_kernels())
 
@@ -112,3 +115,168 @@ def test_untraced_exploration_matches_traced_over_corpus():
             if outcomes[0] != outcomes[1]:
                 moved.append(f"{kernel.meta.kernel_id}[{variant}]")
     assert not moved, f"keep_trace=False changed exploration: {moved}"
+
+
+# ----------------------------------------------------------------------
+# The explorer builds only the annotations a pruning decision reads
+# ----------------------------------------------------------------------
+
+def _oracle_expand(self, work, log, picks_by_pos, skippable=None):
+    """``_Explorer._expand`` as it was when it looked up the annotation
+    at every position.  ``skippable``, when given, collects the positions
+    where the sleep set was empty and no branch was possible: the ones
+    the explorer now passes without building an annotation."""
+    prefix = work.prefix
+    limit = min(len(log), self.max_branch_depth)
+    takens = [taken for _n, taken in log]
+    ns = [n for n, _taken in log]
+    cur = list(work.sleep)
+    governing_sleep = tuple(work.sleep)
+    governing_pos = work.filter_from
+    for q in range(work.filter_from, limit):
+        n, taken = log[q]
+        if skippable is not None and not cur and \
+                not (q >= len(prefix) and n > 1):
+            skippable.add(q)
+        ann = picks_by_pos.get(q)
+        branchable = q >= len(prefix)
+        if ann is None:
+            if branchable and n > 1:
+                base = takens[:q]
+                expected = tuple(ns[:q + 1])
+                for alternative in range(n - 1, -1, -1):
+                    if alternative != taken:
+                        self.stack.append(systematic._Work(
+                            base + [alternative], governing_sleep, None,
+                            governing_pos, expected))
+            continue
+        gid_taken = ann.gids[ann.chosen]
+        sleeping = {gid for gid, _ in cur}
+        asleep = gid_taken in sleeping
+        if asleep:
+            self.pruned += 1
+        if branchable and n > 1:
+            pending = []
+            for alternative in range(n - 1, -1, -1):
+                if alternative == taken:
+                    continue
+                if ann.gids[alternative] in sleeping:
+                    self.pruned += 1
+                    continue
+                pending.append(alternative)
+            if pending:
+                first = None if asleep or ann.poisoned \
+                    else (gid_taken, ann.tokens)
+                node = systematic._Node(takens[:q], q, tuple(cur), pending,
+                                        first, tuple(ns[:q + 1]))
+                self._push_next(node)
+        if asleep:
+            return
+        governing_sleep = tuple(cur)
+        governing_pos = q
+        if ann.poisoned:
+            cur = []
+        else:
+            tokens = ann.tokens
+            cur = [(gid, fp) for gid, fp in cur
+                   if gid != gid_taken and fp.isdisjoint(tokens)]
+
+
+class _OracleExplorer(systematic._Explorer):
+    _expand = _oracle_expand
+
+
+def _fields(found):
+    result = found.counterexample_result
+    return (found.runs, found.exhausted, found.counterexample,
+            found.statuses, found.runs_saved, found.pruned,
+            found.divergences, found.divergence_events, found.max_depth,
+            None if result is None else (result.status, result.steps))
+
+
+def _explore_both_ways(monkeypatch, program, jobs, **kwargs):
+    """The exploration with the explorer as it is and with the oracle.
+    At ``jobs=2`` every run takes the pool worker's reduction (a
+    ``RunSummary`` and a dict of picks by position) in-process, so the
+    dict path is exercised whether or not a batch would fan out."""
+    with monkeypatch.context() as patch:
+        if jobs > 1:
+            patch.setattr(engine, "_IN_WORKER", True)
+        found = explore_systematic(program, jobs=jobs, **kwargs)
+        patch.setattr(systematic, "_Explorer", _OracleExplorer)
+        oracle = explore_systematic(program, jobs=jobs, **kwargs)
+    return _fields(found), _fields(oracle)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("mode", ["stop_on", "capped"])
+def test_explorations_match_the_every_position_oracle(monkeypatch, mode,
+                                                      jobs):
+    moved = []
+    for kernel in CORPUS:
+        for variant in ("buggy", "fixed"):
+            kwargs = dict(kernel.run_kwargs)
+            if mode == "stop_on":
+                kwargs.update(stop_on=kernel.manifested, max_runs=60)
+            else:
+                kwargs.update(max_runs=40)
+            found, oracle = _explore_both_ways(
+                monkeypatch, getattr(kernel, variant), jobs, **kwargs)
+            if found != oracle:
+                moved.append(f"{kernel.meta.kernel_id}[{variant}]")
+    assert not moved, f"exploration differs from the oracle: {moved}"
+
+
+def test_no_annotation_is_built_at_a_skippable_position(monkeypatch):
+    # Per run (numbered in visiting order), ``_expand`` must look up
+    # exactly the oracle's positions minus those with an empty sleep set
+    # and no branch.  (The lookup of the pick that branched the run, in
+    # ``_report_to_node``, is another reader and is not counted.)
+    lookups = {"new": set(), "oracle": set()}
+    skippable = set()
+    state = {"run": 0, "into": None}
+    original_get = PickAnnotations.get
+
+    def counting_get(self, position):
+        if state["into"] is not None:
+            lookups[state["into"]].add((state["run"], position))
+        return original_get(self, position)
+
+    class Counting(systematic._Explorer):
+        def process(self, work, log, status, hit, picks, clamps):
+            state["run"] = self.runs
+            super().process(work, log, status, hit, picks, clamps)
+
+        def _expand(self, work, log, picks_by_pos):
+            state["into"] = "new"
+            try:
+                super()._expand(work, log, picks_by_pos)
+            finally:
+                state["into"] = None
+
+    class CountingOracle(Counting):
+        def _expand(self, work, log, picks_by_pos):
+            positions = set()
+            state["into"] = "oracle"
+            try:
+                _oracle_expand(self, work, log, picks_by_pos, positions)
+            finally:
+                state["into"] = None
+            skippable.update((state["run"], q) for q in positions)
+
+    monkeypatch.setattr(PickAnnotations, "get", counting_get)
+    built = skipped = 0
+    for kernel in CORPUS:
+        for explorer in (Counting, CountingOracle):
+            monkeypatch.setattr(systematic, "_Explorer", explorer)
+            explore_systematic(kernel.fixed, stop_on=kernel.manifested,
+                               max_runs=60, **kernel.run_kwargs)
+        assert lookups["new"].isdisjoint(skippable), kernel.meta.kernel_id
+        assert lookups["new"] == lookups["oracle"] - skippable, \
+            kernel.meta.kernel_id
+        built += len(lookups["new"])
+        skipped += len(skippable & lookups["oracle"])
+        for positions in (lookups["new"], lookups["oracle"], skippable):
+            positions.clear()
+    # Not vacuous: both kinds of position occur.
+    assert built > 0 and skipped > 0

@@ -24,6 +24,7 @@ from repro.net.demo import cluster_demo, loadgen_summary
 from repro.net.load import echo_load_program
 from repro.runtime._hotloop import force_pure, get_drive
 from repro.runtime.scheduler import Scheduler, resolve_backend
+from repro.runtime.trace import EventKind
 
 
 def _faulty_fabric(rt):
@@ -156,22 +157,56 @@ def test_untraced_loadgen_never_emits_from_hot_paths(monkeypatch):
     assert {name: calls[name] for name in _GUARDED if name in calls} == {}
 
 
+class _RecordProbe:
+    """Observer that keeps the run's trace records without asking for
+    them: in a ``keep_trace=False`` run they stay empty unless some event
+    site appends regardless of ``Trace.active``."""
+
+    def attach(self, rt):
+        self.trace = rt.sched.trace
+
+    def finish(self, result):
+        self.records = list(self.trace.records())
+
+
 @pytest.mark.parametrize("pure", [False, True])
 def test_traced_run_emits_from_hot_paths(monkeypatch, pure):
     # The counter above sees these callers when a trace is kept, so its
     # empty result means "guarded", not "never reached".  Only the pure
     # loop fires timers through ``fire_timers``; the compiled one writes
-    # their records in C.
+    # their records in C.  A sleep parks in ``Scheduler.park_timer``,
+    # which appends its records without ``emit``, so its guard is checked
+    # on the records themselves: a traced run has them, an untraced run
+    # appends none.
+    program = partial(echo_load_program, clients=3, requests=20)
+    loop = force_pure if pure else contextlib.nullcontext
+    results = []
+
     def body():
-        with force_pure() if pure else contextlib.nullcontext():
-            run(partial(echo_load_program, clients=3, requests=20), seed=4)
+        with loop():
+            results.append(run(program, seed=4))
 
     calls = _count_emits(monkeypatch, body)
-    for name in ("transmit", "recv_ok", "sleep", "ready"):
+    for name in ("transmit", "recv_ok", "ready"):
         assert calls.get(name, 0) > 0, name
     compiled = get_drive() is not None and \
         resolve_backend("coroutine") == "tasklet"
     assert (calls.get("fire_timers", 0) > 0) == (pure or not compiled)
+
+    # Each park writes its ``time.sleep`` record and then the
+    # ``go.block`` one, at the same step and time, for the same goroutine.
+    records = results[0].trace.records()
+    parks = [(sleep, block) for sleep, block in zip(records, records[1:])
+             if sleep[3] == EventKind.SLEEP and sleep[5]["duration"] > 0]
+    assert parks
+    for sleep, block in parks:
+        assert block[:5] == sleep[:3] + (EventKind.GO_BLOCK, None)
+        assert block[5] == {"reason": "time.sleep"}
+    probe = _RecordProbe()
+    with loop():
+        untraced = run(program, seed=4, keep_trace=False, observers=[probe])
+    assert untraced.steps == results[0].steps
+    assert probe.records == []
 
 
 def test_loadgen_summary_same_untraced_traced_and_pure(monkeypatch):

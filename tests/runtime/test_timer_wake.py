@@ -317,3 +317,38 @@ def test_no_timer_holds_a_goroutine_after_the_run(loop):
     assert len(keeper.handles) == 3
     assert keeper.clock._heap == []
     assert all(handle.callback is None for handle in keeper.handles)
+
+
+def woken_early(how, rt):
+    """A sleeper readied by an injected (spurious) wakeup at t=0.5 parks
+    again and wakes at its own deadline."""
+    sched = rt.sched
+    done = rt.make_chan(1)
+
+    def nap():
+        if how == "sleep":
+            rt.sleep(1.0)
+        else:
+            rt.external_wait("disk", 1.0)
+        done.send(rt.now())
+
+    napper = rt.go(nap)
+    rt.sleep(0.5)
+    assert sched.inject_wakeup(napper)
+    return done.recv()
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+@pytest.mark.parametrize("how", ["sleep", "wait"])
+def test_a_spurious_wakeup_parks_the_sleeper_again(loop, how):
+    results = [_run(partial(woken_early, how), each, seed=2)
+               for each in (loop, "compiled")]
+    result = results[0]
+    assert result.status == "ok"
+    assert result.main_result == 1.0
+    reason = "time.sleep" if how == "sleep" else "external:disk"
+    parks = [r for r in result.trace.records()
+             if r[2] == 2 and r[3] == EventKind.GO_BLOCK]
+    assert [(r[1], r[5]["reason"]) for r in parks] == [(0.0, reason),
+                                                       (0.5, reason)]
+    assert repr(result.trace.records()) == repr(results[1].trace.records())
