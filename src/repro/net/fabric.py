@@ -335,10 +335,6 @@ class Network:
         if self.log_messages:
             self._log.append(f"{self._sched.clock.now:.6f} {text}")
 
-    @property
-    def message_log(self) -> List[str]:
-        return self._log
-
     def format_message_log(self) -> str:
         """The full fabric history as one string — byte-identical across
         runs of the same ``(seed, topology, plan)``."""

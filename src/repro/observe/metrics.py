@@ -36,11 +36,10 @@ DEFAULT_BOUNDS: Tuple[float, ...] = (
 class Counter:
     """A monotonically increasing count of events."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
@@ -53,11 +52,10 @@ class Counter:
 class Gauge:
     """A level that can go up and down; remembers its extremes."""
 
-    __slots__ = ("name", "help", "value", "max", "min", "_touched")
+    __slots__ = ("name", "value", "max", "min", "_touched")
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value: Number = 0
         self.max: Number = 0
         self.min: Number = 0
@@ -89,13 +87,11 @@ class Histogram:
     reported without the raw samples.
     """
 
-    __slots__ = ("name", "help", "bounds", "bucket_counts", "count", "sum",
-                 "min", "max")
+    __slots__ = ("name", "bounds", "bucket_counts", "count", "sum", "min",
+                 "max")
 
-    def __init__(self, name: str, bounds: Optional[Sequence[Number]] = None,
-                 help: str = ""):
+    def __init__(self, name: str, bounds: Optional[Sequence[Number]] = None):
         self.name = name
-        self.help = help
         self.bounds: Tuple[Number, ...] = tuple(bounds if bounds is not None
                                                 else DEFAULT_BOUNDS)
         if list(self.bounds) != sorted(self.bounds):
@@ -158,11 +154,10 @@ class TimeSeries:
     drop counter (the aggregate view lives in a companion histogram).
     """
 
-    __slots__ = ("name", "help", "max_samples", "samples", "dropped", "_last")
+    __slots__ = ("name", "max_samples", "samples", "dropped", "_last")
 
-    def __init__(self, name: str, max_samples: int = 4096, help: str = ""):
+    def __init__(self, name: str, max_samples: int = 4096):
         self.name = name
-        self.help = help
         self.max_samples = max_samples
         self.samples: List[Tuple[Number, Number]] = []
         self.dropped = 0
@@ -212,28 +207,27 @@ class MetricsRegistry:
             self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        metric = self._get(name, lambda: Counter(name, help))
+    def counter(self, name: str) -> Counter:
+        metric = self._get(name, lambda: Counter(name))
         if not isinstance(metric, Counter):
             raise TypeError(f"{name} is a {type(metric).__name__}, not Counter")
         return metric
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        metric = self._get(name, lambda: Gauge(name, help))
+    def gauge(self, name: str) -> Gauge:
+        metric = self._get(name, lambda: Gauge(name))
         if not isinstance(metric, Gauge):
             raise TypeError(f"{name} is a {type(metric).__name__}, not Gauge")
         return metric
 
-    def histogram(self, name: str, bounds: Optional[Sequence[Number]] = None,
-                  help: str = "") -> Histogram:
-        metric = self._get(name, lambda: Histogram(name, bounds, help))
+    def histogram(self, name: str,
+                  bounds: Optional[Sequence[Number]] = None) -> Histogram:
+        metric = self._get(name, lambda: Histogram(name, bounds))
         if not isinstance(metric, Histogram):
             raise TypeError(f"{name} is a {type(metric).__name__}, not Histogram")
         return metric
 
-    def timeseries(self, name: str, max_samples: int = 4096,
-                   help: str = "") -> TimeSeries:
-        metric = self._get(name, lambda: TimeSeries(name, max_samples, help))
+    def timeseries(self, name: str, max_samples: int = 4096) -> TimeSeries:
+        metric = self._get(name, lambda: TimeSeries(name, max_samples))
         if not isinstance(metric, TimeSeries):
             raise TypeError(f"{name} is a {type(metric).__name__}, not TimeSeries")
         return metric

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import compress
+from itertools import accumulate, compress
 from operator import getitem, is_not, itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime.scheduler import PickRecord
 from ..runtime.trace import EventKind, Record, Trace
-from .metrics import Histogram, MetricsRegistry, TimeSeries
+from .metrics import MetricsRegistry
 from .profiles import GoroutineProfile, Profile, ProfileEntry, flamegraph
 
 #: Samples kept per time series (runnable depth, channel occupancy).
@@ -81,9 +81,9 @@ _TRACKED = frozenset({
     EventKind.NET_DROP,
 })
 
-#: What closing a span feeds: ``(primitive, wait steps, block profile row,
-#: mutex profile row or None)``.
-_SpanRows = Tuple[str, List[int], ProfileEntry, Optional[ProfileEntry]]
+#: A closed block span: ``(its GO_BLOCK record, end step, end time,
+#: still_blocked)``.
+_Span = Tuple[Record, int, float, int]
 
 
 class Observer:
@@ -119,11 +119,14 @@ class Observer:
         self._g_site: Dict[int, str] = {}
         #: gid -> the ``GO_BLOCK`` record of its in-flight block.
         self._open: Dict[int, Record] = {}
+        #: Closed spans in close order, folded into the profiles at finish.
+        self._spans: List[_Span] = []
         self._flame: Dict[Tuple[str, ...], int] = {}
 
-        # Channel book-keeping.
+        # Channel book-keeping: cid -> label, and cid -> the ``(step,
+        # +1 or -1)`` of each buffered op, folded into occupancy at finish.
         self._chan_label: Dict[int, str] = {}
-        self._chan_occ: Dict[int, int] = {}
+        self._chan_ops: Dict[int, List[Tuple[int, int]]] = {}
 
         # The run's logs, read at finish: the trace from its record at
         # attach on, and the pick log.
@@ -140,13 +143,6 @@ class Observer:
         self._depth_hist = self.metrics.histogram("sched.runnable_depth")
         self._depth_series = self.metrics.timeseries(
             "sched.runnable_depth.series", _MAX_SERIES)
-        # Caches filled on first use, so a dump names only what the run
-        # did: (block reason, site) -> the rows its closed spans feed, and
-        # primitive -> the wait steps of its closed spans, observed into
-        # ``block.wait_steps[primitive]`` at finish.
-        self._span_rows: Dict[Tuple[str, str], _SpanRows] = {}
-        self._wait_steps: Dict[str, List[int]] = {}
-        self._occ_instruments: Dict[str, Tuple[Histogram, TimeSeries]] = {}
 
     # ------------------------------------------------------------------
     # Attachment (the observers=/observe= protocol)
@@ -200,7 +196,8 @@ class Observer:
             metrics.counter("go.spawned").inc(kinds[EventKind.GO_CREATE])
         g_state = self._g_state
         open_spans = self._open
-        occupancy = self.track_occupancy
+        spans = self._spans
+        chan_ops = self._chan_ops if self.track_occupancy else None
         tracked = compress(records,
                            map(_TRACKED.__contains__, map(itemgetter(3),
                                                           records)))
@@ -215,14 +212,14 @@ class Observer:
                 g_state[obj] = "runnable"
                 span = open_spans.pop(obj, None)
                 if span is not None:
-                    self._close_span(obj, span, step, time, 0)
+                    spans.append((span, step, time, 0))
             elif kind == EventKind.CHAN_SEND:
-                if occupancy and not info.get("sync", False):
-                    self._occupancy(obj, +1, step)
+                if chan_ops is not None and not info.get("sync", False):
+                    chan_ops.setdefault(obj, []).append((step, +1))
             elif kind == EventKind.CHAN_RECV:
-                if (occupancy and not info.get("sync", False)
+                if (chan_ops is not None and not info.get("sync", False)
                         and "seq" in info):
-                    self._occupancy(obj, -1, step)
+                    chan_ops.setdefault(obj, []).append((step, -1))
             elif kind == EventKind.GO_CREATE:
                 g_state[obj] = "runnable"
                 self._g_name[obj] = str(info.get("name", f"g{obj}"))
@@ -238,7 +235,6 @@ class Observer:
             elif kind == EventKind.CHAN_MAKE:
                 name = info.get("name", f"chan#{obj}")
                 self._chan_label[obj] = f"{name}#{obj}"
-                self._chan_occ[obj] = 0
             elif kind == EventKind.NET_RECV:
                 link = info.get("link")
                 latency = info.get("latency")
@@ -251,67 +247,69 @@ class Observer:
                 if link is not None:
                     metrics.counter(f"net.drops[{link}]").inc()
 
-    def _occupancy(self, cid: int, delta: int, step: int) -> None:
-        occ = self._chan_occ.get(cid, 0) + delta
-        self._chan_occ[cid] = occ
-        label = self._chan_label.get(cid)
-        if label is None:
-            label = f"chan#{cid}"
-        instruments = self._occ_instruments.get(label)
-        if instruments is None:
-            instruments = self._occ_instruments[label] = (
-                self.metrics.histogram(f"chan.occupancy[{label}]"),
-                self.metrics.timeseries(f"chan.occupancy[{label}].series",
-                                        _MAX_SERIES))
-        instruments[0].observe(occ)
-        instruments[1].sample(step, occ)
+    def _fold_occupancy(self) -> None:
+        """Each channel's buffered level after every op, as a histogram
+        and a series."""
+        for cid, ops in self._chan_ops.items():
+            label = self._chan_label.get(cid, f"chan#{cid}")
+            levels = list(accumulate(map(itemgetter(1), ops)))
+            self.metrics.histogram(f"chan.occupancy[{label}]"
+                                   ).observe_counts(Counter(levels))
+            self.metrics.timeseries(f"chan.occupancy[{label}].series",
+                                    _MAX_SERIES
+                                    ).extend(zip(map(itemgetter(0), ops),
+                                                 levels))
 
-    # ------------------------------------------------------------------
-
-    def _close_span(self, gid: int, span: Record, step: int, time: float,
-                    still_blocked: int) -> None:
-        start_step, start_time, _gid, _kind, _obj, info = span
-        # Scheduler.block's details: a str reason, and with sites captured
-        # a str site and a non-empty stack tuple.
-        reason = info.get("reason", "?")
-        site = info.get("site", "?")
-        stack = info.get("stack", ())
-        wait_steps = step - start_step
-        wait_seconds = time - start_time
-        rows = self._span_rows.get((reason, site))
-        if rows is None:
-            rows = self._rows_for(reason, site)
-        primitive, waits, block_row, mutex_row = rows
-        block_row.add(wait_steps, wait_seconds, still_blocked)
-        waits.append(wait_steps)
-        if wait_seconds > 0:
-            self.metrics.histogram(
-                f"block.wait_seconds[{primitive}]").observe(wait_seconds)
-        if mutex_row is not None:
-            mutex_row.add(wait_steps, wait_seconds, still_blocked)
-        # Flamegraph stack: outermost user frame first, reason as the leaf.
-        if stack:
-            frames = stack[::-1] + (reason,)
-        else:
-            frames = (self._g_name.get(gid, f"g{gid}"), reason)
-        self._flame[frames] = self._flame.get(frames, 0) + wait_steps
-
-    def _rows_for(self, reason: str, site: str) -> _SpanRows:
-        """What a span blocked on ``reason`` at ``site`` feeds when it
-        closes: its primitive, the primitive's wait list, and its block
-        and (for a lock) mutex profile rows."""
-        primitive = reason.split(":", 1)[0]
-        waits = self._wait_steps.get(primitive)
-        if waits is None:
-            waits = self._wait_steps[primitive] = []
-        mutex_row = None
-        if reason.startswith(_LOCK_REASONS):
-            lock = reason.split(":", 1)[1] or "?"
-            mutex_row = self.mutex_profile.entry((lock, site))
-        rows = (primitive, waits, self.block_profile.entry((primitive, site)),
-                mutex_row)
-        self._span_rows[(reason, site)] = rows
-        return rows
+    def _fold_spans(self) -> None:
+        """Feed every closed span to the block and mutex profiles, the
+        wait histograms and the flamegraph, in close order: float
+        addition is not associative, and the observer goldens pin every
+        sum's last bit."""
+        metrics = self.metrics
+        flame = self._flame
+        g_name = self._g_name
+        #: primitive -> the wait steps of its spans
+        wait_steps: Dict[str, List[int]] = {}
+        #: (reason, site) -> (primitive, its wait steps, block row, mutex
+        #: row or None)
+        rows: Dict[Tuple[str, str], Tuple[str, List[int], ProfileEntry,
+                                          Optional[ProfileEntry]]] = {}
+        for span, end_step, end_time, still_blocked in self._spans:
+            start_step, start_time, gid, _kind, _obj, info = span
+            # Scheduler.block's details: a str reason, and with sites
+            # captured a str site and a non-empty stack tuple.
+            reason = info.get("reason", "?")
+            site = info.get("site", "?")
+            row = rows.get((reason, site))
+            if row is None:
+                primitive, _, lock = reason.partition(":")
+                row = rows[reason, site] = (
+                    primitive, wait_steps.setdefault(primitive, []),
+                    self.block_profile.entry((primitive, site)),
+                    self.mutex_profile.entry((lock or "?", site))
+                    if reason.startswith(_LOCK_REASONS) else None)
+            primitive, waits, block_row, mutex_row = row
+            steps = end_step - start_step
+            seconds = end_time - start_time
+            block_row.add(steps, seconds, still_blocked)
+            if mutex_row is not None:
+                mutex_row.add(steps, seconds, still_blocked)
+            waits.append(steps)
+            if seconds > 0:
+                metrics.histogram(
+                    f"block.wait_seconds[{primitive}]").observe(seconds)
+            # Flamegraph stack: outermost user frame first, reason as the
+            # leaf.
+            stack = info.get("stack", ())
+            if stack:
+                frames = stack[::-1] + (reason,)
+            else:
+                frames = (g_name.get(gid, f"g{gid}"), reason)
+            flame[frames] = flame.get(frames, 0) + steps
+        for primitive, waits in wait_steps.items():
+            metrics.histogram(
+                f"block.wait_steps[{primitive}]").observe_counts(
+                    Counter(waits))
 
     # ------------------------------------------------------------------
     # End of run
@@ -334,12 +332,12 @@ class Observer:
         for gid in sorted(self._open):
             span = self._open[gid]
             self._g_state[gid] = f"blocked:{span[5].get('reason', '?')}"
-            self._close_span(gid, span, end_step, end_time, 1)
+            self._spans.append((span, end_step, end_time, 1))
         self._open.clear()
-        for primitive, waits in self._wait_steps.items():
-            self.metrics.histogram(
-                f"block.wait_steps[{primitive}]").observe_counts(
-                    Counter(waits))
+        self._fold_spans()
+        self._fold_occupancy()
+        self._spans.clear()
+        self._chan_ops.clear()
         for gid in sorted(self._g_state):
             self.goroutine_profile.add(
                 gid, self._g_state[gid],

@@ -4,14 +4,16 @@ Two hand-written CPython extensions live here:
 
 - ``_ctasklet`` — single-threaded stack-switching continuations, the
   default goroutine vehicle.  CPython 3.11 / x86-64 Linux only.
-- ``_hotloop`` — the fused per-step scheduler loop plus a bit-identical
-  MT19937 ``BatchedRandom``.
+- ``_hotloop`` — the fused per-step scheduler loop plus an MT19937
+  ``BatchedRandom`` whose ``randrange(n)``, for ``1 <= n < 2**32``, is
+  bit-identical to ``random.Random(seed)``'s.
 
 Both are compiled lazily with the system C compiler on first import and
 cached next to the sources (or under ``REPRO_EXT_CACHE`` when the tree is
 read-only).  Everything is gated: when the toolchain, platform, or Python
 version doesn't match, the accessors return ``None`` and callers fall back
-to pure-Python implementations with identical observable behaviour.
+to pure-Python implementations with identical observable behaviour (the
+interpreted step loop, ``random.Random``, the thread vehicle).
 
 Set ``REPRO_NO_CEXT=1`` to force the pure-Python paths (used by the
 compiled-vs-pure parity tests and as an escape hatch).

@@ -135,7 +135,6 @@ typedef struct TaskletObject {
     PyThreadState *tstate;          /* owning thread                      */
 
     void *stack_mem;                /* mmap base, NULL for main           */
-    size_t stack_map_size;
     void *sp;                       /* saved %rsp while suspended         */
 
     /* Saved per-continuation PyThreadState slice while suspended. */
@@ -171,18 +170,18 @@ static __thread TaskletObject *tk_current = NULL;   /* strong ref */
 static __thread TaskletObject *tk_handover = NULL;  /* ref the resumed side drops */
 static __thread TaskletObject *tk_boot = NULL;      /* tasklet being bootstrapped */
 
-/* Default usable stack: C-stack consumption per Python frame is tiny in
- * 3.11 (frames live on the datastack), so this mostly bounds C-mediated
- * recursion (builtins calling back into Python). */
-static size_t tk_stack_size = 512 * 1024;
+/* Usable stack: C-stack consumption per Python frame is tiny in 3.11
+ * (frames live on the datastack), so this mostly bounds C-mediated
+ * recursion (builtins calling back into Python).  Every stack is mapped
+ * at TK_MAP_SIZE, guard page included. */
+#define TK_STACK_SIZE (512 * 1024)
 #define TK_GUARD_SIZE 4096
+#define TK_MAP_SIZE (TK_STACK_SIZE + TK_GUARD_SIZE)
 
-/* Recycled stacks (all tk_stack_size-sized).  Spawn-heavy simulations
- * create and retire goroutines constantly; recycling keeps that off the
- * mmap/munmap path. */
+/* Recycled stacks.  Spawn-heavy simulations create and retire goroutines
+ * constantly; recycling keeps that off the mmap/munmap path. */
 #define TK_FREELIST_MAX 64
 static __thread void *tk_freelist[TK_FREELIST_MAX];
-static __thread size_t tk_freelist_size[TK_FREELIST_MAX];  /* map sizes */
 static __thread int tk_freelist_len = 0;
 
 /* Recycled root datastack chunks, CPython's default chunk size (its
@@ -215,10 +214,8 @@ static void
 tk_thread_exit(void *unused)
 {
     (void)unused;
-    while (tk_freelist_len > 0) {
-        tk_freelist_len--;
-        munmap(tk_freelist[tk_freelist_len], tk_freelist_size[tk_freelist_len]);
-    }
+    while (tk_freelist_len > 0)
+        munmap(tk_freelist[--tk_freelist_len], TK_MAP_SIZE);
     while (tk_chunk_freelist_len > 0)
         tk_free_chunk(tk_chunk_freelist[--tk_chunk_freelist_len]);
     tk_exit_armed = 0;
@@ -334,29 +331,22 @@ tk_retire_datastack(PyThreadState *ts)
 /* ------------------------------------------------------------------ */
 
 static void *
-tk_alloc_stack(size_t *map_size_out)
+tk_alloc_stack(void)
 {
-    size_t map_size = tk_stack_size + TK_GUARD_SIZE;
-    void *base;
-    if (tk_freelist_len > 0) {
-        tk_freelist_len--;
-        base = tk_freelist[tk_freelist_len];
-        *map_size_out = tk_freelist_size[tk_freelist_len];
-        return base;
-    }
-    base = mmap(NULL, map_size, PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (tk_freelist_len > 0)
+        return tk_freelist[--tk_freelist_len];
+    void *base = mmap(NULL, TK_MAP_SIZE, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (base == MAP_FAILED) {
         PyErr_NoMemory();
         return NULL;
     }
     mprotect(base, TK_GUARD_SIZE, PROT_NONE);  /* low-address guard page */
-    *map_size_out = map_size;
     return base;
 }
 
 static void
-tk_release_stack(void *base, size_t map_size)
+tk_release_stack(void *base)
 {
     if (base == NULL)
         return;
@@ -365,15 +355,14 @@ tk_release_stack(void *base, size_t map_size)
      * frames; the stack's next user (or the next mapping there) must not
      * inherit it. */
     __asan_unpoison_memory_region((char *)base + TK_GUARD_SIZE,
-                                  map_size - TK_GUARD_SIZE);
+                                  TK_STACK_SIZE);
 #endif
-    if (tk_freelist_len < TK_FREELIST_MAX && map_size == tk_stack_size + TK_GUARD_SIZE) {
+    if (tk_freelist_len < TK_FREELIST_MAX) {
         tk_arm_thread_exit();
-        tk_freelist[tk_freelist_len] = base;
-        tk_freelist_size[tk_freelist_len++] = map_size;
+        tk_freelist[tk_freelist_len++] = base;
         return;
     }
-    munmap(base, map_size);
+    munmap(base, TK_MAP_SIZE);
 }
 
 /* ------------------------------------------------------------------ */
@@ -388,7 +377,7 @@ static void tk_entry(void);
 static void *
 tk_bootstrap_sp(TaskletObject *t)
 {
-    uintptr_t top = ((uintptr_t)t->stack_mem + t->stack_map_size) & ~(uintptr_t)15;
+    uintptr_t top = ((uintptr_t)t->stack_mem + TK_MAP_SIZE) & ~(uintptr_t)15;
     uint64_t *slots = (uint64_t *)top;
     unsigned int mxcsr = 0;
     unsigned short fcw = 0;
@@ -551,7 +540,6 @@ tk_new_object(void)
     t->target = NULL;
     t->tstate = PyThreadState_Get();
     t->stack_mem = NULL;
-    t->stack_map_size = 0;
     t->sp = NULL;
     t->pend_type = NULL;
     t->pend_value = NULL;
@@ -605,14 +593,14 @@ tasklet_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     TaskletObject *t = tk_new_object();
     if (t == NULL)
         return NULL;
-    t->stack_mem = tk_alloc_stack(&t->stack_map_size);
+    t->stack_mem = tk_alloc_stack();
     if (t->stack_mem == NULL) {
         Py_DECREF(t);
         return NULL;
     }
 #ifdef TK_ASAN
     t->stack_bottom = (char *)t->stack_mem + TK_GUARD_SIZE;
-    t->stack_size = t->stack_map_size - TK_GUARD_SIZE;
+    t->stack_size = TK_STACK_SIZE;
 #endif
     Py_INCREF(target);
     t->target = target;
@@ -669,7 +657,7 @@ tasklet_throw(TaskletObject *self, PyObject *exc)
         /* Killed before it ever ran: no frames exist, just retire it. */
         self->state = TK_DEAD;
         Py_CLEAR(self->target);
-        tk_release_stack(self->stack_mem, self->stack_map_size);
+        tk_release_stack(self->stack_mem);
         self->stack_mem = NULL;
         Py_RETURN_NONE;
     }
@@ -710,7 +698,7 @@ tasklet_dealloc(TaskletObject *self)
          * prevents this except for deliberately abandoned stuck hosts). */
         self->stack_mem = NULL;
     }
-    tk_release_stack(self->stack_mem, self->stack_map_size);
+    tk_release_stack(self->stack_mem);
     Py_CLEAR(self->parent);
     Py_CLEAR(self->target);
     Py_CLEAR(self->pend_type);
@@ -724,12 +712,6 @@ tasklet_get_dead(TaskletObject *self, void *closure)
     return PyBool_FromLong(self->state == TK_DEAD);
 }
 
-static PyObject *
-tasklet_get_started(TaskletObject *self, void *closure)
-{
-    return PyBool_FromLong(self->state != TK_NEW);
-}
-
 static PyMethodDef tasklet_methods[] = {
     {"switch", (PyCFunction)tasklet_switch, METH_NOARGS,
      "Transfer control to this tasklet until it switches elsewhere."},
@@ -741,7 +723,6 @@ static PyMethodDef tasklet_methods[] = {
 
 static PyGetSetDef tasklet_getset[] = {
     {"dead", (getter)tasklet_get_dead, NULL, "completed or killed", NULL},
-    {"started", (getter)tasklet_get_started, NULL, "ever been switched to", NULL},
     {NULL},
 };
 
@@ -757,25 +738,9 @@ static PyTypeObject Tasklet_Type = {
     .tp_new = tasklet_new,
 };
 
-static PyObject *
-mod_set_stack_size(PyObject *module, PyObject *arg)
-{
-    size_t size = PyLong_AsSize_t(arg);
-    if (size == (size_t)-1 && PyErr_Occurred())
-        return NULL;
-    if (size < 64 * 1024) {
-        PyErr_SetString(PyExc_ValueError, "stack size must be >= 64 KiB");
-        return NULL;
-    }
-    tk_stack_size = (size + 4095) & ~(size_t)4095;
-    Py_RETURN_NONE;
-}
-
 static PyMethodDef module_methods[] = {
     {"current", mod_current, METH_NOARGS,
      "The calling thread's main tasklet (created on first use)."},
-    {"set_stack_size", mod_set_stack_size, METH_O,
-     "Set the usable C-stack size for tasklets created afterwards."},
     {NULL},
 };
 

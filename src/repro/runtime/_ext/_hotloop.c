@@ -5,10 +5,11 @@
  *
  *  1. ``BatchedRandom`` — a C MT19937 producing the exact draw sequence of
  *     ``random.Random(seed).randrange(n)`` (CPython's init_by_array seeding
- *     and top-bits rejection sampling), replacing
- *     ``repro.runtime.fastrand.BatchedRandom``.  Because the scheduler, the
- *     ``select`` tie-breaker and the fault injector all share one stream,
- *     the C object is a *drop-in state holder*: Python callers invoke its
+ *     and top-bits rejection sampling) for 1 <= n < 2**32, the only range
+ *     the scheduler's picks and ``select`` draws produce; without the
+ *     extension the scheduler draws from ``random.Random`` itself.  Because
+ *     the scheduler and the ``select`` tie-breaker share one stream, the C
+ *     object is a *drop-in state holder*: Python callers invoke its
  *     ``randrange`` method, the compiled loop below reads the same MT state
  *     directly, and the interleaved sequence is unchanged.
  *
@@ -66,7 +67,6 @@
 
 typedef struct {
     PyObject_HEAD
-    PyObject *seed;          /* the seed object handed to __init__ */
     uint32_t mt[MT_N];
     int mti;
 } BatchedRandomObject;
@@ -138,8 +138,8 @@ mt_genrand(BatchedRandomObject *self)
 }
 
 /* CPython's _randbelow for n with bit_length <= 32: take the top k bits of
- * one MT word, reject until < n.  This is also exactly what the pure
- * BatchedRandom replays from its buffered words. */
+ * one MT word, reject until < n.  randrange and drive's inline draw both
+ * come here, and n < 2**32 is the only range either asks for. */
 static uint32_t
 mt_randrange32(BatchedRandomObject *self, uint32_t n)
 {
@@ -167,16 +167,7 @@ br_init(BatchedRandomObject *self, PyObject *args, PyObject *kwds)
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O", kwlist, &seed))
         return -1;
-    if (seed == NULL) {
-        seed = PyLong_FromLong(0);
-        if (seed == NULL)
-            return -1;
-    }
-    else {
-        Py_INCREF(seed);
-    }
-
-    index = PyNumber_Index(seed);
+    index = seed != NULL ? PyNumber_Index(seed) : PyLong_FromLong(0);
     if (index == NULL)
         goto done;
     absval = PyNumber_Absolute(index);
@@ -211,8 +202,6 @@ br_init(BatchedRandomObject *self, PyObject *args, PyObject *kwds)
 #endif
         mt_init_by_array(self, key, keymax);
     }
-    Py_XSETREF(self->seed, seed);
-    seed = NULL;
     rc = 0;
 done:
     PyMem_Free(key);
@@ -220,58 +209,11 @@ done:
     Py_XDECREF(bits_obj);
     Py_XDECREF(absval);
     Py_XDECREF(index);
-    Py_XDECREF(seed);
     return rc;
 }
 
-static void
-br_dealloc(BatchedRandomObject *self)
-{
-    Py_XDECREF(self->seed);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-/* getrandbits(k): identical value construction to the pure BatchedRandom
- * (32-bit words low-order first, a partial top word takes the word's top
- * bits).  Cold path — only completeness and tests use it. */
-static PyObject *
-br_getrandbits(BatchedRandomObject *self, PyObject *arg)
-{
-    Py_ssize_t k = PyLong_AsSsize_t(arg);
-    if (k == -1 && PyErr_Occurred())
-        return NULL;
-    if (k < 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "number of bits must be non-negative");
-        return NULL;
-    }
-    if (k == 0)
-        return PyLong_FromLong(0);
-    if (k <= 32)
-        return PyLong_FromUnsignedLong(mt_genrand(self) >> (32 - k));
-
-    Py_ssize_t words = k / 32, rem = k % 32;
-    Py_ssize_t total = words + (rem ? 1 : 0);
-    uint32_t *buf = PyMem_Malloc((size_t)total * 4);
-    if (buf == NULL)
-        return PyErr_NoMemory();
-    for (Py_ssize_t i = 0; i < words; i++)
-        buf[i] = mt_genrand(self);
-    if (rem)
-        buf[words] = mt_genrand(self) >> (32 - rem);
-#if PY_BIG_ENDIAN
-    for (Py_ssize_t i = 0; i < total; i++) {
-        uint32_t w = buf[i];
-        buf[i] = ((w & 0xffU) << 24) | ((w & 0xff00U) << 8) |
-                 ((w >> 8) & 0xff00U) | (w >> 24);
-    }
-#endif
-    PyObject *result = _PyLong_FromByteArray((unsigned char *)buf,
-                                             (size_t)total * 4, 1, 0);
-    PyMem_Free(buf);
-    return result;
-}
-
+/* Scheduler picks and select draws ask for n in [1, 2**32); nothing
+ * else calls this, so any other n is refused rather than drawn. */
 static PyObject *
 br_randrange(BatchedRandomObject *self, PyObject *arg)
 {
@@ -279,90 +221,29 @@ br_randrange(BatchedRandomObject *self, PyObject *arg)
     long long n = PyLong_AsLongLongAndOverflow(arg, &overflow);
     if (n == -1 && !overflow && PyErr_Occurred())
         return NULL;
-
-    if (!overflow) {
-        if (n <= 0) {
-            PyErr_SetString(PyExc_ValueError, "empty range for randrange()");
-            return NULL;
-        }
-        if (n <= 0xffffffffLL)
-            return PyLong_FromUnsignedLong(
-                mt_randrange32(self, (uint32_t)n));
-        /* 33..63 bits: two words low-order first, partial top word. */
-        {
-            uint64_t un = (uint64_t)n;
-            int k = 64 - __builtin_clzll(un);
-            int rem = k - 32;             /* 1..31 */
-            for (;;) {
-                uint64_t v = (uint64_t)mt_genrand(self);
-                v |= (uint64_t)(mt_genrand(self) >> (32 - rem)) << 32;
-                if (v < un)
-                    return PyLong_FromUnsignedLongLong(v);
-            }
-        }
-    }
-    if (overflow < 0) {
-        PyErr_SetString(PyExc_ValueError, "empty range for randrange()");
+    if (overflow || n <= 0 || n > 0xffffffffLL) {
+        PyErr_SetString(PyExc_ValueError,
+                        "randrange(n) needs 1 <= n < 2**32");
         return NULL;
     }
-    /* Arbitrarily wide n: rejection loop over big-int getrandbits. */
-    {
-        PyObject *bits_obj = PyObject_CallMethod(arg, "bit_length", NULL);
-        if (bits_obj == NULL)
-            return NULL;
-        for (;;) {
-            PyObject *r = br_getrandbits(self, bits_obj);
-            if (r == NULL) {
-                Py_DECREF(bits_obj);
-                return NULL;
-            }
-            int lt = PyObject_RichCompareBool(r, arg, Py_LT);
-            if (lt < 0) {
-                Py_DECREF(r);
-                Py_DECREF(bits_obj);
-                return NULL;
-            }
-            if (lt) {
-                Py_DECREF(bits_obj);
-                return r;
-            }
-            Py_DECREF(r);
-        }
-    }
-}
-
-static PyObject *
-br_repr(BatchedRandomObject *self)
-{
-    return PyUnicode_FromFormat("<BatchedRandom seed=%S>",
-                                self->seed ? self->seed : Py_None);
+    return PyLong_FromUnsignedLong(mt_randrange32(self, (uint32_t)n));
 }
 
 static PyMethodDef br_methods[] = {
     {"randrange", (PyCFunction)br_randrange, METH_O,
-     "Uniform draw from range(n); CPython's rejection sampling."},
-    {"getrandbits", (PyCFunction)br_getrandbits, METH_O,
-     "Buffered getrandbits: identical output, word-at-a-time source."},
+     "Uniform draw from range(n), 1 <= n < 2**32; CPython's rejection "
+     "sampling."},
     {NULL, NULL, 0, NULL},
-};
-
-static PyMemberDef br_members[] = {
-    {"seed", T_OBJECT_EX, offsetof(BatchedRandomObject, seed), 0,
-     "the seed this stream was constructed from"},
-    {NULL},
 };
 
 static PyTypeObject BatchedRandom_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "_hotloop.BatchedRandom",
     .tp_basicsize = sizeof(BatchedRandomObject),
-    .tp_dealloc = (destructor)br_dealloc,
-    .tp_repr = (reprfunc)br_repr,
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "Drop-in randrange(n) source matching random.Random(seed) "
               "exactly (compiled).",
     .tp_methods = br_methods,
-    .tp_members = br_members,
     .tp_init = (initproc)br_init,
     .tp_new = PyType_GenericNew,
 };

@@ -6,10 +6,12 @@ This module picks, once per process, the compiled or the pure-Python form
 of each:
 
 * :data:`BatchedRandom` — the scheduling RNG.  The compiled MT19937 from
-  ``repro.runtime._ext._hotloop`` when the extension builds here, else the
-  pure-Python :class:`repro.runtime.fastrand.BatchedRandom`.  Both draw the
-  exact sequence ``random.Random(seed).randrange(n)`` would, so which one a
-  run gets never changes a schedule.
+  ``repro.runtime._ext._hotloop`` when the extension builds here, else
+  :class:`random.Random` itself.  The compiled one draws the exact
+  sequence ``random.Random(seed).randrange(n)`` would for every
+  ``1 <= n < 2**32`` (the only range scheduler picks and ``select`` draws
+  produce; any other ``n`` is a ``ValueError``), so which one a run gets
+  never changes a schedule.
 * :func:`get_drive` — the fused per-step scheduler loop (compiled only).
   Returns ``None`` when unavailable; the scheduler then runs its pure loop.
   The compiled loop runs every tasklet-vehicle run, traced, pick-logged,
@@ -33,10 +35,10 @@ byte-identical results.
 
 from __future__ import annotations
 
+import random
 from typing import Any, Callable, Optional
 
 from . import _ext
-from .fastrand import BatchedRandom as PyBatchedRandom
 
 _c = _ext.get_hotloop()
 
@@ -45,7 +47,7 @@ _c = _ext.get_hotloop()
 HAS_COMPILED = _c is not None
 
 #: The scheduling RNG class every Scheduler instantiates by default.
-BatchedRandom: Any = _c.BatchedRandom if _c is not None else PyBatchedRandom
+BatchedRandom: Any = _c.BatchedRandom if _c is not None else random.Random
 
 _drive: Optional[Callable[[Any], str]] = None
 _drive_resolved = False

@@ -11,8 +11,10 @@ program a lot of times": a bug that manifests on 3% of real executions
 manifests on a similar fraction of seeds.  Because sweep throughput is the
 system's effective speed, the per-step path here is deliberately lean:
 
-* scheduling randomness comes from :class:`repro.runtime.fastrand.BatchedRandom`
-  (bit-identical to ``random.Random``, a fraction of the call overhead);
+* scheduling randomness comes from the compiled ``BatchedRandom``
+  (:mod:`repro.runtime._hotloop`; bit-identical to ``random.Random``, a
+  fraction of the call overhead), or from ``random.Random`` itself where
+  the extension does not build;
 * trace events are only *recorded* when someone will see them — a kept
   trace, or a detector or observer that asked for the records
   (``Trace.active``); a ``keep_trace=False`` run with no detectors pays
@@ -221,8 +223,9 @@ class Scheduler:
         #: Source of all scheduling nondeterminism.  Anything with a
         #: ``randrange(n)`` method works; the systematic explorer injects a
         #: scripted source here to enumerate schedules exhaustively.  The
-        #: default is a batched Mersenne-Twister front-end that draws the
-        #: exact sequence ``random.Random(seed)`` would.
+        #: default, ``_hotloop.BatchedRandom``, is the compiled MT19937, or
+        #: ``random.Random`` where it does not build; both draw the same
+        #: sequence.
         self.rng = rng if rng is not None else BatchedRandom(seed)
         self._randrange = self.rng.randrange  # hot-path bound method
         self.seed = seed

@@ -107,10 +107,6 @@ class ThreadModel:
     parent_key: Optional[str] = None
     conditional: bool = False      # spawned on some but not all paths
 
-    @property
-    def is_main(self) -> bool:
-        return self.parent_key is None
-
     def ops(self) -> Iterator[Tuple[int, int, Op]]:
         """Yield (path_index, op_index, op) over every path."""
         for pi, path in enumerate(self.paths):

@@ -67,12 +67,6 @@ class StaticReport:
             counts[f.checker] = counts.get(f.checker, 0) + 1
         return counts
 
-    def by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for f in self.findings:
-            counts[f.rule] = counts.get(f.rule, 0) + 1
-        return counts
-
     def rules(self) -> List[str]:
         return sorted({f.rule for f in self.findings})
 

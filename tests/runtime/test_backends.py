@@ -144,3 +144,18 @@ def test_tasklet_runs_hold_no_more_memory_than_thread_runs():
                                  runs, warmup=100)["VmRSS"]
               for vehicle in ("tasklet", "thread")}
     assert growth["tasklet"] <= growth["thread"] + 256 * runs, growth
+
+
+@pytest.mark.skipif(resolve_backend("coroutine") != "tasklet",
+                    reason="the tasklet vehicle (_ctasklet) is unavailable "
+                           "here")
+def test_ctasklet_exports_only_what_the_vehicle_calls():
+    """``_ctasklet`` is ``current()`` and a ``Tasklet`` with ``switch``,
+    ``throw`` and ``dead``: the stack size is a compile-time constant."""
+    from repro.runtime.goroutine import tasklet_module
+
+    mod = tasklet_module()
+    public = {name for name in dir(mod) if not name.startswith("_")}
+    assert public == {"Tasklet", "current"}
+    tasklet = {name for name in dir(mod.Tasklet) if not name.startswith("_")}
+    assert tasklet == {"dead", "switch", "throw"}
