@@ -3,11 +3,14 @@
 The injector is pulsed by the scheduler before each scheduling decision at
 which :meth:`FaultInjector.next_due` names a fault due — i.e. only at
 points where scheduling decisions already happen — and never from
-goroutine context; between due steps the run stays on the compiled drive
-loop.  All of its randomness (probability gates, victim choice) comes from
-one RNG seeded from ``(run seed, plan fingerprint)``, so a chaos run is a
-pure function of ``(program, seed, plan)`` and any failure it uncovers
-replays exactly.
+goroutine context.  Between due steps the run stays on the compiled drive
+loop, which fires timers below the injector's clock horizon (the earliest
+``after_time`` a fault still waits for) and hands the step back when the
+next timer is at or past it, so the pulse that follows sees the clock
+that crossed it.  All of its randomness (probability gates, victim
+choice) comes from one RNG seeded from ``(run seed, plan fingerprint)``,
+so a chaos run is a pure function of ``(program, seed, plan)`` and any
+failure it uncovers replays exactly.
 
 Fault semantics (see :data:`repro.inject.plan.ACTIONS`):
 
@@ -28,7 +31,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from math import inf
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..runtime.errors import GoPanic
 from ..runtime.goroutine import GState
@@ -124,45 +128,55 @@ class FaultInjector:
                 acted = True
         return acted
 
-    def next_due(self, sched: "Scheduler") -> Optional[int]:
-        """The first step at which :meth:`pulse` can act, or None when no
-        fault can come due before the virtual clock moves.
+    def next_due(self, sched: "Scheduler") -> Tuple[Optional[int], float]:
+        """``(step, horizon)``: the first step at which :meth:`pulse` can
+        act, or None when no fault can come due before the virtual clock
+        moves, and the clock horizon, the earliest ``after_time`` an
+        unspent fault is still waiting for (``inf`` when none is).
 
-        Between two pulses only the step count changes, since the clock
-        moves only on the scheduler's idle path and in this injector's own
-        clock jumps.  The scheduler runs the compiled loop up to the
-        returned step and pulses only there.
+        Below the horizon only the step count brings a fault due.  The
+        scheduler runs the compiled loop up to the returned step, lets it
+        fire timers below the horizon only, and pulses at that step or
+        once the clock reaches the horizon.
         """
         now = sched.clock.now
         due: Optional[int] = None
+        horizon = inf
         for index, fault in enumerate(self.plan.faults):
-            step = self._due_step(index, fault, now)
-            if step is not None and (due is None or step < due):
+            step, after = self._due_step(index, fault, now)
+            if step is None:
+                if after < horizon:
+                    horizon = after
+            elif due is None or step < due:
                 due = step
-        return due
+        return due, horizon
 
     # ------------------------------------------------------------------
     # Trigger logic
     # ------------------------------------------------------------------
 
     def _due_step(self, index: int, fault: Fault,
-                  now: float) -> Optional[int]:
-        """The step from which fault ``index`` is due at clock ``now``, or
-        None when it cannot come due before the clock moves: its budget is
-        spent, or its ``after_time`` is still ahead.  A recurring fault is
-        due from the first step of the epoch after the last one it came
-        due in."""
+                  now: float) -> Tuple[Optional[int], float]:
+        """``(step, after)`` for fault ``index`` at clock ``now``: the step
+        from which it is due, or None when it cannot come due before the
+        clock moves, and the ``after_time`` it is still waiting for, or
+        ``inf``.  A spent fault gives ``(None, inf)``; one whose
+        ``after_time`` is still ahead gives ``(None, after_time)``, as a
+        float (the compiled loop reads the horizon as one).  A recurring
+        fault is due from the first step of the epoch after the last one
+        it came due in, whatever the clock."""
         remaining = self._remaining[index]
         if remaining is not None and remaining <= 0:
-            return None
+            return None, inf
         if fault.every is not None:
-            return (self._last_epoch[index] + 1) * fault.every
-        if fault.after_time is not None and now < fault.after_time:
-            return None
-        return fault.at_step or 0
+            return (self._last_epoch[index] + 1) * fault.every, inf
+        after = fault.after_time
+        if after is not None and now < after:
+            return None, float(after)
+        return fault.at_step or 0, inf
 
     def _due(self, index: int, fault: Fault, sched: "Scheduler") -> bool:
-        step = self._due_step(index, fault, sched.clock.now)
+        step, _ = self._due_step(index, fault, sched.clock.now)
         steps = sched.steps
         if step is None or steps < step:
             return False

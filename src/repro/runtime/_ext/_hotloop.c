@@ -23,20 +23,23 @@
  *     pure loop writes.  The C RNG above is drawn from inline; any
  *     other RNG (the explorer's scripted choices) through its bound
  *     ``randrange``, called once per pick (draw_in_python).  A scheduler
- *     whose runnable list, stop mode, pick log, trace or timer heap is
- *     not of the type Scheduler builds raises TypeError.  When no
- *     goroutine is runnable the loop fires the due timers itself (see
+ *     whose runnable list, stop mode, pick log, trace, timer heap or
+ *     horizon is not of the type Scheduler builds raises TypeError.  When
+ *     no goroutine is runnable the loop fires the due timers itself (see
  *     fire_due_timers) and returns ``"idle"`` only once no live timer is
- *     left.  A sleeper's timer holds the goroutine, which the loop
- *     readies with no Python call, writing the trace records
- *     Scheduler.ready would; it calls every other callback itself,
- *     after the ``timer.fire`` record Scheduler.fire_timers would
- *     write, with no goroutine current.  A fire that leaves nothing
- *     runnable counts one against the step budget, as in the pure
- *     loop.  A run with a fault injector keeps the old idle exit, and
- *     enters between the injector's due steps: the scheduler clamps
- *     ``_budget`` so the loop returns at the next one, and the pure
- *     loop pulses there.
+ *     left below the scheduler's clock horizon (``_horizon``, a float:
+ *     ``inf`` unless a fault injector is attached).  A sleeper's timer
+ *     holds the goroutine, which the loop readies with no Python call,
+ *     writing the trace records Scheduler.ready would; it calls every
+ *     other callback itself, after the ``timer.fire`` record
+ *     Scheduler.fire_timers would write, with no goroutine current.  A
+ *     fire that leaves nothing runnable counts one against the step
+ *     budget, as in the pure loop.  A faulted run enters between the
+ *     injector's due steps: the scheduler clamps ``_budget`` so the loop
+ *     returns at the next one, and sets ``_horizon`` to the earliest
+ *     ``after_time`` a fault still waits for, so no timer at or past it
+ *     fires here and the injector is pulsed before the clock crosses it
+ *     (Scheduler._drive_to_due_step).
  *
  * Goroutine fields are reached through slot offsets cached from the class
  * ``__slots__`` member descriptors at bind() time — an attribute read is a
@@ -278,7 +281,7 @@ static PyObject *s_runnable_attr = NULL, *s_rng = NULL, *s_stop_mode = NULL,
                 *s_steps = NULL, *s_time_limit = NULL, *s_clock = NULL,
                 *s_now = NULL, *s_current = NULL, *s_after_resume = NULL,
                 *s_trace = NULL, *s_active = NULL, *s_pick_log = NULL,
-                *s_injector = NULL, *s_heap = NULL, *s_randrange = NULL;
+                *s_horizon = NULL, *s_heap = NULL, *s_randrange = NULL;
 
 static PyObject *heappop_fn = NULL;         /* heapq.heappop */
 
@@ -560,18 +563,21 @@ wake_sleeper(PyObject *g, PyObject *runnable, PyObject *trace,
 }
 
 /* The idle path, with nothing runnable: VirtualClock.advance_to_next()
- * followed by Scheduler.fire_timers().  Drops cancelled heads, moves
- * clock.now to the earliest live deadline, pops every entry due then and
- * empties its callback slot before any callback runs (a callback cannot
- * cancel a timer due at the same time).  Then it fires the popped
- * entries in order: a sleeper's wake entry (the goroutine itself, see
- * wake_sleeper) is readied here, and any other callback is called here,
- * after its ``timer.fire`` record and with no goroutine current, so no
- * entry goes through Python's fire_timers.  Returns 1 when timers fired,
- * 0 when no live timer is left, -1 on error. */
+ * followed by Scheduler.fire_timers().  Drops cancelled heads; if the
+ * earliest live deadline is at or past ``horizon`` it stops there, with
+ * the clock unmoved.  Otherwise it moves clock.now to that deadline, pops
+ * every entry due then and empties its callback slot before any callback
+ * runs (a callback cannot cancel a timer due at the same time).  Then it
+ * fires the popped entries in order: a sleeper's wake entry (the
+ * goroutine itself, see wake_sleeper) is readied here, and any other
+ * callback is called here, after its ``timer.fire`` record and with no
+ * goroutine current, so no entry goes through Python's fire_timers.
+ * Returns 1 when timers fired, 0 when no live timer is left below the
+ * horizon, -1 on error. */
 static int
 fire_due_timers(PyObject *sched, PyObject *clock, PyObject *heap,
-                PyObject *runnable, PyObject *trace, long long steps)
+                PyObject *runnable, PyObject *trace, long long steps,
+                PyObject *horizon)
 {
     PyObject *head, *now, *callbacks, *r, *records, *steps_obj = NULL;
     for (;;) {
@@ -586,6 +592,14 @@ fire_due_timers(PyObject *sched, PyObject *clock, PyObject *heap,
         if (r == NULL)
             return -1;
         Py_DECREF(r);
+    }
+    {
+        PyObject *deadline = PyList_GET_ITEM(head, 0);
+        Py_INCREF(deadline);
+        int beyond = PyObject_RichCompareBool(deadline, horizon, Py_GE);
+        Py_DECREF(deadline);
+        if (beyond != 0)
+            return beyond < 0 ? -1 : 0;
     }
     now = PyObject_GetAttr(clock, s_now);
     if (now == NULL)
@@ -710,7 +724,8 @@ hl_drive(PyObject *module, PyObject *sched)
 
     PyObject *runnable = NULL, *rng_obj = NULL, *stop_mode = NULL,
              *panicked = NULL, *clock = NULL, *heap = NULL,
-             *time_limit = NULL, *picks = NULL, *trace = NULL;
+             *time_limit = NULL, *picks = NULL, *trace = NULL,
+             *horizon = NULL;
     PyObject *stop_g = NULL;          /* borrowed from stop_mode; None
                                        * under ("panic", None) */
     BatchedRandomObject *rng = NULL;  /* the C RNG, drawn from inline */
@@ -726,21 +741,10 @@ hl_drive(PyObject *module, PyObject *sched)
         (stop_mode = PyObject_GetAttr(sched, s_stop_mode)) == NULL ||
         (picks = PyObject_GetAttr(sched, s_pick_log)) == NULL ||
         (trace = PyObject_GetAttr(sched, s_trace)) == NULL ||
-        (clock = PyObject_GetAttr(sched, s_clock)) == NULL)
+        (clock = PyObject_GetAttr(sched, s_clock)) == NULL ||
+        (heap = PyObject_GetAttr(clock, s_heap)) == NULL ||
+        (horizon = PyObject_GetAttr(sched, s_horizon)) == NULL)
         goto fail_entry;
-    {
-        /* Timers fire inside the loop unless a fault injector is attached:
-         * a faulted run drives to the injector's next due step with the
-         * clock held still (Scheduler._drive_to_due_step), so it keeps the
-         * idle exit and fires timers in Python. */
-        PyObject *injector = PyObject_GetAttr(sched, s_injector);
-        if (injector == NULL)
-            goto fail_entry;
-        int idle_exit = injector != Py_None;
-        Py_DECREF(injector);
-        if (!idle_exit && (heap = PyObject_GetAttr(clock, s_heap)) == NULL)
-            goto fail_entry;
-    }
     /* The loop reads these through PyList_GET_* and slot offsets, so each
      * must be what Scheduler builds. */
     if (!PyList_CheckExact(runnable) || !PyTuple_CheckExact(stop_mode) ||
@@ -748,11 +752,11 @@ hl_drive(PyObject *module, PyObject *sched)
         ((stop_g = PyTuple_GET_ITEM(stop_mode, 1)) != Py_None &&
          Py_TYPE(stop_g) != tk_go_type) ||
         (picks != Py_None && !PyList_CheckExact(picks)) ||
-        Py_TYPE(trace) != trace_type ||
-        (heap != NULL && !PyList_CheckExact(heap))) {
+        Py_TYPE(trace) != trace_type || !PyList_CheckExact(heap) ||
+        !PyFloat_Check(horizon)) {
         PyErr_SetString(PyExc_TypeError,
                         "drive() needs a Scheduler's runnable list, stop "
-                        "mode, pick log, Trace and timer heap");
+                        "mode, pick log, Trace, timer heap and horizon");
         goto fail_entry;
     }
     if (picks == Py_None)
@@ -803,14 +807,13 @@ hl_drive(PyObject *module, PyObject *sched)
         if (budget_used >= budget) { verdict = v_steps; break; }
         Py_ssize_t nrun = PyList_GET_SIZE(runnable);
         if (nrun == 0) {
-            if (heap == NULL) { verdict = v_idle; break; }
             /* Timer callbacks run Python that may read the counters. */
             if (write_counters(sched, budget_used, steps) < 0) {
                 failed = 1;
                 break;
             }
             int fired = fire_due_timers(sched, clock, heap, runnable, trace,
-                                        steps);
+                                        steps, horizon);
             if (fired < 0) { failed = 1; break; }
             if (fired == 0) { verdict = v_idle; break; }
             /* A fire that woke nobody takes no step, so it counts against
@@ -941,6 +944,7 @@ fail_entry:  /* an entry failure leaves verdict NULL */
     Py_XDECREF(trace);
     Py_XDECREF(picks);
     Py_XDECREF(time_limit);
+    Py_XDECREF(horizon);
     Py_XDECREF(heap);
     Py_XDECREF(clock);
     Py_XDECREF(panicked);
@@ -1016,7 +1020,7 @@ PyInit__hotloop(void)
     INTERN(s_trace, "trace");
     INTERN(s_active, "active");
     INTERN(s_pick_log, "pick_log");
-    INTERN(s_injector, "injector");
+    INTERN(s_horizon, "_horizon");
     INTERN(s_heap, "_heap");
     INTERN(s_randrange, "randrange");
     INTERN(v_stopped, "stopped");

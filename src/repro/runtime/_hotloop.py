@@ -20,12 +20,13 @@ of each:
   explorer's scripted choices) once per pick, as the pure loop does.  A
   scheduler it cannot read makes it raise ``TypeError``.  With nothing
   runnable it fires the due timers itself and returns ``"idle"`` only
-  when no live timer is left: it readies a sleeper (a timer whose
-  callback slot holds the goroutine) in C and calls the other callbacks
-  itself.  A faulted run enters it between the
-  injector's due steps, with the step budget clamped to the next one,
-  and leaves it at every idle point so the clock stays still while it
-  drives (see ``Scheduler.run_until_quiescent``).
+  when no live timer is left below the scheduler's clock horizon
+  (``Scheduler._horizon``): it readies a sleeper (a timer whose callback
+  slot holds the goroutine) in C and calls the other callbacks itself.
+  A faulted run enters it between the injector's due steps, with the
+  step budget clamped to the next one and the horizon set to the
+  earliest ``after_time`` a fault still waits for, so it leaves before
+  the clock crosses one (see ``Scheduler._drive_to_due_step``).
 
 Channels, select, Mutex/RWMutex and vector clocks have one implementation
 each, in pure Python.  Set ``REPRO_NO_CEXT=1`` (or use :class:`force_pure`)

@@ -25,8 +25,8 @@ system's effective speed, the per-step path here is deliberately lean:
   drive loop when it loads; it draws inline from the stock RNG and calls
   any other one's ``randrange`` (the explorer's scripted choices) once
   per pick.  A faulted run drives up to the step the injector names as
-  its next due one (:meth:`repro.inject.injector.FaultInjector.next_due`)
-  and pulses there in the interpreted loop.  :attr:`Scheduler.drive_steps`
+  its next due one (:meth:`repro.inject.injector.FaultInjector.next_due`),
+  pulses the injector there and drives on.  :attr:`Scheduler.drive_steps`
   counts the steps the compiled loop took;
 * timers fire inside the compiled loop: with nothing runnable it moves
   the virtual clock to the next deadline and fires what is due, so a run
@@ -34,9 +34,12 @@ system's effective speed, the per-step path here is deliberately lean:
   call.  A sleeper's timer holds the goroutine itself, and the loop
   readies it in C with the records :meth:`ready` would write; it calls
   every other callback itself, with the record :meth:`fire_timers`
-  would write.  A faulted run keeps the idle exit and fires timers
-  here, so the clock never moves while it drives to a due step.  A fire that wakes nobody counts one against the
-  step budget, so a ticker nobody reads cannot keep a run alive;
+  would write.  A faulted run fires them there too, below the
+  injector's clock horizon (the earliest ``after_time`` a fault still
+  waits for): a timer at or past it leaves the loop and fires here, so
+  the injector is pulsed once the clock has crossed it.  A fire that
+  wakes nobody counts one against the step budget, so a ticker nobody
+  reads cannot keep a run alive;
 * consumers that need every scheduling decision (the observer's step
   metrics, the explorer's footprints) read a *pick log* after the run
   instead of taking a call per step: :meth:`Scheduler.record_picks` turns
@@ -48,12 +51,14 @@ system's effective speed, the per-step path here is deliberately lean:
 
 from __future__ import annotations
 
+import operator
 import os
 import random
 import sys
 import threading
 import time as _time
 from functools import partial
+from math import inf
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .clock import VirtualClock
@@ -83,10 +88,6 @@ _internal_dirs: Optional[Tuple[str, ...]] = None
 #: OS thread per goroutine) is always available.  Both vehicles produce
 #: bit-identical schedules.
 BACKENDS = ("coroutine", "thread")
-
-#: ``Scheduler._drive_to_due_step`` verdict: a fault is due at the current
-#: step, so the next iteration is the pure ``_advance``, which pulses.
-_FAULT_DUE = "fault-due"
 
 #: One pick-log entry: ``(step, runnable, chosen)`` — the step the pick
 #: starts, the runnable goroutines offered (in runnable-list order) and
@@ -225,7 +226,10 @@ class Scheduler:
         #: scripted source here to enumerate schedules exhaustively.  The
         #: default, ``_hotloop.BatchedRandom``, is the compiled MT19937, or
         #: ``random.Random`` where it does not build; both draw the same
-        #: sequence.
+        #: sequence.  The seed is checked here, once, for both: it must
+        #: be an integer (``operator.index``), so ``None``, a string or a
+        #: float raises ``TypeError`` whichever RNG the run gets.
+        seed = operator.index(seed)
         self.rng = rng if rng is not None else BatchedRandom(seed)
         self._randrange = self.rng.randrange  # hot-path bound method
         self.seed = seed
@@ -282,6 +286,11 @@ class Scheduler:
         self._time_limit: Optional[float] = None
         self._budget = 0
         self._budget_used = 0
+        #: The clock horizon the compiled loop fires timers below: a timer
+        #: due at or past it makes drive return ``"idle"`` with the clock
+        #: unmoved.  ``inf`` except while a faulted run drives
+        #: (:meth:`_drive_to_due_step`).
+        self._horizon = inf
         #: Why the main loop was woken: one of the ``run_until_quiescent``
         #: outcome strings, ``"idle"`` (no runnable goroutine — the main
         #: thread must fire timers or declare quiescence), or ``"error"``
@@ -292,9 +301,10 @@ class Scheduler:
         #: First goroutine to panic, if any (aborts the whole run, as in Go).
         self.panicked: Optional[Goroutine] = None
         #: Optional fault injector (:mod:`repro.inject`): pulsed in
-        #: scheduler context by ``_advance`` at every step where it names a
-        #: fault due, so every injected fault lands at an existing
-        #: scheduling point.
+        #: scheduler context (by ``_advance``, or between drive entries by
+        #: ``_drive_to_due_step``) at every step where it names a fault
+        #: due, so every injected fault lands at an existing scheduling
+        #: point.
         self.injector: Optional[Any] = None
         #: Join bound handed to :meth:`Goroutine.kill` during teardown.
         self.host_join_timeout: Optional[float] = None
@@ -577,8 +587,9 @@ class Scheduler:
         this loop, which does the bookkeeping itself — switches are
         userspace-cheap and the whole simulation shares one OS thread.
         The compiled loop fires due timers itself and reports ``"idle"``
-        only when no live timer is left, unless an injector is attached;
-        the idle branch below fires them for every other path.
+        only when no live timer is left below its horizon (see
+        :meth:`_drive_to_due_step`); the idle branch below fires them for
+        every other path.
         """
         kind, stop_g = stop_mode
         if not ((kind == "main" and isinstance(stop_g, Goroutine))
@@ -591,11 +602,11 @@ class Scheduler:
         self._main_verdict = None
         direct = self._direct
         # The compiled fused loop stands in for the whole per-step body
-        # below.  Traced, pick-logged and explored runs qualify: drive
-        # stamps ``_steps`` per step, writes the pick log, calls a
+        # below.  Traced, pick-logged, explored and faulted runs qualify:
+        # drive stamps ``_steps`` per step, writes the pick log, calls a
         # non-stock RNG's ``randrange`` and hands ended goroutines to
-        # ``_after_resume``.  A faulted run drives between the injector's
-        # due steps and pulses in ``_advance``.
+        # ``_after_resume``; a faulted run drives between the injector's
+        # due steps and pulses in ``_drive_to_due_step``.
         hot = self._hot
         injector = self.injector
         try:
@@ -607,7 +618,7 @@ class Scheduler:
                     verdict = (hot(self) if injector is None
                                else self._drive_to_due_step(hot, injector))
                     self.drive_steps += self._steps - start
-                if hot is None or verdict == _FAULT_DUE:
+                else:
                     g = self._advance()
                     if g is not None:
                         self._current = g
@@ -623,8 +634,8 @@ class Scheduler:
                     self._main_verdict = None
                 if verdict == "idle":
                     # The compiled loop returns "idle" only with no live
-                    # timer left (or with an injector attached); the pure
-                    # loop and the thread vehicle fire timers here.
+                    # timer left below its horizon; the pure loop and the
+                    # thread vehicle fire every timer here.
                     callbacks = self.clock.advance_to_next()
                     if callbacks:
                         self.fire_timers(callbacks)
@@ -646,36 +657,50 @@ class Scheduler:
 
     def _drive_to_due_step(self, hot: Callable[["Scheduler"], str],
                            injector: Any) -> str:
-        """Run the compiled loop until the injector's next due step.
+        """Run the compiled loop, pulsing the injector at its due steps.
 
-        ``drive`` checks stop, time limit and budget at the top of each
-        iteration, in the order ``_advance`` checks them before it pulses,
-        so clamping ``_budget`` to the due step makes drive return exactly
-        where the pure loop would pulse next.  With an injector attached,
-        drive leaves at every idle point instead of firing timers, so the
-        clock moves only in ``run_until_quiescent``'s idle branch and in
-        the injector's own clock jump, and no ``after_time`` fault comes
-        due inside drive.  For the same reason drive takes one step per
-        budget unit, so when it stops at the clamped budget it stands at
-        the due step, and the fault is due without asking again.  Returns
-        drive's verdict, or :data:`_FAULT_DUE` when a fault is due at the
-        current step: one pure ``_advance`` iteration then pulses it.
+        Each round makes the decision ``_advance`` would make before a
+        step: the stop, time-limit and budget checks
+        (:meth:`_loop_verdict`), then, when the injector names a fault due
+        at the current step, a pulse.  A pulse that acted is followed by
+        a fresh round, as in ``_advance``.  Otherwise drive runs with the
+        budget clamped to the next due step and ``_horizon`` set to the
+        injector's clock horizon, the earliest ``after_time`` a fault
+        still waits for.  Drive fires timers only below the horizon, so no
+        fault comes due inside it except at the step it stops at, and it
+        returns ``"idle"`` before the clock crosses one; the idle branch of
+        :meth:`run_until_quiescent` then fires that timer, and the next
+        call pulses.  A fault still due after a pulse that acted on
+        nothing gets exactly one step, with horizon ``-inf``, so the next
+        decision pulses again, as in ``_advance``.  When the clamp stops
+        drive short of the due step (a fire that woke nobody took a budget
+        unit and no step), the next round asks again.  Returns only
+        verdicts drive itself could return.
         """
-        due = injector.next_due(self)
-        if due is None:
-            return hot(self)
-        ahead = due - self._steps
-        if ahead <= 0:
-            return _FAULT_DUE
         budget = self._budget
-        self._budget = min(budget, self._budget_used + ahead)
         try:
-            verdict = hot(self)
+            while True:
+                verdict = self._loop_verdict()
+                if verdict is not None:
+                    return verdict
+                due, horizon = injector.next_due(self)
+                if due is not None and due <= self._steps:
+                    if injector.pulse(self):
+                        continue
+                    due, horizon = injector.next_due(self)
+                    if due is not None and due <= self._steps:
+                        due, horizon = self._steps + 1, -inf
+                if due is not None:
+                    self._budget = min(budget,
+                                       self._budget_used + due - self._steps)
+                self._horizon = horizon
+                verdict = hot(self)
+                self._budget = budget
+                if verdict != "steps" or self._budget_used >= budget:
+                    return verdict
         finally:
             self._budget = budget
-        if verdict != "steps" or self._budget_used >= budget:
-            return verdict
-        return _FAULT_DUE
+            self._horizon = inf
 
     def fire_timers(self, callbacks: List[Any]) -> None:
         """Fire popped timers in scheduler context, one ``timer.fire``
@@ -701,17 +726,10 @@ class Scheduler:
         """One scheduler-loop decision, in scheduler context on whichever
         host holds the token.  Returns the goroutine to run next, or ``None``
         after stashing the reason in ``_main_verdict``."""
-        stop_g = self._stop_mode[1]
         while True:
-            if self.panicked is not None or (
-                    stop_g is not None and stop_g.state in GState.TERMINAL):
-                self._main_verdict = "stopped"
-                return None
-            if self._time_limit is not None and self.clock.now >= self._time_limit:
-                self._main_verdict = "timeout"
-                return None
-            if self._budget_used >= self._budget:
-                self._main_verdict = "steps"
+            verdict = self._loop_verdict()
+            if verdict is not None:
+                self._main_verdict = verdict
                 return None
             if self.injector is not None and self.injector.pulse(self):
                 # A fault fired (goroutines woken/killed, clock jumped,
@@ -730,6 +748,22 @@ class Scheduler:
             # or declare the run quiescent.
             self._main_verdict = "idle"
             return None
+
+    def _loop_verdict(self) -> Optional[str]:
+        """The checks every scheduling decision starts with, in order:
+        ``"stopped"`` (a goroutine panicked, or the stop goroutine ended),
+        ``"timeout"`` (the clock reached the time limit), ``"steps"`` (the
+        budget is spent), or None to go on.  The compiled loop makes the
+        same checks, in the same order, at the top of each iteration."""
+        stop_g = self._stop_mode[1]
+        if self.panicked is not None or (
+                stop_g is not None and stop_g.state in GState.TERMINAL):
+            return "stopped"
+        if self._time_limit is not None and self.clock.now >= self._time_limit:
+            return "timeout"
+        if self._budget_used >= self._budget:
+            return "steps"
+        return None
 
     def _handback(self, g: Goroutine, terminal: bool) -> Optional[str]:
         """Thread-vehicle continuation, run on ``g``'s own host right after

@@ -15,7 +15,7 @@ from repro.chan.cases import recv
 from repro.inject import Fault, FaultInjector, FaultPlan
 from repro.parallel import schedule_digest
 from repro.runtime._hotloop import force_pure, get_drive
-from repro.runtime.scheduler import Scheduler, resolve_backend
+from repro.runtime.scheduler import resolve_backend
 
 
 def workload(rt):
@@ -233,30 +233,42 @@ def test_jump_makes_after_time_fault_due_and_dead_kill_stays_due():
     (Fault("wakeup", every=4, probability=0.5, times=None),),
     (Fault("delay", at_step=10, times=3, count=2, value=0.01),
      *JUMP_THEN_AFTER_TIME, Fault("kill", at_step=40)),
-], ids=["recurring", "one-shots"])
-def test_no_due_step_is_asked_for_twice(monkeypatch, faults):
-    """Once drive stops at the due step ``next_due`` named, the fault is
-    due there: the same drive-to-due call does not ask again."""
+    (*KILL_NOBODY, Fault("wakeup", after_time=0.02, times=2)),
+], ids=["recurring", "one-shots", "stays-due"])
+def test_next_due_is_asked_once_per_drive_entry_or_pulse(faults):
+    """A faulted run asks ``next_due`` at most once per drive entry plus
+    once per pulse: a drive entry follows each answer that names no due
+    fault, and a pulse each answer that does.  Every pulse comes at a
+    step the last answer named due, and every step runs inside drive."""
     injector = FaultInjector(FaultPlan(name="count", faults=faults), seed=2)
-    next_due = injector.next_due
-    drive_to_due_step = Scheduler._drive_to_due_step
-    calls, repeats, last = [], [], [None]
+    next_due, pulse = injector.next_due, injector.pulse
+    asked, pulses, entries, early = [], [], [], []
 
     def counted_next_due(sched):
-        due = next_due(sched)
-        if last[0] is not None and sched.steps == last[0]:
-            repeats.append(sched.steps)
-        calls.append(due)
-        last[0] = due
-        return due
+        asked.append(next_due(sched))
+        return asked[-1]
 
-    def counted_drive_to_due_step(sched, hot, injector):
-        last[0] = None
-        return drive_to_due_step(sched, hot, injector)
+    def counted_pulse(sched):
+        due, _horizon = asked[-1]
+        if due is None or due > sched.steps:
+            early.append(sched.steps)
+        pulses.append(sched.steps)
+        return pulse(sched)
+
+    class Entries:
+        def attach(self, rt):
+            hot = rt.sched._hot
+
+            def counted(sched):
+                entries.append(sched.steps)
+                return hot(sched)
+
+            rt.sched._hot = counted
 
     injector.next_due = counted_next_due
-    monkeypatch.setattr(Scheduler, "_drive_to_due_step",
-                        counted_drive_to_due_step)
-    result = run(busy_workload, seed=2, inject=injector)
-    assert result.injected and len(calls) > 1
-    assert repeats == []
+    injector.pulse = counted_pulse
+    result = run(busy_workload, seed=2, inject=injector, observers=[Entries()])
+    assert result.injected and pulses and entries
+    assert len(asked) <= len(entries) + len(pulses)
+    assert early == []
+    assert result.drive_steps == result.steps

@@ -1,5 +1,6 @@
 """Injector semantics: each fault action observable from inside a program."""
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -327,11 +328,26 @@ def _injector_at(faults, remaining, epochs):
     return injector
 
 
+def _oracle_horizon(injector, faults, now):
+    """The earliest ``after_time`` above ``now`` of an unspent one-shot
+    fault (a recurring fault ignores the clock), or ``inf``."""
+    waiting = [fault.after_time for index, fault in enumerate(faults)
+               if fault.every is None and fault.after_time is not None
+               and now < fault.after_time
+               and injector._remaining[index] != 0]
+    return min(waiting, default=math.inf)
+
+
 @settings(max_examples=400, deadline=None)
-@given(state=_injector_states())
-def test_pulse_fires_exactly_from_the_next_due_step(state):
-    """``pulse`` acts exactly when ``next_due(sched) <= sched.steps``, and
-    ``_due`` agrees with the old due test, epochs included."""
+@given(state=_injector_states(), fraction=st.floats(0.0, 1.0,
+                                                    exclude_max=True))
+def test_pulse_fires_exactly_from_the_next_due_step(state, fraction):
+    """``pulse`` acts exactly when ``next_due`` names a step at or before
+    ``sched.steps``, and ``_due`` agrees with the old due test, epochs
+    included.  The horizon ``next_due`` names is the earliest
+    ``after_time`` an unspent one-shot fault still waits for, and no
+    ``after_time`` is crossed below it: at any clock short of it the
+    due faults and the next due step are the ones at ``now``."""
     faults, remaining, epochs, steps, now = state
     sched = SimpleNamespace(steps=steps, clock=SimpleNamespace(now=now))
 
@@ -344,7 +360,20 @@ def test_pulse_fires_exactly_from_the_next_due_step(state):
     assert shared._last_epoch == oracle._last_epoch
 
     injector = _injector_at(faults, remaining, epochs)
-    due = injector.next_due(sched)
+    due, horizon = injector.next_due(sched)
+    assert horizon == _oracle_horizon(injector, faults, now)
+    assert type(horizon) is float
+
+    later = now + fraction * (min(horizon, now + 10.0) - now)
+    if later < horizon:
+        moved = SimpleNamespace(steps=steps,
+                                clock=SimpleNamespace(now=later))
+        assert _injector_at(faults, remaining, epochs).next_due(moved) \
+            == (due, horizon)
+        moved_oracle = _injector_at(faults, remaining, epochs)
+        assert [_oracle_due(moved_oracle, i, f, moved)
+                for i, f in enumerate(faults)] == expected
+
     fired = []
     injector._fire = lambda index, fault, sched: fired.append(index) or True
     assert injector.pulse(sched) == (due is not None and due <= steps)

@@ -24,8 +24,8 @@ pin the only thing the extension may not change — the run itself:
   and end time: across a ``time_limit``, from a raising callback, with a
   callback cancelling a sibling, through ``Timer``/``Ticker``/
   ``with_timeout`` and over random timer programs; an untraced load run
-  enters drive at most a few times, and a faulted run still leaves it
-  at every idle point;
+  enters drive at most a few times, and a faulted run leaves it at idle
+  only at the injector's clock horizons;
 * explored runs (a scripted RNG, which drive calls once per pick) keep
   the pure loop's choice log, clamp divergences, pick log and trace
   records, clamped prefixes included, and take every step inside drive;
@@ -47,6 +47,7 @@ parity tests still pass trivially (pure vs pure).
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -62,7 +63,7 @@ from hypothesis import given, settings, strategies as st
 from repro import run
 from tests.workloads import WORKLOADS
 from repro.detect import LockOrderDetector, RaceDetector
-from repro.inject import FaultPlan
+from repro.inject import Fault, FaultPlan
 from repro.parallel import schedule_digest
 from repro.runtime._hotloop import force_pure, get_drive
 from repro.runtime.scheduler import Scheduler, resolve_backend
@@ -683,10 +684,15 @@ def _assert_same_timer_run(program, seed=1, **kwargs):
 
 
 class _DriveCounter:
-    """Counts the run's drive entries and keeps their verdicts."""
+    """Keeps one entry per drive call: the horizon it ran with, its
+    verdict, the clock it left and the earliest live deadline then."""
 
     def __init__(self):
-        self.verdicts = []
+        self.entries = []
+
+    @property
+    def verdicts(self):
+        return [verdict for _horizon, verdict, *_ in self.entries]
 
     def attach(self, rt):
         self.sched = rt.sched
@@ -695,8 +701,13 @@ class _DriveCounter:
             return
 
         def counted(sched):
-            self.verdicts.append(hot(sched))
-            return self.verdicts[-1]
+            horizon = sched._horizon
+            verdict = hot(sched)
+            live = [timer[0] for timer in sched.clock._heap
+                    if timer[2] is not None]
+            self.entries.append((horizon, verdict, sched.clock.now,
+                                 min(live, default=None)))
+            return verdict
 
         rt.sched._hot = counted
 
@@ -870,16 +881,40 @@ def test_untraced_loadgen_run_enters_drive_at_most_a_few_times():
 
 
 @needs_drive_loop
-def test_faulted_run_still_exits_drive_at_idle():
-    """With an injector attached the clock must not move inside drive
-    (the due-step clamp relies on it): every timer fire leaves drive."""
+def test_faulted_run_leaves_drive_at_idle_only_at_its_horizons():
+    """A faulted run fires timers inside drive below the injector's
+    clock horizon: it leaves drive at idle only when the next live timer
+    is at or past the horizon, with the clock still short of it, once per
+    ``after_time`` fault, and keeps the pure loop's run and fault log."""
+    plan = FaultPlan(name="horizons", faults=(
+        Fault("wakeup", after_time=1.0),
+        Fault("wakeup", after_time=1.6),
+    ))
     counter = _DriveCounter()
     result = run(_heartbeat, seed=1, keep_trace=False, time_limit=2.5,
-                 inject=FaultPlan(name="noop"), observers=[counter])
+                 inject=plan, observers=[counter])
     assert result.status == "timeout"
-    assert counter.verdicts.count("idle") >= 8
+    idle = [entry for entry in counter.entries if entry[1] == "idle"]
+    assert [horizon for horizon, *_ in idle] == [1.0, 1.6]
+    for horizon, _verdict, now, earliest in idle:
+        assert now < horizon <= earliest
+    assert counter.entries[-1][:2] == (math.inf, "timeout")
+    assert result.drive_steps == result.steps
+    with force_pure():
+        pure = run(_heartbeat, seed=1, keep_trace=False, time_limit=2.5,
+                   inject=plan)
+    assert (_signature(result), result.end_time,
+            [record.to_dict() for record in result.injected]) \
+        == (_signature(pure), pure.end_time,
+            [record.to_dict() for record in pure.injected])
+    # With no fault waiting on the clock there is no horizon: one entry,
+    # and the run is the plain one.
+    counter = _DriveCounter()
+    noop = run(_heartbeat, seed=1, keep_trace=False, time_limit=2.5,
+               inject=FaultPlan(name="noop"), observers=[counter])
+    assert [entry[:2] for entry in counter.entries] == [(math.inf, "timeout")]
     plain = run(_heartbeat, seed=1, keep_trace=False, time_limit=2.5)
-    assert (_signature(result), result.end_time) \
+    assert (_signature(noop), noop.end_time) \
         == (_signature(plain), plain.end_time)
 
 
@@ -1107,7 +1142,10 @@ class _Malform:
     lambda sched: setattr(sched, "pick_log", ()),
     lambda sched: setattr(sched.clock, "_heap",
                           _NotExactList(sched.clock._heap)),
-], ids=["deque-runnable", "tuple-pick-log", "list-subclass-heap"])
+    lambda sched: setattr(sched, "_horizon", 1),
+    lambda sched: setattr(sched, "_horizon", None),
+], ids=["deque-runnable", "tuple-pick-log", "list-subclass-heap",
+        "int-horizon", "none-horizon"])
 def test_drive_rejects_a_malformed_scheduler(change):
     """drive reads these objects through ``PyList_GET_*``: a scheduler
     that does not hold exact lists is a TypeError, and no step runs on

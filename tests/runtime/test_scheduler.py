@@ -1,8 +1,13 @@
 """Scheduler behavior: statuses, goroutine lifecycle, step limits."""
 
+import random
+
 import pytest
 
 from repro import GoPanic, run
+from repro.parallel import schedule_digest
+from repro.runtime import _hotloop
+from repro.runtime import scheduler as scheduler_module
 from repro.runtime.goroutine import GState
 
 
@@ -192,3 +197,47 @@ def test_drain_lets_sleepers_finish():
     result = run(main)
     assert result.status == "ok"
     assert result.main_result.peek() is True
+
+
+# ---------------------------------------------------------------------------
+# The seed is checked once, for both scheduling RNGs
+# ---------------------------------------------------------------------------
+
+
+#: The compiled MT19937 (``random.Random`` itself without the extension)
+#: and ``random.Random``: the two classes a run's scheduling RNG can be.
+_RNG_CLASSES = [_hotloop.BatchedRandom, random.Random]
+
+
+def _picky(rt):
+    """Four workers on one buffered channel: a pick at most steps."""
+    ch = rt.make_chan(2)
+
+    def worker(i):
+        for j in range(3):
+            ch.send((i, j))
+
+    for i in range(4):
+        rt.go(worker, i)
+    return [ch.recv() for _ in range(12)]
+
+
+@pytest.mark.parametrize("rng_class", _RNG_CLASSES,
+                         ids=["batched", "random"])
+@pytest.mark.parametrize("seed", [None, "a", 1.5], ids=repr)
+def test_non_integer_seed_raises_on_both_rngs(monkeypatch, rng_class, seed):
+    monkeypatch.setattr(scheduler_module, "BatchedRandom", rng_class)
+    with pytest.raises(TypeError):
+        run(_picky, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [True, -3, 2**70], ids=repr)
+def test_integer_seeds_draw_one_schedule_on_both_rngs(monkeypatch, seed):
+    runs = []
+    for rng_class in _RNG_CLASSES:
+        monkeypatch.setattr(scheduler_module, "BatchedRandom", rng_class)
+        result = run(_picky, seed=seed)
+        runs.append((result.status, result.steps, result.main_result,
+                     schedule_digest(result)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == "ok"
