@@ -235,7 +235,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     kwargs = dict(kernel.run_kwargs)
     exploration = explore_systematic(
         program, stop_on=kernel.manifested, max_runs=args.max_runs,
-        jobs=args.jobs, prune=not args.no_prune, **kwargs
+        prune=not args.no_prune, **kwargs
     )
     variant = "fixed" if args.fixed else "buggy"
     if args.json:
@@ -587,8 +587,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if args.confirm and program is not None:
         outcomes = confirm_predictions(report, program, run_kwargs=kwargs,
                                        oracle=oracle,
-                                       max_runs=args.max_runs,
-                                       jobs=args.jobs)
+                                       max_runs=args.max_runs)
 
     if args.json:
         payload = report.to_dict()
@@ -770,7 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "pruning (explore the raw tree)")
     explore.add_argument("--json", action="store_true",
                          help="emit machine-readable JSON instead of text")
-    add_jobs_arg(explore)
 
     export = sub.add_parser(
         "export", help="write tables/figures as TSV/JSON artifacts"
@@ -929,7 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "verdict (the explore pre-filter)")
     predictp.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON instead of text")
-    add_jobs_arg(predictp)
 
     staticp = sub.add_parser(
         "static",

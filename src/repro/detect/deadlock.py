@@ -19,7 +19,7 @@ It reports no false positives, matching the paper.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..runtime.runtime import RunResult, is_stuck, run
 from .report import Detection

@@ -17,11 +17,10 @@ simulator: it watches the trace and the run outcome and produces structured
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..runtime.errors import GoPanic
 from ..runtime.runtime import RunResult
-from ..runtime.trace import TraceEvent
 from .report import RuleViolation
 
 _PANIC_RULES = {

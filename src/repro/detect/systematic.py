@@ -40,10 +40,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..parallel import engine, map_units, summarize_result
 from ..runtime.runtime import RunResult, run
 from .annotate import ChoiceAnnotator, PickAnnotations
 
@@ -146,35 +144,6 @@ class Exploration:
                 f"(statuses: {self.statuses}){self._extras()}")
 
 
-def _explore_unit(
-    program: Callable,
-    prefix: List[int],
-    stop_on: Optional[Callable[[RunResult], bool]],
-    run_kwargs: dict,
-    annotate: bool,
-) -> Tuple[List[Tuple[int, int]], Any, bool, Any,
-           List[Tuple[int, int, int]]]:
-    """One scheduled run of one prefix.
-
-    Returns ``(choice log, result, stop hit, pick annotations, clamp
-    divergences)``; ``stop_on`` is evaluated here, where the rich result
-    still exists.  Inside a pool worker the outcome is made picklable:
-    the full :class:`RunResult` cannot cross a process boundary, so it
-    becomes a :class:`repro.parallel.RunSummary`, and the annotations,
-    which reference the run's goroutines until looked up, become plain
-    values by position.  A unit that ``map_units`` runs in-process (any
-    ``jobs=1`` round, and a serial cutover) returns both as they are.
-    """
-    choices, result, picks = _run_scripted(program, prefix, run_kwargs,
-                                           annotate)
-    hit = stop_on is not None and bool(stop_on(result))
-    if engine._IN_WORKER:
-        result = summarize_result(result)
-        if picks is not None:
-            picks = {p.position: p for p in picks}
-    return choices.log, result, hit, picks, choices.divergences
-
-
 def _run_scripted(program: Callable, prefix: Sequence[int],
                   run_kwargs: dict, annotate: bool
                   ) -> Tuple[ScriptedChoices, RunResult,
@@ -182,12 +151,10 @@ def _run_scripted(program: Callable, prefix: Sequence[int],
     """Run ``program`` under a scripted schedule, optionally annotated.
 
     ``run_kwargs`` may carry ``observer_factories`` — zero-argument
-    callables building a *fresh* observer per run, in the process that
-    runs it (an instance in ``observers`` is shared by every run, and
-    with ``jobs > 1`` each worker updates only its own copy).  This is
-    the hook :mod:`repro.predict.confirm` uses to
-    let ``stop_on`` predicates see detector verdicts (e.g.
-    ``result.races``) during systematic search.
+    callables building a *fresh* observer per run (an instance in
+    ``observers`` is shared by every run).  This is the hook
+    :mod:`repro.predict.confirm` uses to let ``stop_on`` predicates see
+    detector verdicts (e.g. ``result.races``) during systematic search.
     """
     choices = ScriptedChoices(prefix)
     kwargs = dict(run_kwargs)
@@ -273,10 +240,9 @@ class _Explorer:
         """Account one visited run and, unless it is the counterexample
         (``hit``: the caller ends the exploration), expand its branches.
 
-        ``picks`` looks pick annotations up by position: the run's lazy
-        :class:`PickAnnotations`, a dict from a sweep worker, or None when
-        pruning is off.  Either answers ``position in picks`` without
-        building an annotation."""
+        ``picks`` is the run's lazy :class:`PickAnnotations`, or None when
+        pruning is off.  It answers ``position in picks`` without building
+        an annotation."""
         self.runs += 1
         self.max_depth = max(self.max_depth, len(log))
         self.statuses[status] = self.statuses.get(status, 0) + 1
@@ -284,8 +250,7 @@ class _Explorer:
             return
         if clamps and len(self.divergence_events) < _MAX_DIVERGENCE_EVENTS:
             room = _MAX_DIVERGENCE_EVENTS - len(self.divergence_events)
-            self.divergence_events.extend(
-                tuple(clamp) for clamp in list(clamps)[:room])
+            self.divergence_events.extend(clamps[:room])
         diverged = bool(clamps) or _log_mismatch(work, log)
         picks_by_pos = picks if picks is not None else {}
         self._report_to_node(work, picks_by_pos, diverged)
@@ -407,7 +372,6 @@ def explore_systematic(
     stop_on: Optional[Callable[[RunResult], bool]] = None,
     max_runs: int = 1000,
     max_branch_depth: int = 400,
-    jobs: int = 1,
     prune: bool = True,
     **run_kwargs: Any,
 ) -> Exploration:
@@ -422,20 +386,6 @@ def explore_systematic(
         max_runs: total run budget.
         max_branch_depth: only branch on the first N decision points of
             each run (bounds the tree; later choices stay at the default).
-        jobs: worker processes (:mod:`repro.parallel`).  One loop serves
-            every value: each round pops up to ``jobs`` frontier prefixes
-            (one at ``jobs=1``), runs them through
-            :func:`repro.parallel.map_units` and merges their branches in
-            submission order.  Schedule *coverage* does not depend on
-            ``jobs`` — pruning decisions depend only on each branch
-            point's own runs, in a fixed sibling order — so exploration to
-            exhaustion visits exactly the same tree; only the visiting
-            order (and, with ``stop_on``, which counterexample is found
-            first) can differ.  A run dispatched to a worker process is
-            reduced to cross the process boundary, so its counterexample
-            result is a :class:`repro.parallel.RunSummary`; a run that
-            ran in-process (every run at ``jobs=1``, and any batch
-            ``map_units`` keeps serial) gives the full :class:`RunResult`.
         prune: sleep-set equivalence pruning (see the module docstring).
             Coverage of reachable outcomes is preserved; schedules visited
             shrink.  Disabled automatically when a fault injector is
@@ -453,23 +403,18 @@ def explore_systematic(
                                     **overrides)
 
     while explorer.stack and explorer.runs < explorer.max_runs:
-        width = min(max(jobs, 1), len(explorer.stack),
-                    explorer.max_runs - explorer.runs)
-        batch = [explorer.stack.pop() for _ in range(width)]
-        outcomes = map_units(
-            [partial(_explore_unit, program, work.prefix, stop_on,
-                     run_kwargs, explorer.prune) for work in batch],
-            jobs=jobs,
-        )
-        for work, (log, result, hit, picks, clamps) in zip(batch, outcomes):
-            explorer.process(work, log, result.status, hit, picks, clamps)
-            if hit:
-                # First hit in submission order wins; the rest of a
-                # speculative batch is discarded uncounted.
-                return finish(
-                    counterexample=explorer.counterexample_from(work, log),
-                    counterexample_result=result,
-                )
+        work = explorer.stack.pop()
+        choices, result, picks = _run_scripted(program, work.prefix,
+                                               run_kwargs, explorer.prune)
+        hit = stop_on is not None and bool(stop_on(result))
+        explorer.process(work, choices.log, result.status, hit, picks,
+                         choices.divergences)
+        if hit:
+            return finish(
+                counterexample=explorer.counterexample_from(work,
+                                                            choices.log),
+                counterexample_result=result,
+            )
     return finish(exhausted=not explorer.stack)
 
 

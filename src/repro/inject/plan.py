@@ -22,7 +22,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 #: The fault actions the injector implements.
 ACTIONS = (

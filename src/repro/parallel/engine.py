@@ -10,7 +10,7 @@ This version keeps three levers:
 * **Persistent pool** — the fork pool is created lazily on first use and
   reused by every later :func:`map_units` call with the same worker count,
   amortizing process startup across the repeated sweeps that dominate real
-  workloads (manifestation repeats, exploration rounds, chaos cells).
+  workloads (manifestation repeats, chaos cells).
   An :mod:`atexit` hook tears it down; :func:`shutdown_pool` does so
   eagerly (tests use it to assert reuse behavior).
 * **Chunked dispatch** — units travel in ``chunksize`` batches instead of

@@ -35,7 +35,7 @@ Five rules over the weak happens-before closure of one recorded run:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..detect.hb import Stamp
 from ..runtime.trace import EventKind, TraceEvent

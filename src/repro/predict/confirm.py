@@ -50,7 +50,7 @@ class ConfirmOutcome:
         }
 
 
-# -- runtime predicates (module-level: picklable for jobs>1) -----------
+# -- runtime predicates ------------------------------------------------
 
 def _panic_manifested(result: Any) -> bool:
     return result.status == "panic"
@@ -110,8 +110,7 @@ def confirm_predictions(report: PredictReport, program: Callable,
                         run_kwargs: Optional[Dict[str, Any]] = None,
                         oracle: Optional[Callable[[Any], bool]] = None,
                         max_runs: int = 300,
-                        max_branch_depth: int = 400,
-                        jobs: int = 1) -> List[ConfirmOutcome]:
+                        max_branch_depth: int = 400) -> List[ConfirmOutcome]:
     """Search for a witness behind every prediction in ``report``.
 
     Mutates each prediction's ``witness``/``confirmed`` in place and
@@ -140,7 +139,7 @@ def confirm_predictions(report: PredictReport, program: Callable,
             merged.update(extra)
             exploration = explore_systematic(
                 program, stop_on=stop_on, max_runs=max_runs,
-                max_branch_depth=max_branch_depth, jobs=jobs, **merged)
+                max_branch_depth=max_branch_depth, **merged)
             witness, ok, status = None, False, None
             if exploration.found:
                 witness = list(exploration.counterexample)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Union
 
-from ..observe.export import SYNC_EVENT_KINDS, sync_events
+from ..observe.export import SYNC_EVENT_KINDS
 from ..runtime.trace import EventKind, TraceEvent
 
 

@@ -66,6 +66,8 @@ class Runtime:
         self._shared_vars: List[Any] = []
         #: Every channel created through :meth:`make_chan`, in creation
         #: order; the fault injector targets channels by name through this.
+        #: The runtime library's own channels (timers, tickers, contexts,
+        #: pipes) are built directly and are never fault targets.
         self._channels: List[Any] = []
         #: Every cancellable context created in this run (WithCancel /
         #: WithTimeout), for context-cancellation storms.
@@ -382,9 +384,8 @@ class RunResult:
             run's scheduler: a tasklet-vehicle run with the extension
             loaded.  False on the thread vehicle (whose direct handoff
             never enters the loop), with ``REPRO_NO_CEXT=1``, off-platform,
-            or under ``force_pure``.  Availability, not engagement: a
-            faulted run takes the pure loop at each step where a fault is
-            due; ``drive_steps`` says how many steps the loop took.
+            or under ``force_pure``.  Availability, not engagement:
+            ``drive_steps`` says how many steps the loop took.
         drive_steps: steps taken inside the compiled drive loop, 0 when
             it was unavailable; ``steps`` minus this ran on the pure loop.
             Not part of :meth:`to_dict`.

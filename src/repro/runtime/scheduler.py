@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import operator
 import os
-import random
 import sys
 import threading
 import time as _time
@@ -62,7 +61,7 @@ from math import inf
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .clock import VirtualClock
-from .errors import Killed, SchedulerStateError
+from .errors import SchedulerStateError
 from ._hotloop import BatchedRandom, get_drive
 from .goroutine import (
     Goroutine,

@@ -13,7 +13,7 @@ Legend: one column per scheduling step (compressed), ``~`` = blocked,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from .runtime import RunResult
 from .trace import EventKind

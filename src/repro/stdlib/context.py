@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
 
-from ..chan.cases import recv
+from ..chan import Channel, recv
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.runtime import Runtime
@@ -65,7 +65,7 @@ class _CancelContext(Context):
     def __init__(self, rt: "Runtime", parent: Context):
         super().__init__(rt)
         self._parent = parent
-        self._done = rt.make_chan(0, name="ctx.done")
+        self._done = Channel(rt, 0, name="ctx.done")
         self._err: Optional[ContextError] = None
         # Visible to the fault injector's cancellation storms.
         rt._cancel_contexts.append(self)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
+from ..chan import Channel
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.runtime import Runtime
 
@@ -23,7 +25,7 @@ class Timer:
         self._sched = rt.sched
         #: Delivery channel (Go's ``timer.C``): capacity 1, receives the
         #: virtual fire time.
-        self.c = rt.make_chan(1, name="timer.C")
+        self.c = Channel(rt, 1, name="timer.C")
         self._fired = False
         self._handle = self._arm(duration)
 
@@ -75,7 +77,7 @@ class Ticker:
         self._rt = rt
         self._sched = rt.sched
         self.interval = interval
-        self.c = rt.make_chan(1, name="ticker.C")
+        self.c = Channel(rt, 1, name="ticker.C")
         self._stopped = False
         self._handle = self._sched.clock.call_after(interval, self._tick)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from ..chan.cases import recv, send
+from ..chan import Channel, recv, send
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.runtime import Runtime
@@ -33,8 +33,8 @@ class Pipe:
 
     def __init__(self, rt: "Runtime"):
         self._rt = rt
-        self._data = rt.make_chan(0, name="pipe.data")
-        self._done = rt.make_chan(0, name="pipe.done")
+        self._data = Channel(rt, 0, name="pipe.data")
+        self._done = Channel(rt, 0, name="pipe.done")
         self._err: Optional[Exception] = None
         self._write_closed = False
 

@@ -1,13 +1,18 @@
 """Systematic schedule exploration (bounded model checking)."""
 
+import pytest
+
 from repro import run
 from repro.bugs.registry import get
 from repro.detect.systematic import (
     Exploration,
     ScriptedChoices,
     explore_systematic,
+    replay_schedule,
     verify_no_manifestation,
 )
+from repro.predict import confirm_predictions, predict
+from repro.runtime.runtime import RunResult
 
 
 def _racy(rt):
@@ -99,3 +104,25 @@ def test_verify_no_manifestation_on_fixed_kernel():
 def test_statuses_summarize_coverage():
     exploration = explore_systematic(_racy, max_runs=30)
     assert exploration.statuses.get("ok", 0) == exploration.runs
+
+
+def test_counterexample_result_is_the_runs_own_result():
+    kernel = get("nonblocking-chan-grpc-send-on-closed")
+    exploration = explore_systematic(kernel.buggy, stop_on=kernel.manifested,
+                                     **kernel.run_kwargs)
+    assert exploration.found and exploration.runs > 1
+    result = exploration.counterexample_result
+    assert isinstance(result, RunResult)
+    assert result.trace is not None
+    assert kernel.manifested(result)
+    replayed = replay_schedule(kernel.buggy, exploration.counterexample,
+                               **kernel.run_kwargs)
+    assert kernel.manifested(replayed)
+
+
+def test_exploration_takes_no_jobs():
+    with pytest.raises(TypeError):
+        explore_systematic(_racy, jobs=2)
+    report = predict(run(_racy))
+    with pytest.raises(TypeError):
+        confirm_predictions(report, _racy, jobs=2)

@@ -14,7 +14,6 @@ from repro.bugs import registry
 from repro.detect import systematic
 from repro.detect.annotate import PickAnnotations
 from repro.detect.systematic import explore_systematic
-from repro.parallel import engine
 
 CORPUS = list(registry.all_kernels())
 
@@ -194,24 +193,17 @@ def _fields(found):
             None if result is None else (result.status, result.steps))
 
 
-def _explore_both_ways(monkeypatch, program, jobs, **kwargs):
-    """The exploration with the explorer as it is and with the oracle.
-    At ``jobs=2`` every run takes the pool worker's reduction (a
-    ``RunSummary`` and a dict of picks by position) in-process, so the
-    dict path is exercised whether or not a batch would fan out."""
+def _explore_both_ways(monkeypatch, program, **kwargs):
+    """The exploration with the explorer as it is and with the oracle."""
+    found = explore_systematic(program, **kwargs)
     with monkeypatch.context() as patch:
-        if jobs > 1:
-            patch.setattr(engine, "_IN_WORKER", True)
-        found = explore_systematic(program, jobs=jobs, **kwargs)
         patch.setattr(systematic, "_Explorer", _OracleExplorer)
-        oracle = explore_systematic(program, jobs=jobs, **kwargs)
+        oracle = explore_systematic(program, **kwargs)
     return _fields(found), _fields(oracle)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("mode", ["stop_on", "capped"])
-def test_explorations_match_the_every_position_oracle(monkeypatch, mode,
-                                                      jobs):
+def test_explorations_match_the_every_position_oracle(monkeypatch, mode):
     moved = []
     for kernel in CORPUS:
         for variant in ("buggy", "fixed"):
@@ -221,7 +213,7 @@ def test_explorations_match_the_every_position_oracle(monkeypatch, mode,
             else:
                 kwargs.update(max_runs=40)
             found, oracle = _explore_both_ways(
-                monkeypatch, getattr(kernel, variant), jobs, **kwargs)
+                monkeypatch, getattr(kernel, variant), **kwargs)
             if found != oracle:
                 moved.append(f"{kernel.meta.kernel_id}[{variant}]")
     assert not moved, f"exploration differs from the oracle: {moved}"

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import run
+from repro import DEADLINE_EXCEEDED, run
+from repro.bugs.registry import get
 from repro.inject import Fault, FaultPlan
 from repro.inject import plans
 from repro.inject.injector import FaultInjector
@@ -137,6 +138,61 @@ def test_chan_close_panics_unhardened_sender():
     assert result.status == "panic"
     assert "closed" in str(result.panic_value)
     assert [r.action for r in result.injected] == ["chan_close"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("variant", ["buggy", "fixed"])
+def test_chan_close_leaves_a_tickers_channel_alone(variant, seed):
+    """Closing every channel at step 0 closes the kernel's own channel
+    only: the ticker's next fire still sends on an open ``ticker.C``,
+    and the run ends with a status instead of raising."""
+    kernel = get("nonblocking-chan-etcd-select-ticker")
+    result = run(getattr(kernel, variant), seed=seed,
+                 inject=_plan(Fault("chan_close", at_step=0, count=8)),
+                 **kernel.run_kwargs)
+    assert result.status == "panic"
+    assert [r.victim for r in result.injected] == ["chan:stopCh"]
+
+
+def test_chan_close_cannot_close_a_contexts_done_channel():
+    """A deadline closes ``ctx.done`` itself; a fault that had closed it
+    first would make that close panic out of the timer callback."""
+
+    def main(rt):
+        ctx, _cancel = rt.with_timeout(rt.background(), 0.5)
+        rt.sleep(1.0)
+        return ctx.err()
+
+    result = run(main, seed=0, inject=_plan(
+        Fault("chan_close", target="ctx.done", at_step=0)))
+    assert result.status == "ok"
+    assert result.main_result is DEADLINE_EXCEEDED
+    assert result.injected == []
+
+
+@pytest.mark.parametrize("action", ["chan_close", "chan_fill"])
+def test_runtime_library_channels_are_no_fault_targets(action):
+    """Timers, tickers, ``time.After``, contexts and pipes build their
+    channels themselves; only the program's own channel is a victim."""
+
+    def main(rt):
+        mine = rt.make_chan(1, name="mine")
+        timer = rt.new_timer(0.2)
+        ticker = rt.new_ticker(0.05)
+        ctx, cancel = rt.with_timeout(rt.background(), 0.3)
+        _reader, _writer = rt.pipe()
+        rt.after(0.1).recv()
+        ticker.c.recv()
+        timer.c.recv()
+        ctx.done().recv()
+        ticker.stop()
+        cancel()
+        return mine.closed
+
+    result = run(main, seed=0, inject=_plan(
+        Fault(action, at_step=0, count=20, value=0)))
+    assert result.status == "ok"
+    assert [r.victim for r in result.injected] == ["chan:mine"]
 
 
 def test_chan_fill_makes_assumed_nonblocking_send_block():

@@ -2,7 +2,7 @@
 
 The parallel engine's contract is that parallelism is invisible in the
 output: same summaries, same order, same JSON, for the seed sweep, the
-explorer, the kernels' manifestation sweeps, and the chaos harness.  These tests pin
+kernels' manifestation sweeps, and the chaos harness.  These tests pin
 that contract with a worker count above 1 regardless of how many cores the
 CI machine has (forking 4 workers on 1 core is slower, never different).
 """
@@ -13,14 +13,10 @@ import time
 import pytest
 
 from repro import explore, run
-from repro.bugs.registry import all_kernels, get
-from repro.detect.systematic import explore_systematic, replay_schedule
+from repro.bugs.registry import get
 from repro.inject.harness import ChaosHarness, ChaosTarget, manifestation_rate
 from repro.inject.plans import default_suite
-from repro.parallel import RunSummary, schedule_digest, sweep_seeds
-from repro.parallel import engine as engine_mod
-from repro.parallel.engine import pool_stats
-from repro.runtime.runtime import RunResult
+from repro.parallel import schedule_digest, sweep_seeds
 
 JOBS = 4
 
@@ -38,13 +34,6 @@ def _racy(rt):
     for i in range(3):
         rt.go(worker, i)
     return tuple(ch.recv() for _ in range(3))
-
-
-def _tiny(rt):
-    """Small enough for systematic exploration to exhaust."""
-    ch = rt.make_chan(1)
-    rt.go(lambda: ch.send(1))
-    return ch.recv()
 
 
 # ----------------------------------------------------------------------
@@ -96,80 +85,6 @@ def test_chaos_manifestation_rate_identical():
     seeds = range(10)
     assert manifestation_rate(KERNEL, seeds, jobs=1) == \
         manifestation_rate(KERNEL, seeds, jobs=JOBS)
-
-
-def _coverage(exploration):
-    return (exploration.exhausted, exploration.runs, exploration.pruned,
-            exploration.divergences, exploration.max_depth,
-            exploration.statuses)
-
-
-def test_systematic_exploration_coverage_identical():
-    serial = explore_systematic(_tiny, max_runs=4000)
-    parallel = explore_systematic(_tiny, max_runs=4000, jobs=JOBS)
-    # Exhaustion visits exactly the same bounded tree regardless of the
-    # visiting order, so the totals agree.
-    assert serial.exhausted
-    assert _coverage(serial) == _coverage(parallel)
-
-
-def test_corpus_exploration_coverage_identical():
-    """Every corpus variant whose tree exhausts within 80 runs covers the
-    same tree, with the same pruning, at any ``jobs``."""
-    exhausted = []
-    for kernel in all_kernels():
-        for variant in ("buggy", "fixed"):
-            program = getattr(kernel, variant)
-            serial = explore_systematic(program, max_runs=80,
-                                        **kernel.run_kwargs)
-            if not serial.exhausted:
-                continue
-            parallel = explore_systematic(program, max_runs=80, jobs=JOBS,
-                                          **kernel.run_kwargs)
-            name = f"{kernel.meta.kernel_id}[{variant}]"
-            assert _coverage(serial) == _coverage(parallel), name
-            exhausted.append(name)
-    # More than half of the 108 variants exhaust (59 when written).
-    assert len(exhausted) > 54
-
-
-def _explore_to_counterexample(kernel, jobs):
-    before = pool_stats()
-    exploration = explore_systematic(kernel.buggy, stop_on=kernel.manifested,
-                                     jobs=jobs, **kernel.run_kwargs)
-    after = pool_stats()
-    assert exploration.found and exploration.runs > 1
-    replayed = replay_schedule(kernel.buggy, exploration.counterexample,
-                               **kernel.run_kwargs)
-    assert kernel.manifested(replayed)
-    return exploration, {key: after[key] - before[key]
-                         for key in ("dispatches", "serial_cutovers")}
-
-
-def test_counterexample_result_is_full_only_in_process(monkeypatch):
-    """A hit that ran in-process gives the run's own ``RunResult``: at
-    ``jobs=1``, and at ``jobs=2`` when the serial cutover keeps every
-    batch in the parent.  A hit dispatched to a worker gives a
-    ``RunSummary``.  Every schedule replays to a manifesting run."""
-    kernel = get("nonblocking-chan-grpc-send-on-closed")
-    serial, counts = _explore_to_counterexample(kernel, jobs=1)
-    assert isinstance(serial.counterexample_result, RunResult)
-    assert serial.counterexample_result.trace is not None
-    assert kernel.manifested(serial.counterexample_result)
-    assert counts == {"dispatches": 0, "serial_cutovers": 0}
-
-    monkeypatch.setattr(engine_mod, "MIN_PARALLEL_COST_S", float("inf"))
-    cutover, counts = _explore_to_counterexample(kernel, jobs=2)
-    assert isinstance(cutover.counterexample_result, RunResult)
-    assert kernel.manifested(cutover.counterexample_result)
-    assert counts["dispatches"] == 0 and counts["serial_cutovers"] > 0
-
-    # No probe and no cost floor: every batch of two goes to the pool.
-    monkeypatch.setattr(engine_mod, "MIN_PARALLEL_COST_S", 0.0)
-    monkeypatch.setattr(engine_mod, "PROBE_UNITS", 0)
-    dispatched, counts = _explore_to_counterexample(kernel, jobs=2)
-    assert isinstance(dispatched.counterexample_result, RunSummary)
-    assert counts["dispatches"] > 0 and counts["serial_cutovers"] == 0
 
 
 # ----------------------------------------------------------------------

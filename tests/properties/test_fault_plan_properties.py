@@ -7,18 +7,19 @@ injector between entries.  The pure loop pulses before every decision and
 fires every timer itself.  Generated plans of one to four faults — mixed
 actions; ``at_step``, ``after_time`` and ``every`` triggers; probability
 gates and firing budgets — run over a sleeper, a ticker and a timer
-program, and each run must give the same fault log, trace records, pick
-log, status, steps, step-budget use and end time on both loops.  On the
-compiled loop every step is taken inside drive.
+program and over the corpus kernels, buggy and fixed.  Every run must
+return (no fault may make ``run()`` raise) and give the same fault log,
+trace records, pick log, status, steps, step-budget use and end time on
+both loops.  On the compiled loop every step is taken inside drive.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro import run
+from repro.bugs.registry import all_kernels
 from repro.chan.cases import recv
 from repro.inject import Fault, FaultInjector, FaultPlan
 from repro.runtime._hotloop import force_pure, get_drive
-from repro.runtime.errors import GoPanic
 from repro.runtime.scheduler import resolve_backend
 
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -66,7 +67,7 @@ def timers(rt):
     """One-shot timers, a reset and a stop, a ``time.After`` race and a
     context deadline (something for a cancellation storm to cancel)."""
     out = rt.make_chan(4, name="out")
-    ctx = rt.with_timeout(rt.background(), 0.12)
+    ctx, _cancel = rt.with_timeout(rt.background(), 0.12)
 
     def waiter(i):
         timer = rt.new_timer(0.02 * (i + 1))
@@ -84,7 +85,17 @@ def timers(rt):
     return sorted(out.recv() for _ in range(4))
 
 
-PROGRAMS = {"sleeper": sleeper, "ticker": ticker, "timers": timers}
+PROGRAMS = {"sleeper": (sleeper, {}), "ticker": (ticker, {}),
+            "timers": (timers, {})}
+
+#: The corpus kernels, both variants, each with its own run arguments.
+KERNELS = {f"{kernel.meta.kernel_id}[{variant}]":
+           (getattr(kernel, variant), kernel.run_kwargs)
+           for kernel in all_kernels() for variant in ("buggy", "fixed")}
+
+#: Each of the three programs, or a kernel variant, one in four each.
+SOURCES = st.one_of(*(st.just(name) for name in sorted(PROGRAMS)),
+                    st.sampled_from(sorted(KERNELS)))
 
 ACTIONS = st.sampled_from(
     ["wakeup", "delay", "clock_jump", "kill", "panic", "chan_fill",
@@ -133,17 +144,13 @@ class _Recorder:
 
 
 def _run(program, plan, seed):
-    """The run's outcome, and its result (None when the run raised).  A
-    fault may close a channel a timer callback sends on; the panic then
-    escapes the run, and the outcome records it."""
+    """The run's outcome and its result."""
+    main, run_kwargs = PROGRAMS.get(program) or KERNELS[program]
     recorder = _Recorder()
     injector = FaultInjector(plan, seed=seed)
-    try:
-        result = run(PROGRAMS[program], seed=seed, inject=injector,
-                     max_steps=2_000, time_limit=2.0, observers=[recorder])
-        ending = result.status
-    except GoPanic as exc:
-        result, ending = None, repr(exc)
+    kwargs = {"max_steps": 2_000, "time_limit": 2.0, **run_kwargs}
+    result = run(main, seed=seed, inject=injector, observers=[recorder],
+                 **kwargs)
     sched = recorder.sched
     outcome = (
         [record.to_dict() for record in injector.log],
@@ -151,7 +158,7 @@ def _run(program, plan, seed):
         [None if pick is None
          else (pick[0], tuple(g.gid for g in pick[1]), pick[2])
          for pick in recorder.picks],
-        ending,
+        result.status,
         sched.steps,
         sched._budget_used,
         sched.clock.now,
@@ -160,8 +167,7 @@ def _run(program, plan, seed):
 
 
 @settings(**SETTINGS)
-@given(program=st.sampled_from(sorted(PROGRAMS)), plan=PLANS,
-       seed=st.integers(0, 1_000))
+@given(program=SOURCES, plan=PLANS, seed=st.integers(0, 1_000))
 @example(program="ticker", seed=1, plan=FaultPlan(name="pinned", faults=(
     Fault("wakeup", after_time=0.03, times=2),
     Fault("kill", target="no-such-*", at_step=3),
@@ -176,7 +182,6 @@ def test_generated_faulted_runs_agree_on_both_loops(program, plan, seed):
     with force_pure():
         pure, pure_result = _run(program, plan, seed)
     assert compiled == pure
-    if result is not None:
-        assert pure_result.drive_steps == 0
-        if COMPILED:
-            assert result.drive_steps == result.steps
+    assert pure_result.drive_steps == 0
+    if COMPILED:
+        assert result.drive_steps == result.steps

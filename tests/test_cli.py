@@ -121,6 +121,19 @@ def test_explore_fixed_variant_is_clean(capsys):
     assert ("property holds" in out) or ("without a counterexample" in out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["explore", "nonblocking-trad-docker-lost-update", "--jobs", "2"],
+    ["predict", "nonblocking-trad-docker-lost-update", "--confirm",
+     "--jobs", "2"],
+], ids=lambda argv: argv[0])
+def test_removed_jobs_flags_are_usage_errors(argv):
+    # Exploration runs one schedule at a time; neither command takes
+    # --jobs.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_usage_profiles_a_package(capsys):
     from pathlib import Path
 
