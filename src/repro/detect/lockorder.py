@@ -67,8 +67,8 @@ class LockOrderViolation:
 class LockOrderDetector:
     """Observer building the acquisition-order graph for one run.
 
-    Each ``attach`` starts a fresh graph, so a detector reused across runs
-    reports only the run it is attached to.
+    Each ``attach`` starts from an empty graph (rebuilt only if used), so
+    a detector reused across runs reports only the run it is attached to.
 
     Attach to :func:`repro.run` like the other detectors::
 
@@ -104,7 +104,8 @@ class LockOrderDetector:
     # ------------------------------------------------------------------
 
     def attach(self, rt) -> None:
-        self._reset()
+        if self.edges or self._held or self._finalized:
+            self._reset()
         self._trace = rt.sched.trace
         self._start = len(self._trace)
         self._trace.keep_records()

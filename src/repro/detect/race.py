@@ -110,7 +110,7 @@ class RaceDetector:
 
     The strict :class:`~repro.detect.hb.HBEngine` orders the run's
     events; a :class:`RaceRule` with a ``shadow_words`` window checks its
-    accesses.  Both are built afresh for each attached run.
+    accesses.  Both are built once per run (``attach`` rebuilds used ones).
     """
 
     name = "go-race-detector"
@@ -134,7 +134,8 @@ class RaceDetector:
     # ------------------------------------------------------------------
 
     def attach(self, rt) -> None:
-        self._reset()
+        if self._engine._clocks:  # every event that leaves state makes one
+            self._reset()
         self._trace = rt.sched.trace
         self._start = len(self._trace)
         self._trace.keep_records()

@@ -11,7 +11,10 @@
  *     the scheduler and the ``select`` tie-breaker share one stream, the C
  *     object is a *drop-in state holder*: Python callers invoke its
  *     ``randrange`` method, the compiled loop below reads the same MT state
- *     directly, and the interleaved sequence is unchanged.
+ *     directly, and the interleaved sequence is unchanged.  Seeding
+ *     copies the init_genrand(19650218) state init_by_array starts from,
+ *     filled once at module init, and keys a |seed| < 2**32 as one word
+ *     read in C; a wider seed's key comes from its to_bytes.
  *
  *  2. ``drive(sched)`` — the fused scheduler loop: stop check, budget,
  *     RNG pick, continuation switch and yield bookkeeping with no Python
@@ -74,23 +77,16 @@ typedef struct {
     int mti;
 } BatchedRandomObject;
 
-static void
-mt_init_genrand(BatchedRandomObject *self, uint32_t s)
-{
-    int mti;
-    self->mt[0] = s;
-    for (mti = 1; mti < MT_N; mti++) {
-        self->mt[mti] =
-            (1812433253U * (self->mt[mti - 1] ^ (self->mt[mti - 1] >> 30)) + mti);
-    }
-    self->mti = mti;
-}
+/* mt_init_genrand(19650218), the state init_by_array starts every seed
+ * from: a constant, filled once by PyInit__hotloop. */
+static uint32_t mt_base[MT_N];
 
 static void
 mt_init_by_array(BatchedRandomObject *self, uint32_t *init_key, size_t key_length)
 {
     size_t i, j, k;
-    mt_init_genrand(self, 19650218U);
+    memcpy(self->mt, mt_base, sizeof(mt_base));
+    self->mti = MT_N;
     i = 1; j = 0;
     k = (MT_N > key_length ? MT_N : key_length);
     for (; k; k--) {
@@ -173,6 +169,17 @@ br_init(BatchedRandomObject *self, PyObject *args, PyObject *kwds)
     index = seed != NULL ? PyNumber_Index(seed) : PyLong_FromLong(0);
     if (index == NULL)
         goto done;
+    {
+        /* |seed| < 2**32: the key is one word, read without a method call. */
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(index, &overflow);
+        if (!overflow && v > -0x100000000LL && v < 0x100000000LL) {
+            uint32_t word = (uint32_t)(v < 0 ? -v : v);
+            mt_init_by_array(self, &word, 1);
+            rc = 0;
+            goto done;
+        }
+    }
     absval = PyNumber_Absolute(index);
     if (absval == NULL)
         goto done;
@@ -989,6 +996,10 @@ PyInit__hotloop(void)
         Py_DECREF(m);
         return NULL;
     }
+    mt_base[0] = 19650218U;
+    for (int i = 1; i < MT_N; i++)
+        mt_base[i] = 1812433253U * (mt_base[i - 1] ^ (mt_base[i - 1] >> 30))
+                     + (uint32_t)i;
     Py_INCREF(&BatchedRandom_Type);
     if (PyModule_AddObject(m, "BatchedRandom",
                            (PyObject *)&BatchedRandom_Type) < 0) {

@@ -44,11 +44,13 @@ from typing import Any, Callable, Optional, Tuple
 from .errors import Killed
 
 #: How long :meth:`Goroutine.kill` waits for a host thread to unwind before
-#: declaring it stuck.  A thread can outlive this when user code swallows
-#: ``Killed`` (a ``BaseException``) or parks on a host-level primitive the
-#: scheduler cannot interrupt; such threads are recorded on the goroutine
-#: (``stuck_host_thread``) and surfaced on the :class:`RunResult` instead of
-#: being dropped silently.  Override per run with
+#: declaring it stuck, and the default total teardown budget of a thread
+#: vehicle run (``Scheduler.kill_all``).  A thread can outlive this when user
+#: code swallows ``Killed`` (a ``BaseException``) or parks on a host-level
+#: primitive the scheduler cannot interrupt; such threads are recorded on
+#: the goroutine (``stuck_host_thread``) and surfaced on the
+#: :class:`RunResult` instead of being dropped silently.  Tasklets unwind
+#: synchronously and never wait on it.  Override per run with
 #: ``run(..., host_join_timeout=...)``; sweep workers shrink it so one
 #: pathological seed cannot stall a whole sweep (see :mod:`repro.parallel`).
 HOST_JOIN_TIMEOUT = 5.0
@@ -337,14 +339,9 @@ class TaskletGoroutine(Goroutine):
     with nothing but a C compiler.
     """
 
+    #: :meth:`start` sets both; ``_hub`` is the scheduler's own tasklet,
+    #: the parent every goroutine tasklet returns to when it finishes.
     __slots__ = ("_tk", "_hub")
-
-    def __init__(self, *args: Any, hub: Any = None, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        #: The scheduler's own tasklet (the thread's main continuation):
-        #: the parent every goroutine tasklet returns to when it finishes.
-        self._hub = hub
-        self._tk: Any = None
 
     # -- scheduler side -------------------------------------------------
 
@@ -353,7 +350,8 @@ class TaskletGoroutine(Goroutine):
         if mod is None:  # pragma: no cover - guarded by backend resolution
             raise RuntimeError("tasklet backend requested but the _ctasklet "
                                "extension is not available on this platform")
-        self._tk = mod.Tasklet(self._execute, self._hub)
+        self._hub = hub = self._sched._hub
+        self._tk = mod.Tasklet(self._execute, hub)
         self.state = GState.RUNNABLE
 
     def resume(self) -> None:

@@ -39,7 +39,7 @@ def _creation_site(depth: int = 2) -> Optional[str]:
         frame = sys._getframe(depth)
     except ValueError:  # pragma: no cover - shallow stacks in exotic hosts
         return None
-    return f"{frame.f_code.co_filename.rsplit('/', 1)[-1]}:{frame.f_lineno}"
+    return short_site(frame.f_code.co_filename, frame.f_lineno, 0)
 
 
 def _is_anonymous(fn: Callable[..., Any]) -> bool:
@@ -631,10 +631,12 @@ def run(
                     blocked=[g.describe() for g in blocked],
                 )
         else:  # main finished
-            if drain:
-                # Keep running (and let the virtual clock advance, so plain
-                # sleepers and armed timers finish) until quiescence: what
-                # remains blocked then is blocked *forever*.
+            # Keep running (and let the virtual clock advance, so plain
+            # sleepers and armed timers finish) until quiescence: what
+            # remains blocked then is blocked *forever*.  With nothing to
+            # run or fire that is now, unless an injector pulses first.
+            if drain and (injector is not None or sched._runnable or any(
+                    timer[2] is not None for timer in sched.clock._heap)):
                 sched.run_until_quiescent(
                     stop_mode=("panic", None),
                     step_budget=drain_budget,

@@ -114,13 +114,14 @@ _SITE_CACHE_MAX = 4096
 _site_cache: dict = {}
 
 
-def short_site(filename: str, lineno: int) -> str:
-    """``dir/file.py:line`` — stable across checkouts (no absolute prefix)."""
-    key = (filename, lineno)
+def short_site(filename: str, lineno: int, dirs: int = 1) -> str:
+    """``dir/file.py:line`` — stable across checkouts (no absolute prefix);
+    ``dirs`` is how many directories to keep (0: ``file.py:line``)."""
+    key = (filename, lineno, dirs)
     site = _site_cache.get(key)
     if site is None:
-        parts = filename.replace(os.sep, "/").rsplit("/", 2)
-        site = f"{'/'.join(parts[-2:])}:{lineno}"
+        parts = filename.replace(os.sep, "/").rsplit("/", dirs + 1)
+        site = f"{'/'.join(parts[-dirs - 1:])}:{lineno}"
         if len(_site_cache) >= _SITE_CACHE_MAX:
             for stale in list(_site_cache)[: _SITE_CACHE_MAX // 8]:
                 del _site_cache[stale]
@@ -416,19 +417,8 @@ class Scheduler:
         creation_site: Optional[str] = None,
     ) -> Goroutine:
         """Create a goroutine and put it on the runnable set."""
-        common = dict(
-            gid=self._next_gid,
-            fn=fn,
-            args=args,
-            scheduler=self,
-            name=name,
-            anonymous=anonymous,
-            creation_site=creation_site,
-        )
-        if self._direct:
-            g: Goroutine = Goroutine(**common)
-        else:
-            g = TaskletGoroutine(hub=self._hub, **common)
+        g = (Goroutine if self._direct else TaskletGoroutine)(
+            self._next_gid, fn, args, self, name, anonymous, creation_site)
         self._next_gid += 1
         g.created_at = self.clock.now
         self.goroutines.append(g)
@@ -883,26 +873,28 @@ class Scheduler:
     def kill_all(self) -> None:
         """Unwind every live goroutine's host (end of run cleanup).
 
-        ``host_join_timeout`` is a *total* teardown budget, not a
-        per-goroutine one: with N hung host threads the old per-goroutine
-        bound stalled teardown for N x timeout, which let a mixed-backend
-        test suite leak minutes to a handful of stuck threads.  Each kill
-        gets the time remaining on the shared deadline (with a small floor
-        so a well-behaved host can always unwind); tasklets unwind
-        synchronously and spend none of it.
+        Thread vehicle: ``host_join_timeout`` is a *total* teardown budget,
+        not a per-goroutine one: with N hung host threads a per-goroutine
+        bound stalled teardown for N x timeout.  Each kill gets the time
+        remaining on the shared deadline (with a small floor so a
+        well-behaved host can always unwind).  Tasklets unwind
+        synchronously: they get no deadline, and the timeout only names
+        the bound in a stuck tasklet's warning.
         """
         self._shutting_down = True
-        from .goroutine import HOST_JOIN_TIMEOUT
+        timeout, deadline = self.host_join_timeout, None
+        if self._direct:
+            from .goroutine import HOST_JOIN_TIMEOUT  # read at call time
 
-        budget = (HOST_JOIN_TIMEOUT if self.host_join_timeout is None
-                  else self.host_join_timeout)
-        deadline = _time.monotonic() + max(budget, 0.0)
+            deadline = _time.monotonic() + max(
+                HOST_JOIN_TIMEOUT if timeout is None else timeout, 0.0)
         try:
             for g in self.goroutines:
                 if g.state in GState.LIVE:
-                    remaining = deadline - _time.monotonic()
+                    if deadline is not None:
+                        timeout = max(deadline - _time.monotonic(), 0.05)
                     self._teardown_g = g
-                    g.kill(join_timeout=max(remaining, 0.05))
+                    g.kill(join_timeout=timeout)
         finally:
             self._teardown_g = None
 

@@ -185,3 +185,44 @@ def test_a_wrapped_on_event_sees_every_strict_edge_record():
             (r[0], r[2], r[3], r[4]) for r in kept]
         assert wrapped.reports == plain.reports
         assert wrapped.final_clocks() == plain.final_clocks()
+
+
+def _state(race, lockorder):
+    return (race.reports, race.final_clocks(), lockorder.edges,
+            lockorder.violations)
+
+
+def test_events_fed_unattached_are_dropped_at_attach():
+    """``attach`` rebuilds a detector's state only when the state saw an
+    event.  Events fed through ``on_event`` before ``attach`` count: the
+    run the detector is then attached to is all it reports."""
+    trace, _ = _attach_after((1, EventKind.MEM_WRITE, 9),
+                             (2, EventKind.MEM_WRITE, 9),
+                             (1, EventKind.MU_LOCK, 1),
+                             (1, EventKind.MU_REQUEST, 2))
+    for program in (quiet, racy_ab_ba):
+        fed, fed_lockorder = RaceDetector(), LockOrderDetector()
+        for event in trace:
+            fed.on_event(event)
+            fed_lockorder.on_event(event)
+        # Unattached, the events alone leave a race and an order edge.
+        assert fed.reports and fed_lockorder.edges
+        race, lockorder = RaceDetector(), LockOrderDetector()
+        run(program, seed=0, observers=[fed, fed_lockorder, race, lockorder])
+        assert _state(fed, fed_lockorder) == _state(race, lockorder)
+
+
+def test_constructed_then_attached_matches_a_rebuilt_detector():
+    """A detector whose ``__init__`` state serves its first run ends that
+    run with the clocks, edges and reports of one whose state ``attach``
+    rebuilt after an earlier run, over every pairing of the programs."""
+    programs = (quiet, inverted_and_leaky, racy_ab_ba)
+    for first in programs:
+        for second in programs:
+            race, lockorder = RaceDetector(), LockOrderDetector()
+            run(first, seed=1, observers=[race, lockorder])
+            constructed = RaceDetector(), LockOrderDetector()
+            run(second, seed=2, observers=[race, lockorder, *constructed])
+            assert _state(race, lockorder) == _state(*constructed)
+    # The last pairing found something, so the comparisons were not vacuous.
+    assert race.reports and lockorder.edges

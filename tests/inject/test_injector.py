@@ -1,5 +1,6 @@
 """Injector semantics: each fault action observable from inside a program."""
 
+import contextlib
 import math
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from repro.bugs.registry import get
 from repro.inject import Fault, FaultPlan
 from repro.inject import plans
 from repro.inject.injector import FaultInjector
+from repro.runtime._hotloop import force_pure
 from repro.runtime.errors import GoPanic
 from repro.runtime.trace import EventKind
 
@@ -326,6 +328,33 @@ def test_attach_only_plan_that_never_fires_keeps_base_schedule():
         assert chaotic.main_result == bare.main_result
         assert chaotic.steps == bare.steps
         assert not chaotic.injected
+
+
+def _parks_one_and_returns(rt):
+    """Main leaves ``stuck`` parked on a channel nobody sends on and
+    returns with nothing runnable and no timer armed."""
+    ch = rt.make_chan(0, name="never")
+    rt.go(ch.recv, name="stuck")
+    rt.sleep(0.1)  # its timer has fired by the time main returns
+    return "done"
+
+
+@pytest.mark.parametrize("mode", ["compiled", "pure", "thread"])
+def test_fault_due_at_mains_last_step_fires_in_the_drain(mode):
+    """A fault due at the step main returns on is first offered at the
+    drain's opening decision: the stop check ends the main phase before
+    any pulse.  So the drain must run with an injector attached even when
+    nothing is runnable and no timer is armed, and the kill it fires there
+    unwinds the goroutine that would otherwise leak."""
+    kwargs = {"backend": "thread"} if mode == "thread" else {}
+    with force_pure() if mode == "pure" else contextlib.nullcontext():
+        bare = run(_parks_one_and_returns, seed=0, **kwargs)
+        assert bare.status == "leak"
+        plan = _plan(Fault("kill", target="stuck", at_step=bare.steps))
+        faulted = run(_parks_one_and_returns, seed=0, inject=plan, **kwargs)
+    assert [record.victim for record in faulted.injected] == ["g2:stuck"]
+    assert faulted.status == "ok" and not faulted.leaked
+    assert faulted.steps == bare.steps + 1  # the killed goroutine unwinds
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ gates and firing budgets — run over a sleeper, a ticker and a timer
 program and over the corpus kernels, buggy and fixed.  Every run must
 return (no fault may make ``run()`` raise) and give the same fault log,
 trace records, pick log, status, steps, step-budget use and end time on
-both loops.  On the compiled loop every step is taken inside drive.
+both loops, on the thread vehicle, and when the same ``(seed, plan)``
+runs a second time.  On the compiled loop every step is taken inside
+drive.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -143,12 +145,12 @@ class _Recorder:
         self.picks = rt.sched.record_picks()
 
 
-def _run(program, plan, seed):
+def _run(program, plan, seed, **options):
     """The run's outcome and its result."""
     main, run_kwargs = PROGRAMS.get(program) or KERNELS[program]
     recorder = _Recorder()
     injector = FaultInjector(plan, seed=seed)
-    kwargs = {"max_steps": 2_000, "time_limit": 2.0, **run_kwargs}
+    kwargs = {"max_steps": 2_000, "time_limit": 2.0, **run_kwargs, **options}
     result = run(main, seed=seed, inject=injector, observers=[recorder],
                  **kwargs)
     sched = recorder.sched
@@ -182,6 +184,8 @@ def test_generated_faulted_runs_agree_on_both_loops(program, plan, seed):
     with force_pure():
         pure, pure_result = _run(program, plan, seed)
     assert compiled == pure
+    assert _run(program, plan, seed)[0] == compiled
+    assert _run(program, plan, seed, backend="thread")[0] == compiled
     assert pure_result.drive_steps == 0
     if COMPILED:
         assert result.drive_steps == result.steps

@@ -5,7 +5,8 @@ Every scheduler pick and every ready-``select`` choice is one
 ``random.Random(seed)``'s on every host.  Where the ``_hotloop`` extension
 builds, ``BatchedRandom`` is a C MT19937 that serves ``1 <= n < 2**32``,
 the range picks and draws produce; elsewhere the scheduler draws from
-``random.Random`` itself.  Generated seeds (negative and wider than 64
+``random.Random`` itself.  Generated seeds (negative, on both sides of
+the one-word seeding path's ``|seed| < 2**32`` bound, and wider than 64
 bits included) and draw sequences, weighted to small runnable sets, powers
 of two (no rejection) and the top of the range, must give the draws
 ``random.Random(seed).randrange(n)`` gives, one for one, across several
@@ -52,6 +53,12 @@ OUT_OF_RANGE = st.one_of(st.integers(max_value=0),
 @example(seed=123456789, ns=[2 ** 31, 2 ** 31 + 1])
 @example(seed=-5, ns=[3, 5, 7])
 @example(seed=2 ** 80 + 13, ns=[2, 4, 8, 3])
+# The edges of the one-word seeding path (|seed| < 2**32) and past it.
+@example(seed=2 ** 32 - 1, ns=[3, TOP - 1])
+@example(seed=2 ** 32, ns=[3, TOP - 1])
+@example(seed=-(2 ** 32 - 1), ns=[3, TOP - 1])
+@example(seed=-(2 ** 32), ns=[3, TOP - 1])
+@example(seed=2 ** 64, ns=[3, TOP - 1])
 def test_compiled_draws_match_random_random(seed, ns):
     compiled = _hotloop.BatchedRandom(seed)
     reference = random.Random(seed)

@@ -79,3 +79,15 @@ def test_site_cache_is_bounded():
     # Interning still works after eviction churn.
     first = short_site("/x/y/mod.py", 1)
     assert short_site("/x/y/mod.py", 1) is first
+
+
+def test_creation_site_cache_is_bounded():
+    """``rt.go`` names its caller's ``file.py:line`` through the same
+    bounded cache: sweeping many generated programs stays capped."""
+    for i in range(_SITE_CACHE_MAX + 512):
+        scope: dict = {}
+        exec(compile("def main(rt):\n    rt.go(lambda: None)\n",
+                     f"/tmp/sweeps/gen_{i}.py", "exec"), scope)
+        result = run(scope["main"], seed=0)
+        assert result.goroutines[1].creation_site == f"gen_{i}.py:2"
+    assert len(_site_cache) <= _SITE_CACHE_MAX

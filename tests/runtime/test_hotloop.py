@@ -39,7 +39,10 @@ needs_compiled = pytest.mark.skipif(
 
 DRAW_NS = [3, 10, 1, 7, 2, 5, 2 ** 20, 2 ** 32 - 1, 100, 2 ** 31, 6,
            2 ** 31 - 1]
-SEEDS = [0, 1, 7, 123456789, -5, 2 ** 80 + 13]
+#: The last five bound the one-word seeding path: ``|seed| < 2**32`` is
+#: keyed directly, anything wider goes through the general key.
+SEEDS = [0, 1, 7, 123456789, -5, 2 ** 80 + 13, 2 ** 32 - 1, 2 ** 32,
+         -(2 ** 32 - 1), -(2 ** 32), 2 ** 64]
 
 
 @needs_compiled
