@@ -3,15 +3,17 @@
 The paper's detection reality is statistical — a blocking bug that
 manifests on a few percent of real executions manifests on a similar
 fraction of seeds — so sweep throughput *is* the system's effective speed.
-This package fans independent ``(seed, plan)`` simulation units across a
-process pool (:mod:`repro.parallel.engine`) and merges their picklable
-summaries (:mod:`repro.parallel.summary`) in seed order.
+This package fans independent ``(seed, plan)`` simulation units across
+worker processes forked for each dispatching call
+(:mod:`repro.parallel.engine`) and merges their picklable summaries
+(:mod:`repro.parallel.summary`) in seed order.
 
 Determinism contract: ``jobs=N`` output is **byte-identical** to
 ``jobs=1`` — both paths reduce runs through the same
 :func:`summarize_result`, the unit list is fixed before any worker starts,
-and ``Pool.map`` preserves submission order.  The equivalence tests in
-``tests/parallel`` assert this for every sweep consumer.
+and the executor's ``map`` returns results in submission order.  The
+equivalence tests in ``tests/parallel`` assert this for every sweep
+consumer.
 
 What parallelism cannot preserve: in-process side effects.  A shared
 Observer, an attached detector accumulating across seeds, or a program

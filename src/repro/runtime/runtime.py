@@ -685,23 +685,12 @@ def run(
 def explore(
     main: Callable[[Runtime], Any],
     seeds: Iterable[int],
-    *,
-    jobs: int = 1,
     **kwargs: Any,
-) -> List[Any]:
+) -> List[RunResult]:
     """Run ``main`` under every seed; the seed-sweep analogue of rerunning a
     flaky program many times.
 
-    Args:
-        jobs: worker processes for the sweep (:mod:`repro.parallel`).  The
-            default of 1 runs in-process and returns full
-            :class:`RunResult` objects.  With ``jobs > 1`` every run is
-            reduced to a picklable :class:`repro.parallel.RunSummary`; the
-            list is merged in seed order and is byte-identical to what
-            ``sweep_seeds(main, seeds, jobs=1)`` returns.
+    Runs in-process and returns the full :class:`RunResult` objects.  The
+    parallel sweep is :func:`repro.parallel.sweep_seeds`.
     """
-    if jobs <= 1:
-        return [run(main, seed=seed, **kwargs) for seed in seeds]
-    from ..parallel import sweep_seeds
-
-    return sweep_seeds(main, seeds, jobs=jobs, **kwargs)
+    return [run(main, seed=seed, **kwargs) for seed in seeds]

@@ -5,8 +5,12 @@ output: same summaries, same order, same JSON, for the seed sweep, the
 kernels' manifestation sweeps, and the chaos harness.  These tests pin
 that contract with a worker count above 1 regardless of how many cores the
 CI machine has (forking 4 workers on 1 core is slower, never different).
+The ``forked`` fixture switches the serial cutover off and checks that
+every ``jobs=N`` call really forked, so each comparison crosses a process
+boundary.
 """
 
+import concurrent.futures
 import json
 import time
 
@@ -16,7 +20,7 @@ from repro import explore, run
 from repro.bugs.registry import get
 from repro.inject.harness import ChaosHarness, ChaosTarget, manifestation_rate
 from repro.inject.plans import default_suite
-from repro.parallel import schedule_digest, sweep_seeds
+from repro.parallel import engine, schedule_digest, sweep_seeds
 
 JOBS = 4
 
@@ -36,15 +40,39 @@ def _racy(rt):
     return tuple(ch.recv() for _ in range(3))
 
 
+@pytest.fixture
+def forked(monkeypatch):
+    """Call a ``jobs=N`` sweep with the serial cutover off; assert it forked."""
+    if not engine._fork_available():
+        pytest.skip("fork unavailable")
+    monkeypatch.setattr(engine, "MIN_PARALLEL_COST_S", 0.0)
+    created = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        created.append(args)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+
+    def call(sweep, *args, **kwargs):
+        before = len(created)
+        out = sweep(*args, **kwargs)
+        assert len(created) > before, "the jobs=N call never forked"
+        return out
+
+    return call
+
+
 # ----------------------------------------------------------------------
 # sweep_seeds / explore
 # ----------------------------------------------------------------------
 
 
-def test_sweep_seeds_byte_identical():
+def test_sweep_seeds_byte_identical(forked):
     seeds = range(8)
     serial = sweep_seeds(_racy, seeds, jobs=1)
-    parallel = sweep_seeds(_racy, seeds, jobs=JOBS)
+    parallel = forked(sweep_seeds, _racy, seeds, jobs=JOBS)
     assert serial == parallel
     assert [s.seed for s in serial] == list(seeds)
     assert json.dumps([s.to_dict() for s in serial], sort_keys=True) == \
@@ -54,9 +82,10 @@ def test_sweep_seeds_byte_identical():
     assert len({s.trace_digest for s in serial}) > 1
 
 
-def test_explore_summaries_identical():
-    assert sweep_seeds(_racy, range(8), jobs=1) == \
-        explore(_racy, range(8), jobs=JOBS)
+def test_explore_takes_no_jobs():
+    # explore always returns RunResults; sweep_seeds is the parallel sweep.
+    with pytest.raises(TypeError):
+        explore(_racy, range(2), jobs=JOBS)
 
 
 def test_schedule_digest_stable_across_runs():
@@ -72,19 +101,19 @@ def test_schedule_digest_stable_across_runs():
 # ----------------------------------------------------------------------
 
 
-def test_kernel_manifestation_seeds_identical():
+def test_kernel_manifestation_seeds_identical(forked):
     seeds = range(16)
     serial = KERNEL.manifestation_seeds(seeds, jobs=1)
-    parallel = KERNEL.manifestation_seeds(seeds, jobs=JOBS)
+    parallel = forked(KERNEL.manifestation_seeds, seeds, jobs=JOBS)
     assert serial == parallel
     # The kernel is seed-sensitive: a strict subset manifests.
     assert 0 < len(serial) < 16
 
 
-def test_chaos_manifestation_rate_identical():
+def test_chaos_manifestation_rate_identical(forked):
     seeds = range(10)
     assert manifestation_rate(KERNEL, seeds, jobs=1) == \
-        manifestation_rate(KERNEL, seeds, jobs=JOBS)
+        forked(manifestation_rate, KERNEL, seeds, jobs=JOBS)
 
 
 # ----------------------------------------------------------------------
@@ -92,13 +121,13 @@ def test_chaos_manifestation_rate_identical():
 # ----------------------------------------------------------------------
 
 
-def test_chaos_harness_sweep_identical():
+def test_chaos_harness_sweep_identical(forked):
     target = ChaosTarget.from_kernel(KERNEL)
     plans = list(default_suite())[:2]
-    serial = ChaosHarness(seeds=range(4), jobs=1)
-    parallel = ChaosHarness(seeds=range(4), jobs=JOBS)
+    serial = ChaosHarness(seeds=range(8), jobs=1)
+    parallel = ChaosHarness(seeds=range(8), jobs=JOBS)
     serial.sweep([target], plans=plans)
-    parallel.sweep([target], plans=plans)
+    forked(parallel.sweep, [target], plans=plans)
     assert json.dumps(serial.to_dict(), sort_keys=True) == \
         json.dumps(parallel.to_dict(), sort_keys=True)
 
